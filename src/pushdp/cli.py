@@ -52,7 +52,6 @@ class ExperimentConfig:
     gamma: float | str = 0.05
     seed: int = 0
     repeat: int = 1
-    workers: int = 1
     output: str = ""
     b_window: int = 0  # 0 means the graph period
     # [privacy]
@@ -76,18 +75,6 @@ class ExperimentConfig:
     separation: float = 3.0
 
 
-def _parse_int(s: str) -> int:
-    return int(s)
-
-
-def _parse_float(s: str) -> float:
-    return float(s)
-
-
-def _parse_str(s: str) -> str:
-    return s
-
-
 def _parse_gamma(s: str):
     if s == "corollary":
         return s
@@ -100,29 +87,28 @@ def _ser_float(v) -> str:
 
 # (section, key, attribute, parser, serializer)
 _FIELDS = [
-    ("run", "n", "n", _parse_int, str),
-    ("run", "K", "K", _parse_int, str),
+    ("run", "n", "n", int, str),
+    ("run", "K", "K", int, str),
     ("run", "gamma", "gamma", _parse_gamma, lambda v: v if isinstance(v, str) else _ser_float(v)),
-    ("run", "seed", "seed", _parse_int, str),
-    ("run", "repeat", "repeat", _parse_int, str),
-    ("run", "workers", "workers", _parse_int, str),
-    ("run", "output", "output", _parse_str, str),
-    ("run", "b_window", "b_window", _parse_int, str),
-    ("privacy", "epsilon", "epsilon", _parse_float, _ser_float),
-    ("privacy", "delta", "delta", _parse_float, _ser_float),
-    ("schedule", "variant", "variant", _parse_str, str),
-    ("schedule", "c0", "c0", _parse_float, _ser_float),
-    ("schedule", "rho_c", "rho_c", _parse_float, _ser_float),
-    ("schedule", "rho_mu", "rho_mu", _parse_float, _ser_float),
-    ("graph", "kind", "graph", _parse_str, str),
-    ("graph", "matrices", "matrices", _parse_str, str),
-    ("task", "model", "model", _parse_str, str),
-    ("task", "J", "J", _parse_int, str),
-    ("task", "d_in", "d_in", _parse_int, str),
-    ("task", "classes", "classes", _parse_int, str),
-    ("task", "hidden", "hidden", _parse_int, str),
-    ("task", "data_seed", "data_seed", _parse_int, str),
-    ("task", "separation", "separation", _parse_float, _ser_float),
+    ("run", "seed", "seed", int, str),
+    ("run", "repeat", "repeat", int, str),
+    ("run", "output", "output", str, str),
+    ("run", "b_window", "b_window", int, str),
+    ("privacy", "epsilon", "epsilon", float, _ser_float),
+    ("privacy", "delta", "delta", float, _ser_float),
+    ("schedule", "variant", "variant", str, str),
+    ("schedule", "c0", "c0", float, _ser_float),
+    ("schedule", "rho_c", "rho_c", float, _ser_float),
+    ("schedule", "rho_mu", "rho_mu", float, _ser_float),
+    ("graph", "kind", "graph", str, str),
+    ("graph", "matrices", "matrices", str, str),
+    ("task", "model", "model", str, str),
+    ("task", "J", "J", int, str),
+    ("task", "d_in", "d_in", int, str),
+    ("task", "classes", "classes", int, str),
+    ("task", "hidden", "hidden", int, str),
+    ("task", "data_seed", "data_seed", int, str),
+    ("task", "separation", "separation", float, _ser_float),
 ]
 _BY_SECTION = {}
 for _sec, _key, _attr, _parse, _ser in _FIELDS:
@@ -216,6 +202,24 @@ def _build_graph(cfg: ExperimentConfig, n: int):
         raise ConfigError(f"graph.matrices: {exc}") from exc
 
 
+def _check_privacy(cfg: ExperimentConfig) -> None:
+    if not cfg.epsilon > 0:
+        raise ConfigError("privacy.epsilon is required for private variants")
+    if not 0 < cfg.delta < 1:
+        raise ConfigError("privacy.delta must lie in (0, 1)")
+
+
+def _private_schedule(cfg: ExperimentConfig, variant: str, K: int):
+    """Privacy target and schedule of a private variant over K steps."""
+    _check_privacy(cfg)
+    privacy = PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, K)
+    try:
+        rates = dict(rho_c=cfg.rho_c or None, rho_mu=cfg.rho_mu or None)
+        return privacy, build_schedule(variant, privacy, clip0=cfg.c0, **rates)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _resolve(cfg: ExperimentConfig, seed: int, variant: str | None = None) -> RunConfig:
     """Turn a config into a concrete RunConfig for one replicate."""
     variant = variant if variant is not None else cfg.variant
@@ -235,10 +239,7 @@ def _resolve(cfg: ExperimentConfig, seed: int, variant: str | None = None) -> Ru
     else:
         if variant not in VARIANTS:
             raise ConfigError(f"schedule.variant must be one of {VARIANTS + (NONPRIVATE,)}")
-        if not cfg.epsilon > 0:
-            raise ConfigError("privacy.epsilon is required for private variants")
-        if not 0 < cfg.delta < 1:
-            raise ConfigError("privacy.delta must lie in (0, 1)")
+        _check_privacy(cfg)
         mu_tot = mu_tot_from_eps_delta(cfg.epsilon, cfg.delta)
         if cfg.gamma == "corollary":
             if cfg.J * mu_tot <= math.sqrt(n):
@@ -254,17 +255,7 @@ def _resolve(cfg: ExperimentConfig, seed: int, variant: str | None = None) -> Ru
             if cfg.K < 1:
                 raise ConfigError("run.K must be positive")
             K = cfg.K
-        privacy = PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, K)
-        try:
-            sched = build_schedule(
-                variant,
-                privacy,
-                clip0=cfg.c0,
-                rho_c=cfg.rho_c if cfg.rho_c > 0 else None,
-                rho_mu=cfg.rho_mu if cfg.rho_mu > 0 else None,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        privacy, sched = _private_schedule(cfg, variant, K)
         extra_meta.update(
             epsilon=_ser_float(cfg.epsilon),
             delta=_ser_float(cfg.delta),
@@ -289,14 +280,7 @@ def _resolve(cfg: ExperimentConfig, seed: int, variant: str | None = None) -> Ru
         )
 
     return RunConfig(
-        task=task,
-        graph=graph,
-        schedule=sched,
-        gamma=gamma,
-        K=K,
-        seed=seed,
-        workers=cfg.workers,
-        extra_meta=extra_meta,
+        task=task, graph=graph, schedule=sched, gamma=gamma, K=K, seed=seed, extra_meta=extra_meta
     )
 
 
@@ -310,12 +294,15 @@ def _output_path(base: str, default: str, seed: int, repeat: int) -> str:
     return f"{stem}_seed{seed}.{ext}"
 
 
+def _mean_std(values: list[float]) -> tuple[float, float]:
+    arr = np.asarray(values, dtype=float)
+    return float(arr.mean()), float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
+
+
 def _format_mean_std(values: list[float | None]) -> str:
     if values and values[0] is None:
         return "-"
-    arr = np.asarray(values, dtype=float)
-    spread = arr.std(ddof=1) if len(arr) > 1 else 0.0
-    return f"{arr.mean():.4f}+/-{spread:.4f}"
+    return "{:.4f}+/-{:.4f}".format(*_mean_std(values))
 
 
 def cmd_run(args) -> int:
@@ -382,23 +369,9 @@ def cmd_compare(args) -> int:
             "final_accuracy_mean,final_accuracy_std"
         ]
         for row in table:
-            losses = np.asarray(row["final_loss"])
-            accs = np.asarray(row["final_accuracy"], dtype=float)
-            loss_std = losses.std(ddof=1) if len(losses) > 1 else 0.0
-            acc_std = accs.std(ddof=1) if len(accs) > 1 else 0.0
-            lines.append(
-                ",".join(
-                    [
-                        row["variant"],
-                        row["epsilon"],
-                        row["delta"],
-                        repr(float(losses.mean())),
-                        repr(float(loss_std)),
-                        repr(float(accs.mean())),
-                        repr(float(acc_std)),
-                    ]
-                )
-            )
+            stats = _mean_std(row["final_loss"]) + _mean_std(row["final_accuracy"])
+            cells = [row["variant"], row["epsilon"], row["delta"]] + [repr(v) for v in stats]
+            lines.append(",".join(cells))
         with open(args.output, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {args.output}")
@@ -406,18 +379,9 @@ def cmd_compare(args) -> int:
 
 
 def _apply_axis(cfg: ExperimentConfig, axis: str, value: str) -> ExperimentConfig:
-    out = dataclasses.replace(cfg)
-    if axis == "rho_c":
-        out.rho_c = float(value)
-    elif axis == "rho_mu":
-        out.rho_mu = float(value)
-    elif axis == "epsilon":
-        out.epsilon = float(value)
-    elif axis == "n":
-        out.n = int(value)
-    elif axis == "graph":
-        out.graph = value
-    return out
+    """A copy of ``cfg`` with one SWEEP_AXES entry (named as its attribute) set."""
+    parse = {"n": int, "graph": str}.get(axis, float)
+    return dataclasses.replace(cfg, **{axis: parse(value)})
 
 
 def cmd_sweep(args) -> int:
@@ -463,19 +427,7 @@ def cmd_accountant(args) -> int:
         raise ConfigError("the accountant needs a private schedule variant")
     if cfg.K < 1:
         raise ConfigError("run.K must be positive")
-    if not cfg.epsilon > 0 or not 0 < cfg.delta < 1:
-        raise ConfigError("privacy.epsilon and privacy.delta are required")
-    privacy = PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, cfg.K)
-    try:
-        sched = build_schedule(
-            cfg.variant,
-            privacy,
-            clip0=cfg.c0,
-            rho_c=cfg.rho_c if cfg.rho_c > 0 else None,
-            rho_mu=cfg.rho_mu if cfg.rho_mu > 0 else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    privacy, sched = _private_schedule(cfg, cfg.variant, cfg.K)
     composed = compose_general(sched.as_ledger(privacy.J))
     print(f"epsilon = {privacy.epsilon:g}, delta = {privacy.delta:g}")
     print(f"mu_tot = {privacy.mu_tot!r}")

@@ -14,24 +14,28 @@ Column stochasticity conserves the sums of x and w, so the average iterate
 follows the noisy mean gradient exactly and the weights w recover the bias a
 directed graph would otherwise inject into z.
 
+The node phase is vectorized: one batched kernel computes every node's
+gradient at its own z_i, and clipping, noise and the half-step act on all
+rows at once.  Each dot product reproduces its single-node counterpart bit
+for bit, so the result equals a per-node loop exactly.
+
 Randomness is drawn from counter-based Philox streams keyed by
 (master seed, node index, purpose), one purpose for parameter init, one for
-data sampling, and one for noise.  Results are therefore bitwise
-reproducible for a given seed no matter how many workers execute the
-per-node phase, and ablating noise never shifts the sampled data sequence.
+data sampling, and one for noise.  Each stream is read in blocks of
+ROUND_BLOCK rounds; a block draw yields the same values as the single draws
+it replaces.  Results are therefore bitwise reproducible for a given seed,
+and ablating noise never shifts the sampled data sequence.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .metrics import MetricsLog, RoundDetail, RoundStats, mean_sq_consensus
-from .models import Task, evaluate, per_sample_gradient
+from .models import Task, batched_sample_gradients, evaluate
 from .topology import GraphSchedule, validate_column_stochastic
 
 PURPOSE_INIT = 0
@@ -40,6 +44,10 @@ PURPOSE_NOISE = 2
 
 # Push-sum weights this small mean the matrix schedule starves a node.
 WEIGHT_FLOOR = 1e-300
+
+# Rounds of sample indices and noise drawn per stream call; bounds the noise
+# held at once to n * ROUND_BLOCK * d floats.
+ROUND_BLOCK = 64
 
 
 class DegenerateWeight(ArithmeticError):
@@ -151,7 +159,6 @@ class RunConfig:
     noise_enabled: bool = True
     x0: np.ndarray | None = None
     init_scale: float = 0.5
-    workers: int = 1
     capture_detail: bool = False
     extra_meta: dict = field(default_factory=dict)
 
@@ -179,6 +186,38 @@ def _initial_iterates(config: RunConfig) -> np.ndarray:
     )
 
 
+def _schedule_arrays(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-round (C_k, mu_k, sigma_k), checked once so privacy fails closed."""
+    K, sched = config.K, config.schedule
+    if sched is None:
+        return np.full(K, math.inf), np.full(K, math.nan), np.zeros(K)
+    if sched.K < K:
+        raise ValueError("schedule is shorter than the run")
+    clip, budget, sigma = (a[:K] for a in sched.arrays())
+    if not (np.isfinite(clip) & (clip > 0)).all():
+        raise ValueError("the schedule's clip bounds must be finite and positive")
+    if not config.noise_enabled:
+        return clip, budget, np.zeros(K)
+    if not (np.isfinite(sigma) & (sigma > 0)).all():
+        raise ValueError("the schedule's noise levels must be finite and positive")
+    return clip, budget, sigma
+
+
+def _round_draws(config: RunConfig, noisy: bool):
+    """Per round: each node's sample index, and its standard-normal noise row
+    when ``noisy`` (else None), drawn ROUND_BLOCK rounds at a time."""
+    n, d, K, J = config.n, config.d, config.K, config.task.dataset.J
+    samplers = [node_stream(config.seed, i, PURPOSE_SAMPLE) for i in range(n)]
+    noisers = [node_stream(config.seed, i, PURPOSE_NOISE) for i in range(n)]
+    for k0 in range(0, K, ROUND_BLOCK):
+        B = min(ROUND_BLOCK, K - k0)
+        idx = np.stack([r.integers(J, size=B) for r in samplers], axis=1)
+        if noisy:
+            noise = np.stack([r.standard_normal((B, d)) for r in noisers], axis=1)
+        for t in range(B):
+            yield idx[t], noise[t] if noisy else None
+
+
 def run(config: RunConfig) -> MetricsLog:
     """Execute K rounds and return the full metrics log.
 
@@ -195,96 +234,62 @@ def run(config: RunConfig) -> MetricsLog:
         raise ValueError("step size must be nonnegative")
     for k in range(config.graph.period):
         validate_column_stochastic(config.graph.matrix_at(k))
-    sched = config.schedule
-    if sched is not None and sched.K < K:
-        raise ValueError("schedule is shorter than the run")
+    clip, budget, sigma = _schedule_arrays(config)
 
-    sample_rngs = [node_stream(config.seed, i, PURPOSE_SAMPLE) for i in range(n)]
-    noise_rngs = [node_stream(config.seed, i, PURPOSE_NOISE) for i in range(n)]
     X = _initial_iterates(config)
     w = np.ones(n)
     Z = X.copy()
-
-    halves = np.empty((n, d))
-    clipped = np.zeros(n, dtype=bool)
-    grads = np.empty((n, d)) if config.capture_detail else None
-    noises = np.empty((n, d)) if config.capture_detail else None
+    nodes = np.arange(n)
     rows: list[RoundStats] = []
     details: list[RoundDetail] = [] if config.capture_detail else None
     max_weight_drift = 0.0
     max_grad_norm = 0.0
 
-    def step_node(i: int, C_k: float, sigma: float) -> float:
-        idx = int(sample_rngs[i].integers(J))
-        g = per_sample_gradient(model, Z[i], data.features[i, idx], data.labels[i, idx])
-        norm = float(np.linalg.norm(g))
-        clipped[i] = norm > C_k
-        if clipped[i]:
-            g = g * (C_k / norm)
-        if sigma > 0:
-            noise = noise_rngs[i].standard_normal(d) * sigma
-            halves[i] = X[i] - config.gamma * (g + noise)
-        else:
-            noise = None
-            halves[i] = X[i] - config.gamma * g
-        if grads is not None:
-            grads[i] = g
-            noises[i] = noise if noise is not None else 0.0
-        return norm
+    for k, (idx, std_noise) in enumerate(_round_draws(config, bool(sigma.any()))):
+        C_k = float(clip[k])
+        xbar = X.mean(axis=0)
+        loss, grad, acc = evaluate(model, data, xbar)
 
-    pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
-    try:
-        for k in range(K):
-            if sched is None:
-                C_k, mu_k, sigma = math.inf, math.nan, 0.0
-            else:
-                C_k = sched.clip_bound_at(k)
-                mu_k = sched.budget_at(k)
-                sigma = sched.sigma_at(k) if config.noise_enabled else 0.0
+        G = batched_sample_gradients(model, Z, data.features[nodes, idx], data.labels[nodes, idx])
+        norms = np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])  # == np.linalg.norm per row
+        clipped = norms > C_k
+        G[clipped] *= (C_k / norms[clipped])[:, None]
+        noise = None if std_noise is None else std_noise * float(sigma[k])
+        halves = X - config.gamma * (G if noise is None else G + noise)
+        max_grad_norm = max(max_grad_norm, float(norms.max()))
 
-            xbar = X.mean(axis=0)
-            loss, grad, acc = evaluate(model, data, xbar)
-            stats_k = RoundStats(
+        P = config.graph.matrix_at(k).weights
+        X_next, w_next, Z_next = _mix_arrays(halves, w, P)
+        if not np.isfinite(X_next).all():
+            raise NonFiniteParameter(k)
+        max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))
+
+        rows.append(
+            RoundStats(
                 k=k,
                 loss=loss,
                 grad_norm_sq=float(grad @ grad),
                 consensus_err=mean_sq_consensus(Z, xbar),
-                clip_rate=0.0,
+                clip_rate=float(clipped.mean()),
                 clip_bound=C_k,
-                step_budget=mu_k,
-                noise_std=sigma,
+                step_budget=float(budget[k]),
+                noise_std=float(sigma[k]),
                 accuracy=acc,
             )
-
-            if pool is None:
-                norms = [step_node(i, C_k, sigma) for i in range(n)]
-            else:
-                norms = list(pool.map(lambda i: step_node(i, C_k, sigma), range(n)))
-            max_grad_norm = max(max_grad_norm, max(norms))
-
-            P = config.graph.matrix_at(k).weights
-            X_next, w_next, Z_next = _mix_arrays(halves, w, P)
-            if not np.isfinite(X_next).all():
-                raise NonFiniteParameter(k)
-            max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))
-
-            rows.append(dataclasses.replace(stats_k, clip_rate=float(clipped.mean())))
-            if details is not None:
-                details.append(
-                    RoundDetail(
-                        xbar=xbar,
-                        xbar_next=X_next.mean(axis=0),
-                        halves_mean=halves.mean(axis=0),
-                        mean_clipped_grad=grads.mean(axis=0),
-                        mean_noise=noises.mean(axis=0),
-                        weight_sum=float(w_next.sum()),
-                        stoch_grad_norms=np.asarray(norms, dtype=float),
-                    )
+        )
+        if details is not None:
+            details.append(
+                RoundDetail(
+                    xbar=xbar,
+                    xbar_next=X_next.mean(axis=0),
+                    halves_mean=halves.mean(axis=0),
+                    mean_clipped_grad=G.mean(axis=0),
+                    mean_noise=np.zeros(d) if noise is None else noise.mean(axis=0),
+                    weight_sum=float(w_next.sum()),
+                    stoch_grad_norms=norms,
                 )
-            X, w, Z = X_next, w_next, Z_next
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            )
+        X, w, Z = X_next, w_next, Z_next
 
     meta = {
         "n": n,

@@ -121,27 +121,25 @@ class Model:
         return h * self.d_in + h + self.classes * h + self.classes
 
     def unflatten(self, params: np.ndarray):
-        """Views into the flat vector; writing through them is intentional."""
-        if params.shape != (self.dim,):
+        """Views into the flat vector; writing through them is intentional.
+
+        An (n, dim) stack unflattens row by row: each view gains a leading n.
+        """
+        if params.shape[-1:] != (self.dim,) or params.ndim > 2:
             raise ValueError(f"expected {self.dim} parameters, got {params.shape}")
         if self.kind == "logistic":
-            return params[: self.d_in], params[self.d_in]
-        h, d, c = self.hidden, self.d_in, self.classes
-        ofs = 0
-        W1 = params[ofs : ofs + h * d].reshape(h, d)
-        ofs += h * d
-        b1 = params[ofs : ofs + h]
-        ofs += h
-        W2 = params[ofs : ofs + c * h].reshape(c, h)
-        ofs += c * h
-        b2 = params[ofs : ofs + c]
-        return W1, b1, W2, b2
+            return params[..., : self.d_in], params[..., self.d_in]
+        h, d, c, lead = self.hidden, self.d_in, self.classes, params.shape[:-1]
+        ends = np.cumsum([0, h * d, h, c * h, c])
+        W1, b1, W2, b2 = (params[..., a:b] for a, b in zip(ends[:-1], ends[1:]))
+        return W1.reshape(*lead, h, d), b1, W2.reshape(*lead, c, h), b2
 
 
 def _batch_loss_grad(
     model: Model, params: np.ndarray, X: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy loss and flat gradient over a batch."""
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean cross-entropy loss, flat gradient, and the scores over a batch: the
+    logit z (logistic) or logits (mlp) that ``predictions`` thresholds or argmaxes."""
     N = X.shape[0]
     if model.kind == "logistic":
         w, b = model.unflatten(params)
@@ -152,7 +150,7 @@ def _batch_loss_grad(
         grad = np.empty(model.dim)
         grad[: model.d_in] = X.T @ coeff / N
         grad[model.d_in] = coeff.mean()
-        return loss, grad
+        return loss, grad, z
     W1, b1, W2, b2 = model.unflatten(params)
     hidden = np.tanh(X @ W1.T + b1)
     logits = hidden @ W2.T + b2
@@ -171,7 +169,40 @@ def _batch_loss_grad(
     gb1[:] = dpre.sum(axis=0)
     gW2[:] = dlogits.T @ hidden
     gb2[:] = dlogits.sum(axis=0)
-    return loss, grad
+    return loss, grad, logits
+
+
+def batched_sample_gradients(
+    model: Model, Z: np.ndarray, Xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """Row i is the gradient at sample (Xs[i], ys[i]) and parameters Z[i].
+
+    Equals a stack of ``per_sample_gradient`` calls bit for bit, signs of zero
+    included: each product and sum keeps the single-sample shape as a batched
+    matmul or reduction slice, so numpy runs it by the same routine
+    (``einsum`` or a row-wise ``sum`` add in another order and differ by an ulp).
+    """
+    n = Z.shape[0]
+    grads = np.empty_like(Z)
+    if model.kind == "logistic":
+        w, b = model.unflatten(Z)
+        coeff = _sigmoid((Xs[:, None, :] @ w[:, :, None])[:, 0, 0] + b) - ys
+        grads[:, : model.d_in] = (Xs[:, :, None] @ coeff[:, None, None])[:, :, 0]
+        grads[:, model.d_in] = coeff[:, None].mean(axis=1)
+        return grads
+    W1, b1, W2, b2 = model.unflatten(Z)
+    hidden = np.tanh((Xs[:, None, :] @ W1.transpose(0, 2, 1))[:, 0] + b1)
+    logits = (hidden[:, None, :] @ W2.transpose(0, 2, 1))[:, 0] + b2
+    dlogits = np.exp(logits - logits.max(axis=1, keepdims=True))
+    dlogits /= dlogits.sum(axis=1, keepdims=True)
+    dlogits[np.arange(n), ys] -= 1.0
+    dpre = (dlogits[:, None, :] @ W2)[:, 0] * (1.0 - hidden**2)
+    gW1, gb1, gW2, gb2 = model.unflatten(grads)
+    gW1[:] = dpre[:, :, None] @ Xs[:, None, :]
+    gb1[:] = dpre[:, None, :].sum(axis=1)  # a one-term sum turns -0.0 into 0.0
+    gW2[:] = dlogits[:, :, None] @ hidden[:, None, :]
+    gb2[:] = dlogits[:, None, :].sum(axis=1)
+    return grads
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -184,20 +215,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def per_sample_loss(model: Model, params: np.ndarray, x: np.ndarray, y: int) -> float:
-    loss, _ = _batch_loss_grad(model, params, x[None, :], np.asarray([y]))
+    loss, _, _ = _batch_loss_grad(model, params, x[None, :], np.asarray([y]))
     return loss
 
 
 def per_sample_gradient(model: Model, params: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
     """Exact flat gradient of the cross-entropy loss at one sample."""
-    _, grad = _batch_loss_grad(model, params, x[None, :], np.asarray([y]))
+    _, grad, _ = _batch_loss_grad(model, params, x[None, :], np.asarray([y]))
     return grad
 
 
 def full_objective(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss and gradient averaged over every sample on every node."""
     X, y = dataset.flat()
-    return _batch_loss_grad(model, params, X, y)
+    loss, grad, _ = _batch_loss_grad(model, params, X, y)
+    return loss, grad
 
 
 def predictions(model: Model, params: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -210,11 +242,12 @@ def predictions(model: Model, params: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Loss, gradient, and accuracy over the pooled dataset in one pass."""
+    """Loss, gradient, and accuracy over the pooled dataset in one forward pass;
+    the accuracy reads the loss pass's scores and equals that of ``predictions``."""
     X, y = dataset.flat()
-    loss, grad = _batch_loss_grad(model, params, X, y)
-    acc = float(np.mean(predictions(model, params, X) == y))
-    return loss, grad, acc
+    loss, grad, scores = _batch_loss_grad(model, params, X, y)
+    hits = (scores > 0) == y if model.kind == "logistic" else scores.argmax(axis=1) == y
+    return loss, grad, float(np.mean(hits))
 
 
 @dataclass(frozen=True)

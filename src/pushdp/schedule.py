@@ -87,16 +87,18 @@ class NoiseSchedule:
         """Noise standard deviation at step k, always C_k / mu_k."""
         return float(self._sigma[k])
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (C_k, mu_k, sigma_k) for every step."""
+        return self._clip, self._budget, self._sigma
+
     def as_ledger(self, J: int) -> CompositionLedger:
         return CompositionLedger(step_budgets=self._budget, sampling_prob=1.0 / J)
 
     def table_csv(self) -> str:
         """Audit dump of the full schedule, one row per step."""
         lines = ["k,C_k,mu_k,sigma_k"]
-        for k in range(self.K):
-            lines.append(
-                f"{k},{self._clip[k]!r},{self._budget[k]!r},{self._sigma[k]!r}"
-            )
+        rows = zip(self._clip.tolist(), self._budget.tolist(), self._sigma.tolist())
+        lines += [f"{k},{c!r},{mu!r},{s!r}" for k, (c, mu, s) in enumerate(rows)]
         return "\n".join(lines) + "\n"
 
 
@@ -112,10 +114,14 @@ def build_schedule(
     Dynamic-budget variants solve the composition equation for the initial
     step budget; flat-budget variants use the closed form.  A rate is
     required exactly when its axis is dynamic (and must exceed 1); rates on
-    frozen axes are ignored.
+    frozen axes are ignored.  The clip bound and any rate given must be
+    finite and positive, or the error names the config key.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown schedule variant {variant!r}")
+    for key, value in (("c0", clip0), ("rho_c", rho_c), ("rho_mu", rho_mu)):
+        if value is not None and not (np.isfinite(value) and value > 0):
+            raise ValueError(f"schedule.{key} must be finite and positive, got {value!r}")
     if variant in _DYNAMIC_CLIP:
         if rho_c is None or rho_c <= 1:
             raise ValueError(f"variant {variant!r} needs a clip decay rate above 1")
@@ -175,10 +181,12 @@ class GeneralSchedule:
     def sigma_at(self, k: int) -> float:
         return float(self._sigma[k])
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(C_k, implied mu_k, sigma_k) for every step."""
+        return self.clips, self.clips / self._sigma, self._sigma
+
     def as_ledger(self, J: int) -> CompositionLedger:
-        return CompositionLedger(
-            step_budgets=self.clips / self._sigma, sampling_prob=1.0 / J
-        )
+        return CompositionLedger(step_budgets=self.arrays()[1], sampling_prob=1.0 / J)
 
 
 def build_general_schedule(clip_bounds, noise_shape, privacy: PrivacySpec) -> GeneralSchedule:

@@ -77,6 +77,84 @@ def reference_single_node_sgd(task, gamma, K, seed, init_scale=0.5):
     return traj
 
 
+def reference_run(config):
+    """The round loop one node and one stream draw at a time.
+
+    Each node draws its sample index with a single ``integers`` call, takes
+    ``per_sample_gradient`` at its own de-biased estimate, clips by
+    ``np.linalg.norm`` and draws its own noise vector; the schedule is read
+    through ``*_at(k)``.  ``engine.run`` must reproduce it byte for byte.
+    """
+    from pushdp.engine import (
+        PURPOSE_NOISE,
+        PURPOSE_SAMPLE,
+        _initial_iterates,
+        _mix_arrays,
+        node_stream,
+    )
+    from pushdp.metrics import MetricsLog, RoundDetail, RoundStats, mean_sq_consensus
+    from pushdp.models import evaluate, per_sample_gradient
+
+    model, data, sched = config.task.model, config.task.dataset, config.schedule
+    n, d, K, J = config.n, config.d, config.K, data.J
+    sample_rngs = [node_stream(config.seed, i, PURPOSE_SAMPLE) for i in range(n)]
+    noise_rngs = [node_stream(config.seed, i, PURPOSE_NOISE) for i in range(n)]
+    X = _initial_iterates(config)
+    w = np.ones(n)
+    Z = X.copy()
+    rows, details = [], []
+    max_weight_drift = max_grad_norm = 0.0
+    for k in range(K):
+        if sched is None:
+            C_k, mu_k, sigma = np.inf, np.nan, 0.0
+        else:
+            C_k, mu_k = sched.clip_bound_at(k), sched.budget_at(k)
+            sigma = sched.sigma_at(k) if config.noise_enabled else 0.0
+        xbar = X.mean(axis=0)
+        loss, grad, acc = evaluate(model, data, xbar)
+        halves, grads, noises = np.empty((n, d)), np.empty((n, d)), np.zeros((n, d))
+        norms, clipped = [], []
+        for i in range(n):
+            idx = int(sample_rngs[i].integers(J))
+            g = per_sample_gradient(model, Z[i], data.features[i, idx], data.labels[i, idx])
+            norms.append(float(np.linalg.norm(g)))
+            clipped.append(norms[i] > C_k)
+            if clipped[i]:
+                g = g * (C_k / norms[i])
+            if sigma > 0:
+                noises[i] = noise_rngs[i].standard_normal(d) * sigma
+                halves[i] = X[i] - config.gamma * (g + noises[i])
+            else:
+                halves[i] = X[i] - config.gamma * g
+            grads[i] = g
+        max_grad_norm = max(max_grad_norm, max(norms))
+        X_next, w_next, Z_next = _mix_arrays(halves, w, config.graph.matrix_at(k).weights)
+        max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))
+        rows.append(
+            RoundStats(
+                k=k, loss=loss, grad_norm_sq=float(grad @ grad),
+                consensus_err=mean_sq_consensus(Z, xbar), clip_rate=float(np.mean(clipped)),
+                clip_bound=C_k, step_budget=mu_k, noise_std=sigma, accuracy=acc,
+            )
+        )
+        details.append(
+            RoundDetail(
+                xbar=xbar, xbar_next=X_next.mean(axis=0), halves_mean=halves.mean(axis=0),
+                mean_clipped_grad=grads.mean(axis=0), mean_noise=noises.mean(axis=0),
+                weight_sum=float(w_next.sum()), stoch_grad_norms=np.asarray(norms),
+            )
+        )
+        X, w, Z = X_next, w_next, Z_next
+    meta = {
+        "n": n, "d": d, "K": K, "J": J, "gamma": repr(float(config.gamma)),
+        "seed": config.seed, "graph": config.graph.kind, "noise_enabled": config.noise_enabled,
+        **config.extra_meta,
+        "max_weight_sum_drift": repr(max_weight_drift),
+        "max_stoch_grad_norm": repr(max_grad_norm),
+    }
+    return MetricsLog(meta=meta, rows=rows, detail=details)
+
+
 def final_accuracies(logs) -> np.ndarray:
     return np.array([log.rows[-1].accuracy for log in logs])
 

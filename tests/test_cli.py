@@ -232,6 +232,16 @@ def test_run_config_error_exits_1(tmp_path, capsys):
     assert main(["run", "--config", config]) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_run_rejects_bad_clip_bound(tmp_path, capsys, value):
+    config = write_config(tmp_path, BASE.replace("variant = const", "variant = dyn"))
+    out = tmp_path / "out.csv"
+    args = ["run", "--config", config, "--set", f"schedule.c0={value}", "--output", str(out)]
+    assert main(args) == 1
+    assert "schedule.c0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_io_failure_exits_2(tmp_path, capsys):
     config = write_config(tmp_path)
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -5,6 +5,7 @@ from helpers import (
     logistic_task,
     nonprivate_config,
     private_config,
+    reference_run,
     reference_single_node_sgd,
 )
 
@@ -13,6 +14,7 @@ from pushdp.engine import (
     PURPOSE_INIT,
     PURPOSE_NOISE,
     PURPOSE_SAMPLE,
+    ROUND_BLOCK,
     DegenerateWeight,
     NodeState,
     NonFiniteParameter,
@@ -24,7 +26,7 @@ from pushdp.engine import (
     run,
 )
 from pushdp.models import Model, Task, full_objective, per_sample_gradient, synth_dataset
-from pushdp.schedule import build_general_schedule
+from pushdp.schedule import build_general_schedule, build_schedule
 from pushdp.topology import MixingMatrix, graph_schedule
 
 
@@ -219,10 +221,41 @@ def test_run_is_deterministic():
     assert a == b
 
 
-def test_worker_count_does_not_change_output():
-    base = private_config(n=8, J=20, K=40, epsilon=0.5, variant="dyn", seed=9)
-    parallel = private_config(n=8, J=20, K=40, epsilon=0.5, variant="dyn", seed=9, workers=4)
-    assert run(base).csv_text() == run(parallel).csv_text()
+def _mlp_private_config():
+    model = Model(kind="mlp", d_in=5, classes=3, hidden=4)
+    task = Task(model=model, dataset=synth_dataset(0, 4, 15, d_in=5, classes=3))
+    privacy = PrivacySpec.resolve(1.0, 1e-4, J=15, K=70)
+    return RunConfig(
+        task=task, graph=graph_schedule("exponential", 4),
+        schedule=build_schedule("dyn", privacy, clip0=1.0, rho_c=4.0, rho_mu=4.0),
+        gamma=0.05, K=70, seed=6,
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: private_config(n=8, J=20, K=40, epsilon=0.5, variant="dyn", seed=9),
+        lambda: nonprivate_config(n=6, J=15, K=40, seed=2, graph="ring"),
+        lambda: private_config(
+            n=5, J=20, K=40, epsilon=0.5, variant="dyn", seed=3, noise_enabled=False
+        ),
+        # crosses two block boundaries of the stream draws and ends in a partial block
+        lambda: private_config(n=3, J=10, K=2 * ROUND_BLOCK + 3, epsilon=1.0, variant="dyn-clip", seed=1),
+        _mlp_private_config,
+    ],
+    ids=["dyn", "nonprivate", "noise-disabled", "partial-block", "mlp"],
+)
+def test_run_matches_per_node_reference(make):
+    cfg = make()
+    cfg.capture_detail = True
+    log, ref = run(cfg), reference_run(cfg)
+    assert log.csv_text() == ref.csv_text()
+    for got, want in zip(log.detail, ref.detail, strict=True):
+        for name in ("xbar", "xbar_next", "halves_mean", "mean_clipped_grad", "mean_noise"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.weight_sum == want.weight_sum
+        assert got.stoch_grad_norms.tobytes() == want.stoch_grad_norms.tobytes()
 
 
 def test_seed_changes_trajectory():
@@ -344,6 +377,17 @@ def test_run_rejects_short_schedule():
     cfg = private_config(n=2, J=10, K=20, epsilon=0.5)
     cfg.K = 21
     with pytest.raises(ValueError, match="shorter"):
+        run(cfg)
+
+
+@pytest.mark.parametrize("field", ["_clip", "_sigma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_run_refuses_schedule_without_finite_positive_noise(field, bad):
+    cfg = private_config(n=2, J=10, K=20, epsilon=0.5, variant="dyn")
+    values = getattr(cfg.schedule, field).copy()
+    values[7] = bad
+    object.__setattr__(cfg.schedule, field, values)
+    with pytest.raises(ValueError, match="finite and positive"):
         run(cfg)
 
 

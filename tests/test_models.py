@@ -5,6 +5,7 @@ from pushdp.models import (
     Dataset,
     Model,
     Task,
+    batched_sample_gradients,
     dataset_from_csv,
     dataset_to_csv,
     evaluate,
@@ -119,6 +120,26 @@ def test_per_sample_gradient_matches_finite_differences(model):
         assert np.linalg.norm(fd - exact) <= 1e-5 * max(np.linalg.norm(exact), 1e-8)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        Model(kind="logistic", d_in=6),
+        Model(kind="mlp", d_in=5, classes=2, hidden=7),
+        Model(kind="mlp", d_in=4, classes=3, hidden=16),
+    ],
+    ids=["logistic", "mlp-2class", "mlp-3class"],
+)
+def test_batched_sample_gradients_equal_per_sample_bitwise(model):
+    rng = np.random.default_rng(11)
+    n = 37
+    Z = rng.standard_normal((n, model.dim)) * 2.0
+    Xs = rng.standard_normal((n, model.d_in)) * 3.0
+    ys = rng.integers(model.classes, size=n)
+    got = batched_sample_gradients(model, Z, Xs, ys)
+    want = np.stack([per_sample_gradient(model, Z[i], Xs[i], ys[i]) for i in range(n)])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_full_objective_is_mean_of_per_sample(seed=9):
     data = synth_dataset(seed, n=3, J=20, d_in=5)
     model = Model(kind="logistic", d_in=5)
@@ -183,13 +204,17 @@ def test_task_checks_dimensions():
 
 
 def test_evaluate_reports_loss_grad_accuracy():
-    data = synth_dataset(2, 3, 50, d_in=6)
-    model = Model(kind="logistic", d_in=6)
-    loss, grad, acc = evaluate(model, data, np.zeros(model.dim))
-    ref_loss, ref_grad = full_objective(model, data, np.zeros(model.dim))
-    assert loss == ref_loss
-    assert np.array_equal(grad, ref_grad)
-    assert 0.0 <= acc <= 1.0
+    for model in (Model(kind="logistic", d_in=6), Model(kind="mlp", d_in=6, classes=3, hidden=5)):
+        data = synth_dataset(2, 3, 50, d_in=6, classes=model.classes)
+        for scale in (0.0, 0.3):
+            params = scale * np.random.default_rng(4).standard_normal(model.dim)
+            loss, grad, acc = evaluate(model, data, params)
+            ref_loss, ref_grad = full_objective(model, data, params)
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
+            # the fused accuracy equals a separate forward pass's
+            X, y = data.flat()
+            assert acc == float(np.mean(predictions(model, params, X) == y))
 
 
 def test_mlp_trains_past_chance():

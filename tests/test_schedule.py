@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -151,6 +152,25 @@ def test_table_csv_shape(privacy):
     lines = sched.table_csv().strip().split("\n")
     assert lines[0] == "k,C_k,mu_k,sigma_k"
     assert len(lines) == privacy.K + 1
+
+
+def test_table_csv_cells_are_plain_floats(privacy):
+    sched = build_schedule("dyn", privacy, clip0=2.0, rho_c=4.0, rho_mu=4.0)
+    clip, budget, sigma = sched.arrays()
+    for k, line in enumerate(sched.table_csv().splitlines()[1:]):
+        cells = line.split(",")
+        assert cells[0] == str(k)
+        for cell, want in zip(cells[1:], (clip[k], budget[k], sigma[k]), strict=True):
+            assert float(cell) == want and repr(float(cell)) == cell
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("key", ["c0", "rho_c", "rho_mu"])
+def test_build_rejects_nonfinite_or_nonpositive_inputs(privacy, key, bad):
+    kwargs = {"clip0": 2.0, "rho_c": 4.0, "rho_mu": 4.0}
+    kwargs["clip0" if key == "c0" else key] = bad
+    with pytest.raises(ValueError, match=f"schedule.{key} must be finite and positive"):
+        build_schedule("dyn", privacy, **kwargs)
 
 
 def test_general_schedule_flat_profile_matches_closed_form():
