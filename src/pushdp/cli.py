@@ -12,8 +12,9 @@ Subcommands:
 
 Configuration lives in an INI-style file with sections [run], [privacy],
 [schedule], [graph], and [task]; ``--set section.key=value`` overrides any
-entry from the command line.  Unknown sections or keys are rejected.  Exit
-codes: 0 success, 1 configuration error, 2 runtime failure.
+entry from the command line.  Unknown sections or keys, non-finite numbers and
+out-of-range values are rejected with the key named.  Exit codes: 0 success,
+1 configuration error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -28,15 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import PrivacySpec, compose_general, mu_tot_from_eps_delta
+from .accountant import NoBracket, PrivacySpec, compose_general, mu_tot_from_eps_delta
 from .engine import RunConfig, run
-from .metrics import MetricsLog, RunSummary, summarize
+from .metrics import summarize
 from .models import Model, Task, synth_dataset
 from .schedule import VARIANTS, build_schedule
 from .topology import graph_schedule, spectral_report
 
 NONPRIVATE = "nonprivate"
-SWEEP_AXES = ("rho_c", "rho_mu", "epsilon", "n", "graph")
+SWEEP_AXES = ("rho_c", "rho_mu", "epsilon", "n", "graph")  # named as config attributes
 GRAPH_KINDS = ("ring", "exponential", "complete", "explicit")
 
 
@@ -78,7 +79,17 @@ class ExperimentConfig:
 def _parse_gamma(s: str):
     if s == "corollary":
         return s
-    return float(s)
+    gamma = float(s)
+    if gamma < 0:
+        raise ValueError("the step size must be nonnegative")
+    return gamma
+
+
+def _positive_int(s: str) -> int:
+    value = int(s)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
 
 
 def _ser_float(v) -> str:
@@ -87,11 +98,11 @@ def _ser_float(v) -> str:
 
 # (section, key, attribute, parser, serializer)
 _FIELDS = [
-    ("run", "n", "n", int, str),
+    ("run", "n", "n", _positive_int, str),
     ("run", "K", "K", int, str),
     ("run", "gamma", "gamma", _parse_gamma, lambda v: v if isinstance(v, str) else _ser_float(v)),
     ("run", "seed", "seed", int, str),
-    ("run", "repeat", "repeat", int, str),
+    ("run", "repeat", "repeat", _positive_int, str),
     ("run", "output", "output", str, str),
     ("run", "b_window", "b_window", int, str),
     ("privacy", "epsilon", "epsilon", float, _ser_float),
@@ -103,16 +114,29 @@ _FIELDS = [
     ("graph", "kind", "graph", str, str),
     ("graph", "matrices", "matrices", str, str),
     ("task", "model", "model", str, str),
-    ("task", "J", "J", int, str),
-    ("task", "d_in", "d_in", int, str),
+    ("task", "J", "J", _positive_int, str),
+    ("task", "d_in", "d_in", _positive_int, str),
     ("task", "classes", "classes", int, str),
-    ("task", "hidden", "hidden", int, str),
+    ("task", "hidden", "hidden", _positive_int, str),
     ("task", "data_seed", "data_seed", int, str),
     ("task", "separation", "separation", float, _ser_float),
 ]
 _BY_SECTION = {}
 for _sec, _key, _attr, _parse, _ser in _FIELDS:
     _BY_SECTION.setdefault(_sec, {})[_key] = (_attr, _parse, _ser)
+_AXIS_KEYS = {attr: (sec, key) for sec, key, attr, _, _ in _FIELDS if attr in SWEEP_AXES}
+
+
+def _parse_field(section: str, key: str, value: str):
+    """(attribute, parsed value) of one entry; a bad or non-finite value names its key."""
+    attr, parse, _ = _BY_SECTION[section][key]
+    try:
+        parsed = parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {section}.{key}: {value!r} ({exc})") from exc
+    if isinstance(parsed, float) and not math.isfinite(parsed):
+        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
+    return attr, parsed
 
 
 def parse_config(text: str, overrides: list[str] | None = None) -> ExperimentConfig:
@@ -141,11 +165,7 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ExperimentCon
         raw[(section, key)] = value
     cfg = ExperimentConfig()
     for (section, key), value in raw.items():
-        attr, parse, _ = _BY_SECTION[section][key]
-        try:
-            setattr(cfg, attr, parse(value))
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc
+        setattr(cfg, *_parse_field(section, key, value))
     return cfg
 
 
@@ -173,12 +193,14 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def _build_task(cfg: ExperimentConfig, n: int) -> Task:
-    if cfg.model == "logistic":
-        model = Model(kind="logistic", d_in=cfg.d_in, classes=2)
-    elif cfg.model == "mlp":
-        model = Model(kind="mlp", d_in=cfg.d_in, classes=cfg.classes, hidden=cfg.hidden)
-    else:
+    mlp = cfg.model == "mlp"
+    if not mlp and cfg.model != "logistic":
         raise ConfigError(f"task.model must be logistic or mlp, got {cfg.model!r}")
+    classes = cfg.classes if mlp else 2
+    for key, value, low in (("classes", classes, 2), ("d_in", cfg.d_in, classes)):
+        if value < low:
+            raise ConfigError(f"task.{key} must be at least {low}, got {value}")
+    model = Model(kind=cfg.model, d_in=cfg.d_in, classes=classes, hidden=cfg.hidden if mlp else 0)
     dataset = synth_dataset(
         cfg.data_seed, n, cfg.J, d_in=cfg.d_in, classes=model.classes, separation=cfg.separation
     )
@@ -202,16 +224,20 @@ def _build_graph(cfg: ExperimentConfig, n: int):
         raise ConfigError(f"graph.matrices: {exc}") from exc
 
 
-def _check_privacy(cfg: ExperimentConfig) -> None:
+def _check_privacy(cfg: ExperimentConfig) -> float:
+    """Total GDP budget mu_tot of the (epsilon, delta) target, named keys on failure."""
     if not cfg.epsilon > 0:
         raise ConfigError("privacy.epsilon is required for private variants")
     if not 0 < cfg.delta < 1:
         raise ConfigError("privacy.delta must lie in (0, 1)")
+    try:
+        return mu_tot_from_eps_delta(cfg.epsilon, cfg.delta)
+    except NoBracket as exc:
+        raise ConfigError(f"privacy.epsilon and privacy.delta: {exc}") from exc
 
 
 def _private_schedule(cfg: ExperimentConfig, variant: str, K: int):
     """Privacy target and schedule of a private variant over K steps."""
-    _check_privacy(cfg)
     privacy = PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, K)
     try:
         rates = dict(rho_c=cfg.rho_c or None, rho_mu=cfg.rho_mu or None)
@@ -224,23 +250,20 @@ def _resolve(cfg: ExperimentConfig, seed: int, variant: str | None = None) -> Ru
     """Turn a config into a concrete RunConfig for one replicate."""
     variant = variant if variant is not None else cfg.variant
     n = cfg.n
-    if n < 1:
-        raise ConfigError("run.n must be at least 1")
     task = _build_task(cfg, n)
     graph = _build_graph(cfg, n)
     extra_meta: dict = {"variant": variant}
 
+    if cfg.gamma != "corollary" and cfg.K < 1:
+        raise ConfigError("run.K must be positive")
     if variant == NONPRIVATE:
         if cfg.gamma == "corollary":
             raise ConfigError("run.gamma = corollary needs a privacy budget")
-        if cfg.K < 1:
-            raise ConfigError("run.K must be positive")
         gamma, K, sched = float(cfg.gamma), cfg.K, None
     else:
         if variant not in VARIANTS:
             raise ConfigError(f"schedule.variant must be one of {VARIANTS + (NONPRIVATE,)}")
-        _check_privacy(cfg)
-        mu_tot = mu_tot_from_eps_delta(cfg.epsilon, cfg.delta)
+        mu_tot = _check_privacy(cfg)
         if cfg.gamma == "corollary":
             if cfg.J * mu_tot <= math.sqrt(n):
                 raise ConfigError(
@@ -251,10 +274,7 @@ def _resolve(cfg: ExperimentConfig, seed: int, variant: str | None = None) -> Ru
             K = round(n * (cfg.J * mu_tot) ** 2)
             extra_meta["gamma_preset"] = "corollary"
         else:
-            gamma = float(cfg.gamma)
-            if cfg.K < 1:
-                raise ConfigError("run.K must be positive")
-            K = cfg.K
+            gamma, K = float(cfg.gamma), cfg.K
         privacy, sched = _private_schedule(cfg, variant, K)
         extra_meta.update(
             epsilon=_ser_float(cfg.epsilon),
@@ -309,28 +329,18 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config, args.set)
     if args.output:
         cfg.output = args.output
-    first = True
     for r in range(cfg.repeat):
         seed = cfg.seed + r
         rc = _resolve(cfg, seed)
-        if first:
+        if r == 0:
             for key in ("mu_tot", "mu0", "contraction_rate"):
                 if key in rc.extra_meta:
                     print(f"{key} = {rc.extra_meta[key]}")
-            first = False
         log = run(rc)
         path = _output_path(cfg.output, "run.csv", seed, cfg.repeat)
         log.write_csv(path)
         print(f"wrote {path}")
     return 0
-
-
-def _replicate_summaries(cfg: ExperimentConfig, variant: str | None = None) -> list[RunSummary]:
-    out = []
-    for r in range(cfg.repeat):
-        rc = _resolve(cfg, cfg.seed + r, variant)
-        out.append(summarize(run(rc)))
-    return out
 
 
 def cmd_compare(args) -> int:
@@ -342,7 +352,8 @@ def cmd_compare(args) -> int:
     variants.append(NONPRIVATE)
     table = []
     for variant in variants:
-        summaries = _replicate_summaries(cfg, variant)
+        seeds = range(cfg.seed, cfg.seed + cfg.repeat)
+        summaries = [summarize(run(_resolve(cfg, seed, variant))) for seed in seeds]
         private = variant != NONPRIVATE
         table.append(
             {
@@ -379,9 +390,9 @@ def cmd_compare(args) -> int:
 
 
 def _apply_axis(cfg: ExperimentConfig, axis: str, value: str) -> ExperimentConfig:
-    """A copy of ``cfg`` with one SWEEP_AXES entry (named as its attribute) set."""
-    parse = {"n": int, "graph": str}.get(axis, float)
-    return dataclasses.replace(cfg, **{axis: parse(value)})
+    """A copy of ``cfg`` with one SWEEP_AXES entry set, parsed as its config key."""
+    attr, parsed = _parse_field(*_AXIS_KEYS[axis], value)
+    return dataclasses.replace(cfg, **{attr: parsed})
 
 
 def cmd_sweep(args) -> int:
@@ -393,10 +404,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values must list at least one value")
     lines = ["axis,value,seed,final_loss,final_accuracy,mean_grad_norm_sq,clip_fraction"]
     for value in values:
-        try:
-            point = _apply_axis(cfg, args.axis, value)
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep value {value!r} for axis {args.axis}") from exc
+        point = _apply_axis(cfg, args.axis, value)
         for r in range(point.repeat):
             seed = point.seed + r
             summary = summarize(run(_resolve(point, seed)))
@@ -427,14 +435,15 @@ def cmd_accountant(args) -> int:
         raise ConfigError("the accountant needs a private schedule variant")
     if cfg.K < 1:
         raise ConfigError("run.K must be positive")
+    _check_privacy(cfg)
     privacy, sched = _private_schedule(cfg, cfg.variant, cfg.K)
     composed = compose_general(sched.as_ledger(privacy.J))
     print(f"epsilon = {privacy.epsilon:g}, delta = {privacy.delta:g}")
     print(f"mu_tot = {privacy.mu_tot!r}")
     print(f"variant = {sched.variant}")
     print(f"mu0 = {sched.mu0!r}")
-    print(f"sigma_first = {sched.sigma_at(0)!r}")
-    print(f"sigma_last = {sched.sigma_at(privacy.K - 1)!r}")
+    print(f"sigma_first = {float(sched.sigma[0])!r}")
+    print(f"sigma_last = {float(sched.sigma[-1])!r}")
     print(f"composed_mu_tot = {composed!r}")
     if args.table:
         with open(args.table, "w", newline="\n") as fh:

@@ -14,10 +14,12 @@ Column stochasticity conserves the sums of x and w, so the average iterate
 follows the noisy mean gradient exactly and the weights w recover the bias a
 directed graph would otherwise inject into z.
 
-The node phase is vectorized: one batched kernel computes every node's
-gradient at its own z_i, and clipping, noise and the half-step act on all
-rows at once.  Each dot product reproduces its single-node counterpart bit
-for bit, so the result equals a per-node loop exactly.
+``run`` is the only round path.  Its node phase is vectorized: one batched
+kernel computes every node's gradient at its own z_i, and clipping, noise and
+the half-step act on all rows at once; ``_mix_arrays`` then mixes every row.
+Each dot product reproduces its single-node counterpart bit for bit, so the
+result equals a per-node loop exactly.  The schedule is read as its three
+arrays, checked once before round 0.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (master seed, node index, purpose), one purpose for parameter init, one for
@@ -36,6 +38,7 @@ import numpy as np
 
 from .metrics import MetricsLog, RoundDetail, RoundStats, mean_sq_consensus
 from .models import Task, batched_sample_gradients, evaluate
+from .schedule import NoiseSchedule
 from .topology import GraphSchedule, validate_column_stochastic
 
 PURPOSE_INIT = 0
@@ -48,6 +51,9 @@ WEIGHT_FLOOR = 1e-300
 # Rounds of sample indices and noise drawn per stream call; bounds the noise
 # held at once to n * ROUND_BLOCK * d floats.
 ROUND_BLOCK = 64
+
+# Standard deviation of the default per-node Gaussian initialization.
+INIT_SCALE = 0.5
 
 
 class DegenerateWeight(ArithmeticError):
@@ -68,58 +74,10 @@ def node_stream(master_seed: int, node: int, purpose: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True)
-class NodeState:
-    """One node's raw iterate, push-sum weight, and de-biased estimate."""
-
-    x: np.ndarray
-    w: float
-    z: np.ndarray
-
-    def __post_init__(self):
-        if self.w <= 0:
-            raise ValueError("push-sum weight must be positive")
-
-    @classmethod
-    def initial(cls, x0: np.ndarray) -> "NodeState":
-        x = np.asarray(x0, dtype=float)
-        return cls(x=x, w=1.0, z=x.copy())
-
-
-def clip_gradient(g: np.ndarray, bound: float) -> np.ndarray:
-    """Scale g down to norm ``bound`` when it is longer; otherwise pass through.
-
-    The zero vector and any ``bound = inf`` (clipping disabled) pass through
-    unchanged, so the non-private path does no extra arithmetic.
-    """
-    norm = float(np.linalg.norm(g))
-    if norm > bound:
-        return g * (bound / norm)
-    return g
-
-
-def local_dp_step(
-    state: NodeState,
-    g_clipped: np.ndarray,
-    sigma: float,
-    gamma: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Half-step x - gamma * (g + N) with N ~ Normal(0, sigma^2 I).
-
-    Noise is drawn as a standard normal vector scaled by sigma, so runs that
-    differ only in sigma consume identical stream draws.  sigma = 0 skips
-    the draw entirely (the stream does not advance).
-    """
-    if sigma > 0:
-        noise = rng.standard_normal(len(g_clipped)) * sigma
-        return state.x - gamma * (g_clipped + noise)
-    return state.x - gamma * g_clipped
-
-
 def _mix_arrays(
     halves: np.ndarray, weights: np.ndarray, P: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One gossip exchange: mixed iterates, mixed weights, de-biased estimates."""
     x_next = P @ halves
     w_next = P @ weights
     if (w_next <= WEIGHT_FLOOR).any():
@@ -128,37 +86,25 @@ def _mix_arrays(
     return x_next, w_next, x_next / w_next[:, None]
 
 
-def mix_round(states, matrix) -> list[NodeState]:
-    """One synchronized gossip exchange over a validated mixing matrix."""
-    halves = np.stack([s.x for s in states])
-    weights = np.asarray([s.w for s in states], dtype=float)
-    x_next, w_next, z_next = _mix_arrays(halves, weights, matrix.weights)
-    return [
-        NodeState(x=x_next[i], w=float(w_next[i]), z=z_next[i])
-        for i in range(len(states))
-    ]
-
-
 @dataclass
 class RunConfig:
     """Everything one deterministic run needs.
 
-    ``schedule`` is a NoiseSchedule or GeneralSchedule; None selects the
+    ``schedule`` is a NoiseSchedule from either builder; None selects the
     non-private path (no clipping, no noise).  ``noise_enabled = False`` keeps
     the clipping bound of the schedule but injects no noise, which isolates
     the two privacy mechanisms in ablations.  ``x0`` overrides the default
-    per-node Gaussian initialization (shape (n, d)).
+    per-node initialization, Normal(0, INIT_SCALE^2) (shape (n, d)).
     """
 
     task: Task
     graph: GraphSchedule
-    schedule: object | None
+    schedule: NoiseSchedule | None
     gamma: float
     K: int
     seed: int
     noise_enabled: bool = True
     x0: np.ndarray | None = None
-    init_scale: float = 0.5
     capture_detail: bool = False
     extra_meta: dict = field(default_factory=dict)
 
@@ -177,13 +123,8 @@ def _initial_iterates(config: RunConfig) -> np.ndarray:
         if x0.shape != (config.n, config.d):
             raise ValueError(f"x0 must have shape ({config.n}, {config.d})")
         return x0
-    return np.stack(
-        [
-            node_stream(config.seed, i, PURPOSE_INIT).standard_normal(config.d)
-            * config.init_scale
-            for i in range(config.n)
-        ]
-    )
+    streams = (node_stream(config.seed, i, PURPOSE_INIT) for i in range(config.n))
+    return np.stack([r.standard_normal(config.d) * INIT_SCALE for r in streams])
 
 
 def _schedule_arrays(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,7 +134,7 @@ def _schedule_arrays(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
         return np.full(K, math.inf), np.full(K, math.nan), np.zeros(K)
     if sched.K < K:
         raise ValueError("schedule is shorter than the run")
-    clip, budget, sigma = (a[:K] for a in sched.arrays())
+    clip, budget, sigma = sched.clip[:K], sched.budget[:K], sched.sigma[:K]
     if not (np.isfinite(clip) & (clip > 0)).all():
         raise ValueError("the schedule's clip bounds must be finite and positive")
     if not config.noise_enabled:

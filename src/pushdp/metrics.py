@@ -17,8 +17,6 @@ runs produce byte-identical files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 
@@ -99,17 +97,6 @@ def mean_sq_consensus(Z: np.ndarray, xbar: np.ndarray) -> float:
     """Mean over nodes of the squared distance from the average iterate."""
     diff = Z - xbar
     return float(np.mean(np.einsum("ij,ij->i", diff, diff)))
-
-
-def consensus_error(states: Sequence) -> float:
-    """Average squared deviation of node estimates from the mean raw iterate.
-
-    ``states`` are NodeState records; the reference point is the mean of the
-    raw vectors x_i while the deviations are of the de-biased estimates z_i.
-    """
-    xbar = np.mean([s.x for s in states], axis=0)
-    Z = np.stack([s.z for s in states])
-    return mean_sq_consensus(Z, xbar)
 
 
 @dataclass(frozen=True)

@@ -263,36 +263,3 @@ class Task:
         if self.model.kind == "mlp" and self.model.classes != self.dataset.classes:
             raise ValueError("model and dataset disagree on the class count")
 
-
-def dataset_to_csv(dataset: Dataset, path) -> None:
-    """Audit export: one row per sample with node and within-shard index."""
-    d = dataset.d_in
-    header = ",".join(["node", "index", "label"] + [f"f{j}" for j in range(d)])
-    lines = [
-        f"# seed={dataset.seed} n={dataset.n} J={dataset.J} d_in={d} classes={dataset.classes}",
-        header,
-    ]
-    for node in range(dataset.n):
-        for idx in range(dataset.J):
-            feats = ",".join(repr(float(v)) for v in dataset.features[node, idx])
-            lines.append(f"{node},{idx},{int(dataset.labels[node, idx])},{feats}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def dataset_from_csv(path) -> Dataset:
-    """Inverse of ``dataset_to_csv``; round-trips exactly."""
-    with open(path) as fh:
-        meta_line = fh.readline().strip()
-        fh.readline()  # column header
-        body = [line.strip() for line in fh if line.strip()]
-    meta = dict(item.split("=") for item in meta_line.lstrip("# ").split())
-    n, J, d = int(meta["n"]), int(meta["J"]), int(meta["d_in"])
-    features = np.empty((n, J, d))
-    labels = np.empty((n, J), dtype=int)
-    for line in body:
-        parts = line.split(",")
-        node, idx = int(parts[0]), int(parts[1])
-        labels[node, idx] = int(parts[2])
-        features[node, idx] = [float(v) for v in parts[3:]]
-    return Dataset(features=features, labels=labels, classes=int(meta["classes"]), seed=int(meta["seed"]))

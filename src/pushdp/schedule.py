@@ -1,24 +1,28 @@
 """Per-iteration clipping bounds, step budgets, and noise levels.
 
-Four named policies share one parametrization: the clip bound decays as
-C_k = C0 * rho_c^(-k/K) and the per-step GDP budget grows as
-mu_k = mu0 * rho_mu^(k/K), with either axis frozen by setting its rate to 1.
+A schedule is the triple of per-step sequences (C_k, mu_k, sigma_k) with
+sigma_k = C_k / mu_k; the accountant composes the budgets and the round loop
+reads all three.  One type, ``NoiseSchedule``, holds them; two builders fill it.
+
+``build_schedule`` resolves four named variants that share one
+parametrization: the clip bound decays as C_k = C0 * rho_c^(-k/K) and the
+per-step GDP budget grows as mu_k = mu0 * rho_mu^(k/K), with either axis
+frozen by setting its rate to 1.
 
 * ``dyn``      both axes move; mu0 solves the composition equation.
 * ``dyn-clip`` only the clip bound decays; the budget is flat.
 * ``dyn-mu``   only the budget grows; the clip bound is flat.
 * ``const``    both flat (the classic fixed-noise baseline).
 
-Every variant injects noise with standard deviation sigma_k = C_k / mu_k,
-which by construction composes exactly to the requested total budget.  The
-separate general form accepts arbitrary clip/noise-shape profiles and
+By construction these compose exactly to the requested total budget.
+``build_general_schedule`` accepts arbitrary clip/noise-shape profiles and
 calibrates one common multiplier from the linearized composition bound
 instead; that route is conservative rather than exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,74 +34,52 @@ from .accountant import (
     uniform_budget,
 )
 
-VARIANT_DYN = "dyn"
-VARIANT_DYN_CLIP = "dyn-clip"
-VARIANT_DYN_MU = "dyn-mu"
-VARIANT_CONST = "const"
-VARIANTS = (VARIANT_DYN, VARIANT_DYN_CLIP, VARIANT_DYN_MU, VARIANT_CONST)
+VARIANTS = ("dyn", "dyn-clip", "dyn-mu", "const")
 
 # Which axes decay/grow under each variant.
-_DYNAMIC_CLIP = {VARIANT_DYN, VARIANT_DYN_CLIP}
-_DYNAMIC_MU = {VARIANT_DYN, VARIANT_DYN_MU}
+_DYNAMIC_CLIP = {"dyn", "dyn-clip"}
+_DYNAMIC_MU = {"dyn", "dyn-mu"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSchedule:
-    """Precomputed (C_k, mu_k, sigma_k) triples for a K-step run.
+    """Read-only (C_k, mu_k, sigma_k) arrays for a K-step run, plus provenance.
 
     ``clip0`` is the initial bound for decaying-clip variants and the flat
     bound otherwise; ``mu0`` likewise is the initial or flat step budget.
-    Rates are stored as 1.0 on frozen axes so one formula covers all four
-    variants.  Arrays are computed once and marked read-only.
+    Rates are 1.0 on frozen axes.  A general schedule has no such
+    parameters and leaves them None.
     """
 
     variant: str
-    K: int
-    clip0: float
-    rho_c: float
-    rho_mu: float
-    mu0: float
-    _clip: np.ndarray = field(init=False, repr=False)
-    _budget: np.ndarray = field(init=False, repr=False)
-    _sigma: np.ndarray = field(init=False, repr=False)
+    clip: np.ndarray
+    budget: np.ndarray
+    sigma: np.ndarray
+    clip0: float | None = None
+    rho_c: float | None = None
+    rho_mu: float | None = None
+    mu0: float | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown schedule variant {self.variant!r}")
-        if self.K < 1:
-            raise ValueError("need at least one step")
-        if self.clip0 <= 0 or self.mu0 <= 0:
-            raise ValueError("clip bound and step budget must be positive")
-        if self.rho_c < 1 or self.rho_mu < 1:
-            raise ValueError("rates must be at least 1")
-        fractions = np.arange(self.K) / self.K
-        self._clip = self.clip0 * self.rho_c**-fractions
-        self._budget = self.mu0 * self.rho_mu**fractions
-        self._sigma = self._clip / self._budget
-        for arr in (self._clip, self._budget, self._sigma):
+        for name in ("clip", "budget", "sigma"):
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        shape = self.sigma.shape
+        if len(shape) != 1 or not shape[0] or not self.clip.shape == self.budget.shape == shape:
+            raise ValueError("clip, budget and sigma must be equal-length 1-D arrays")
 
-    def clip_bound_at(self, k: int) -> float:
-        return float(self._clip[k])
-
-    def budget_at(self, k: int) -> float:
-        return float(self._budget[k])
-
-    def sigma_at(self, k: int) -> float:
-        """Noise standard deviation at step k, always C_k / mu_k."""
-        return float(self._sigma[k])
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (C_k, mu_k, sigma_k) for every step."""
-        return self._clip, self._budget, self._sigma
+    @property
+    def K(self) -> int:
+        return len(self.sigma)
 
     def as_ledger(self, J: int) -> CompositionLedger:
-        return CompositionLedger(step_budgets=self._budget, sampling_prob=1.0 / J)
+        return CompositionLedger(step_budgets=self.budget, sampling_prob=1.0 / J)
 
     def table_csv(self) -> str:
         """Audit dump of the full schedule, one row per step."""
         lines = ["k,C_k,mu_k,sigma_k"]
-        rows = zip(self._clip.tolist(), self._budget.tolist(), self._sigma.tolist())
+        rows = zip(self.clip.tolist(), self.budget.tolist(), self.sigma.tolist())
         lines += [f"{k},{c!r},{mu!r},{s!r}" for k, (c, mu, s) in enumerate(rows)]
         return "\n".join(lines) + "\n"
 
@@ -136,64 +118,27 @@ def build_schedule(
     else:
         mu0 = uniform_budget(privacy.mu_tot, privacy.J, privacy.K)
         budget_rate = 1.0
+    fractions = np.arange(privacy.K) / privacy.K
+    clip = clip0 * clip_rate**-fractions
+    budget = mu0 * budget_rate**fractions
     return NoiseSchedule(
-        variant=variant,
-        K=privacy.K,
-        clip0=clip0,
-        rho_c=clip_rate,
-        rho_mu=budget_rate,
-        mu0=mu0,
+        variant=variant, clip=clip, budget=budget, sigma=clip / budget,
+        clip0=clip0, rho_c=clip_rate, rho_mu=budget_rate, mu0=mu0,
     )
 
 
-@dataclass
-class GeneralSchedule:
-    """Arbitrary clip/noise-shape profile with one common noise multiplier.
+def build_general_schedule(clip_bounds, noise_shape, privacy: PrivacySpec) -> NoiseSchedule:
+    """Calibrate an arbitrary clip/noise-shape profile against a privacy target.
 
-    Step-k noise has standard deviation ``noise_scale * shape[k]``; the
+    Step-k noise has standard deviation ``scale * noise_shape[k]``; the common
     multiplier comes from the linearized composition bound, so the realized
     total budget is at most the requested one (conservative direction) while
-    every implied step budget stays within the linearization regime.
+    every implied step budget mu_k = C_k / sigma_k stays within the
+    linearization regime.
     """
-
-    K: int
-    clips: np.ndarray
-    shapes: np.ndarray
-    noise_scale: float
-    _sigma: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.clips = np.asarray(self.clips, dtype=float)
-        self.shapes = np.asarray(self.shapes, dtype=float)
-        if len(self.clips) != self.K or len(self.shapes) != self.K:
-            raise ValueError("profiles must have one entry per step")
-        self._sigma = self.noise_scale * self.shapes
-        for arr in (self.clips, self.shapes, self._sigma):
-            arr.setflags(write=False)
-
-    def clip_bound_at(self, k: int) -> float:
-        return float(self.clips[k])
-
-    def budget_at(self, k: int) -> float:
-        """Implied per-step GDP budget C_k / sigma_k."""
-        return float(self.clips[k] / self._sigma[k])
-
-    def sigma_at(self, k: int) -> float:
-        return float(self._sigma[k])
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(C_k, implied mu_k, sigma_k) for every step."""
-        return self.clips, self.clips / self._sigma, self._sigma
-
-    def as_ledger(self, J: int) -> CompositionLedger:
-        return CompositionLedger(step_budgets=self.arrays()[1], sampling_prob=1.0 / J)
-
-
-def build_general_schedule(clip_bounds, noise_shape, privacy: PrivacySpec) -> GeneralSchedule:
-    """Calibrate a general profile against a privacy target."""
     clips = np.asarray(clip_bounds, dtype=float)
     shapes = np.asarray(noise_shape, dtype=float)
     if len(clips) != privacy.K:
         raise ValueError("profile length must match the step count")
-    scale = noise_scale_general(clips, shapes, privacy.J, privacy.mu_tot)
-    return GeneralSchedule(K=privacy.K, clips=clips, shapes=shapes, noise_scale=scale)
+    sigma = noise_scale_general(clips, shapes, privacy.J, privacy.mu_tot) * shapes
+    return NoiseSchedule(variant="general", clip=clips, budget=clips / sigma, sigma=sigma)

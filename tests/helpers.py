@@ -60,13 +60,13 @@ def nonprivate_config(n, J, K, gamma=0.05, seed=0, graph="exponential", d_in=6, 
     )
 
 
-def reference_single_node_sgd(task, gamma, K, seed, init_scale=0.5):
+def reference_single_node_sgd(task, gamma, K, seed):
     """Plain-Python SGD consuming the same streams the engine uses."""
-    from pushdp.engine import PURPOSE_INIT, PURPOSE_SAMPLE, node_stream
+    from pushdp.engine import INIT_SCALE, PURPOSE_INIT, PURPOSE_SAMPLE, node_stream
     from pushdp.models import per_sample_gradient
 
     model, data = task.model, task.dataset
-    x = node_stream(seed, 0, PURPOSE_INIT).standard_normal(model.dim) * init_scale
+    x = node_stream(seed, 0, PURPOSE_INIT).standard_normal(model.dim) * INIT_SCALE
     sampler = node_stream(seed, 0, PURPOSE_SAMPLE)
     traj = [x.copy()]
     for _ in range(K):
@@ -83,7 +83,7 @@ def reference_run(config):
     Each node draws its sample index with a single ``integers`` call, takes
     ``per_sample_gradient`` at its own de-biased estimate, clips by
     ``np.linalg.norm`` and draws its own noise vector; the schedule is read
-    through ``*_at(k)``.  ``engine.run`` must reproduce it byte for byte.
+    one step at a time.  ``engine.run`` must reproduce it byte for byte.
     """
     from pushdp.engine import (
         PURPOSE_NOISE,
@@ -108,8 +108,8 @@ def reference_run(config):
         if sched is None:
             C_k, mu_k, sigma = np.inf, np.nan, 0.0
         else:
-            C_k, mu_k = sched.clip_bound_at(k), sched.budget_at(k)
-            sigma = sched.sigma_at(k) if config.noise_enabled else 0.0
+            C_k, mu_k = float(sched.clip[k]), float(sched.budget[k])
+            sigma = float(sched.sigma[k]) if config.noise_enabled else 0.0
         xbar = X.mean(axis=0)
         loss, grad, acc = evaluate(model, data, xbar)
         halves, grads, noises = np.empty((n, d)), np.empty((n, d)), np.zeros((n, d))

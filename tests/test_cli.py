@@ -1,12 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushdp.accountant import mu_tot_from_eps_delta
 from pushdp.cli import (
+    _FIELDS,
     ConfigError,
     ExperimentConfig,
+    _parse_gamma,
     _resolve,
     main,
     parse_config,
@@ -240,6 +246,103 @@ def test_run_rejects_bad_clip_bound(tmp_path, capsys, value):
     assert main(args) == 1
     assert "schedule.c0" in capsys.readouterr().err
     assert not out.exists()
+
+
+FLOAT_KEYS = [f"{sec}.{key}" for sec, key, _, parse, _ in _FIELDS if parse in (float, _parse_gamma)]
+# (overrides, key the error must name); BASE has d_in = 6.  The accountant
+# builds no model, so it never sees the MODEL_OUT_OF_RANGE cases.
+MODEL_OUT_OF_RANGE = [
+    (["task.d_in=1"], "task.d_in"),
+    (["task.model=mlp", "task.classes=1"], "task.classes"),
+    (["task.model=mlp", "task.classes=7"], "task.d_in"),
+]
+OUT_OF_RANGE = MODEL_OUT_OF_RANGE + [
+    (["run.gamma=-1"], "run.gamma"),
+    (["run.n=0"], "run.n"),
+    (["run.repeat=0"], "run.repeat"),
+    (["task.J=0"], "task.J"),
+    (["task.d_in=0"], "task.d_in"),
+    (["task.model=mlp", "task.hidden=0"], "task.hidden"),
+    (["privacy.epsilon=1e6"], "privacy.epsilon"),
+]
+NON_FINITE_CASES = [([f"{key}={v}"], key) for key in FLOAT_KEYS for v in ("nan", "inf", "-inf")]
+
+
+def _exit_code_and_stderr(args):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(args)
+    return code, err.getvalue()
+
+
+def _command_args(command, config, overrides, out):
+    extra = {
+        "run": ["--output", str(out)],
+        "compare": ["--variants", "dyn", "--output", str(out)],
+        "sweep": ["--axis", "n", "--values", "4", "--output", str(out)],
+        "accountant": ["--table", str(out)],
+    }[command]
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    return [command, "--config", config, *sets, *extra]
+
+
+@pytest.mark.parametrize(
+    "overrides,key",
+    NON_FINITE_CASES + OUT_OF_RANGE,
+    ids=lambda v: "+".join(v) if isinstance(v, list) else None,
+)
+def test_run_rejects_bad_value_naming_key(tmp_path, overrides, key):
+    config = write_config(tmp_path, BASE.replace("variant = const", "variant = dyn"))
+    out = tmp_path / "out.csv"
+    code, err = _exit_code_and_stderr(_command_args("run", config, overrides, out))
+    assert code == 1, err
+    assert key in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def dyn_config(tmp_path_factory):
+    return write_config(
+        tmp_path_factory.mktemp("fuzz"), BASE.replace("variant = const", "variant = dyn")
+    )
+
+
+NON_FINITE_SPELLINGS = [
+    "nan", "NaN", "-nan", "inf", "+inf", "-inf", "Infinity", "-Infinity", "1e999", "-1e999",
+]
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=80)
+@given(
+    case=st.one_of(
+        st.tuples(st.sampled_from(FLOAT_KEYS), st.sampled_from(NON_FINITE_SPELLINGS)).map(
+            lambda kv: ([f"{kv[0]}={kv[1]}"], kv[0])
+        ),
+        st.sampled_from(OUT_OF_RANGE),
+    ),
+    command=st.sampled_from(["run", "compare", "sweep", "accountant"]),
+)
+def test_config_fuzz_exits_1_naming_key(dyn_config, tmp_path_factory, case, command):
+    overrides, key = case
+    if command == "accountant" and case in MODEL_OUT_OF_RANGE:
+        return
+    out = tmp_path_factory.getbasetemp() / "fuzz-out.csv"
+    code, err = _exit_code_and_stderr(_command_args(command, dyn_config, overrides, out))
+    assert code == 1, (command, overrides, err)
+    assert key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "axis,value,key",
+    [("epsilon", "inf", "privacy.epsilon"), ("rho_c", "nan", "schedule.rho_c"), ("n", "0", "run.n")],
+)
+def test_sweep_value_errors_name_the_key(tmp_path, axis, value, key):
+    config = write_config(tmp_path, BASE.replace("variant = const", "variant = dyn"))
+    out = tmp_path / "grid.csv"
+    args = ["sweep", "--config", config, "--axis", axis, "--values", value, "--output", str(out)]
+    code, err = _exit_code_and_stderr(args)
+    assert code == 1 and key in err
 
 
 def test_run_io_failure_exits_2(tmp_path, capsys):

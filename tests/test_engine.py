@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,17 +13,13 @@ from helpers import (
 
 from pushdp.accountant import PrivacySpec
 from pushdp.engine import (
-    PURPOSE_INIT,
     PURPOSE_NOISE,
     PURPOSE_SAMPLE,
     ROUND_BLOCK,
     DegenerateWeight,
-    NodeState,
     NonFiniteParameter,
     RunConfig,
-    clip_gradient,
-    local_dp_step,
-    mix_round,
+    _mix_arrays,
     node_stream,
     run,
 )
@@ -31,120 +29,152 @@ from pushdp.topology import MixingMatrix, graph_schedule
 
 
 # ---------------------------------------------------------------------------
-# clipping
+# clipping, exercised through ``run`` on a single node
+
+
+def _one_node_run(clip_bound=None, noise=False, x0=None, d_in=6, J=1, K=1):
+    """A K-round run on one node whose clip bound is ``clip_bound`` every round
+    (None: the non-private path), plus the unclipped gradient of round 0."""
+    task = logistic_task(1, J, d_in=d_in)
+    sched = None
+    if clip_bound is not None:
+        privacy = PrivacySpec.resolve(1.0, 1e-4, J=J, K=K)
+        sched = build_general_schedule(np.full(K, clip_bound), np.ones(K), privacy)
+    cfg = RunConfig(
+        task=task, graph=graph_schedule("ring", 1), schedule=sched, gamma=0.1, K=K,
+        seed=3, noise_enabled=noise, x0=x0, capture_detail=True,
+    )
+    log = run(cfg)
+    z0 = log.detail[0].xbar
+    idx = int(node_stream(3, 0, PURPOSE_SAMPLE).integers(J))
+    data = task.dataset
+    return log, per_sample_gradient(task.model, z0, data.features[0, idx], data.labels[0, idx])
 
 
 def test_clip_passes_short_vectors_through():
-    g = np.array([0.3, -0.4])
-    out = clip_gradient(g, 1.0)
-    assert out is g
+    log, g = _one_node_run(clip_bound=1e6)
+    assert log.rows[0].clip_rate == 0.0
+    assert log.detail[0].mean_clipped_grad.tobytes() == g.tobytes()
 
 
 def test_clip_scales_to_bound():
-    g = np.array([3.0, 4.0])
-    out = clip_gradient(g, 1.0)
-    assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-15)
+    log, g = _one_node_run(clip_bound=1e-3)
+    out = log.detail[0].mean_clipped_grad
+    assert log.rows[0].clip_rate == 1.0
+    assert np.linalg.norm(out) == pytest.approx(1e-3, rel=1e-14)
     # direction preserved
-    assert np.allclose(out * 5.0, g)
+    assert np.allclose(out * (np.linalg.norm(g) / 1e-3), g, rtol=1e-13, atol=0)
 
 
 def test_clip_zero_vector_and_inf_bound():
-    z = np.zeros(3)
-    assert clip_gradient(z, 0.5) is z
-    g = np.array([1e6, 0.0])
-    assert clip_gradient(g, np.inf) is g
+    # a saturated sigmoid on the right side of its label has an exactly zero gradient
+    data = logistic_task(1, 1).dataset
+    x0 = np.zeros((1, 7))
+    x0[0, -1] = 1000.0 if data.labels[0, 0] == 1 else -1000.0
+    log, g = _one_node_run(clip_bound=0.5, x0=x0)
+    assert not g.any() and log.detail[0].stoch_grad_norms[0] == 0.0
+    assert log.rows[0].clip_rate == 0.0
+    assert not log.detail[0].mean_clipped_grad.any()
+    # the non-private path clips at C_k = inf: a gradient of any size passes
+    log, g = _one_node_run(clip_bound=None, x0=np.full((1, 7), 3.0), K=3)
+    assert all(r.clip_bound == np.inf and r.clip_rate == 0.0 for r in log.rows)
+    assert log.detail[0].mean_clipped_grad.tobytes() == g.tobytes()
 
 
 # ---------------------------------------------------------------------------
-# local DP step
+# local DP step: the half-step and its noise, through ``run``
 
 
 def test_local_step_noise_free_is_plain_sgd():
-    state = NodeState.initial(np.array([1.0, 2.0]))
-    g = np.array([0.5, -1.0])
-    out = local_dp_step(state, g, sigma=0.0, gamma=0.1, rng=node_stream(0, 0, PURPOSE_NOISE))
-    assert np.array_equal(out, np.array([0.95, 2.1]))
+    log, g = _one_node_run(clip_bound=1e6, noise=False)
+    det = log.detail[0]
+    assert log.rows[0].noise_std == 0.0 and not det.mean_noise.any()
+    assert det.halves_mean.tobytes() == (det.xbar - 0.1 * g).tobytes()
 
 
 def test_local_step_noise_magnitude_matches_sigma():
     # mean squared norm of the injected noise should match sigma^2 * d
-    d, sigma, draws = 1000, 2.0, 100
-    state = NodeState.initial(np.zeros(d))
-    g = np.zeros(d)
-    rng = node_stream(7, 0, PURPOSE_NOISE)
-    total = 0.0
-    for _ in range(draws):
-        out = local_dp_step(state, g, sigma=sigma, gamma=1.0, rng=rng)
-        total += float(out @ out)
-    mean_per_coord = total / (draws * d)
+    log, _ = _one_node_run(clip_bound=1.0, noise=True, d_in=999, J=5, K=100)
+    d = 1000
+    sigma = log.rows[0].noise_std
+    assert all(r.noise_std == sigma for r in log.rows) and sigma > 0
+    mean_per_coord = np.mean([det.mean_noise @ det.mean_noise for det in log.detail]) / d
     assert sigma**2 * 0.85 < mean_per_coord < sigma**2 * 1.15
 
 
-def test_local_step_sigma_zero_does_not_advance_stream():
-    rng_a = node_stream(3, 0, PURPOSE_NOISE)
-    rng_b = node_stream(3, 0, PURPOSE_NOISE)
-    state = NodeState.initial(np.zeros(4))
-    local_dp_step(state, np.zeros(4), sigma=0.0, gamma=1.0, rng=rng_a)
-    # both streams must now produce the same next draw
-    assert np.array_equal(rng_a.standard_normal(4), rng_b.standard_normal(4))
+def test_local_step_sigma_zero_does_not_advance_stream(monkeypatch):
+    import pushdp.engine as engine
+
+    streams = {}
+
+    def recording_stream(seed, node, purpose):
+        streams[node, purpose] = node_stream(seed, node, purpose)
+        return streams[node, purpose]
+
+    monkeypatch.setattr(engine, "node_stream", recording_stream)
+    cfg = private_config(n=3, J=10, K=70, epsilon=0.5, variant="dyn", seed=3, noise_enabled=False)
+    run(cfg)
+    # every noise stream must still produce its first draw
+    for i in range(3):
+        fresh = node_stream(3, i, PURPOSE_NOISE).standard_normal(cfg.d)
+        assert np.array_equal(streams[i, PURPOSE_NOISE].standard_normal(cfg.d), fresh)
+    # while the sampling streams did advance
+    assert not np.array_equal(
+        streams[0, PURPOSE_SAMPLE].integers(10, size=8),
+        node_stream(3, 0, PURPOSE_SAMPLE).integers(10, size=8),
+    )
 
 
 # ---------------------------------------------------------------------------
-# mixing
+# mixing: ``_mix_arrays``, the exchange ``run`` performs every round
 
 
 def test_mix_round_identity_matrix_is_noop():
-    eye = MixingMatrix(n=2, weights=np.eye(2))
-    states = [NodeState.initial(np.array([1.0, 0.0])), NodeState.initial(np.array([0.0, 5.0]))]
-    out = mix_round(states, eye)
-    for before, after in zip(states, out):
-        assert np.array_equal(before.x, after.x)
-        assert after.w == 1.0
+    X = np.array([[1.0, 0.0], [0.0, 5.0]])
+    x_next, w_next, z_next = _mix_arrays(X, np.ones(2), np.eye(2))
+    assert np.array_equal(x_next, X) and np.array_equal(z_next, X)
+    assert np.array_equal(w_next, np.ones(2))
 
 
 def test_mix_round_complete_graph_averages_in_one_round():
-    sched = graph_schedule("complete", 4)
-    xs = [np.array([float(i), -float(i)]) for i in range(4)]
-    states = [NodeState.initial(x) for x in xs]
-    out = mix_round(states, sched.matrix_at(0))
-    mean = np.mean(xs, axis=0)
-    for s in out:
-        assert np.allclose(s.x, mean, atol=1e-15)
-        assert np.allclose(s.z, mean, atol=1e-15)
+    P = graph_schedule("complete", 4).matrix_at(0).weights
+    X = np.array([[float(i), -float(i)] for i in range(4)])
+    x_next, _, z_next = _mix_arrays(X, np.ones(4), P)
+    mean = X.mean(axis=0)
+    assert np.allclose(x_next, mean, atol=1e-15)
+    assert np.allclose(z_next, mean, atol=1e-15)
 
 
 def test_mix_round_conserves_sums():
-    sched = graph_schedule("exponential", 8)
     rng = np.random.default_rng(0)
-    states = [NodeState.initial(rng.standard_normal(3)) for _ in range(8)]
-    total_before = np.sum([s.x for s in states], axis=0)
-    out = mix_round(states, sched.matrix_at(0))
-    total_after = np.sum([s.x for s in out], axis=0)
-    assert np.allclose(total_after, total_before, atol=1e-12)
-    assert np.sum([s.w for s in out]) == pytest.approx(8.0, abs=1e-12)
+    X = rng.standard_normal((8, 3))
+    w = rng.uniform(0.5, 2.0, 8)
+    # the one-peer graphs are doubly stochastic; a generic column-stochastic
+    # matrix also tells P @ x from P.T @ x
+    A = rng.uniform(0.0, 1.0, (8, 8))
+    for P in (graph_schedule("exponential", 8).matrix_at(0).weights, A / A.sum(axis=0)):
+        x_next, w_next, z_next = _mix_arrays(X, w, P)
+        assert np.allclose(x_next.sum(axis=0), X.sum(axis=0), atol=1e-12)
+        assert w_next.sum() == pytest.approx(w.sum(), abs=1e-12)
+        assert np.allclose(z_next * w_next[:, None], x_next, atol=1e-12)
 
 
 def test_mix_round_degenerate_weight():
     # column-stochastic but node 1 keeps only 10% of its weight per round,
     # so feeding it an already-underflowed weight must trip the floor
-    P = MixingMatrix(n=2, weights=np.array([[1.0, 0.9], [0.0, 0.1]]))
-    states = [
-        NodeState(x=np.zeros(1), w=1.0, z=np.zeros(1)),
-        NodeState(x=np.zeros(1), w=2e-300, z=np.zeros(1)),
-    ]
-    with pytest.raises(DegenerateWeight):
-        mix_round(states, P)
+    P = MixingMatrix(n=2, weights=np.array([[1.0, 0.9], [0.0, 0.1]])).weights
+    with pytest.raises(DegenerateWeight, match="node 1"):
+        _mix_arrays(np.zeros((2, 1)), np.array([1.0, 2e-300]), P)
 
 
 def test_ring_mixing_reaches_consensus():
     sched = graph_schedule("ring", 4)
-    rng = np.random.default_rng(1)
-    states = [NodeState.initial(rng.standard_normal(2)) for _ in range(4)]
-    mean = np.mean([s.x for s in states], axis=0)
+    X = np.random.default_rng(1).standard_normal((4, 2))
+    mean = X.mean(axis=0)
+    w = np.ones(4)
     for k in range(200):
-        states = mix_round(states, sched.matrix_at(k))
-    for s in states:
-        assert np.linalg.norm(s.z - mean) <= 1e-6
+        X, w, Z = _mix_arrays(X, w, sched.matrix_at(k).weights)
+    assert np.linalg.norm(Z - mean, axis=1).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +326,9 @@ def test_row_schedule_columns_match_schedule():
     log = run(cfg)
     sched = cfg.schedule
     for k in (0, 7, 29):
-        assert log.rows[k].clip_bound == sched.clip_bound_at(k)
-        assert log.rows[k].step_budget == sched.budget_at(k)
-        assert log.rows[k].noise_std == sched.sigma_at(k)
+        assert log.rows[k].clip_bound == sched.clip[k]
+        assert log.rows[k].step_budget == sched.budget[k]
+        assert log.rows[k].noise_std == sched.sigma[k]
 
 
 def test_noise_disabled_zeroes_sigma_column_only():
@@ -326,16 +356,19 @@ def test_tiny_bound_clips_everything():
 def test_general_schedule_drives_engine():
     K = 12
     privacy = PrivacySpec.resolve(1.0, 1e-4, J=20, K=K)
-    clips = np.full(K, 1.5)
-    sched = build_general_schedule(clips, np.ones(K), privacy)
+    clips = 1.5 * 2.0 ** (-np.arange(K) / K)
+    sched = build_general_schedule(clips, 1.0 + np.arange(K) % 3, privacy)
     task = logistic_task(4, 20)
     cfg = RunConfig(
         task=task, graph=graph_schedule("exponential", 4), schedule=sched,
         gamma=0.05, K=K, seed=0,
     )
     log = run(cfg)
-    assert all(r.noise_std == pytest.approx(sched.sigma_at(0), rel=1e-15) for r in log.rows)
-    assert all(r.clip_bound == 1.5 for r in log.rows)
+    for k, r in enumerate(log.rows):
+        assert (r.clip_bound, r.step_budget, r.noise_std) == (
+            sched.clip[k], sched.budget[k], sched.sigma[k]
+        )
+    assert log.csv_text() == reference_run(cfg).csv_text()
 
 
 def test_mlp_run_smoke():
@@ -380,13 +413,13 @@ def test_run_rejects_short_schedule():
         run(cfg)
 
 
-@pytest.mark.parametrize("field", ["_clip", "_sigma"])
+@pytest.mark.parametrize("field", ["clip", "sigma"], ids=["_clip", "_sigma"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
 def test_run_refuses_schedule_without_finite_positive_noise(field, bad):
     cfg = private_config(n=2, J=10, K=20, epsilon=0.5, variant="dyn")
     values = getattr(cfg.schedule, field).copy()
     values[7] = bad
-    object.__setattr__(cfg.schedule, field, values)
+    cfg.schedule = dataclasses.replace(cfg.schedule, **{field: values})
     with pytest.raises(ValueError, match="finite and positive"):
         run(cfg)
 

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from pushdp.engine import NodeState
-from pushdp.metrics import (
-    MetricsLog,
-    RoundStats,
-    consensus_error,
-    mean_sq_consensus,
-    summarize,
-)
+from helpers import nonprivate_config
+
+from pushdp.engine import run
+from pushdp.metrics import MetricsLog, RoundStats, mean_sq_consensus, summarize
 
 
 def make_row(k, **kwargs):
@@ -27,38 +23,35 @@ def make_row(k, **kwargs):
     return RoundStats(**base)
 
 
-def test_consensus_error_worked_example():
+def test_mean_sq_consensus_worked_example():
     # z = 0 and 2 with xbar = 1: mean of squared distances is 1
-    states = [
-        NodeState(x=np.array([0.0]), w=1.0, z=np.array([0.0])),
-        NodeState(x=np.array([2.0]), w=1.0, z=np.array([2.0])),
-    ]
-    assert consensus_error(states) == pytest.approx(1.0, abs=1e-15)
+    Z = np.array([[0.0], [2.0]])
+    assert mean_sq_consensus(Z, Z.mean(axis=0)) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_consensus_error_zero_at_agreement():
+def test_mean_sq_consensus_zero_at_agreement():
     x = np.array([1.5, -2.0, 0.25])
-    states = [NodeState(x=x.copy(), w=1.0, z=x.copy()) for _ in range(4)]
-    assert consensus_error(states) == 0.0
+    assert mean_sq_consensus(np.tile(x, (4, 1)), x) == 0.0
 
 
 def test_consensus_uses_raw_mean_as_reference():
-    # z values agree but sit away from the raw-iterate mean
-    states = [
-        NodeState(x=np.array([0.0]), w=1.0, z=np.array([1.0])),
-        NodeState(x=np.array([4.0]), w=1.0, z=np.array([1.0])),
-    ]
-    assert consensus_error(states) == pytest.approx(1.0)
+    # the de-biased estimates agree at 1 but sit away from the raw-iterate
+    # mean 2, which is the reference the engine logs against
+    X = np.array([[0.0], [4.0]])
+    Z = np.array([[1.0], [1.0]])
+    assert mean_sq_consensus(Z, X.mean(axis=0)) == pytest.approx(1.0)
+    log = run(nonprivate_config(n=2, J=5, K=1, x0=np.array([[0.0] * 7, [4.0] * 7])))
+    assert log.rows[0].consensus_err == pytest.approx(4.0 * 7)
 
 
 def test_mean_sq_consensus_matches_states_path():
+    # the vectorized form equals a per-node loop over (z_i, xbar)
     rng = np.random.default_rng(0)
     X = rng.standard_normal((5, 3))
     Z = rng.standard_normal((5, 3))
-    states = [NodeState(x=X[i], w=1.0, z=Z[i]) for i in range(5)]
-    assert consensus_error(states) == pytest.approx(
-        mean_sq_consensus(Z, X.mean(axis=0)), abs=1e-15
-    )
+    xbar = X.mean(axis=0)
+    per_node = np.mean([float((z - xbar) @ (z - xbar)) for z in Z])
+    assert mean_sq_consensus(Z, xbar) == pytest.approx(per_node, abs=1e-15)
 
 
 def test_summarize_constant_log():

@@ -6,8 +6,6 @@ from pushdp.models import (
     Model,
     Task,
     batched_sample_gradients,
-    dataset_from_csv,
-    dataset_to_csv,
     evaluate,
     full_objective,
     per_sample_gradient,
@@ -228,12 +226,3 @@ def test_mlp_trains_past_chance():
     X, y = data.flat()
     assert np.mean(predictions(model, params, X) == y) >= 0.9
 
-
-def test_dataset_csv_round_trip(tmp_path):
-    data = synth_dataset(6, n=3, J=7, d_in=4)
-    path = tmp_path / "data.csv"
-    dataset_to_csv(data, path)
-    back = dataset_from_csv(path)
-    assert np.array_equal(back.features, data.features)
-    assert np.array_equal(back.labels, data.labels)
-    assert back.seed == data.seed and back.classes == data.classes

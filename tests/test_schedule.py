@@ -11,13 +11,7 @@ from pushdp.accountant import (
     solve_mu0,
     uniform_budget,
 )
-from pushdp.schedule import (
-    VARIANTS,
-    GeneralSchedule,
-    NoiseSchedule,
-    build_general_schedule,
-    build_schedule,
-)
+from pushdp.schedule import VARIANTS, NoiseSchedule, build_general_schedule, build_schedule
 
 
 def quiet_compose(ledger):
@@ -35,14 +29,14 @@ def test_clip_bound_halfway_decay(privacy):
     sched = build_schedule("dyn", privacy, clip0=7.0, rho_c=4.0, rho_mu=4.0)
     k = privacy.K // 2
     # 7 * 4^(-1/2) = 3.5
-    assert sched.clip_bound_at(k) == pytest.approx(3.5, rel=1e-12)
+    assert sched.clip[k] == pytest.approx(3.5, rel=1e-12)
 
 
 def test_flat_variants_keep_constant_clip(privacy):
     for variant in ("dyn-mu", "const"):
         sched = build_schedule(variant, privacy, clip0=2.0, rho_mu=4.0)
-        assert sched.clip_bound_at(0) == 2.0
-        assert sched.clip_bound_at(privacy.K - 1) == 2.0
+        assert sched.clip[0] == 2.0
+        assert sched.clip[privacy.K - 1] == 2.0
 
 
 def test_flat_budget_variants_use_closed_form(privacy):
@@ -50,8 +44,8 @@ def test_flat_budget_variants_use_closed_form(privacy):
     for variant in ("dyn-clip", "const"):
         sched = build_schedule(variant, privacy, clip0=2.0, rho_c=4.0)
         assert sched.mu0 == expected
-        assert sched.budget_at(0) == expected
-        assert sched.budget_at(privacy.K - 1) == expected
+        assert sched.budget[0] == expected
+        assert sched.budget[privacy.K - 1] == expected
 
 
 def test_growing_budget_variants_solve_composition(privacy):
@@ -65,11 +59,9 @@ def test_sigma_is_clip_over_budget(privacy):
     for variant in VARIANTS:
         sched = build_schedule(variant, privacy, clip0=2.0, rho_c=4.0, rho_mu=4.0)
         for k in (0, 1, privacy.K // 3, privacy.K - 1):
-            ratio = sched.clip_bound_at(k) / sched.budget_at(k)
-            assert sched.sigma_at(k) == ratio
-            assert sched.sigma_at(k) * sched.budget_at(k) == pytest.approx(
-                sched.clip_bound_at(k), rel=1e-12
-            )
+            ratio = sched.clip[k] / sched.budget[k]
+            assert sched.sigma[k] == ratio
+            assert sched.sigma[k] * sched.budget[k] == pytest.approx(sched.clip[k], rel=1e-12)
 
 
 def test_sigma_closed_forms(privacy):
@@ -78,24 +70,24 @@ def test_sigma_closed_forms(privacy):
     dyn = build_schedule("dyn", privacy, clip0=2.0, rho_c=4.0, rho_mu=4.0)
     for k in ks:
         expected = (2.0 / dyn.mu0) * (4.0 * 4.0) ** (-k / K)
-        assert dyn.sigma_at(int(k)) == pytest.approx(expected, rel=1e-12)
+        assert dyn.sigma[k] == pytest.approx(expected, rel=1e-12)
     dyn_clip = build_schedule("dyn-clip", privacy, clip0=2.0, rho_c=4.0)
     for k in ks:
         expected = (2.0 / dyn_clip.mu0) * 4.0 ** (-k / K)
-        assert dyn_clip.sigma_at(int(k)) == pytest.approx(expected, rel=1e-12)
+        assert dyn_clip.sigma[k] == pytest.approx(expected, rel=1e-12)
     dyn_mu = build_schedule("dyn-mu", privacy, clip0=2.0, rho_mu=4.0)
     for k in ks:
         expected = (2.0 / dyn_mu.mu0) * 4.0 ** (-k / K)
-        assert dyn_mu.sigma_at(int(k)) == pytest.approx(expected, rel=1e-12)
+        assert dyn_mu.sigma[k] == pytest.approx(expected, rel=1e-12)
     const = build_schedule("const", privacy, clip0=2.0)
-    sigmas = {const.sigma_at(int(k)) for k in ks}
+    sigmas = {float(const.sigma[k]) for k in ks}
     assert sigmas == {2.0 / const.mu0}
 
 
 def test_dyn_sigma_decay_ratio(privacy):
     K = privacy.K
     sched = build_schedule("dyn", privacy, clip0=2.0, rho_c=4.0, rho_mu=4.0)
-    ratio = sched.sigma_at(K - 1) / sched.sigma_at(0)
+    ratio = sched.sigma[K - 1] / sched.sigma[0]
     assert ratio == pytest.approx(16.0 ** (-(K - 1) / K), rel=1e-12)
 
 
@@ -120,7 +112,7 @@ def test_dyn_approaches_const_in_the_flat_limit(privacy):
     )
     const = build_schedule("const", privacy, clip0=2.0)
     for k in (0, privacy.K // 2, privacy.K - 1):
-        assert dyn.sigma_at(k) == pytest.approx(const.sigma_at(k), abs=1e-6)
+        assert dyn.sigma[k] == pytest.approx(const.sigma[k], abs=1e-6)
 
 
 def test_build_rejects_missing_rates(privacy):
@@ -137,14 +129,30 @@ def test_build_rejects_missing_rates(privacy):
 def test_const_ignores_rates(privacy):
     a = build_schedule("const", privacy, clip0=2.0)
     b = build_schedule("const", privacy, clip0=2.0, rho_c=4.0, rho_mu=4.0)
-    assert a.sigma_at(0) == b.sigma_at(0)
+    assert a.sigma[0] == b.sigma[0]
     assert a.rho_c == 1.0 and a.rho_mu == 1.0
 
 
 def test_schedule_arrays_are_read_only(privacy):
     sched = build_schedule("const", privacy, clip0=2.0)
-    with pytest.raises(ValueError):
-        sched._sigma[0] = 99.0
+    for name in ("clip", "budget", "sigma"):
+        with pytest.raises(ValueError):
+            getattr(sched, name)[0] = 99.0
+        with pytest.raises(AttributeError):
+            setattr(sched, name, np.zeros(privacy.K))
+
+
+def test_schedule_copies_its_arrays_and_checks_their_shapes():
+    clip = np.ones(4)
+    sched = NoiseSchedule(variant="general", clip=clip, budget=np.ones(4), sigma=np.ones(4))
+    clip[0] = 5.0
+    assert sched.clip[0] == 1.0 and sched.K == 4
+    with pytest.raises(ValueError, match="equal-length"):
+        NoiseSchedule(variant="general", clip=np.ones(4), budget=np.ones(3), sigma=np.ones(4))
+    with pytest.raises(ValueError, match="equal-length"):
+        NoiseSchedule(variant="general", clip=[], budget=[], sigma=[])
+    with pytest.raises(ValueError, match="equal-length"):
+        NoiseSchedule(variant="general", clip=1.0, budget=1.0, sigma=1.0)
 
 
 def test_table_csv_shape(privacy):
@@ -156,7 +164,7 @@ def test_table_csv_shape(privacy):
 
 def test_table_csv_cells_are_plain_floats(privacy):
     sched = build_schedule("dyn", privacy, clip0=2.0, rho_c=4.0, rho_mu=4.0)
-    clip, budget, sigma = sched.arrays()
+    clip, budget, sigma = sched.clip, sched.budget, sched.sigma
     for k, line in enumerate(sched.table_csv().splitlines()[1:]):
         cells = line.split(",")
         assert cells[0] == str(k)
@@ -178,9 +186,21 @@ def test_general_schedule_flat_profile_matches_closed_form():
     # overwrite mu_tot with 1.0 to hit the worked example scale = 1
     privacy = PrivacySpec(1.0, 1e-4, 10, 50, 1.0)
     sched = build_general_schedule(np.ones(50), np.ones(50), privacy)
-    assert sched.noise_scale == pytest.approx(1.0, rel=1e-14)
-    assert sched.sigma_at(0) == pytest.approx(1.0, rel=1e-14)
-    assert sched.budget_at(0) == pytest.approx(1.0, rel=1e-14)
+    assert sched.variant == "general" and sched.K == 50
+    assert sched.mu0 is None and sched.clip0 is None
+    np.testing.assert_allclose(sched.sigma, 1.0, rtol=1e-14)
+    np.testing.assert_allclose(sched.budget, 1.0, rtol=1e-14)
+    assert np.array_equal(sched.clip, np.ones(50))
+
+
+def test_general_schedule_closed_form_scale():
+    # scale = sqrt(2 * sum_k C_k^2 / s_k^2) / (J * mu_tot), sigma_k = scale * s_k
+    privacy = PrivacySpec(1.0, 1e-4, 4, 3, 0.5)
+    clips, shapes = np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.5, 2.0])
+    sched = build_general_schedule(clips, shapes, privacy)
+    scale = math.sqrt(2.0 * (1.0 + 16.0 + 2.25)) / (4 * 0.5)
+    np.testing.assert_allclose(sched.sigma, scale * shapes, rtol=1e-14)
+    assert np.array_equal(sched.budget, clips / sched.sigma)
 
 
 def test_general_schedule_is_conservative():
