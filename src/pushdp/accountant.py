@@ -211,8 +211,9 @@ def noise_scale_general(clip_bounds, noise_shape, J: int, mu_tot: float) -> floa
     s = np.asarray(noise_shape, dtype=float)
     if C.shape != s.shape:
         raise ValueError("clip bounds and noise shape must have matching length")
-    if (C <= 0).any() or (s <= 0).any():
-        raise ValueError("clip bounds and noise shape must be positive")
+    for name, values in (("clip bounds", C), ("noise shape", s)):
+        if not (np.isfinite(values) & (values > 0)).all():
+            raise ValueError(f"{name} must be finite and positive")
     if mu_tot <= 0 or J < 1:
         raise ValueError("need a positive budget and at least one sample per node")
     return math.sqrt(2.0 * float(np.square(C / s).sum())) / (J * mu_tot)

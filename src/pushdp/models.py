@@ -206,12 +206,10 @@ def batched_sample_gradients(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Overflow-free logistic function: 1 / (1 + e) for z >= 0 and e / (1 + e)
+    below, with one ``exp`` of e = exp(-|z|) for both branches."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def per_sample_loss(model: Model, params: np.ndarray, x: np.ndarray, y: int) -> float:

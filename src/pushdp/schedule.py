@@ -134,7 +134,8 @@ def build_general_schedule(clip_bounds, noise_shape, privacy: PrivacySpec) -> No
     multiplier comes from the linearized composition bound, so the realized
     total budget is at most the requested one (conservative direction) while
     every implied step budget mu_k = C_k / sigma_k stays within the
-    linearization regime.
+    linearization regime.  Clip bounds and shape entries must be finite and
+    positive, or a ValueError says which profile is at fault.
     """
     clips = np.asarray(clip_bounds, dtype=float)
     shapes = np.asarray(noise_shape, dtype=float)

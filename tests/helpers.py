@@ -161,3 +161,27 @@ def final_accuracies(logs) -> np.ndarray:
 
 def final_losses(logs) -> np.ndarray:
     return np.array([log.rows[-1].loss for log in logs])
+
+
+def reference_window_distances(n: int, adjacency: np.ndarray) -> np.ndarray:
+    """All-pairs BFS hop counts on a directed adjacency matrix (-1 if unreachable).
+
+    One plain BFS per source over explicit out-neighbour lists; the oracle for
+    ``topology._window_distances``.
+    """
+    dist = np.full((n, n), -1, dtype=int)
+    out_neighbors = [np.flatnonzero(adjacency[:, j]) for j in range(n)]
+    for source in range(n):
+        dist[source, source] = 0
+        frontier = [source]
+        hops = 0
+        while frontier:
+            hops += 1
+            next_frontier = []
+            for j in frontier:
+                for i in out_neighbors[j]:
+                    if dist[source, i] < 0:
+                        dist[source, i] = hops
+                        next_frontier.append(int(i))
+            frontier = next_frontier
+    return dist

@@ -11,6 +11,7 @@ from pushdp.models import (
     per_sample_gradient,
     per_sample_loss,
     predictions,
+    _sigmoid,
     synth_dataset,
 )
 
@@ -226,3 +227,24 @@ def test_mlp_trains_past_chance():
     X, y = data.flat()
     assert np.mean(predictions(model, params, X) == y) >= 0.9
 
+
+def _masked_sigmoid(z):
+    """The two-branch form: 1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_equals_masked_form_bitwise():
+    rng = np.random.default_rng(3)
+    edges = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, 709.8, -709.8, 37.0, -37.0, np.inf, -np.inf]
+    z = np.concatenate([edges, rng.normal(0, 4, 5000), rng.normal(0, 400, 1000)])
+    got = _sigmoid(z)
+    assert got.dtype == z.dtype
+    assert np.array_equal(got.view(np.int64), _masked_sigmoid(z).view(np.int64))
+    # saturates without overflow: exp(-745) is the smallest subnormal, exp(-1e308) is 0
+    assert got[2] == 1.0 and 0.0 < got[3] < 1e-323 and (got[4], got[5]) == (1.0, 0.0)
+    assert not np.isnan(got).any()

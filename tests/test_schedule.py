@@ -219,3 +219,19 @@ def test_general_schedule_rejects_wrong_length():
     privacy = PrivacySpec.resolve(0.3, 1e-4, 10, 50)
     with pytest.raises(ValueError):
         build_general_schedule(np.ones(49), np.ones(49), privacy)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_general_schedule_rejects_nonfinite_or_nonpositive_clip(bad):
+    # a NaN bound used to give sigma_k = nan at every step
+    privacy = PrivacySpec.resolve(0.3, 1e-4, 10, 5)
+    with pytest.raises(ValueError, match="clip bounds must be finite and positive"):
+        build_general_schedule([1.0, bad, 1.0, 1.0, 1.0], np.ones(5), privacy)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_general_schedule_rejects_nonfinite_or_nonpositive_noise_shape(bad):
+    # an infinite shape entry used to give sigma_1 = inf and mu_1 = 0
+    privacy = PrivacySpec.resolve(0.3, 1e-4, 10, 5)
+    with pytest.raises(ValueError, match="noise shape must be finite and positive"):
+        build_general_schedule(np.ones(5), [1.0, bad, 1.0, 1.0, 1.0], privacy)

@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from helpers import reference_window_distances
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pushdp
 from pushdp.topology import (
     ColumnSumViolation,
     InvalidRegime,
@@ -14,6 +23,7 @@ from pushdp.topology import (
     graph_schedule,
     ring_graph,
     spectral_constants,
+    _window_distances,
     spectral_report,
     validate_column_stochastic,
 )
@@ -167,3 +177,58 @@ def test_spectral_report_uses_period_window():
     report, constants = spectral_report(graph_schedule("exponential", 8), d=4)
     assert report.window == 3
     assert constants is not None
+
+
+def _window_union(kind, n):
+    schedule = graph_schedule(kind, n)
+    union = np.zeros((n, n), dtype=bool)
+    for m in schedule.matrices:
+        union |= m.weights > 0
+    return union
+
+
+def _assert_distances_match_reference(n, adjacency):
+    got = _window_distances(n, adjacency)
+    want = reference_window_distances(n, adjacency)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(
+    n=st.integers(1, 40),
+    density=st.floats(0.0, 0.5),
+    self_loops=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_distances_match_reference_bfs(n, density, self_loops, seed):
+    # sparse draws leave many graphs disconnected, so -1 entries are covered
+    adjacency = np.random.default_rng(seed).random((n, n)) < density
+    np.fill_diagonal(adjacency, self_loops)
+    _assert_distances_match_reference(n, adjacency)
+
+
+def test_window_distances_disconnected_components():
+    # two directed 3-cycles with one bridge 2 -> 3: nothing flows back from {3, 4, 5}
+    adjacency = np.zeros((6, 6), dtype=bool)
+    for j, i in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]:
+        adjacency[i, j] = True
+    dist = _window_distances(6, adjacency)
+    assert (dist[3:, :3] == -1).all()
+    assert dist[0, 5] == 5 and dist[2, 3] == 1
+    _assert_distances_match_reference(6, adjacency)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 64, 257])
+@pytest.mark.parametrize("kind", ["ring", "exponential", "complete"])
+def test_window_distances_match_reference_on_generators(kind, n):
+    _assert_distances_match_reference(n, _window_union(kind, n))
+
+
+def test_importing_the_cli_leaves_scipy_sparse_out():
+    # scipy.sparse.csgraph would add 11-13 MB of peak RSS to every CLI job
+    code = "import sys, pushdp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    src = str(Path(pushdp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
