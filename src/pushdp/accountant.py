@@ -105,29 +105,17 @@ def mu_tot_from_eps_delta(eps: float, delta: float) -> float:
     return mu
 
 
-@dataclass(frozen=True)
-class CompositionLedger:
-    """Per-step GDP budgets plus the common subsampling probability."""
-
-    step_budgets: np.ndarray
-    sampling_prob: float
-
-    def __post_init__(self):
-        budgets = np.asarray(self.step_budgets, dtype=float)
-        object.__setattr__(self, "step_budgets", budgets)
-        if not 0 < self.sampling_prob <= 1:
-            raise ValueError("sampling probability must lie in (0, 1]")
-
-
-def compose_general(ledger: CompositionLedger) -> float:
+def compose_general(step_budgets, sampling_prob: float) -> float:
     """Total GDP budget of K subsampled releases with heterogeneous budgets.
 
-    Evaluates p * sqrt(sum_k expm1(mu_k^2)); expm1 keeps small budgets exact
-    (a zero step contributes exactly zero).  Budgets above MU_STEP_CAP raise
-    BudgetOverflow with the offending index; budgets merely past the
-    linearization regime only warn.
+    Evaluates p * sqrt(sum_k expm1(mu_k^2)) for the sampling probability p in
+    (0, 1]; expm1 keeps small budgets exact (a zero step contributes exactly
+    zero).  Budgets above MU_STEP_CAP raise BudgetOverflow with the offending
+    index; budgets merely past the linearization regime only warn.
     """
-    mus = ledger.step_budgets
+    if not 0 < sampling_prob <= 1:
+        raise ValueError("sampling probability must lie in (0, 1]")
+    mus = np.asarray(step_budgets, dtype=float)
     if (mus < 0).any():
         raise ValueError("step budgets must be nonnegative")
     over = np.flatnonzero(mus > MU_STEP_CAP)
@@ -140,7 +128,7 @@ def compose_general(ledger: CompositionLedger) -> float:
             "the closed-form noise-multiplier bound is loose in this regime",
             RegimeWarning,
         )
-    return float(ledger.sampling_prob * math.sqrt(np.expm1(np.square(mus)).sum()))
+    return float(sampling_prob * math.sqrt(np.expm1(np.square(mus)).sum()))
 
 
 def uniform_budget(mu_tot: float, J: int, K: int) -> float:
@@ -228,10 +216,6 @@ class PrivacySpec:
     J: int
     K: int
     mu_tot: float
-
-    @property
-    def sampling_prob(self) -> float:
-        return 1.0 / self.J
 
     @classmethod
     def resolve(cls, epsilon: float, delta: float, J: int, K: int) -> "PrivacySpec":

@@ -12,9 +12,10 @@ Subcommands:
 
 Configuration lives in an INI-style file with sections [run], [privacy],
 [schedule], [graph], and [task]; ``--set section.key=value`` overrides any
-entry from the command line.  Unknown sections or keys, non-finite numbers and
-out-of-range values are rejected with the key named.  Exit codes: 0 success,
-1 configuration error, 2 runtime failure.
+entry from the command line.  Each entry is declared once, as a field of
+``ExperimentConfig`` whose metadata holds its section and parser.  Unknown
+sections or keys, non-finite numbers and out-of-range values are rejected with
+the key named.  Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -45,37 +46,6 @@ class ConfigError(ValueError):
     """Configuration problem; maps to exit code 1."""
 
 
-@dataclass
-class ExperimentConfig:
-    # [run]
-    n: int = 8
-    K: int = 0  # 0 means derived (only valid with gamma = corollary)
-    gamma: float | str = 0.05
-    seed: int = 0
-    repeat: int = 1
-    output: str = ""
-    b_window: int = 0  # 0 means the graph period
-    # [privacy]
-    epsilon: float = 0.0  # 0 means unset
-    delta: float = 0.0
-    # [schedule]
-    variant: str = "const"
-    c0: float = 2.0
-    rho_c: float = 0.0  # 0 means unset
-    rho_mu: float = 0.0
-    # [graph]
-    graph: str = "exponential"
-    matrices: str = ""  # JSON list of dense matrices, explicit schedules only
-    # [task]
-    model: str = "logistic"
-    J: int = 64
-    d_in: int = 10
-    classes: int = 2
-    hidden: int = 16
-    data_seed: int = 0
-    separation: float = 3.0
-
-
 def _parse_gamma(s: str):
     if s == "corollary":
         return s
@@ -85,51 +55,70 @@ def _parse_gamma(s: str):
     return gamma
 
 
-def _positive_int(s: str) -> int:
-    value = int(s)
-    if value < 1:
-        raise ValueError("must be at least 1")
-    return value
+def _int_at_least(low: int):
+    def parse(s: str) -> int:
+        value = int(s)
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+
+    return parse
+
+
+_positive_int, _nonnegative_int = _int_at_least(1), _int_at_least(0)
+
+
+def _entry(section: str, default, parse=None, key: str | None = None):
+    """A config entry: its INI section, default, parser (``type(default)`` unless
+    given) and key (the attribute name unless given)."""
+    meta = {"section": section, "parse": parse or type(default), "key": key}
+    return dataclasses.field(default=default, metadata=meta)
+
+
+@dataclass
+class ExperimentConfig:
+    n: int = _entry("run", 8, _positive_int)
+    K: int = _entry("run", 0)  # 0 means derived (only valid with gamma = corollary)
+    gamma: float | str = _entry("run", 0.05, _parse_gamma)
+    seed: int = _entry("run", 0, _nonnegative_int)
+    repeat: int = _entry("run", 1, _positive_int)
+    output: str = _entry("run", "")
+    b_window: int = _entry("run", 0, _nonnegative_int)  # 0 means the graph period
+    epsilon: float = _entry("privacy", 0.0)  # 0 means unset
+    delta: float = _entry("privacy", 0.0)
+    variant: str = _entry("schedule", "const")
+    c0: float = _entry("schedule", 2.0)
+    rho_c: float = _entry("schedule", 0.0)  # 0 means unset
+    rho_mu: float = _entry("schedule", 0.0)
+    graph: str = _entry("graph", "exponential", key="kind")
+    matrices: str = _entry("graph", "")  # JSON list of dense matrices, explicit schedules only
+    model: str = _entry("task", "logistic")
+    J: int = _entry("task", 64, _positive_int)
+    d_in: int = _entry("task", 10, _positive_int)
+    classes: int = _entry("task", 2)
+    hidden: int = _entry("task", 16, _positive_int)
+    data_seed: int = _entry("task", 0, _nonnegative_int)
+    separation: float = _entry("task", 3.0)
+
+
+# (section, key, attribute, parser) of every entry, in declaration order
+_FIELDS = [
+    (f.metadata["section"], f.metadata["key"] or f.name, f.name, f.metadata["parse"])
+    for f in dataclasses.fields(ExperimentConfig)
+]
+_BY_SECTION: dict[str, dict[str, tuple]] = {}
+for _sec, _key, _attr, _parse in _FIELDS:
+    _BY_SECTION.setdefault(_sec, {})[_key] = (_attr, _parse)
+_AXIS_KEYS = {attr: (sec, key) for sec, key, attr, _ in _FIELDS if attr in SWEEP_AXES}
 
 
 def _ser_float(v) -> str:
     return repr(float(v))
 
 
-# (section, key, attribute, parser, serializer)
-_FIELDS = [
-    ("run", "n", "n", _positive_int, str),
-    ("run", "K", "K", int, str),
-    ("run", "gamma", "gamma", _parse_gamma, lambda v: v if isinstance(v, str) else _ser_float(v)),
-    ("run", "seed", "seed", int, str),
-    ("run", "repeat", "repeat", _positive_int, str),
-    ("run", "output", "output", str, str),
-    ("run", "b_window", "b_window", int, str),
-    ("privacy", "epsilon", "epsilon", float, _ser_float),
-    ("privacy", "delta", "delta", float, _ser_float),
-    ("schedule", "variant", "variant", str, str),
-    ("schedule", "c0", "c0", float, _ser_float),
-    ("schedule", "rho_c", "rho_c", float, _ser_float),
-    ("schedule", "rho_mu", "rho_mu", float, _ser_float),
-    ("graph", "kind", "graph", str, str),
-    ("graph", "matrices", "matrices", str, str),
-    ("task", "model", "model", str, str),
-    ("task", "J", "J", _positive_int, str),
-    ("task", "d_in", "d_in", _positive_int, str),
-    ("task", "classes", "classes", int, str),
-    ("task", "hidden", "hidden", _positive_int, str),
-    ("task", "data_seed", "data_seed", int, str),
-    ("task", "separation", "separation", float, _ser_float),
-]
-_BY_SECTION = {}
-for _sec, _key, _attr, _parse, _ser in _FIELDS:
-    _BY_SECTION.setdefault(_sec, {})[_key] = (_attr, _parse, _ser)
-_AXIS_KEYS = {attr: (sec, key) for sec, key, attr, _, _ in _FIELDS if attr in SWEEP_AXES}
-
-
 def _parse_field(section: str, key: str, value: str):
     """(attribute, parsed value) of one entry; a bad or non-finite value names its key."""
-    attr, parse, _ = _BY_SECTION[section][key]
+    attr, parse = _BY_SECTION[section][key]
     try:
         parsed = parse(value)
     except ValueError as exc:
@@ -182,13 +171,14 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical INI text for a config; parsing it back is lossless."""
     lines = []
     current = None
-    for section, key, attr, _, ser in _FIELDS:
+    for section, key, attr, _ in _FIELDS:
         if section != current:
             if current is not None:
                 lines.append("")
             lines.append(f"[{section}]")
             current = section
-        lines.append(f"{key} = {ser(getattr(cfg, attr))}")
+        value = getattr(cfg, attr)
+        lines.append(f"{key} = {_ser_float(value) if isinstance(value, float) else value}")
     return "\n".join(lines) + "\n"
 
 
@@ -314,29 +304,32 @@ def _output_path(base: str, default: str, seed: int, repeat: int) -> str:
     return f"{stem}_seed{seed}.{ext}"
 
 
+def _replicates(cfg: ExperimentConfig, variant: str | None = None):
+    """(seed, metrics log) of each replicate, seeds cfg.seed .. cfg.seed + repeat - 1."""
+    for seed in range(cfg.seed, cfg.seed + cfg.repeat):
+        yield seed, run(_resolve(cfg, seed, variant))
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
+
+
 def _mean_std(values: list[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     return float(arr.mean()), float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-
-
-def _format_mean_std(values: list[float | None]) -> str:
-    if values and values[0] is None:
-        return "-"
-    return "{:.4f}+/-{:.4f}".format(*_mean_std(values))
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args.set)
     if args.output:
         cfg.output = args.output
-    for r in range(cfg.repeat):
-        seed = cfg.seed + r
-        rc = _resolve(cfg, seed)
-        if r == 0:
+    for seed, log in _replicates(cfg):
+        if seed == cfg.seed:
             for key in ("mu_tot", "mu0", "contraction_rate"):
-                if key in rc.extra_meta:
-                    print(f"{key} = {rc.extra_meta[key]}")
-        log = run(rc)
+                if key in log.meta:
+                    print(f"{key} = {log.meta[key]}")
         path = _output_path(cfg.output, "run.csv", seed, cfg.repeat)
         log.write_csv(path)
         print(f"wrote {path}")
@@ -350,42 +343,28 @@ def cmd_compare(args) -> int:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r} in --variants")
     variants.append(NONPRIVATE)
-    table = []
+    table = []  # (variant, (loss mean, loss std, accuracy mean, accuracy std))
     for variant in variants:
-        seeds = range(cfg.seed, cfg.seed + cfg.repeat)
-        summaries = [summarize(run(_resolve(cfg, seed, variant))) for seed in seeds]
+        summaries = [summarize(log) for _, log in _replicates(cfg, variant)]
+        losses = [s.final_loss for s in summaries]
+        accuracies = [s.final_accuracy for s in summaries]
+        table.append((variant, _mean_std(losses) + _mean_std(accuracies)))
+    print(f"{'variant':<12} {'epsilon':>8} {'delta':>8} {'final_loss':>18} {'final_accuracy':>18}")
+    lines = [
+        "variant,epsilon,delta,final_loss_mean,final_loss_std,"
+        "final_accuracy_mean,final_accuracy_std"
+    ]
+    for variant, stats in table:
         private = variant != NONPRIVATE
-        table.append(
-            {
-                "variant": variant,
-                "epsilon": _ser_float(cfg.epsilon) if private else "",
-                "delta": _ser_float(cfg.delta) if private else "",
-                "final_loss": [s.final_loss for s in summaries],
-                "final_accuracy": [s.final_accuracy for s in summaries],
-            }
-        )
-    header = f"{'variant':<12} {'epsilon':>8} {'delta':>8} {'final_loss':>18} {'final_accuracy':>18}"
-    print(header)
-    for row in table:
-        eps = f"{cfg.epsilon:g}" if row["epsilon"] else "-"
-        delta = f"{cfg.delta:g}" if row["delta"] else "-"
-        print(
-            f"{row['variant']:<12} {eps:>8} {delta:>8} "
-            f"{_format_mean_std(row['final_loss']):>18} "
-            f"{_format_mean_std(row['final_accuracy']):>18}"
-        )
+        eps = f"{cfg.epsilon:g}" if private else "-"
+        delta = f"{cfg.delta:g}" if private else "-"
+        loss = "{:.4f}+/-{:.4f}".format(*stats[:2])
+        acc = "{:.4f}+/-{:.4f}".format(*stats[2:])
+        print(f"{variant:<12} {eps:>8} {delta:>8} {loss:>18} {acc:>18}")
+        privacy = [_ser_float(cfg.epsilon), _ser_float(cfg.delta)] if private else ["", ""]
+        lines.append(",".join([variant, *privacy, *map(repr, stats)]))
     if args.output:
-        lines = [
-            "variant,epsilon,delta,final_loss_mean,final_loss_std,"
-            "final_accuracy_mean,final_accuracy_std"
-        ]
-        for row in table:
-            stats = _mean_std(row["final_loss"]) + _mean_std(row["final_accuracy"])
-            cells = [row["variant"], row["epsilon"], row["delta"]] + [repr(v) for v in stats]
-            lines.append(",".join(cells))
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {args.output}")
+        _write(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -404,28 +383,11 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values must list at least one value")
     lines = ["axis,value,seed,final_loss,final_accuracy,mean_grad_norm_sq,clip_fraction"]
     for value in values:
-        point = _apply_axis(cfg, args.axis, value)
-        for r in range(point.repeat):
-            seed = point.seed + r
-            summary = summarize(run(_resolve(point, seed)))
-            acc = "" if summary.final_accuracy is None else repr(float(summary.final_accuracy))
-            lines.append(
-                ",".join(
-                    [
-                        args.axis,
-                        value,
-                        str(seed),
-                        repr(float(summary.final_loss)),
-                        acc,
-                        repr(float(summary.mean_grad_norm_sq)),
-                        repr(float(summary.clip_fraction)),
-                    ]
-                )
-            )
-    path = args.output or cfg.output or "sweep.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {path}")
+        for seed, log in _replicates(_apply_axis(cfg, args.axis, value)):
+            s = summarize(log)
+            cells = (s.final_loss, s.final_accuracy, s.mean_grad_norm_sq, s.clip_fraction)
+            lines.append(",".join([args.axis, value, str(seed), *map(_ser_float, cells)]))
+    _write(args.output or cfg.output or "sweep.csv", "\n".join(lines) + "\n")
     return 0
 
 
@@ -437,7 +399,7 @@ def cmd_accountant(args) -> int:
         raise ConfigError("run.K must be positive")
     _check_privacy(cfg)
     privacy, sched = _private_schedule(cfg, cfg.variant, cfg.K)
-    composed = compose_general(sched.as_ledger(privacy.J))
+    composed = compose_general(sched.budget, 1.0 / privacy.J)
     print(f"epsilon = {privacy.epsilon:g}, delta = {privacy.delta:g}")
     print(f"mu_tot = {privacy.mu_tot!r}")
     print(f"variant = {sched.variant}")
@@ -446,9 +408,7 @@ def cmd_accountant(args) -> int:
     print(f"sigma_last = {float(sched.sigma[-1])!r}")
     print(f"composed_mu_tot = {composed!r}")
     if args.table:
-        with open(args.table, "w", newline="\n") as fh:
-            fh.write(sched.table_csv())
-        print(f"wrote {args.table}")
+        _write(args.table, sched.table_csv())
     return 0
 
 

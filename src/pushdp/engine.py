@@ -39,7 +39,7 @@ import numpy as np
 from .metrics import MetricsLog, RoundDetail, RoundStats, mean_sq_consensus
 from .models import Task, batched_sample_gradients, evaluate
 from .schedule import NoiseSchedule
-from .topology import GraphSchedule, validate_column_stochastic
+from .topology import GraphSchedule
 
 PURPOSE_INIT = 0
 PURPOSE_SAMPLE = 1
@@ -173,8 +173,6 @@ def run(config: RunConfig) -> MetricsLog:
         raise ValueError(f"dataset has {data.n} shards but the graph has {n} nodes")
     if config.gamma < 0:
         raise ValueError("step size must be nonnegative")
-    for k in range(config.graph.period):
-        validate_column_stochastic(config.graph.matrix_at(k))
     clip, budget, sigma = _schedule_arrays(config)
 
     X = _initial_iterates(config)
@@ -199,8 +197,7 @@ def run(config: RunConfig) -> MetricsLog:
         halves = X - config.gamma * (G if noise is None else G + noise)
         max_grad_norm = max(max_grad_norm, float(norms.max()))
 
-        P = config.graph.matrix_at(k).weights
-        X_next, w_next, Z_next = _mix_arrays(halves, w, P)
+        X_next, w_next, Z_next = _mix_arrays(halves, w, config.graph.matrix_at(k))
         if not np.isfinite(X_next).all():
             raise NonFiniteParameter(k)
         max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))

@@ -9,8 +9,7 @@ The CSV layout is one row per iteration with the fixed column set
 
     k, loss, grad_norm_sq, consensus_err, clip_rate, C_k, mu_k, sigma_k, accuracy
 
-(the accuracy column is omitted for runs that never measure it), preceded by
-``#``-prefixed metadata lines.  Floats are written with ``repr`` so equal
+preceded by ``#``-prefixed metadata lines.  Floats are written with ``repr`` so equal
 runs produce byte-identical files.
 """
 
@@ -32,7 +31,7 @@ class RoundStats:
     clip_bound: float
     step_budget: float
     noise_std: float
-    accuracy: float | None = None
+    accuracy: float
 
 
 @dataclass(frozen=True)
@@ -57,17 +56,9 @@ class MetricsLog:
     rows: list[RoundStats]
     detail: list[RoundDetail] | None = None
 
-    @property
-    def has_accuracy(self) -> bool:
-        return bool(self.rows) and self.rows[0].accuracy is not None
-
     def csv_body(self) -> str:
         """Header line plus data rows, no metadata; used for byte comparisons."""
-        columns = "k,loss,grad_norm_sq,consensus_err,clip_rate,C_k,mu_k,sigma_k"
-        with_acc = self.has_accuracy
-        if with_acc:
-            columns += ",accuracy"
-        lines = [columns]
+        lines = ["k,loss,grad_norm_sq,consensus_err,clip_rate,C_k,mu_k,sigma_k,accuracy"]
         for r in self.rows:
             cells = [
                 str(r.k),
@@ -78,9 +69,8 @@ class MetricsLog:
                 repr(float(r.clip_bound)),
                 repr(float(r.step_budget)),
                 repr(float(r.noise_std)),
+                repr(float(r.accuracy)),
             ]
-            if with_acc:
-                cells.append(repr(float(r.accuracy)))
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -106,7 +96,7 @@ class RunSummary:
     min_grad_norm_sq: float
     mean_grad_norm_sq: float
     clip_fraction: float
-    final_accuracy: float | None
+    final_accuracy: float
 
 
 def summarize(log: MetricsLog) -> RunSummary:

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import (
-    CompositionLedger,
-    PrivacySpec,
-    noise_scale_general,
-    solve_mu0,
-    uniform_budget,
-)
+from .accountant import PrivacySpec, noise_scale_general, solve_mu0, uniform_budget
 
 VARIANTS = ("dyn", "dyn-clip", "dyn-mu", "const")
 
@@ -72,9 +66,6 @@ class NoiseSchedule:
     @property
     def K(self) -> int:
         return len(self.sigma)
-
-    def as_ledger(self, J: int) -> CompositionLedger:
-        return CompositionLedger(step_budgets=self.budget, sampling_prob=1.0 / J)
 
     def table_csv(self) -> str:
         """Audit dump of the full schedule, one row per step."""

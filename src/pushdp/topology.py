@@ -3,14 +3,16 @@
 A communication round is described by a mixing matrix P where ``P[i, j]`` is
 the weight node i applies to the value pushed by node j.  Columns describe how
 a sender splits its outgoing mass, so every column must sum to one (push-sum
-weights then undo the directional bias).  Built-in generators keep one half of
-the mass on the sender and push the other half to a single out-neighbor:
+weights then undo the directional bias).  ``graph_schedule`` builds a
+``GraphSchedule``, one read-only stack of such matrices cycled round by round,
+from one of four kinds:
 
-* ``ring_graph``: node i sends to (i + 1) mod n every round.
-* ``exponential_graph``: node i sends to (i + 2^(k mod m)) mod n at round k,
-  with m = floor(log2(n - 1)) + 1, so the hop distance cycles through powers
-  of two and the schedule is periodic with period m.
-* ``complete_graph``: uniform all-to-all averaging with every entry 1/n.
+* ``ring``: node i keeps half its mass and sends half to (i + 1) mod n.
+* ``exponential``: node i keeps half and sends half to (i + 2^(k mod m)) mod n
+  at round k, with m = floor(log2(n - 1)) + 1, so the hop distance cycles
+  through powers of two and the schedule is periodic with period m.
+* ``complete``: uniform all-to-all averaging with every entry 1/n.
+* ``explicit``: a given list of matrices.
 
 The module also checks B-strong-connectivity of a schedule (every window of B
 consecutive rounds must have a strongly connected edge union) and derives the
@@ -54,29 +56,13 @@ class InvalidRegime(ValueError):
     """Contraction constants are undefined for these graph parameters."""
 
 
-@dataclass(frozen=True)
-class MixingMatrix:
-    """One round's communication weights, columns summing to one."""
-
-    n: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.n, self.n):
-            raise ValueError(f"weights must be ({self.n}, {self.n}), got {w.shape}")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-
-def validate_column_stochastic(matrix: MixingMatrix) -> None:
-    """Raise unless the matrix is column-stochastic with positive self weights.
+def validate_column_stochastic(w: np.ndarray) -> None:
+    """Raise unless the (n, n) matrix is column-stochastic with positive self weights.
 
     Checks run in a fixed order: entry signs first, then column sums within
     ``COLUMN_SUM_TOL``, then the diagonal.  Positive diagonals are required
     because a node that forgets its own value breaks push-sum weight recovery.
     """
-    w = matrix.weights
     negative = np.argwhere(w < 0)
     if negative.size:
         i, j = (int(v) for v in negative[0])
@@ -92,15 +78,6 @@ def validate_column_stochastic(matrix: MixingMatrix) -> None:
         raise MissingSelfLoop(int(off[0][0]))
 
 
-def _one_neighbor_matrix(n: int, hop: int) -> MixingMatrix:
-    """Each node keeps half its mass and pushes half to the node ``hop`` ahead."""
-    w = np.zeros((n, n))
-    senders = np.arange(n)
-    w[senders, senders] = 0.5
-    w[(senders + hop) % n, senders] += 0.5  # receivers are a permutation; hop % n == 0 sends to self
-    return MixingMatrix(n, w)
-
-
 def exponential_period(n: int) -> int:
     """Number of rounds before the exponential hop pattern repeats."""
     if n <= 2:
@@ -108,75 +85,69 @@ def exponential_period(n: int) -> int:
     return int(math.floor(math.log2(n - 1))) + 1
 
 
-def exponential_graph(n: int, k: int) -> MixingMatrix:
-    """Round-k matrix of the one-peer exponential schedule.
-
-    At round k every node sends to the peer ``2^(k mod m)`` positions ahead,
-    so over m consecutive rounds information hops by 1, 2, 4, ... positions
-    and reaches every node in logarithmically many rounds.
-    """
-    if n < 1:
-        raise ValueError("need at least one node")
-    hop = 2 ** (k % exponential_period(n))
-    return _one_neighbor_matrix(n, hop)
-
-
-def ring_graph(n: int) -> MixingMatrix:
-    """Static directed ring: node i sends half its mass to node i + 1."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    return _one_neighbor_matrix(n, 1)
-
-
-def complete_graph(n: int) -> MixingMatrix:
-    """Uniform averaging matrix with every entry 1/n."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    return MixingMatrix(n, np.full((n, n), 1.0 / n))
-
-
 @dataclass(frozen=True)
 class GraphSchedule:
-    """Periodic sequence of mixing matrices, one per communication round."""
+    """Periodic sequence of mixing matrices, one per communication round.
 
-    n: int
+    ``weights`` is a read-only ``(period, n, n)`` stack and round k mixes
+    through ``weights[k % period]``.  Every slice is validated on construction,
+    so a schedule that exists is valid.  The stack is not copied: an array
+    passed in becomes read-only.
+    """
+
     kind: str
-    period: int
-    matrices: tuple[MixingMatrix, ...]
+    weights: np.ndarray
 
-    def matrix_at(self, k: int) -> MixingMatrix:
-        return self.matrices[k % self.period]
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 3 or not len(w) or w.shape[1] != w.shape[2]:
+            raise ValueError(f"weights must be a (period, n, n) stack, got {w.shape}")
+        for matrix in w:
+            validate_column_stochastic(matrix)
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
-    def min_positive_weight(self) -> float:
-        return min(float(m.weights[m.weights > 0].min()) for m in self.matrices)
+    @property
+    def n(self) -> int:
+        return self.weights.shape[1]
+
+    @property
+    def period(self) -> int:
+        return self.weights.shape[0]
+
+    def matrix_at(self, k: int) -> np.ndarray:
+        return self.weights[k % self.period]
 
 
 def graph_schedule(kind: str, n: int, matrices=None) -> GraphSchedule:
     """Build a schedule from a generator name or an explicit matrix list.
 
     ``kind`` is one of ``ring``, ``exponential``, ``complete``, or
-    ``explicit``; the latter takes ``matrices`` (dense arrays or
-    MixingMatrix instances) and cycles through them.  Every matrix is
-    validated once here so the engine can trust the schedule.
+    ``explicit``; the latter takes ``matrices`` (dense ``(n, n)`` arrays or
+    nested lists) and cycles through them.  Each generator fills its stack in
+    place, so the schedule holds the array built here.
     """
-    if kind == "ring":
-        mats = (ring_graph(n),)
-    elif kind == "complete":
-        mats = (complete_graph(n),)
-    elif kind == "exponential":
-        mats = tuple(exponential_graph(n, k) for k in range(exponential_period(n)))
-    elif kind == "explicit":
+    if kind == "explicit":
         if not matrices:
             raise ValueError("explicit schedule needs at least one matrix")
-        mats = tuple(
-            m if isinstance(m, MixingMatrix) else MixingMatrix(n, np.asarray(m, dtype=float))
-            for m in matrices
-        )
-    else:
+        mats = [np.asarray(m, dtype=float) for m in matrices]
+        for m in mats:
+            if m.shape != (n, n):
+                raise ValueError(f"weights must be ({n}, {n}), got {m.shape}")
+        return GraphSchedule(kind, np.stack(mats))
+    if kind not in ("ring", "exponential", "complete"):
         raise ValueError(f"unknown graph kind {kind!r}")
-    for m in mats:
-        validate_column_stochastic(m)
-    return GraphSchedule(n=n, kind=kind, period=len(mats), matrices=mats)
+    if n < 1:
+        raise ValueError("need at least one node")
+    if kind == "complete":
+        return GraphSchedule(kind, np.full((1, n, n), 1.0 / n))
+    hops = 2 ** np.arange(exponential_period(n)) if kind == "exponential" else np.ones(1, int)
+    w = np.zeros((len(hops), n, n))
+    rounds, senders = np.arange(len(hops))[:, None], np.arange(n)
+    w[rounds, senders, senders] = 0.5
+    # receivers are a permutation per round; hop % n == 0 sends to self
+    w[rounds, (senders + hops[:, None]) % n, senders] += 0.5
+    return GraphSchedule(kind, w)
 
 
 @dataclass(frozen=True)
@@ -236,7 +207,7 @@ def check_b_strong_connectivity(schedule: GraphSchedule, B: int) -> Connectivity
     for window in range(num_windows):
         union = np.zeros((n, n), dtype=bool)
         for k in range(window * B, (window + 1) * B):
-            union |= schedule.matrix_at(k).weights > 0
+            union |= schedule.matrix_at(k) > 0
         dist = _window_distances(n, union)
         if (dist < 0).any():
             connected = False
@@ -309,7 +280,6 @@ def spectral_report(
     report = check_b_strong_connectivity(schedule, window)
     if not report.is_b_connected:
         return report, None
-    constants = spectral_constants(
-        schedule.n, schedule.min_positive_weight(), window, report.diameter, d
-    )
+    w = schedule.weights
+    constants = spectral_constants(schedule.n, float(w[w > 0].min()), window, report.diameter, d)
     return report, constants

@@ -128,7 +128,7 @@ def reference_run(config):
                 halves[i] = X[i] - config.gamma * g
             grads[i] = g
         max_grad_norm = max(max_grad_norm, max(norms))
-        X_next, w_next, Z_next = _mix_arrays(halves, w, config.graph.matrix_at(k).weights)
+        X_next, w_next, Z_next = _mix_arrays(halves, w, config.graph.matrix_at(k))
         max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))
         rows.append(
             RoundStats(

@@ -5,7 +5,6 @@ import pytest
 
 from pushdp.accountant import (
     BudgetOverflow,
-    CompositionLedger,
     NoBracket,
     PrivacySpec,
     RegimeWarning,
@@ -114,33 +113,37 @@ def test_mu_tot_degenerate_request_still_round_trips():
 
 def test_compose_single_step_closed_form():
     # p = 1, one step at mu = 1: sqrt(e - 1), mpmath 1.3108324944320861759
-    ledger = CompositionLedger(step_budgets=np.array([1.0]), sampling_prob=1.0)
-    assert compose_general(ledger) == pytest.approx(1.3108324944320861759, rel=1e-14)
+    assert compose_general(np.array([1.0]), 1.0) == pytest.approx(1.3108324944320861759, rel=1e-14)
 
 
 def test_compose_zero_steps_contribute_nothing():
-    with_zeros = CompositionLedger(np.array([0.5, 0.0, 0.0, 0.5]), 0.25)
-    without = CompositionLedger(np.array([0.5, 0.5]), 0.25)
-    assert compose_general(with_zeros) == compose_general(without)
+    with_zeros = compose_general(np.array([0.5, 0.0, 0.0, 0.5]), 0.25)
+    assert with_zeros == compose_general(np.array([0.5, 0.5]), 0.25)
 
 
 def test_compose_scales_with_sampling_probability():
     mus = np.full(10, 0.3)
-    a = compose_general(CompositionLedger(mus, 1.0))
-    b = compose_general(CompositionLedger(mus, 0.1))
+    a = compose_general(mus, 1.0)
+    b = compose_general(mus, 0.1)
     assert b == pytest.approx(0.1 * a, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [0.0, -0.1, 1.5, math.nan])
+def test_compose_rejects_sampling_probability_outside_unit_interval(p):
+    with pytest.raises(ValueError, match="sampling probability"):
+        compose_general(np.array([0.5]), p)
 
 
 def test_compose_budget_overflow_carries_index():
     mus = np.array([0.5, 0.5, 9.0, 0.5])
     with pytest.raises(BudgetOverflow) as exc:
-        compose_general(CompositionLedger(mus, 0.5))
+        compose_general(mus, 0.5)
     assert exc.value.k == 2
 
 
 def test_compose_warns_outside_linearization_regime():
     with pytest.warns(RegimeWarning):
-        compose_general(CompositionLedger(np.array([1.5]), 1.0))
+        compose_general(np.array([1.5]), 1.0)
 
 
 def test_uniform_budget_identity_case():
@@ -155,10 +158,9 @@ def test_uniform_budget_round_trips_through_composition(J, K):
 
     for mu_tot in (0.05, 0.3, 1.0):
         mu_bar = uniform_budget(mu_tot, J, K)
-        ledger = CompositionLedger(np.full(K, mu_bar), 1.0 / J)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
-            composed = compose_general(ledger)
+            composed = compose_general(np.full(K, mu_bar), 1.0 / J)
         assert composed == pytest.approx(mu_tot, rel=1e-12)
 
 
@@ -220,5 +222,4 @@ def test_noise_scale_general_rejects_mismatched_profiles():
 
 def test_privacy_spec_resolves_and_round_trips():
     spec = PrivacySpec.resolve(0.7, 1e-4, 250, 2000)
-    assert spec.sampling_prob == pytest.approx(1.0 / 250)
     assert abs(delta_from_mu_eps(spec.mu_tot, 0.7) - 1e-4) <= 1e-9

@@ -2,6 +2,8 @@ import contextlib
 import dataclasses
 import io
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,14 @@ def test_parse_serialize_round_trip():
 
 def test_serialize_default_config_round_trips():
     cfg = ExperimentConfig()
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_readme_config_example_parses_and_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    cfg = parse_config(example)
+    assert (cfg.n, cfg.K, cfg.repeat, cfg.variant, cfg.J) == (20, 2000, 5, "dyn", 250)
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -248,7 +258,7 @@ def test_run_rejects_bad_clip_bound(tmp_path, capsys, value):
     assert not out.exists()
 
 
-FLOAT_KEYS = [f"{sec}.{key}" for sec, key, _, parse, _ in _FIELDS if parse in (float, _parse_gamma)]
+FLOAT_KEYS = [f"{sec}.{key}" for sec, key, _, parse in _FIELDS if parse in (float, _parse_gamma)]
 # (overrides, key the error must name); BASE has d_in = 6.  The accountant
 # builds no model, so it never sees the MODEL_OUT_OF_RANGE cases.
 MODEL_OUT_OF_RANGE = [
@@ -264,6 +274,9 @@ OUT_OF_RANGE = MODEL_OUT_OF_RANGE + [
     (["task.d_in=0"], "task.d_in"),
     (["task.model=mlp", "task.hidden=0"], "task.hidden"),
     (["privacy.epsilon=1e6"], "privacy.epsilon"),
+    (["run.seed=-1"], "run.seed"),
+    (["task.data_seed=-1"], "task.data_seed"),
+    (["run.b_window=-3"], "run.b_window"),
 ]
 NON_FINITE_CASES = [([f"{key}={v}"], key) for key in FLOAT_KEYS for v in ("nan", "inf", "-inf")]
 

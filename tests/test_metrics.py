@@ -89,13 +89,6 @@ def test_csv_header_and_shape():
     assert lines[3].startswith("0,")
 
 
-def test_csv_omits_accuracy_when_absent():
-    rows = [make_row(0, accuracy=None)]
-    body = MetricsLog(meta={}, rows=rows).csv_body()
-    assert body.splitlines()[0] == "k,loss,grad_norm_sq,consensus_err,clip_rate,C_k,mu_k,sigma_k"
-    assert len(body.splitlines()[1].split(",")) == 8
-
-
 def test_csv_deterministic_bytes():
     rows = [make_row(k, loss=np.float64(k) / 3.0) for k in range(5)]
     a = MetricsLog(meta={"seed": 1}, rows=rows).csv_text()

@@ -14,14 +14,11 @@ from pushdp.topology import (
     ColumnSumViolation,
     InvalidRegime,
     MissingSelfLoop,
-    MixingMatrix,
+    GraphSchedule,
     NegativeWeight,
     check_b_strong_connectivity,
-    complete_graph,
-    exponential_graph,
     exponential_period,
     graph_schedule,
-    ring_graph,
     spectral_constants,
     _window_distances,
     spectral_report,
@@ -30,8 +27,7 @@ from pushdp.topology import (
 
 
 def test_ring_matrix_entries():
-    m = ring_graph(4)
-    w = m.weights
+    w = graph_schedule("ring", 4).matrix_at(0)
     for j in range(4):
         assert w[j, j] == 0.5
         assert w[(j + 1) % 4, j] == 0.5
@@ -42,7 +38,7 @@ def test_exponential_hop_sequence_n8():
     # node 0's receiver over rounds: hops 1, 2, 4, then wrap to 1 (period 3)
     assert exponential_period(8) == 3
     for k, receiver in [(0, 1), (1, 2), (2, 4), (3, 1)]:
-        w = exponential_graph(8, k).weights
+        w = graph_schedule("exponential", 8).matrix_at(k)
         assert w[receiver, 0] == 0.5
         assert w[0, 0] == 0.5
 
@@ -55,12 +51,12 @@ def test_exponential_period_small_n():
 
 
 def test_single_node_graphs_are_identity():
-    for m in (ring_graph(1), exponential_graph(1, 0), complete_graph(1)):
-        assert m.weights == pytest.approx(np.array([[1.0]]))
+    for kind in ("ring", "exponential", "complete"):
+        assert graph_schedule(kind, 1).matrix_at(0) == pytest.approx(np.array([[1.0]]))
 
 
 def test_complete_graph_uniform():
-    w = complete_graph(5).weights
+    w = graph_schedule("complete", 5).matrix_at(0)
     assert np.all(w == 0.2)
 
 
@@ -71,13 +67,13 @@ def test_generators_column_stochastic(kind, n):
     for k in range(sched.period):
         m = sched.matrix_at(k)
         validate_column_stochastic(m)
-        assert np.abs(m.weights.sum(axis=0) - 1.0).max() <= 1e-12
+        assert np.abs(m.sum(axis=0) - 1.0).max() <= 1e-12
 
 
 def test_schedule_periodicity():
     sched = graph_schedule("exponential", 8)
     for k in range(6):
-        assert sched.matrix_at(k) is sched.matrix_at(k + sched.period)
+        assert np.array_equal(sched.matrix_at(k), sched.matrix_at(k + sched.period))
 
 
 def test_validate_negative_entry():
@@ -85,13 +81,13 @@ def test_validate_negative_entry():
     w[0, 1] = -0.1
     w[1, 1] = 1.1
     with pytest.raises(NegativeWeight):
-        validate_column_stochastic(MixingMatrix(2, w))
+        validate_column_stochastic(w)
 
 
 def test_validate_column_sum():
     w = np.array([[0.5, 0.3], [0.5, 0.3]])
     with pytest.raises(ColumnSumViolation) as exc:
-        validate_column_stochastic(MixingMatrix(2, w))
+        validate_column_stochastic(w)
     assert exc.value.j == 1
     assert exc.value.total == pytest.approx(0.6)
 
@@ -99,7 +95,7 @@ def test_validate_column_sum():
 def test_validate_missing_self_loop():
     w = np.array([[0.0, 0.5], [1.0, 0.5]])
     with pytest.raises(MissingSelfLoop) as exc:
-        validate_column_stochastic(MixingMatrix(2, w))
+        validate_column_stochastic(w)
     assert exc.value.i == 0
 
 
@@ -109,6 +105,39 @@ def test_explicit_schedule_validated():
     assert sched.period == 1
     with pytest.raises(ColumnSumViolation):
         graph_schedule("explicit", 2, [[[0.5, 0.5], [0.4, 0.5]]])
+
+
+@pytest.mark.parametrize(
+    "bad,error,where",
+    [
+        ([[0.5, -0.1], [0.5, 1.1]], NegativeWeight, {"i": 0, "j": 1}),
+        ([[0.5, 0.3], [0.5, 0.3]], ColumnSumViolation, {"j": 1}),
+        ([[0.5, 1.0], [0.5, 0.0]], MissingSelfLoop, {"i": 1}),
+    ],
+    ids=["negative", "column-sum", "self-loop"],
+)
+def test_schedule_validates_every_slice(bad, error, where):
+    # the first slice is valid, so the error must come from checking the second
+    stack = np.stack([np.full((2, 2), 0.5), np.array(bad)])
+    with pytest.raises(error) as exc:
+        GraphSchedule("explicit", stack)
+    assert {key: getattr(exc.value, key) for key in where} == where
+
+
+def test_schedule_weights_are_read_only():
+    sched = graph_schedule("exponential", 8)
+    with pytest.raises(ValueError, match="read-only"):
+        sched.weights[0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        sched.matrix_at(1)[0, 0] = 0.0
+    assert sched.weights.shape == (sched.period, 8, 8) and sched.n == 8
+
+
+def test_explicit_schedule_rejects_wrong_shape():
+    with pytest.raises(ValueError, match=r"^weights must be \(2, 2\), got \(2, 3\)$"):
+        graph_schedule("explicit", 2, [[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]])
+    with pytest.raises(ValueError, match=r"\(period, n, n\) stack"):
+        GraphSchedule("explicit", np.full((2, 3), 0.5))
 
 
 def test_ring_diameter_n4():
@@ -182,8 +211,8 @@ def test_spectral_report_uses_period_window():
 def _window_union(kind, n):
     schedule = graph_schedule(kind, n)
     union = np.zeros((n, n), dtype=bool)
-    for m in schedule.matrices:
-        union |= m.weights > 0
+    for m in schedule.weights:
+        union |= m > 0
     return union
 
 
