@@ -208,9 +208,11 @@ def _build_graph(cfg: ExperimentConfig, n: int):
             matrices = json.loads(cfg.matrices)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"graph.matrices is not valid JSON: {exc}") from exc
+        if not isinstance(matrices, list):
+            raise ConfigError("graph.matrices must be a JSON list of matrices")
     try:
         return graph_schedule(cfg.graph, n, matrices)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a matrix entry is not a number
         raise ConfigError(f"graph.matrices: {exc}") from exc
 
 

@@ -21,11 +21,12 @@ Each dot product reproduces its single-node counterpart bit for bit, so the
 result equals a per-node loop exactly.  The schedule is read as its three
 arrays, checked once before round 0.
 
-Randomness is drawn from counter-based Philox streams keyed by
-(master seed, node index, purpose), one purpose for parameter init, one for
-data sampling, and one for noise.  Each stream is read in blocks of
-ROUND_BLOCK rounds; a block draw yields the same values as the single draws
-it replaces.  Results are therefore bitwise reproducible for a given seed,
+Randomness comes from one counter-based Philox stream per node and purpose
+(init, sampling, noise), keyed by ``SeedSequence([seed, node, purpose])``;
+``stream_keys`` derives all keys in one vectorized pass, and one generator per
+purpose is re-keyed to each node's saved state.  Streams are read in blocks of
+ROUND_BLOCK rounds, equal to the single draws they replace, and a noise-free run
+builds no noise stream.  Results are bitwise reproducible for a given seed,
 and ablating noise never shifts the sampled data sequence.
 """
 
@@ -68,10 +69,72 @@ class NonFiniteParameter(ArithmeticError):
         super().__init__(f"non-finite parameter after round {k}; try a smaller step size")
 
 
-def node_stream(master_seed: int, node: int, purpose: int) -> np.random.Generator:
-    """Independent Philox stream for one node and purpose."""
-    seq = np.random.SeedSequence([master_seed, node, purpose])
-    return np.random.Generator(np.random.Philox(seq))
+# numpy's SeedSequence: pool size, hashmix constants (A mixes, B outputs), mix multipliers
+_POOL, _MASK32 = 4, 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix; each call hashes with the next constant of its sequence."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value *= const
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def stream_keys(seed: int, n: int) -> np.ndarray:
+    """Philox key of every stream, shape (3, n, 2) uint64: entry [p, i] equals
+    ``SeedSequence([seed, i, p]).generate_state(2, np.uint64)``.
+
+    SeedSequence's pool mixing on uint32 arrays, one lane per (purpose, node):
+    its hash constants advance alike in every lane, so one pass serves all.
+    """
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    m = len(words)
+    # entropy words [seed words..., node, purpose], zero-padded to the pool size
+    entropy = np.zeros((max(m + 2, _POOL), 3, n), dtype=np.uint32)
+    entropy[:m] = np.array(words)[:, None, None]
+    entropy[m], entropy[m + 1] = np.arange(n), np.arange(3)[:, None]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    # mix each pool word into every other one, then each entropy word past the pool into all
+    for src, word in enumerate(entropy):
+        for dst in range(_POOL):
+            if dst != src:
+                mixed = pool[dst] * _MIX_L - hashmix(pool[src] if src < _POOL else word) * _MIX_R
+                pool[dst] = mixed ^ mixed >> 16
+    out = _hasher(_INIT_B, _MULT_B)  # four uint32 words, read as two little-endian uint64
+    key_words = np.stack([out(word) for word in pool], axis=-1).astype("<u4")
+    return key_words.view("<u8").astype(np.uint64)
+
+
+class _Streams:
+    """The per-node streams of one purpose, read through one Philox generator set
+    to node i's saved state (fresh: counter 0, empty buffer) for node i's draw."""
+
+    def __init__(self, keys: np.ndarray):
+        self._gen = np.random.Generator(np.random.Philox(key=keys[0]))
+        zeros = np.zeros(4, np.uint64)  # the state setter copies, so all states share it
+        fresh = dict(bit_generator="Philox", buffer=zeros, buffer_pos=4, has_uint32=0, uinteger=0)
+        self._states = [dict(fresh, state={"counter": zeros, "key": k}) for k in keys]
+
+    def each(self, draw, last: bool = False) -> list:
+        """``draw(generator)`` from each node's stream; ``last`` keeps no state."""
+        bits, out = self._gen.bit_generator, []
+        for i, state in enumerate(self._states):
+            bits.state = state
+            out.append(draw(self._gen))
+            if not last:
+                self._states[i] = bits.state
+        return out
 
 
 def _mix_arrays(
@@ -117,14 +180,14 @@ class RunConfig:
         return self.task.model.dim
 
 
-def _initial_iterates(config: RunConfig) -> np.ndarray:
+def _initial_iterates(config: RunConfig, keys: np.ndarray) -> np.ndarray:
     if config.x0 is not None:
         x0 = np.array(config.x0, dtype=float)
         if x0.shape != (config.n, config.d):
             raise ValueError(f"x0 must have shape ({config.n}, {config.d})")
         return x0
-    streams = (node_stream(config.seed, i, PURPOSE_INIT) for i in range(config.n))
-    return np.stack([r.standard_normal(config.d) * INIT_SCALE for r in streams])
+    draws = _Streams(keys).each(lambda gen: gen.standard_normal(config.d), last=True)
+    return np.stack(draws) * INIT_SCALE
 
 
 def _schedule_arrays(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,17 +207,18 @@ def _schedule_arrays(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     return clip, budget, sigma
 
 
-def _round_draws(config: RunConfig, noisy: bool):
+def _round_draws(config: RunConfig, keys: np.ndarray, noisy: bool):
     """Per round: each node's sample index, and its standard-normal noise row
     when ``noisy`` (else None), drawn ROUND_BLOCK rounds at a time."""
-    n, d, K, J = config.n, config.d, config.K, config.task.dataset.J
-    samplers = [node_stream(config.seed, i, PURPOSE_SAMPLE) for i in range(n)]
-    noisers = [node_stream(config.seed, i, PURPOSE_NOISE) for i in range(n)]
+    d, K, J = config.d, config.K, config.task.dataset.J
+    samplers = _Streams(keys[PURPOSE_SAMPLE])
+    noisers = _Streams(keys[PURPOSE_NOISE]) if noisy else None
     for k0 in range(0, K, ROUND_BLOCK):
         B = min(ROUND_BLOCK, K - k0)
-        idx = np.stack([r.integers(J, size=B) for r in samplers], axis=1)
+        last = k0 + B == K
+        idx = np.stack(samplers.each(lambda gen: gen.integers(J, size=B), last), axis=1)
         if noisy:
-            noise = np.stack([r.standard_normal((B, d)) for r in noisers], axis=1)
+            noise = np.stack(noisers.each(lambda gen: gen.standard_normal((B, d)), last), axis=1)
         for t in range(B):
             yield idx[t], noise[t] if noisy else None
 
@@ -175,7 +239,8 @@ def run(config: RunConfig) -> MetricsLog:
         raise ValueError("step size must be nonnegative")
     clip, budget, sigma = _schedule_arrays(config)
 
-    X = _initial_iterates(config)
+    keys = stream_keys(config.seed, n)
+    X = _initial_iterates(config, keys[PURPOSE_INIT])
     w = np.ones(n)
     Z = X.copy()
     nodes = np.arange(n)
@@ -184,7 +249,7 @@ def run(config: RunConfig) -> MetricsLog:
     max_weight_drift = 0.0
     max_grad_norm = 0.0
 
-    for k, (idx, std_noise) in enumerate(_round_draws(config, bool(sigma.any()))):
+    for k, (idx, std_noise) in enumerate(_round_draws(config, keys, bool(sigma.any()))):
         C_k = float(clip[k])
         xbar = X.mean(axis=0)
         loss, grad, acc = evaluate(model, data, xbar)

@@ -12,9 +12,9 @@ Two model families cover the convex and non-convex regimes:
 * ``mlp``: one tanh hidden layer into a softmax output, parameters
   flattened as (W1, b1, W2, b2), trained with softmax cross-entropy.
 
-Gradients are hand-derived and vectorized; ``full_objective`` averages the
-loss and gradient over every sample on every node and is the quantity the
-engine logs at the average iterate.
+Gradients are hand-derived and vectorized; ``evaluate`` averages the loss and
+gradient over every sample on every node and is the quantity the engine logs
+at the average iterate.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def _batch_loss_grad(
     model: Model, params: np.ndarray, X: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy loss, flat gradient, and the scores over a batch: the
-    logit z (logistic) or logits (mlp) that ``predictions`` thresholds or argmaxes."""
+    logit z (logistic) or logits (mlp) whose sign or argmax is the prediction."""
     N = X.shape[0]
     if model.kind == "logistic":
         w, b = model.unflatten(params)
@@ -177,10 +177,11 @@ def batched_sample_gradients(
 ) -> np.ndarray:
     """Row i is the gradient at sample (Xs[i], ys[i]) and parameters Z[i].
 
-    Equals a stack of ``per_sample_gradient`` calls bit for bit, signs of zero
-    included: each product and sum keeps the single-sample shape as a batched
-    matmul or reduction slice, so numpy runs it by the same routine
-    (``einsum`` or a row-wise ``sum`` add in another order and differ by an ulp).
+    Equals a stack of single-sample ``_batch_loss_grad`` calls bit for bit,
+    signs of zero included: each product and sum keeps the single-sample shape
+    as a batched matmul or reduction slice, so numpy runs it by the same
+    routine (``einsum`` or a row-wise ``sum`` add in another order and differ
+    by an ulp).
     """
     n = Z.shape[0]
     grads = np.empty_like(Z)
@@ -212,36 +213,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def per_sample_loss(model: Model, params: np.ndarray, x: np.ndarray, y: int) -> float:
-    loss, _, _ = _batch_loss_grad(model, params, x[None, :], np.asarray([y]))
-    return loss
-
-
-def per_sample_gradient(model: Model, params: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
-    """Exact flat gradient of the cross-entropy loss at one sample."""
-    _, grad, _ = _batch_loss_grad(model, params, x[None, :], np.asarray([y]))
-    return grad
-
-
-def full_objective(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float, np.ndarray]:
-    """Loss and gradient averaged over every sample on every node."""
-    X, y = dataset.flat()
-    loss, grad, _ = _batch_loss_grad(model, params, X, y)
-    return loss, grad
-
-
-def predictions(model: Model, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-    if model.kind == "logistic":
-        w, b = model.unflatten(params)
-        return (X @ w + b > 0).astype(int)
-    W1, b1, W2, b2 = model.unflatten(params)
-    logits = np.tanh(X @ W1.T + b1) @ W2.T + b2
-    return logits.argmax(axis=1)
-
-
 def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Loss, gradient, and accuracy over the pooled dataset in one forward pass;
-    the accuracy reads the loss pass's scores and equals that of ``predictions``."""
+    the accuracy reads the loss pass's scores instead of predicting again."""
     X, y = dataset.flat()
     loss, grad, scores = _batch_loss_grad(model, params, X, y)
     hits = (scores > 0) == y if model.kind == "logistic" else scores.argmax(axis=1) == y

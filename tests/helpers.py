@@ -3,10 +3,45 @@
 import numpy as np
 
 from pushdp.accountant import PrivacySpec
-from pushdp.engine import RunConfig
-from pushdp.models import Model, Task, synth_dataset
+from pushdp.engine import INIT_SCALE, PURPOSE_INIT, PURPOSE_NOISE, PURPOSE_SAMPLE, RunConfig
+from pushdp.models import Model, Task, _batch_loss_grad, synth_dataset
 from pushdp.schedule import build_schedule
 from pushdp.topology import graph_schedule
+
+
+def node_stream(master_seed: int, node: int, purpose: int) -> np.random.Generator:
+    """The Philox stream of one node and purpose, built on its own; the oracle
+    for the engine's keyed streams."""
+    seq = np.random.SeedSequence([master_seed, node, purpose])
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def per_sample_loss(model: Model, params: np.ndarray, x: np.ndarray, y: int) -> float:
+    loss, _, _ = _batch_loss_grad(model, params, x[None, :], np.asarray([y]))
+    return loss
+
+
+def per_sample_gradient(model: Model, params: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
+    """Exact flat gradient of the cross-entropy loss at one sample."""
+    _, grad, _ = _batch_loss_grad(model, params, x[None, :], np.asarray([y]))
+    return grad
+
+
+def full_objective(model: Model, dataset, params: np.ndarray) -> tuple[float, np.ndarray]:
+    """Loss and gradient averaged over every sample on every node."""
+    X, y = dataset.flat()
+    loss, grad, _ = _batch_loss_grad(model, params, X, y)
+    return loss, grad
+
+
+def predictions(model: Model, params: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Predicted classes, computed apart from the loss pass ``evaluate`` reads them from."""
+    if model.kind == "logistic":
+        w, b = model.unflatten(params)
+        return (X @ w + b > 0).astype(int)
+    W1, b1, W2, b2 = model.unflatten(params)
+    logits = np.tanh(X @ W1.T + b1) @ W2.T + b2
+    return logits.argmax(axis=1)
 
 
 def logistic_task(n, J, d_in=6, data_seed=0, separation=3.0) -> Task:
@@ -62,9 +97,6 @@ def nonprivate_config(n, J, K, gamma=0.05, seed=0, graph="exponential", d_in=6, 
 
 def reference_single_node_sgd(task, gamma, K, seed):
     """Plain-Python SGD consuming the same streams the engine uses."""
-    from pushdp.engine import INIT_SCALE, PURPOSE_INIT, PURPOSE_SAMPLE, node_stream
-    from pushdp.models import per_sample_gradient
-
     model, data = task.model, task.dataset
     x = node_stream(seed, 0, PURPOSE_INIT).standard_normal(model.dim) * INIT_SCALE
     sampler = node_stream(seed, 0, PURPOSE_SAMPLE)
@@ -80,26 +112,26 @@ def reference_single_node_sgd(task, gamma, K, seed):
 def reference_run(config):
     """The round loop one node and one stream draw at a time.
 
-    Each node draws its sample index with a single ``integers`` call, takes
+    Each node's streams are built on their own by ``node_stream``.  A node
+    draws its initial iterate (unless ``x0`` is given) and then, each round,
+    its sample index with a single ``integers`` call, takes
     ``per_sample_gradient`` at its own de-biased estimate, clips by
     ``np.linalg.norm`` and draws its own noise vector; the schedule is read
     one step at a time.  ``engine.run`` must reproduce it byte for byte.
     """
-    from pushdp.engine import (
-        PURPOSE_NOISE,
-        PURPOSE_SAMPLE,
-        _initial_iterates,
-        _mix_arrays,
-        node_stream,
-    )
+    from pushdp.engine import _mix_arrays
     from pushdp.metrics import MetricsLog, RoundDetail, RoundStats, mean_sq_consensus
-    from pushdp.models import evaluate, per_sample_gradient
+    from pushdp.models import evaluate
 
     model, data, sched = config.task.model, config.task.dataset, config.schedule
     n, d, K, J = config.n, config.d, config.K, data.J
     sample_rngs = [node_stream(config.seed, i, PURPOSE_SAMPLE) for i in range(n)]
     noise_rngs = [node_stream(config.seed, i, PURPOSE_NOISE) for i in range(n)]
-    X = _initial_iterates(config)
+    if config.x0 is None:
+        init = (node_stream(config.seed, i, PURPOSE_INIT) for i in range(n))
+        X = np.stack([r.standard_normal(d) * INIT_SCALE for r in init])
+    else:
+        X = np.array(config.x0, dtype=float)
     w = np.ones(n)
     Z = X.copy()
     rows, details = [], []

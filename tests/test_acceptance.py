@@ -17,6 +17,8 @@ from helpers import (
     final_accuracies,
     logistic_task,
     nonprivate_config,
+    per_sample_gradient,
+    per_sample_loss,
     private_config,
     reference_run,
     reference_single_node_sgd,
@@ -31,14 +33,7 @@ from pushdp.accountant import (
 )
 from pushdp.engine import RunConfig, _mix_arrays, run
 from pushdp.metrics import summarize
-from pushdp.models import (
-    Model,
-    Task,
-    full_objective,
-    per_sample_gradient,
-    per_sample_loss,
-    synth_dataset,
-)
+from pushdp.models import Model, Task, synth_dataset
 from pushdp.schedule import build_schedule
 from pushdp.topology import graph_schedule
 

@@ -266,7 +266,13 @@ MODEL_OUT_OF_RANGE = [
     (["task.model=mlp", "task.classes=1"], "task.classes"),
     (["task.model=mlp", "task.classes=7"], "task.d_in"),
 ]
-OUT_OF_RANGE = MODEL_OUT_OF_RANGE + [
+# explicit matrices that are valid JSON but not a list of matrices; the accountant
+# builds no graph either
+BAD_MATRICES = [
+    (["graph.kind=explicit", f"graph.matrices={value}"], "graph.matrices")
+    for value in ("5", "true", '{"a": 1}', '"x"', '[{"a": 1}]')
+]
+OUT_OF_RANGE = MODEL_OUT_OF_RANGE + BAD_MATRICES + [
     (["run.gamma=-1"], "run.gamma"),
     (["run.n=0"], "run.n"),
     (["run.repeat=0"], "run.repeat"),
@@ -337,7 +343,7 @@ NON_FINITE_SPELLINGS = [
 )
 def test_config_fuzz_exits_1_naming_key(dyn_config, tmp_path_factory, case, command):
     overrides, key = case
-    if command == "accountant" and case in MODEL_OUT_OF_RANGE:
+    if command == "accountant" and case in MODEL_OUT_OF_RANGE + BAD_MATRICES:
         return
     out = tmp_path_factory.getbasetemp() / "fuzz-out.csv"
     code, err = _exit_code_and_stderr(_command_args(command, dyn_config, overrides, out))

@@ -2,10 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    full_objective,
     logistic_task,
+    node_stream,
     nonprivate_config,
+    per_sample_gradient,
     private_config,
     reference_run,
     reference_single_node_sgd,
@@ -20,10 +25,10 @@ from pushdp.engine import (
     NonFiniteParameter,
     RunConfig,
     _mix_arrays,
-    node_stream,
     run,
+    stream_keys,
 )
-from pushdp.models import Model, Task, full_objective, per_sample_gradient, synth_dataset
+from pushdp.models import Model, Task, synth_dataset
 from pushdp.schedule import build_general_schedule, build_schedule
 from pushdp.topology import graph_schedule
 
@@ -105,24 +110,43 @@ def test_local_step_noise_magnitude_matches_sigma():
 def test_local_step_sigma_zero_does_not_advance_stream(monkeypatch):
     import pushdp.engine as engine
 
-    streams = {}
+    seed, n, K = 3, 3, ROUND_BLOCK + 6  # the second block is partial
+    keys = stream_keys(seed, n)
+    built, reads = [], []  # purposes whose streams were built; (purpose, draws) per pass
 
-    def recording_stream(seed, node, purpose):
-        streams[node, purpose] = node_stream(seed, node, purpose)
-        return streams[node, purpose]
+    class RecordingStreams(engine._Streams):
+        def __init__(self, stream_keys):
+            super().__init__(stream_keys)
+            self.purpose = next(p for p in range(3) if np.array_equal(keys[p], stream_keys))
+            built.append(self.purpose)
 
-    monkeypatch.setattr(engine, "node_stream", recording_stream)
-    cfg = private_config(n=3, J=10, K=70, epsilon=0.5, variant="dyn", seed=3, noise_enabled=False)
-    run(cfg)
-    # every noise stream must still produce its first draw
-    for i in range(3):
-        fresh = node_stream(3, i, PURPOSE_NOISE).standard_normal(cfg.d)
-        assert np.array_equal(streams[i, PURPOSE_NOISE].standard_normal(cfg.d), fresh)
-    # while the sampling streams did advance
-    assert not np.array_equal(
-        streams[0, PURPOSE_SAMPLE].integers(10, size=8),
-        node_stream(3, 0, PURPOSE_SAMPLE).integers(10, size=8),
-    )
+        def each(self, draw, last=False):
+            out = super().each(draw, last)
+            reads.append((self.purpose, out))
+            return out
+
+    monkeypatch.setattr(engine, "_Streams", RecordingStreams)
+
+    def sample_blocks(noise_enabled):
+        built.clear()
+        reads.clear()
+        cfg = private_config(
+            n=n, J=10, K=K, epsilon=0.5, variant="dyn", seed=seed, noise_enabled=noise_enabled
+        )
+        run(cfg)
+        return [np.stack(out) for p, out in reads if p == PURPOSE_SAMPLE]
+
+    on = sample_blocks(True)
+    assert PURPOSE_NOISE in built
+    off = sample_blocks(False)
+    # noise off: no noise stream is built or read, and the sampled indices are unchanged
+    assert PURPOSE_NOISE not in built
+    assert PURPOSE_NOISE not in {p for p, _ in reads}
+    assert len(off) == 2
+    for a, b in zip(on, off, strict=True):
+        assert np.array_equal(a, b)
+    first = [node_stream(seed, i, PURPOSE_SAMPLE).integers(10, size=ROUND_BLOCK) for i in range(n)]
+    assert np.array_equal(off[0], np.stack(first))
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +268,30 @@ def test_weight_sums_conserved_across_graphs():
 # determinism
 
 
+@settings(database=None, derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**128 - 1), n=st.integers(1, 300))
+@example(seed=0, n=1)
+@example(seed=2**32 - 1, n=7)
+@example(seed=2**32, n=300)
+@example(seed=2**64, n=20)
+def test_stream_keys_match_seed_sequence(seed, n):
+    keys = stream_keys(seed, n)
+    assert keys.shape == (3, n, 2) and keys.dtype == np.uint64
+    for p in range(3):
+        for i in range(n):
+            want = np.random.SeedSequence([seed, i, p]).generate_state(2, np.uint64)
+            assert np.array_equal(keys[p, i], want), (p, i)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_stream_keys_reject_negative_seed_like_seed_sequence(seed):
+    with pytest.raises(ValueError):
+        np.random.SeedSequence([seed, 0, 0])
+    with pytest.raises(ValueError):
+        stream_keys(seed, 2)
+
+
+
 def test_run_is_deterministic():
     cfg = private_config(n=4, J=20, K=30, epsilon=0.5, variant="dyn", seed=11)
     a = run(cfg).csv_text()
@@ -273,8 +321,10 @@ def _mlp_private_config():
         # crosses two block boundaries of the stream draws and ends in a partial block
         lambda: private_config(n=3, J=10, K=2 * ROUND_BLOCK + 3, epsilon=1.0, variant="dyn-clip", seed=1),
         _mlp_private_config,
+        # a seed of two 32-bit words keys the streams by multi-word entropy
+        lambda: private_config(n=5, J=12, K=ROUND_BLOCK + 7, epsilon=0.5, variant="dyn", seed=2**40 + 3),
     ],
-    ids=["dyn", "nonprivate", "noise-disabled", "partial-block", "mlp"],
+    ids=["dyn", "nonprivate", "noise-disabled", "partial-block", "mlp", "seed-2^40+3"],
 )
 def test_run_matches_per_node_reference(make):
     cfg = make()

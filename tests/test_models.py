@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
+from helpers import full_objective, per_sample_gradient, per_sample_loss, predictions
+
 from pushdp.models import (
     Dataset,
     Model,
     Task,
     batched_sample_gradients,
     evaluate,
-    full_objective,
-    per_sample_gradient,
-    per_sample_loss,
-    predictions,
     _sigmoid,
     synth_dataset,
 )
