@@ -35,7 +35,7 @@ from .engine import RunConfig, run
 from .metrics import summarize
 from .models import Model, Task, synth_dataset
 from .schedule import VARIANTS, build_schedule
-from .topology import graph_schedule, spectral_report
+from .topology import check_b_strong_connectivity, graph_schedule
 
 NONPRIVATE = "nonprivate"
 SWEEP_AXES = ("rho_c", "rho_mu", "epsilon", "n", "graph")  # named as config attributes
@@ -201,6 +201,8 @@ def _build_graph(cfg: ExperimentConfig, n: int):
     if cfg.graph not in GRAPH_KINDS:
         raise ConfigError(f"graph.kind must be one of {GRAPH_KINDS}, got {cfg.graph!r}")
     matrices = None
+    if cfg.matrices and cfg.graph != "explicit":
+        raise ConfigError(f"graph.matrices is only read by an explicit schedule, not {cfg.graph!r}")
     if cfg.graph == "explicit":
         if not cfg.matrices:
             raise ConfigError("graph.matrices is required for an explicit schedule")
@@ -279,17 +281,12 @@ def _resolve(cfg: ExperimentConfig, seed: int, variant: str | None = None) -> Ru
         )
 
     if n > 1:
-        window = cfg.b_window if cfg.b_window > 0 else None
-        report, constants = spectral_report(graph, task.model.dim, window)
+        report = check_b_strong_connectivity(graph, cfg.b_window or graph.period)
         if not report.is_b_connected:
             raise ConfigError(
                 f"graph schedule is not strongly connected over windows of {report.window}"
             )
-        extra_meta.update(
-            graph_window=report.window,
-            graph_diameter=report.diameter,
-            contraction_rate=_ser_float(constants.contraction_rate),
-        )
+        extra_meta.update(graph_window=report.window, graph_diameter=report.diameter)
 
     return RunConfig(
         task=task, graph=graph, schedule=sched, gamma=gamma, K=K, seed=seed, extra_meta=extra_meta
@@ -329,7 +326,7 @@ def cmd_run(args) -> int:
         cfg.output = args.output
     for seed, log in _replicates(cfg):
         if seed == cfg.seed:
-            for key in ("mu_tot", "mu0", "contraction_rate"):
+            for key in ("mu_tot", "mu0"):
                 if key in log.meta:
                     print(f"{key} = {log.meta[key]}")
         path = _output_path(cfg.output, "run.csv", seed, cfg.repeat)

@@ -53,7 +53,7 @@ WEIGHT_FLOOR = 1e-300
 # held at once to n * ROUND_BLOCK * d floats.
 ROUND_BLOCK = 64
 
-# Standard deviation of the default per-node Gaussian initialization.
+# Standard deviation of the per-node Gaussian initialization.
 INIT_SCALE = 0.5
 
 
@@ -156,8 +156,7 @@ class RunConfig:
     ``schedule`` is a NoiseSchedule from either builder; None selects the
     non-private path (no clipping, no noise).  ``noise_enabled = False`` keeps
     the clipping bound of the schedule but injects no noise, which isolates
-    the two privacy mechanisms in ablations.  ``x0`` overrides the default
-    per-node initialization, Normal(0, INIT_SCALE^2) (shape (n, d)).
+    the two privacy mechanisms in ablations.
     """
 
     task: Task
@@ -167,7 +166,6 @@ class RunConfig:
     K: int
     seed: int
     noise_enabled: bool = True
-    x0: np.ndarray | None = None
     capture_detail: bool = False
     extra_meta: dict = field(default_factory=dict)
 
@@ -181,11 +179,6 @@ class RunConfig:
 
 
 def _initial_iterates(config: RunConfig, keys: np.ndarray) -> np.ndarray:
-    if config.x0 is not None:
-        x0 = np.array(config.x0, dtype=float)
-        if x0.shape != (config.n, config.d):
-            raise ValueError(f"x0 must have shape ({config.n}, {config.d})")
-        return x0
     draws = _Streams(keys).each(lambda gen: gen.standard_normal(config.d), last=True)
     return np.stack(draws) * INIT_SCALE
 

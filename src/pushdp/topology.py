@@ -14,9 +14,8 @@ from one of four kinds:
 * ``complete``: uniform all-to-all averaging with every entry 1/n.
 * ``explicit``: a given list of matrices.
 
-The module also checks B-strong-connectivity of a schedule (every window of B
-consecutive rounds must have a strongly connected edge union) and derives the
-contraction constants that govern how fast push-sum forgets initial conditions.
+The module also checks B-strong-connectivity of a schedule: every window of B
+consecutive rounds must have a strongly connected edge union.
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ class MissingSelfLoop(MixingMatrixError):
     def __init__(self, i: int):
         self.i = i
         super().__init__(f"node {i} has no positive self weight")
-
-
-class InvalidRegime(ValueError):
-    """Contraction constants are undefined for these graph parameters."""
 
 
 def validate_column_stochastic(w: np.ndarray) -> None:
@@ -218,68 +213,3 @@ def check_b_strong_connectivity(schedule: GraphSchedule, B: int) -> Connectivity
         window=B,
         diameter=diameter if connected else None,
     )
-
-
-@dataclass(frozen=True)
-class SpectralConstants:
-    """Constants controlling push-sum's geometric forgetting.
-
-    ``window_contraction`` is how much disagreement mass one connectivity
-    window is guaranteed to remove; ``contraction_rate`` spreads that over
-    the window to a per-round rate in [0, 1); ``amplification_bound`` caps
-    the transient overshoot before contraction takes hold (infinite on the
-    boundary where the guarantee degenerates).
-    """
-
-    min_weight: float
-    window_contraction: float
-    contraction_rate: float
-    amplification_bound: float
-
-
-def spectral_constants(n: int, eps_min: float, B: int, diameter: int, d: int) -> SpectralConstants:
-    """Derive contraction constants from graph parameters.
-
-    Requires ``eps_min`` in (0, 1], a window-diameter product of at least one
-    round, and ``n * eps_min**(diameter * B) <= 1``; outside that regime the
-    guarantee is vacuous and InvalidRegime is raised.
-    """
-    if not 0 < eps_min <= 1:
-        raise ValueError("minimal mixing weight must lie in (0, 1]")
-    exponent = diameter * B
-    if exponent < 1:
-        raise ValueError("diameter * window must be at least 1")
-    mass = n * eps_min**exponent
-    if mass > 1 + 1e-15:
-        raise InvalidRegime(
-            f"n * eps_min^(diameter*B) = {mass:g} exceeds 1; contraction is not guaranteed"
-        )
-    lam = max(0.0, 1.0 - mass)
-    rate = lam ** (1.0 / (exponent + 1))
-    if lam > 0:
-        amp = 2.0 * math.sqrt(d) * eps_min ** (-exponent) / lam ** ((exponent + 2) / (exponent + 1))
-    else:
-        amp = math.inf
-    return SpectralConstants(
-        min_weight=eps_min,
-        window_contraction=lam,
-        contraction_rate=rate,
-        amplification_bound=amp,
-    )
-
-
-def spectral_report(
-    schedule: GraphSchedule, d: int, B: int | None = None
-) -> tuple[ConnectivityReport, SpectralConstants | None]:
-    """Connectivity plus contraction constants for a schedule.
-
-    ``B`` defaults to the schedule period, which is the natural window for
-    the built-in generators.  Constants are None when the window check fails.
-    """
-    window = B if B is not None else schedule.period
-    report = check_b_strong_connectivity(schedule, window)
-    if not report.is_b_connected:
-        return report, None
-    w = schedule.weights
-    constants = spectral_constants(schedule.n, float(w[w > 0].min()), window, report.diameter, d)
-    return report, constants

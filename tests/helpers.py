@@ -1,7 +1,9 @@
 """Shared builders for engine-level and acceptance tests."""
 
 import numpy as np
+import pytest
 
+from pushdp import engine
 from pushdp.accountant import PrivacySpec
 from pushdp.engine import INIT_SCALE, PURPOSE_INIT, PURPOSE_NOISE, PURPOSE_SAMPLE, RunConfig
 from pushdp.models import Model, Task, _batch_loss_grad, synth_dataset
@@ -14,6 +16,14 @@ def node_stream(master_seed: int, node: int, purpose: int) -> np.random.Generato
     for the engine's keyed streams."""
     seq = np.random.SeedSequence([master_seed, node, purpose])
     return np.random.Generator(np.random.Philox(seq))
+
+
+def run_from(config, x0):
+    """``engine.run`` with node i starting from row i of the (n, d) array ``x0``
+    instead of its init-stream draw."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_initial_iterates", lambda cfg, keys: np.array(x0, dtype=float))
+        return engine.run(config)
 
 
 def per_sample_loss(model: Model, params: np.ndarray, x: np.ndarray, y: int) -> float:
@@ -113,8 +123,8 @@ def reference_run(config):
     """The round loop one node and one stream draw at a time.
 
     Each node's streams are built on their own by ``node_stream``.  A node
-    draws its initial iterate (unless ``x0`` is given) and then, each round,
-    its sample index with a single ``integers`` call, takes
+    draws its initial iterate and then, each round, its sample index with a
+    single ``integers`` call, takes
     ``per_sample_gradient`` at its own de-biased estimate, clips by
     ``np.linalg.norm`` and draws its own noise vector; the schedule is read
     one step at a time.  ``engine.run`` must reproduce it byte for byte.
@@ -127,11 +137,8 @@ def reference_run(config):
     n, d, K, J = config.n, config.d, config.K, data.J
     sample_rngs = [node_stream(config.seed, i, PURPOSE_SAMPLE) for i in range(n)]
     noise_rngs = [node_stream(config.seed, i, PURPOSE_NOISE) for i in range(n)]
-    if config.x0 is None:
-        init = (node_stream(config.seed, i, PURPOSE_INIT) for i in range(n))
-        X = np.stack([r.standard_normal(d) * INIT_SCALE for r in init])
-    else:
-        X = np.array(config.x0, dtype=float)
+    init = (node_stream(config.seed, i, PURPOSE_INIT) for i in range(n))
+    X = np.stack([r.standard_normal(d) * INIT_SCALE for r in init])
     w = np.ones(n)
     Z = X.copy()
     rows, details = [], []

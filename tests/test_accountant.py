@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pushdp.accountant import (
+    MU_BRACKET,
     BudgetOverflow,
     NoBracket,
     PrivacySpec,
@@ -11,6 +12,7 @@ from pushdp.accountant import (
     compose_general,
     delta_from_mu_eps,
     gaussian_cdf,
+    log_ndtr,
     mu_tot_from_eps_delta,
     noise_scale_general,
     solve_mu0,
@@ -39,6 +41,22 @@ def test_gaussian_cdf_against_high_precision_reference(t, expected):
 def test_gaussian_cdf_symmetry():
     for t in np.linspace(-6, 6, 41):
         assert gaussian_cdf(t) + gaussian_cdf(-t) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_log_ndtr_against_mpmath():
+    import mpmath
+
+    # both sides of the switch to the tail series at t = -20, a log grid out
+    # to -1e8, and the arguments delta_from_mu_eps takes at the bisection
+    # bracket's ends (t = -eps/mu - mu/2, mu in MU_BRACKET)
+    switch = [-20.0, math.nextafter(-20.0, 0.0), math.nextafter(-20.0, -math.inf), -19.5, -20.5]
+    bracket = [-eps / mu - mu / 2 for mu in MU_BRACKET for eps in (1e-6, 0.01, 0.3, 1.0)]
+    grid = [0.0, *-np.logspace(-12, 8, 201), *np.linspace(-40.0, 0.0, 161), *switch, *bracket]
+    for t in map(float, grid):
+        assert -1e8 <= t <= 0.0
+        with mpmath.workdps(40):
+            expected = float(mpmath.log(mpmath.ncdf(t)))
+        assert abs(log_ndtr(t) - expected) <= 1e-15 * abs(expected), t
 
 
 # mpmath references for the (mu, eps) -> delta transfer

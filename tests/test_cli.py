@@ -157,7 +157,8 @@ def test_resolve_records_graph_diagnostics():
     cfg = parse_config(BASE)
     rc = _resolve(cfg, seed=0)
     assert rc.extra_meta["graph_window"] == 2  # exponential n=4 has period 2
-    assert "contraction_rate" in rc.extra_meta
+    assert rc.extra_meta["graph_diameter"] == 2
+    assert "contraction_rate" not in rc.extra_meta
 
 
 def test_resolve_respects_b_window_override():
@@ -266,11 +267,14 @@ MODEL_OUT_OF_RANGE = [
     (["task.model=mlp", "task.classes=1"], "task.classes"),
     (["task.model=mlp", "task.classes=7"], "task.d_in"),
 ]
-# explicit matrices that are valid JSON but not a list of matrices; the accountant
-# builds no graph either
+# explicit matrices that are valid JSON but not a list of matrices, and matrices
+# given to a generated graph kind; the accountant builds no graph either
 BAD_MATRICES = [
     (["graph.kind=explicit", f"graph.matrices={value}"], "graph.matrices")
     for value in ("5", "true", '{"a": 1}', '"x"', '[{"a": 1}]')
+] + [
+    (["graph.kind=ring", "run.n=2", "graph.matrices=5"], "graph.matrices"),
+    (["graph.matrices=[[[0.5, 0.5], [0.5, 0.5]]]"], "graph.matrices"),
 ]
 OUT_OF_RANGE = MODEL_OUT_OF_RANGE + BAD_MATRICES + [
     (["run.gamma=-1"], "run.gamma"),

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import nonprivate_config
+from helpers import nonprivate_config, run_from
 
-from pushdp.engine import run
 from pushdp.metrics import MetricsLog, RoundStats, mean_sq_consensus, summarize
 
 
@@ -40,7 +39,7 @@ def test_consensus_uses_raw_mean_as_reference():
     X = np.array([[0.0], [4.0]])
     Z = np.array([[1.0], [1.0]])
     assert mean_sq_consensus(Z, X.mean(axis=0)) == pytest.approx(1.0)
-    log = run(nonprivate_config(n=2, J=5, K=1, x0=np.array([[0.0] * 7, [4.0] * 7])))
+    log = run_from(nonprivate_config(n=2, J=5, K=1), [[0.0] * 7, [4.0] * 7])
     assert log.rows[0].consensus_err == pytest.approx(4.0 * 7)
 
 
