@@ -10,6 +10,9 @@ Subcommands:
                  of values and write a summary grid CSV.
 * ``accountant`` resolve and audit a privacy schedule without training.
 
+A command builds the dataset and graph and checks connectivity once, shared by
+every variant and seed it runs (``sweep`` rebuilds them per ``n`` or ``graph``).
+
 Configuration lives in an INI-style file with sections [run], [privacy],
 [schedule], [graph], and [task]; ``--set section.key=value`` overrides any
 entry from the command line.  Each entry is declared once, as a field of
@@ -182,7 +185,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build_task(cfg: ExperimentConfig, n: int) -> Task:
+def _build_task(cfg: ExperimentConfig) -> Task:
     mlp = cfg.model == "mlp"
     if not mlp and cfg.model != "logistic":
         raise ConfigError(f"task.model must be logistic or mlp, got {cfg.model!r}")
@@ -192,12 +195,15 @@ def _build_task(cfg: ExperimentConfig, n: int) -> Task:
             raise ConfigError(f"task.{key} must be at least {low}, got {value}")
     model = Model(kind=cfg.model, d_in=cfg.d_in, classes=classes, hidden=cfg.hidden if mlp else 0)
     dataset = synth_dataset(
-        cfg.data_seed, n, cfg.J, d_in=cfg.d_in, classes=model.classes, separation=cfg.separation
+        cfg.data_seed, cfg.n, cfg.J, d_in=cfg.d_in, classes=model.classes, separation=cfg.separation
     )
     return Task(model=model, dataset=dataset)
 
 
-def _build_graph(cfg: ExperimentConfig, n: int):
+def _setting(cfg: ExperimentConfig) -> tuple:
+    """(task, graph, connectivity report or None for one node): what every leg of a
+    command shares, since none of it depends on the seed or the variant."""
+    task = _build_task(cfg)
     if cfg.graph not in GRAPH_KINDS:
         raise ConfigError(f"graph.kind must be one of {GRAPH_KINDS}, got {cfg.graph!r}")
     matrices = None
@@ -213,9 +219,11 @@ def _build_graph(cfg: ExperimentConfig, n: int):
         if not isinstance(matrices, list):
             raise ConfigError("graph.matrices must be a JSON list of matrices")
     try:
-        return graph_schedule(cfg.graph, n, matrices)
+        graph = graph_schedule(cfg.graph, cfg.n, matrices)
     except (TypeError, ValueError) as exc:  # TypeError: a matrix entry is not a number
         raise ConfigError(f"graph.matrices: {exc}") from exc
+    B = cfg.b_window or graph.period
+    return task, graph, check_b_strong_connectivity(graph, B) if cfg.n > 1 else None
 
 
 def _check_privacy(cfg: ExperimentConfig) -> float:
@@ -240,12 +248,20 @@ def _private_schedule(cfg: ExperimentConfig, variant: str, K: int):
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve(cfg: ExperimentConfig, seed: int, variant: str | None = None) -> RunConfig:
-    """Turn a config into a concrete RunConfig for one replicate."""
+def _graph_meta(report) -> dict:
+    """A leg's connectivity metadata (none for one node); fails unless B-connected."""
+    if report and not report.is_b_connected:
+        raise ConfigError(
+            f"graph schedule is not strongly connected over windows of {report.window}"
+        )
+    return {"graph_window": report.window, "graph_diameter": report.diameter} if report else {}
+
+
+def _resolve(cfg: ExperimentConfig, seed: int, variant=None, setting=None) -> RunConfig:
+    """Turn a config into a concrete RunConfig for one replicate in a ``_setting``."""
     variant = variant if variant is not None else cfg.variant
     n = cfg.n
-    task = _build_task(cfg, n)
-    graph = _build_graph(cfg, n)
+    task, graph, report = setting or _setting(cfg)
     extra_meta: dict = {"variant": variant}
 
     if cfg.gamma != "corollary" and cfg.K < 1:
@@ -280,14 +296,7 @@ def _resolve(cfg: ExperimentConfig, seed: int, variant: str | None = None) -> Ru
             rho_mu=_ser_float(sched.rho_mu),
         )
 
-    if n > 1:
-        report = check_b_strong_connectivity(graph, cfg.b_window or graph.period)
-        if not report.is_b_connected:
-            raise ConfigError(
-                f"graph schedule is not strongly connected over windows of {report.window}"
-            )
-        extra_meta.update(graph_window=report.window, graph_diameter=report.diameter)
-
+    extra_meta.update(_graph_meta(report))
     return RunConfig(
         task=task, graph=graph, schedule=sched, gamma=gamma, K=K, seed=seed, extra_meta=extra_meta
     )
@@ -303,10 +312,10 @@ def _output_path(base: str, default: str, seed: int, repeat: int) -> str:
     return f"{stem}_seed{seed}.{ext}"
 
 
-def _replicates(cfg: ExperimentConfig, variant: str | None = None):
+def _replicates(cfg: ExperimentConfig, setting: tuple, variant: str | None = None):
     """(seed, metrics log) of each replicate, seeds cfg.seed .. cfg.seed + repeat - 1."""
     for seed in range(cfg.seed, cfg.seed + cfg.repeat):
-        yield seed, run(_resolve(cfg, seed, variant))
+        yield seed, run(_resolve(cfg, seed, variant, setting))
 
 
 def _write(path: str, text: str) -> None:
@@ -324,7 +333,7 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config, args.set)
     if args.output:
         cfg.output = args.output
-    for seed, log in _replicates(cfg):
+    for seed, log in _replicates(cfg, _setting(cfg)):
         if seed == cfg.seed:
             for key in ("mu_tot", "mu0"):
                 if key in log.meta:
@@ -342,9 +351,10 @@ def cmd_compare(args) -> int:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r} in --variants")
     variants.append(NONPRIVATE)
+    setting = _setting(cfg)
     table = []  # (variant, (loss mean, loss std, accuracy mean, accuracy std))
     for variant in variants:
-        summaries = [summarize(log) for _, log in _replicates(cfg, variant)]
+        summaries = [summarize(log) for _, log in _replicates(cfg, setting, variant)]
         losses = [s.final_loss for s in summaries]
         accuracies = [s.final_accuracy for s in summaries]
         table.append((variant, _mean_std(losses) + _mean_std(accuracies)))
@@ -381,8 +391,12 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("--values must list at least one value")
     lines = ["axis,value,seed,final_loss,final_accuracy,mean_grad_norm_sq,clip_fraction"]
+    setting = None
     for value in values:
-        for seed, log in _replicates(_apply_axis(cfg, args.axis, value)):
+        point = _apply_axis(cfg, args.axis, value)
+        if setting is None or args.axis in ("n", "graph"):  # the axes that shape the setting
+            setting = _setting(point)
+        for seed, log in _replicates(point, setting):
             s = summarize(log)
             cells = (s.final_loss, s.final_accuracy, s.mean_grad_norm_sq, s.clip_fraction)
             lines.append(",".join([args.axis, value, str(seed), *map(_ser_float, cells)]))
@@ -392,12 +406,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_accountant(args) -> int:
     cfg = load_config(args.config, args.set)
+    report = _setting(cfg)[2]  # bad [task] and [graph] entries fail as for a run
     if cfg.variant == NONPRIVATE:
         raise ConfigError("the accountant needs a private schedule variant")
     if cfg.K < 1:
         raise ConfigError("run.K must be positive")
     _check_privacy(cfg)
     privacy, sched = _private_schedule(cfg, cfg.variant, cfg.K)
+    _graph_meta(report)
     composed = compose_general(sched.budget, 1.0 / privacy.J)
     print(f"epsilon = {privacy.epsilon:g}, delta = {privacy.delta:g}")
     print(f"mu_tot = {privacy.mu_tot!r}")

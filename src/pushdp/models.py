@@ -88,6 +88,8 @@ def synth_dataset(
     features = means[labels] + rng.standard_normal((total, d_in))
     order = rng.permutation(total)
     features, labels = features[order], labels[order]
+    for array in (features, labels):  # one dataset serves every run of a CLI command
+        array.setflags(write=False)
     return Dataset(
         features=features.reshape(n, J, d_in),
         labels=labels.reshape(n, J),

@@ -85,8 +85,9 @@ class GraphSchedule:
     """Periodic sequence of mixing matrices, one per communication round.
 
     ``weights`` is a read-only ``(period, n, n)`` stack and round k mixes
-    through ``weights[k % period]``.  Every slice is validated on construction,
-    so a schedule that exists is valid.  The stack is not copied: an array
+    through ``weights[k % period]``.  The stack is validated in one pass on
+    construction (its first bad slice raises as ``validate_column_stochastic``
+    does), so a schedule that exists is valid.  It is not copied: an array
     passed in becomes read-only.
     """
 
@@ -97,8 +98,10 @@ class GraphSchedule:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 3 or not len(w) or w.shape[1] != w.shape[2]:
             raise ValueError(f"weights must be a (period, n, n) stack, got {w.shape}")
-        for matrix in w:
-            validate_column_stochastic(matrix)
+        bad = (w < 0).any(axis=(1, 2)) | (np.diagonal(w, axis1=1, axis2=2) <= 0).any(axis=1)
+        bad |= (np.abs(w.sum(axis=1) - 1.0) > COLUMN_SUM_TOL).any(axis=1)
+        if bad.any():
+            validate_column_stochastic(w[bad.argmax()])
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -197,7 +200,6 @@ def check_b_strong_connectivity(schedule: GraphSchedule, B: int) -> Connectivity
         raise ValueError("window must be at least one round")
     n = schedule.n
     num_windows = math.lcm(schedule.period, B) // B
-    connected = True
     diameter = 0
     for window in range(num_windows):
         union = np.zeros((n, n), dtype=bool)
@@ -205,11 +207,6 @@ def check_b_strong_connectivity(schedule: GraphSchedule, B: int) -> Connectivity
             union |= schedule.matrix_at(k) > 0
         dist = _window_distances(n, union)
         if (dist < 0).any():
-            connected = False
-            break
+            return ConnectivityReport(is_b_connected=False, window=B, diameter=None)
         diameter = max(diameter, int(dist.max()))
-    return ConnectivityReport(
-        is_b_connected=connected,
-        window=B,
-        diameter=diameter if connected else None,
-    )
+    return ConnectivityReport(is_b_connected=True, window=B, diameter=diameter)

@@ -1,14 +1,16 @@
 """Shared builders for engine-level and acceptance tests."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from pushdp import engine
+from pushdp import cli, engine
 from pushdp.accountant import PrivacySpec
 from pushdp.engine import INIT_SCALE, PURPOSE_INIT, PURPOSE_NOISE, PURPOSE_SAMPLE, RunConfig
 from pushdp.models import Model, Task, _batch_loss_grad, synth_dataset
 from pushdp.schedule import build_schedule
-from pushdp.topology import graph_schedule
+from pushdp.topology import graph_schedule, validate_column_stochastic
 
 
 def node_stream(master_seed: int, node: int, purpose: int) -> np.random.Generator:
@@ -200,6 +202,28 @@ def final_accuracies(logs) -> np.ndarray:
 
 def final_losses(logs) -> np.ndarray:
     return np.array([log.rows[-1].loss for log in logs])
+
+
+def validate_each_slice(weights) -> None:
+    """``validate_column_stochastic`` on each slice of a ``(period, n, n)`` stack in
+    turn; the oracle for ``GraphSchedule``'s one-pass check."""
+    for matrix in np.asarray(weights, dtype=float):
+        validate_column_stochastic(matrix)
+
+
+@contextlib.contextmanager
+def cli_resolving_each_leg():
+    """``pushdp.cli`` as if nothing were shared: every leg of a command builds its
+    own dataset, graph and connectivity report from its config.  The reference
+    for the setting a command builds once."""
+    resolve = cli._resolve
+
+    def resolve_alone(cfg, seed, variant=None, setting=None):
+        return resolve(cfg, seed, variant)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_resolve", resolve_alone)
+        yield
 
 
 def reference_window_distances(n: int, adjacency: np.ndarray) -> np.ndarray:

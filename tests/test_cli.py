@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import io
@@ -6,9 +7,11 @@ import re
 from pathlib import Path
 
 import pytest
+from helpers import cli_resolving_each_leg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pushdp import cli
 from pushdp.accountant import mu_tot_from_eps_delta
 from pushdp.cli import (
     _FIELDS,
@@ -260,15 +263,14 @@ def test_run_rejects_bad_clip_bound(tmp_path, capsys, value):
 
 
 FLOAT_KEYS = [f"{sec}.{key}" for sec, key, _, parse in _FIELDS if parse in (float, _parse_gamma)]
-# (overrides, key the error must name); BASE has d_in = 6.  The accountant
-# builds no model, so it never sees the MODEL_OUT_OF_RANGE cases.
+# (overrides, key the error must name); BASE has d_in = 6.
 MODEL_OUT_OF_RANGE = [
     (["task.d_in=1"], "task.d_in"),
     (["task.model=mlp", "task.classes=1"], "task.classes"),
     (["task.model=mlp", "task.classes=7"], "task.d_in"),
 ]
 # explicit matrices that are valid JSON but not a list of matrices, and matrices
-# given to a generated graph kind; the accountant builds no graph either
+# given to a generated graph kind
 BAD_MATRICES = [
     (["graph.kind=explicit", f"graph.matrices={value}"], "graph.matrices")
     for value in ("5", "true", '{"a": 1}', '"x"', '[{"a": 1}]')
@@ -347,12 +349,29 @@ NON_FINITE_SPELLINGS = [
 )
 def test_config_fuzz_exits_1_naming_key(dyn_config, tmp_path_factory, case, command):
     overrides, key = case
-    if command == "accountant" and case in MODEL_OUT_OF_RANGE + BAD_MATRICES:
-        return
     out = tmp_path_factory.getbasetemp() / "fuzz-out.csv"
     code, err = _exit_code_and_stderr(_command_args(command, dyn_config, overrides, out))
     assert code == 1, (command, overrides, err)
     assert key in err
+    assert not out.exists()
+
+
+# an explicit two-node schedule with no edges between the nodes
+DISCONNECTED = ["graph.kind=explicit", "run.n=2", "graph.matrices=[[[1.0, 0.0], [0.0, 1.0]]]"]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep", "accountant"])
+def test_disconnected_schedule_fails_after_each_legs_own_checks(tmp_path, command):
+    config = write_config(tmp_path, BASE.replace("variant = const", "variant = dyn"))
+    out = tmp_path / "out.csv"
+    args = _command_args(command, config, DISCONNECTED, out)
+    if command == "sweep":  # over an axis that keeps n = 2
+        args[args.index("n")] = "rho_c"
+    disconnected = "config error: graph schedule is not strongly connected over windows of 1\n"
+    assert _exit_code_and_stderr(args) == (1, disconnected)
+    # a leg's own fault is named first, as when every leg built its setting itself
+    no_epsilon = "config error: privacy.epsilon is required for private variants\n"
+    assert _exit_code_and_stderr([*args, "--set", "privacy.epsilon=0"]) == (1, no_epsilon)
     assert not out.exists()
 
 
@@ -486,3 +505,81 @@ def test_apply_axis_does_not_mutate_base():
 
     _apply_axis(cfg, "epsilon", "3.0")
     assert cfg == snapshot
+
+
+# ---------------------------------------------------------------------------
+# the setting: dataset, graph and connectivity check, built once per command
+
+SETTING_PARTS = ("synth_dataset", "graph_schedule", "check_b_strong_connectivity")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls the CLI makes to each function that builds part of the setting, by name."""
+    counts = collections.Counter()
+
+    def counting(name, build):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return build(*args, **kwargs)
+
+        return counted
+
+    for name in SETTING_PARTS:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    return counts
+
+
+def test_compare_builds_the_setting_once(tmp_path, builds):
+    config = write_config(tmp_path, BASE.replace("K = 15", "K = 5"))
+    args = ["compare", "--config", config, "--set", "run.repeat=3", "--variants", "dyn,const"]
+    assert _exit_code_and_stderr(args) == (0, "")
+    assert builds == dict.fromkeys(SETTING_PARTS, 1)  # for 3 variants x 3 seeds
+
+
+@pytest.mark.parametrize(
+    "axis,values,count", [("epsilon", "0.5,1.0,2.0", 1), ("rho_mu", "2,8", 1), ("n", "4,8", 2)]
+)
+def test_sweep_builds_a_setting_per_value_of_an_axis_that_shapes_it(
+    tmp_path, builds, axis, values, count
+):
+    config = write_config(tmp_path, BASE.replace("K = 15", "K = 5"))
+    args = ["sweep", "--config", config, "--set", "run.repeat=2", "--axis", axis]
+    args += ["--values", values, "--output", str(tmp_path / "grid.csv")]
+    assert _exit_code_and_stderr(args) == (0, "")
+    assert builds == dict.fromkeys(SETTING_PARTS, count)
+
+
+def test_commands_share_no_setting_across_calls(tmp_path, builds):
+    # nothing is cached beyond one command: a second call in the process builds again
+    config = write_config(tmp_path, BASE.replace("K = 15", "K = 5"))
+    for _ in range(2):
+        args = ["compare", "--config", config, "--variants", "dyn"]
+        assert _exit_code_and_stderr(args) == (0, "")
+    assert builds == dict.fromkeys(SETTING_PARTS, 2)
+
+
+@pytest.mark.filterwarnings("ignore::pushdp.accountant.RegimeWarning")
+def test_accountant_builds_the_setting(tmp_path, builds):
+    config = write_config(tmp_path, BASE.replace("variant = const", "variant = dyn"))
+    assert _exit_code_and_stderr(["accountant", "--config", config]) == (0, "")
+    assert builds == dict.fromkeys(SETTING_PARTS, 1)
+
+
+@pytest.mark.parametrize("graph", ["exponential", "ring"])
+def test_compare_with_a_shared_setting_equals_legs_built_alone(tmp_path, builds, graph):
+    config = write_config(tmp_path, BASE.replace("K = 15", "K = 10"))
+    out = tmp_path / "table.csv"
+    args = [
+        "compare", "--config", config, "--set", f"graph.kind={graph}", "--set", "run.repeat=2",
+        "--variants", "dyn,dyn-clip,dyn-mu,const", "--output", str(out),
+    ]
+    results = []
+    for context in (contextlib.nullcontext(), cli_resolving_each_leg()):
+        stdout = io.StringIO()
+        with context, contextlib.redirect_stdout(stdout):
+            assert main(args) == 0
+        results.append((stdout.getvalue(), out.read_bytes()))
+    assert results[0] == results[1]
+    # once shared, then once up front and once for each of the 5 x 2 legs
+    assert builds["synth_dataset"] == 1 + 1 + 10

@@ -31,6 +31,17 @@ def test_synth_dataset_shapes_and_balance():
     assert counts[0] == counts[1] == 120
 
 
+def test_synth_dataset_is_read_only():
+    # one dataset serves every leg of a CLI command, so no run may change it
+    data = synth_dataset(0, 3, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        data.features[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        data.labels[0, 0] = 1
+    X, y = data.flat()
+    assert not X.flags.writeable and not y.flags.writeable
+
+
 def test_synth_dataset_deterministic_in_seed():
     a = synth_dataset(11, 4, 30, d_in=6)
     b = synth_dataset(11, 4, 30, d_in=6)

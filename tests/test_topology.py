@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import reference_window_distances
+from helpers import reference_window_distances, validate_each_slice
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,6 +119,53 @@ def test_schedule_validates_every_slice(bad, error, where):
     with pytest.raises(error) as exc:
         GraphSchedule("explicit", stack)
     assert {key: getattr(exc.value, key) for key in where} == where
+
+
+def _raised(check, stack):
+    """(type, attributes, message) of the error ``check(stack)`` raises, or None."""
+    try:
+        check(stack)
+    except ValueError as exc:
+        return type(exc), dict(vars(exc)), str(exc)
+    return None
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(
+    period=st.integers(1, 4),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    faults=st.lists(
+        st.tuples(
+            st.sampled_from(["negative", "shift", "self-loop", "nan"]),
+            st.integers(0, 3),
+            st.integers(0, 5),
+            st.integers(0, 5),
+            # column-sum shifts on both sides of COLUMN_SUM_TOL = 1e-12
+            st.sampled_from([1e-3, 2e-12, 1.001e-12, 1e-12, 9.99e-13, -1.001e-12, -0.25]),
+        ),
+        max_size=3,
+    ),
+)
+def test_schedule_check_matches_per_slice_check(period, n, seed, faults):
+    # random column-stochastic stacks with positive diagonals, then injected faults:
+    # the one-pass check must raise what the first failing slice raises on its own
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.01, 1.0, size=(period, n, n))
+    w /= w.sum(axis=1, keepdims=True)
+    for kind, s, i, j, shift in faults:
+        s, i, j = s % period, i % n, j % n
+        if kind == "negative":
+            w[s, i, j] = -abs(shift)
+        elif kind == "shift":
+            w[s, i, j] += shift
+        elif kind == "self-loop":
+            w[s, (j + 1) % n, j] += w[s, j, j]
+            w[s, j, j] = 0.0
+        else:
+            w[s, i, j] = np.nan
+    expected = _raised(validate_each_slice, w)
+    assert _raised(lambda stack: GraphSchedule("explicit", stack), w.copy()) == expected
 
 
 def test_schedule_weights_are_read_only():
