@@ -13,13 +13,13 @@ Two model families cover the convex and non-convex regimes:
   flattened as (W1, b1, W2, b2), trained with softmax cross-entropy.
 
 Gradients are hand-derived and vectorized; ``evaluate`` averages the loss and
-gradient over every sample on every node and is the quantity the engine logs
-at the average iterate.
+gradient over every sample on every node in one pass (bit-identical to the
+two-pass formula) and is the quantity the engine logs at the average iterate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,12 +28,22 @@ _MEANS_SEED = 1799  # class means are fixed across dataset seeds
 
 @dataclass(frozen=True)
 class Dataset:
-    """Disjoint node shards: features (n, J, d_in) and integer labels (n, J)."""
+    """Disjoint node shards: features (n, J, d_in) and integer labels (n, J), plus
+    the pooled labels as floats (``targets``) and booleans (``positive``) for the
+    logistic evaluation, derived once.  All four arrays are read-only."""
 
     features: np.ndarray
     labels: np.ndarray
     classes: int
     seed: int
+    targets: np.ndarray = field(init=False, repr=False, compare=False)
+    positive: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "targets", self.labels.reshape(-1).astype(float))
+        object.__setattr__(self, "positive", self.labels.reshape(-1).astype(bool))
+        for array in (self.features, self.labels, self.targets, self.positive):
+            array.setflags(write=False)  # one dataset serves every run of a CLI command
 
     @property
     def n(self) -> int:
@@ -49,10 +59,7 @@ class Dataset:
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         """All samples pooled: features (n*J, d_in), labels (n*J,)."""
-        return (
-            self.features.reshape(-1, self.d_in),
-            self.labels.reshape(-1),
-        )
+        return self.features.reshape(-1, self.d_in), self.labels.reshape(-1)
 
 
 def _class_means(d_in: int, classes: int, separation: float) -> np.ndarray:
@@ -88,8 +95,6 @@ def synth_dataset(
     features = means[labels] + rng.standard_normal((total, d_in))
     order = rng.permutation(total)
     features, labels = features[order], labels[order]
-    for array in (features, labels):  # one dataset serves every run of a CLI command
-        array.setflags(write=False)
     return Dataset(
         features=features.reshape(n, J, d_in),
         labels=labels.reshape(n, J),
@@ -137,49 +142,12 @@ class Model:
         return W1.reshape(*lead, h, d), b1, W2.reshape(*lead, c, h), b2
 
 
-def _batch_loss_grad(
-    model: Model, params: np.ndarray, X: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy loss, flat gradient, and the scores over a batch: the
-    logit z (logistic) or logits (mlp) whose sign or argmax is the prediction."""
-    N = X.shape[0]
-    if model.kind == "logistic":
-        w, b = model.unflatten(params)
-        z = X @ w + b
-        # log(1 + e^z) - y z, stable for either sign of z
-        loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-        coeff = _sigmoid(z) - y
-        grad = np.empty(model.dim)
-        grad[: model.d_in] = X.T @ coeff / N
-        grad[model.d_in] = coeff.mean()
-        return loss, grad, z
-    W1, b1, W2, b2 = model.unflatten(params)
-    hidden = np.tanh(X @ W1.T + b1)
-    logits = hidden @ W2.T + b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_norm - shifted[np.arange(N), y]))
-    dlogits = np.exp(shifted)
-    dlogits /= dlogits.sum(axis=1, keepdims=True)
-    dlogits[np.arange(N), y] -= 1.0
-    dlogits /= N
-    dhidden = dlogits @ W2
-    dpre = dhidden * (1.0 - hidden**2)
-    grad = np.empty(model.dim)
-    gW1, gb1, gW2, gb2 = model.unflatten(grad)
-    gW1[:] = dpre.T @ X
-    gb1[:] = dpre.sum(axis=0)
-    gW2[:] = dlogits.T @ hidden
-    gb2[:] = dlogits.sum(axis=0)
-    return loss, grad, logits
-
-
 def batched_sample_gradients(
     model: Model, Z: np.ndarray, Xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
     """Row i is the gradient at sample (Xs[i], ys[i]) and parameters Z[i].
 
-    Equals a stack of single-sample ``_batch_loss_grad`` calls bit for bit,
+    Equals a stack of single-sample two-pass loss-gradient calls bit for bit,
     signs of zero included: each product and sum keeps the single-sample shape
     as a batched matmul or reduction slice, so numpy runs it by the same
     routine (``einsum`` or a row-wise ``sum`` add in another order and differ
@@ -217,11 +185,45 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Loss, gradient, and accuracy over the pooled dataset in one forward pass;
-    the accuracy reads the loss pass's scores instead of predicting again."""
+    the accuracy reads the loss pass's scores instead of predicting again.
+
+    The logistic loss and gradient take one elementwise pass over z = X w + b
+    and equal the two-pass ``logaddexp(0, z) - y z`` and ``_sigmoid(z) - y``
+    bit for bit: numpy's ``logaddexp(0, z)`` is ``max(z, 0) + log1p(exp(-|z|))``
+    in libm, so ``logaddexp(0, -|z|) + max(z, 0)`` is the same sum with a
+    predictable branch, and its ``exp(-|z|)`` is the sigmoid's.
+    """
     X, y = dataset.flat()
-    loss, grad, scores = _batch_loss_grad(model, params, X, y)
-    hits = (scores > 0) == y if model.kind == "logistic" else scores.argmax(axis=1) == y
-    return loss, grad, float(np.mean(hits))
+    N = X.shape[0]
+    grad = np.empty(model.dim)
+    if model.kind == "logistic":
+        w, b = model.unflatten(params)
+        z = X @ w + b
+        e = -np.abs(z)
+        terms = np.logaddexp(0.0, e) + np.maximum(z, 0.0) - dataset.targets * z
+        np.exp(e, out=e)
+        coeff = np.maximum(e, z >= 0) / (1.0 + e) - dataset.targets  # sigmoid(z) - y
+        grad[: model.d_in] = X.T @ coeff / N
+        grad[model.d_in] = coeff.mean()
+        hits = np.count_nonzero((z > 0) == dataset.positive)  # exact: hits / N is np.mean's float
+        return float(np.mean(terms)), grad, float(hits / N)
+    W1, b1, W2, b2 = model.unflatten(params)
+    hidden = np.tanh(X @ W1.T + b1)
+    logits = hidden @ W2.T + b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    dlogits = np.exp(shifted)  # one exp and one row sum serve the loss and the softmax
+    norm = dlogits.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(norm[:, 0]) - shifted[np.arange(N), y]))
+    dlogits /= norm
+    dlogits[np.arange(N), y] -= 1.0
+    dlogits /= N
+    dpre = (dlogits @ W2) * (1.0 - hidden**2)
+    gW1, gb1, gW2, gb2 = model.unflatten(grad)
+    gW1[:] = dpre.T @ X
+    gb1[:] = dpre.sum(axis=0)
+    gW2[:] = dlogits.T @ hidden
+    gb2[:] = dlogits.sum(axis=0)
+    return loss, grad, float(np.mean(logits.argmax(axis=1) == y))
 
 
 @dataclass(frozen=True)
@@ -234,6 +236,6 @@ class Task:
     def __post_init__(self):
         if self.model.d_in != self.dataset.d_in:
             raise ValueError("model and dataset disagree on the feature dimension")
-        if self.model.kind == "mlp" and self.model.classes != self.dataset.classes:
+        if self.model.classes != self.dataset.classes:
             raise ValueError("model and dataset disagree on the class count")
 

@@ -33,6 +33,12 @@ class MixingMatrixError(ValueError):
     """A proposed mixing matrix violates the column-stochastic contract."""
 
 
+class NonFiniteWeight(MixingMatrixError):
+    def __init__(self, i: int, j: int, value: float):
+        self.i, self.j, self.value = i, j, value
+        super().__init__(f"non-finite weight {value!r} at entry ({i}, {j})")
+
+
 class NegativeWeight(MixingMatrixError):
     def __init__(self, i: int, j: int, value: float):
         self.i, self.j, self.value = i, j, value
@@ -54,14 +60,15 @@ class MissingSelfLoop(MixingMatrixError):
 def validate_column_stochastic(w: np.ndarray) -> None:
     """Raise unless the (n, n) matrix is column-stochastic with positive self weights.
 
-    Checks run in a fixed order: entry signs first, then column sums within
+    Checks run in a fixed order: finite entries, entry signs, column sums within
     ``COLUMN_SUM_TOL``, then the diagonal.  Positive diagonals are required
     because a node that forgets its own value breaks push-sum weight recovery.
     """
-    negative = np.argwhere(w < 0)
-    if negative.size:
-        i, j = (int(v) for v in negative[0])
-        raise NegativeWeight(i, j, float(w[i, j]))
+    for error, bad in ((NonFiniteWeight, ~np.isfinite(w)), (NegativeWeight, w < 0)):
+        entries = np.argwhere(bad)
+        if entries.size:
+            i, j = (int(v) for v in entries[0])
+            raise error(i, j, float(w[i, j]))
     sums = w.sum(axis=0)
     bad = np.argwhere(np.abs(sums - 1.0) > COLUMN_SUM_TOL)
     if bad.size:
@@ -98,7 +105,8 @@ class GraphSchedule:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 3 or not len(w) or w.shape[1] != w.shape[2]:
             raise ValueError(f"weights must be a (period, n, n) stack, got {w.shape}")
-        bad = (w < 0).any(axis=(1, 2)) | (np.diagonal(w, axis1=1, axis2=2) <= 0).any(axis=1)
+        # NaN fails ``>= 0`` and +inf fails the column sum, so no non-finite slice passes
+        bad = ~(w >= 0).all(axis=(1, 2)) | (np.diagonal(w, axis1=1, axis2=2) <= 0).any(axis=1)
         bad |= (np.abs(w.sum(axis=1) - 1.0) > COLUMN_SUM_TOL).any(axis=1)
         if bad.any():
             validate_column_stochastic(w[bad.argmax()])

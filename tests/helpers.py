@@ -8,7 +8,7 @@ import pytest
 from pushdp import cli, engine
 from pushdp.accountant import PrivacySpec
 from pushdp.engine import INIT_SCALE, PURPOSE_INIT, PURPOSE_NOISE, PURPOSE_SAMPLE, RunConfig
-from pushdp.models import Model, Task, _batch_loss_grad, synth_dataset
+from pushdp.models import Model, Task, _sigmoid, synth_dataset
 from pushdp.schedule import build_schedule
 from pushdp.topology import graph_schedule, validate_column_stochastic
 
@@ -28,21 +28,75 @@ def run_from(config, x0):
         return engine.run(config)
 
 
+def reference_loss_grad(
+    model: Model, params: np.ndarray, X: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean cross-entropy loss, flat gradient, and the scores over a batch: the
+    logit z (logistic) or logits (mlp) whose sign or argmax is the prediction.
+
+    The two-pass formulas, kept as the oracle for ``evaluate``'s one pass: the
+    logistic loss is ``logaddexp(0, z) - y z`` and its gradient a second pass
+    through ``_sigmoid``; the mlp takes ``exp(shifted)`` once for the loss and
+    again for the softmax.
+    """
+    N = X.shape[0]
+    if model.kind == "logistic":
+        w, b = model.unflatten(params)
+        z = X @ w + b
+        # log(1 + e^z) - y z, stable for either sign of z
+        loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+        coeff = _sigmoid(z) - y
+        grad = np.empty(model.dim)
+        grad[: model.d_in] = X.T @ coeff / N
+        grad[model.d_in] = coeff.mean()
+        return loss, grad, z
+    W1, b1, W2, b2 = model.unflatten(params)
+    hidden = np.tanh(X @ W1.T + b1)
+    logits = hidden @ W2.T + b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    loss = float(np.mean(log_norm - shifted[np.arange(N), y]))
+    dlogits = np.exp(shifted)
+    dlogits /= dlogits.sum(axis=1, keepdims=True)
+    dlogits[np.arange(N), y] -= 1.0
+    dlogits /= N
+    dhidden = dlogits @ W2
+    dpre = dhidden * (1.0 - hidden**2)
+    grad = np.empty(model.dim)
+    gW1, gb1, gW2, gb2 = model.unflatten(grad)
+    gW1[:] = dpre.T @ X
+    gb1[:] = dpre.sum(axis=0)
+    gW2[:] = dlogits.T @ hidden
+    gb2[:] = dlogits.sum(axis=0)
+    return loss, grad, logits
+
+
+def reference_evaluate(
+    model: Model, dataset, params: np.ndarray
+) -> tuple[float, np.ndarray, float]:
+    """Loss, gradient and accuracy over the pooled dataset by the two-pass
+    formulas; ``models.evaluate`` must equal it bit for bit."""
+    X, y = dataset.flat()
+    loss, grad, scores = reference_loss_grad(model, params, X, y)
+    hits = (scores > 0) == y if model.kind == "logistic" else scores.argmax(axis=1) == y
+    return loss, grad, float(np.mean(hits))
+
+
 def per_sample_loss(model: Model, params: np.ndarray, x: np.ndarray, y: int) -> float:
-    loss, _, _ = _batch_loss_grad(model, params, x[None, :], np.asarray([y]))
+    loss, _, _ = reference_loss_grad(model, params, x[None, :], np.asarray([y]))
     return loss
 
 
 def per_sample_gradient(model: Model, params: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
     """Exact flat gradient of the cross-entropy loss at one sample."""
-    _, grad, _ = _batch_loss_grad(model, params, x[None, :], np.asarray([y]))
+    _, grad, _ = reference_loss_grad(model, params, x[None, :], np.asarray([y]))
     return grad
 
 
 def full_objective(model: Model, dataset, params: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss and gradient averaged over every sample on every node."""
     X, y = dataset.flat()
-    loss, grad, _ = _batch_loss_grad(model, params, X, y)
+    loss, grad, _ = reference_loss_grad(model, params, X, y)
     return loss, grad
 
 
@@ -133,7 +187,6 @@ def reference_run(config):
     """
     from pushdp.engine import _mix_arrays
     from pushdp.metrics import MetricsLog, RoundDetail, RoundStats, mean_sq_consensus
-    from pushdp.models import evaluate
 
     model, data, sched = config.task.model, config.task.dataset, config.schedule
     n, d, K, J = config.n, config.d, config.K, data.J
@@ -152,7 +205,7 @@ def reference_run(config):
             C_k, mu_k = float(sched.clip[k]), float(sched.budget[k])
             sigma = float(sched.sigma[k]) if config.noise_enabled else 0.0
         xbar = X.mean(axis=0)
-        loss, grad, acc = evaluate(model, data, xbar)
+        loss, grad, acc = reference_evaluate(model, data, xbar)
         halves, grads, noises = np.empty((n, d)), np.empty((n, d)), np.zeros((n, d))
         norms, clipped = [], []
         for i in range(n):

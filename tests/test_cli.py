@@ -277,6 +277,7 @@ BAD_MATRICES = [
 ] + [
     (["graph.kind=ring", "run.n=2", "graph.matrices=5"], "graph.matrices"),
     (["graph.matrices=[[[0.5, 0.5], [0.5, 0.5]]]"], "graph.matrices"),
+    (["graph.kind=explicit", "run.n=2", "graph.matrices=[[[NaN, 0.5], [0.5, 0.5]]]"], "graph.matrices"),
 ]
 OUT_OF_RANGE = MODEL_OUT_OF_RANGE + BAD_MATRICES + [
     (["run.gamma=-1"], "run.gamma"),

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import full_objective, per_sample_gradient, per_sample_loss, predictions
+from helpers import (
+    full_objective,
+    per_sample_gradient,
+    per_sample_loss,
+    predictions,
+    reference_evaluate,
+)
 
 from pushdp.models import (
     Dataset,
@@ -40,6 +48,36 @@ def test_synth_dataset_is_read_only():
         data.labels[0, 0] = 1
     X, y = data.flat()
     assert not X.flags.writeable and not y.flags.writeable
+
+
+def test_derived_labels_are_read_only_and_belong_to_one_dataset():
+    data = synth_dataset(0, 3, 4)
+    targets, positive = data.targets, data.positive
+    labels = data.labels.reshape(-1)
+    assert targets.dtype == np.float64 and np.array_equal(targets, labels)
+    assert positive.dtype == np.bool_ and np.array_equal(positive, labels == 1)
+    for array in (targets, positive):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    model = Model(kind="logistic", d_in=data.d_in)
+    params = np.random.default_rng(0).standard_normal(model.dim)
+    first = evaluate(model, data, params)
+    second = evaluate(model, data, params)
+    # derived once: every evaluation reads the same two arrays, unchanged
+    assert data.targets is targets and data.positive is positive
+    assert first[0] == second[0] and first[2] == second[2]
+    assert np.array_equal(first[1], second[1])
+    other = synth_dataset(0, 3, 4)
+    assert np.array_equal(other.targets, targets)
+    assert not np.shares_memory(other.targets, targets)
+    assert not np.shares_memory(other.positive, positive)
+
+
+def test_dataset_built_by_hand_is_read_only():
+    features, labels = np.zeros((2, 3, 4)), np.ones((2, 3), dtype=int)
+    data = Dataset(features=features, labels=labels, classes=2, seed=0)
+    for array in (data.features, data.labels, data.targets, data.positive):
+        assert not array.flags.writeable
 
 
 def test_synth_dataset_deterministic_in_seed():
@@ -257,3 +295,41 @@ def test_sigmoid_equals_masked_form_bitwise():
     # saturates without overflow: exp(-745) is the smallest subnormal, exp(-1e308) is 0
     assert got[2] == 1.0 and 0.0 < got[3] < 1e-323 and (got[4], got[5]) == (1.0, 0.0)
     assert not np.isnan(got).any()
+
+
+def _bits(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64).view(np.int64)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(
+    kind=st.sampled_from(["logistic", "mlp-2class", "mlp-3class"]),
+    d_in=st.integers(1, 12),
+    n=st.integers(1, 4),
+    J=st.integers(1, 40),
+    shard_labels=st.sampled_from(["mixed", "all 0", "all 1"]),
+    # zero params give z = +-0; at 1e3 exp(-|z|) underflows to 0
+    scale=st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 1e3]) | st.floats(0.0, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_equals_two_pass_reference_bitwise(kind, d_in, n, J, shard_labels, scale, seed):
+    classes = 3 if kind == "mlp-3class" else 2
+    if kind == "logistic":
+        model = Model(kind="logistic", d_in=d_in)
+    else:
+        model = Model(kind="mlp", d_in=d_in, classes=classes, hidden=4)
+    rng = np.random.default_rng(seed)
+    if shard_labels == "mixed":
+        labels = rng.integers(classes, size=(n, J))
+    else:
+        labels = np.full((n, J), int(shard_labels[-1]))
+    data = Dataset(
+        features=3.0 * rng.standard_normal((n, J, d_in)), labels=labels, classes=classes, seed=seed
+    )
+    params = scale * rng.standard_normal(model.dim)
+    loss, grad, acc = evaluate(model, data, params)
+    ref_loss, ref_grad, ref_acc = reference_evaluate(model, data, params)
+    assert _bits(loss) == _bits(ref_loss)
+    assert np.array_equal(_bits(grad), _bits(ref_grad))
+    assert _bits(acc) == _bits(ref_acc)
+    assert type(loss) is type(acc) is float

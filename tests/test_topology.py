@@ -15,6 +15,7 @@ from pushdp.topology import (
     MissingSelfLoop,
     GraphSchedule,
     NegativeWeight,
+    NonFiniteWeight,
     check_b_strong_connectivity,
     exponential_period,
     graph_schedule,
@@ -110,8 +111,11 @@ def test_explicit_schedule_validated():
         ([[0.5, -0.1], [0.5, 1.1]], NegativeWeight, {"i": 0, "j": 1}),
         ([[0.5, 0.3], [0.5, 0.3]], ColumnSumViolation, {"j": 1}),
         ([[0.5, 1.0], [0.5, 0.0]], MissingSelfLoop, {"i": 1}),
+        ([[np.nan, 0.5], [0.5, 0.5]], NonFiniteWeight, {"i": 0, "j": 0}),
+        ([[0.5, -np.inf], [0.5, 0.5]], NonFiniteWeight, {"i": 0, "j": 1, "value": -np.inf}),
+        ([[0.5, 0.5], [np.inf, -0.1]], NonFiniteWeight, {"i": 1, "j": 0, "value": np.inf}),
     ],
-    ids=["negative", "column-sum", "self-loop"],
+    ids=["negative", "column-sum", "self-loop", "nan", "-inf", "inf-before-negative"],
 )
 def test_schedule_validates_every_slice(bad, error, where):
     # the first slice is valid, so the error must come from checking the second
@@ -122,11 +126,12 @@ def test_schedule_validates_every_slice(bad, error, where):
 
 
 def _raised(check, stack):
-    """(type, attributes, message) of the error ``check(stack)`` raises, or None."""
+    """(type, attributes, message) of the error ``check(stack)`` raises, or None;
+    the attributes as their repr, so that a NaN value compares equal to itself."""
     try:
         check(stack)
     except ValueError as exc:
-        return type(exc), dict(vars(exc)), str(exc)
+        return type(exc), repr(vars(exc)), str(exc)
     return None
 
 
@@ -165,6 +170,8 @@ def test_schedule_check_matches_per_slice_check(period, n, seed, faults):
         else:
             w[s, i, j] = np.nan
     expected = _raised(validate_each_slice, w)
+    if np.isnan(w).any():  # a NaN weight never passes either check
+        assert expected is not None
     assert _raised(lambda stack: GraphSchedule("explicit", stack), w.copy()) == expected
 
 
