@@ -21,13 +21,13 @@ Each dot product reproduces its single-node counterpart bit for bit, so the
 result equals a per-node loop exactly.  The schedule is read as its three
 arrays, checked once before round 0.
 
-Randomness comes from one counter-based Philox stream per node and purpose
-(init, sampling, noise), keyed by ``SeedSequence([seed, node, purpose])``;
-``stream_keys`` derives all keys in one vectorized pass, and one generator per
-purpose is re-keyed to each node's saved state.  Streams are read in blocks of
-ROUND_BLOCK rounds, equal to the single draws they replace, and a noise-free run
-builds no noise stream.  Results are bitwise reproducible for a given seed,
-and ablating noise never shifts the sampled data sequence.
+Randomness comes from one counter-based Philox stream per node and purpose (init,
+sampling, noise), keyed by ``SeedSequence([seed, node, purpose])``; ``stream_keys``
+derives all keys in one vectorized pass, and one generator per purpose is re-keyed
+to each node's saved state.  Streams are read in blocks of ROUND_BLOCK rounds, equal
+to the single draws they replace (sample indices decoded from raw words by numpy's
+own rule), and a noise-free run builds no noise stream.  Results are bitwise
+reproducible for a given seed, and ablating noise never shifts the sampled data.
 """
 
 from __future__ import annotations
@@ -136,6 +136,24 @@ class _Streams:
                 self._states[i] = bits.state
         return out
 
+    def indices(self, J: int, B: int, last: bool = False) -> np.ndarray:
+        """Each node's ``integers(J, size=B)``, shape (n, B), by numpy's Lemire rule on
+        raw words: each is two uint32 u, low half first, mapped to ``u * J >> 32``.  A
+        node with a u numpy rejects (every u once J > 2**32) or a spare half word is
+        redrawn by ``integers`` from its state before the block.  An odd B leaves a
+        high half unread, so only the last block may be odd."""
+        before, raw = list(self._states), self._gen.bit_generator.random_raw
+        words = np.stack(self.each(lambda gen: raw((B + 1) // 2), last))
+        scaled = words.astype("<u8").view("<u4")[:, :B] * np.uint64(J)  # u, low half first
+        idx = (scaled >> 32).astype(np.int64)
+        redo = ((scaled & _MASK32) < (1 << 32) % J).any(axis=1)  # numpy's rejection test
+        for i in np.flatnonzero(redo | [state["has_uint32"] == 1 for state in before]):
+            self._gen.bit_generator.state = before[i]
+            idx[i] = self._gen.integers(J, size=B)
+            if not last:
+                self._states[i] = self._gen.bit_generator.state
+        return idx
+
 
 def _mix_arrays(
     halves: np.ndarray, weights: np.ndarray, P: np.ndarray
@@ -209,7 +227,7 @@ def _round_draws(config: RunConfig, keys: np.ndarray, noisy: bool):
     for k0 in range(0, K, ROUND_BLOCK):
         B = min(ROUND_BLOCK, K - k0)
         last = k0 + B == K
-        idx = np.stack(samplers.each(lambda gen: gen.integers(J, size=B), last), axis=1)
+        idx = samplers.indices(J, B, last).T
         if noisy:
             noise = np.stack(noisers.each(lambda gen: gen.standard_normal((B, d)), last), axis=1)
         for t in range(B):
@@ -244,13 +262,13 @@ def run(config: RunConfig) -> MetricsLog:
 
     for k, (idx, std_noise) in enumerate(_round_draws(config, keys, bool(sigma.any()))):
         C_k = float(clip[k])
-        xbar = X.mean(axis=0)
+        xbar = X.sum(axis=0) / n  # == X.mean(axis=0)
         loss, grad, acc = evaluate(model, data, xbar)
 
         G = batched_sample_gradients(model, Z, data.features[nodes, idx], data.labels[nodes, idx])
         norms = np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])  # == np.linalg.norm per row
         clipped = norms > C_k
-        G[clipped] *= (C_k / norms[clipped])[:, None]
+        G *= np.divide(C_k, norms, out=np.ones(n), where=clipped)[:, None]  # x * 1.0 == x
         noise = None if std_noise is None else std_noise * float(sigma[k])
         halves = X - config.gamma * (G if noise is None else G + noise)
         max_grad_norm = max(max_grad_norm, float(norms.max()))
@@ -266,7 +284,7 @@ def run(config: RunConfig) -> MetricsLog:
                 loss=loss,
                 grad_norm_sq=float(grad @ grad),
                 consensus_err=mean_sq_consensus(Z, xbar),
-                clip_rate=float(clipped.mean()),
+                clip_rate=np.count_nonzero(clipped) / n,
                 clip_bound=C_k,
                 step_budget=float(budget[k]),
                 noise_std=float(sigma[k]),

@@ -86,7 +86,7 @@ class MetricsLog:
 def mean_sq_consensus(Z: np.ndarray, xbar: np.ndarray) -> float:
     """Mean over nodes of the squared distance from the average iterate."""
     diff = Z - xbar
-    return float(np.mean(np.einsum("ij,ij->i", diff, diff)))
+    return float(np.einsum("ij,ij->i", diff, diff).sum() / len(diff))  # == np.mean
 
 
 @dataclass(frozen=True)

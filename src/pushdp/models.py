@@ -157,9 +157,11 @@ def batched_sample_gradients(
     grads = np.empty_like(Z)
     if model.kind == "logistic":
         w, b = model.unflatten(Z)
-        coeff = _sigmoid((Xs[:, None, :] @ w[:, :, None])[:, 0, 0] + b) - ys
+        z = (Xs[:, None, :] @ w[:, :, None])[:, 0, 0] + b
+        e = np.exp(-np.abs(z))
+        coeff = np.maximum(e, z >= 0) / (1.0 + e) - ys  # sigmoid(z) - y, as in evaluate
         grads[:, : model.d_in] = (Xs[:, :, None] @ coeff[:, None, None])[:, :, 0]
-        grads[:, model.d_in] = coeff[:, None].mean(axis=1)
+        grads[:, model.d_in] = coeff
         return grads
     W1, b1, W2, b2 = model.unflatten(Z)
     hidden = np.tanh((Xs[:, None, :] @ W1.transpose(0, 2, 1))[:, 0] + b1)
@@ -176,19 +178,12 @@ def batched_sample_gradients(
     return grads
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic function: 1 / (1 + e) for z >= 0 and e / (1 + e)
-    below, with one ``exp`` of e = exp(-|z|) for both branches."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
-
-
 def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Loss, gradient, and accuracy over the pooled dataset in one forward pass;
     the accuracy reads the loss pass's scores instead of predicting again.
 
     The logistic loss and gradient take one elementwise pass over z = X w + b
-    and equal the two-pass ``logaddexp(0, z) - y z`` and ``_sigmoid(z) - y``
+    and equal the two-pass ``logaddexp(0, z) - y z`` and ``sigmoid(z) - y``
     bit for bit: numpy's ``logaddexp(0, z)`` is ``max(z, 0) + log1p(exp(-|z|))``
     in libm, so ``logaddexp(0, -|z|) + max(z, 0)`` is the same sum with a
     predictable branch, and its ``exp(-|z|)`` is the sigmoid's.
@@ -198,15 +193,22 @@ def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float,
     grad = np.empty(model.dim)
     if model.kind == "logistic":
         w, b = model.unflatten(params)
-        z = X @ w + b
-        e = -np.abs(z)
-        terms = np.logaddexp(0.0, e) + np.maximum(z, 0.0) - dataset.targets * z
+        z = X @ w
+        z += b
+        e, buf, mask = np.abs(z), np.empty(N), np.empty(N, dtype=bool)  # work in place
+        np.negative(e, out=e)
+        terms = np.logaddexp(0.0, e)
+        terms += np.maximum(z, 0.0, out=buf)
+        terms -= np.multiply(dataset.targets, z, out=buf)
         np.exp(e, out=e)
-        coeff = np.maximum(e, z >= 0) / (1.0 + e) - dataset.targets  # sigmoid(z) - y
+        coeff = np.maximum(e, np.greater_equal(z, 0.0, out=mask), out=buf)
+        e += 1.0
+        coeff /= e
+        coeff -= dataset.targets  # sigmoid(z) - y
         grad[: model.d_in] = X.T @ coeff / N
-        grad[model.d_in] = coeff.mean()
-        hits = np.count_nonzero((z > 0) == dataset.positive)  # exact: hits / N is np.mean's float
-        return float(np.mean(terms)), grad, float(hits / N)
+        grad[model.d_in] = coeff.sum() / N  # == np.mean, as the loss below
+        hits = np.count_nonzero(np.equal(np.greater(z, 0.0, out=mask), dataset.positive, out=mask))
+        return float(terms.sum() / N), grad, float(hits / N)  # exact: hits / N is np.mean's float
     W1, b1, W2, b2 = model.unflatten(params)
     hidden = np.tanh(X @ W1.T + b1)
     logits = hidden @ W2.T + b2

@@ -8,7 +8,7 @@ import pytest
 from pushdp import cli, engine
 from pushdp.accountant import PrivacySpec
 from pushdp.engine import INIT_SCALE, PURPOSE_INIT, PURPOSE_NOISE, PURPOSE_SAMPLE, RunConfig
-from pushdp.models import Model, Task, _sigmoid, synth_dataset
+from pushdp.models import Model, Task, synth_dataset
 from pushdp.schedule import build_schedule
 from pushdp.topology import graph_schedule, validate_column_stochastic
 
@@ -18,6 +18,14 @@ def node_stream(master_seed: int, node: int, purpose: int) -> np.random.Generato
     for the engine's keyed streams."""
     seq = np.random.SeedSequence([master_seed, node, purpose])
     return np.random.Generator(np.random.Philox(seq))
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic function: 1 / (1 + e) for z >= 0 and e / (1 + e)
+    below, with one ``exp`` of e = exp(-|z|) for both branches.  The oracle for
+    the fused ``max(e, z >= 0) / (1 + e)`` of ``evaluate`` and the batched gradient."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def run_from(config, x0):
@@ -36,7 +44,7 @@ def reference_loss_grad(
 
     The two-pass formulas, kept as the oracle for ``evaluate``'s one pass: the
     logistic loss is ``logaddexp(0, z) - y z`` and its gradient a second pass
-    through ``_sigmoid``; the mlp takes ``exp(shifted)`` once for the loss and
+    through ``sigmoid``; the mlp takes ``exp(shifted)`` once for the loss and
     again for the softmax.
     """
     N = X.shape[0]
@@ -45,7 +53,7 @@ def reference_loss_grad(
         z = X @ w + b
         # log(1 + e^z) - y z, stable for either sign of z
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-        coeff = _sigmoid(z) - y
+        coeff = sigmoid(z) - y
         grad = np.empty(model.dim)
         grad[: model.d_in] = X.T @ coeff / N
         grad[model.d_in] = coeff.mean()

@@ -26,6 +26,7 @@ from pushdp.engine import (
     NonFiniteParameter,
     RunConfig,
     _mix_arrays,
+    _Streams,
     run,
     stream_keys,
 )
@@ -113,7 +114,7 @@ def test_local_step_sigma_zero_does_not_advance_stream(monkeypatch):
 
     seed, n, K = 3, 3, ROUND_BLOCK + 6  # the second block is partial
     keys = stream_keys(seed, n)
-    built, reads = [], []  # purposes whose streams were built; (purpose, draws) per pass
+    built, reads, blocks = [], [], []  # purposes built; purpose of each pass; sample indices
 
     class RecordingStreams(engine._Streams):
         def __init__(self, stream_keys):
@@ -122,8 +123,12 @@ def test_local_step_sigma_zero_does_not_advance_stream(monkeypatch):
             built.append(self.purpose)
 
         def each(self, draw, last=False):
-            out = super().each(draw, last)
-            reads.append((self.purpose, out))
+            reads.append(self.purpose)
+            return super().each(draw, last)
+
+        def indices(self, J, B, last=False):
+            out = super().indices(J, B, last)  # the decoded (n, B) block
+            blocks.append((self.purpose, out))
             return out
 
     monkeypatch.setattr(engine, "_Streams", RecordingStreams)
@@ -131,18 +136,20 @@ def test_local_step_sigma_zero_does_not_advance_stream(monkeypatch):
     def sample_blocks(noise_enabled):
         built.clear()
         reads.clear()
+        blocks.clear()
         cfg = private_config(
             n=n, J=10, K=K, epsilon=0.5, variant="dyn", seed=seed, noise_enabled=noise_enabled
         )
         run(cfg)
-        return [np.stack(out) for p, out in reads if p == PURPOSE_SAMPLE]
+        assert {p for p, _ in blocks} == {PURPOSE_SAMPLE}
+        return [out for _, out in blocks]
 
     on = sample_blocks(True)
     assert PURPOSE_NOISE in built
     off = sample_blocks(False)
     # noise off: no noise stream is built or read, and the sampled indices are unchanged
     assert PURPOSE_NOISE not in built
-    assert PURPOSE_NOISE not in {p for p, _ in reads}
+    assert PURPOSE_NOISE not in reads
     assert len(off) == 2
     for a, b in zip(on, off, strict=True):
         assert np.array_equal(a, b)
@@ -287,6 +294,65 @@ def test_stream_keys_reject_negative_seed_like_seed_sequence(seed):
         np.random.SeedSequence([seed, 0, 0])
     with pytest.raises(ValueError):
         stream_keys(seed, 2)
+
+
+def _live_state(state: dict) -> tuple:
+    """What later draws read of a Philox state: ``uinteger`` only while
+    ``has_uint32`` marks it as a spare half word."""
+    spare = state["uinteger"] if state["has_uint32"] else None
+    inner = state["state"]
+    return (*inner["counter"].tolist(), *inner["key"].tolist(), *state["buffer"].tolist(),
+            state["buffer_pos"], state["has_uint32"], spare)
+
+
+def _philox_generators(keys):
+    return [np.random.Generator(np.random.Philox(key=k)) for k in keys]
+
+
+def test_round_block_is_even():
+    # a block reads B / 2 raw words; only the last block, which keeps no state,
+    # may be odd and leave a word's high half unread
+    assert ROUND_BLOCK % 2 == 0
+
+
+# 2**32 mod 3 * 2**30 = 2**30: a quarter of all draws are rejected; from
+# 2**32 + 1 numpy draws 64-bit words, and every raw block counts as rejected
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(
+    keys=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), min_size=1, max_size=4),
+    J=st.sampled_from([1, 2, 3, 250, 3 * 2**30, 2**32, 2**32 + 5]),
+    halves=st.lists(st.integers(1, ROUND_BLOCK // 2), max_size=3),
+    last_B=st.integers(1, ROUND_BLOCK),
+)
+def test_sample_indices_equal_generator_integers(keys, J, halves, last_B):
+    """``_Streams.indices`` returns each node's ``integers(J, size=B)`` block for
+    block after block, and a non-final block leaves the state numpy's would."""
+    keys = np.array(keys, dtype=np.uint64)
+    streams, gens = _Streams(keys), _philox_generators(keys)
+    for B, last in [(2 * h, False) for h in halves] + [(last_B, True)]:
+        got = streams.indices(J, B, last)
+        want = np.stack([gen.integers(J, size=B) for gen in gens])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        if not last and J > 1:  # at J = 1 numpy draws nothing and every index is 0
+            for state, gen in zip(streams._states, gens, strict=True):
+                assert _live_state(state) == _live_state(gen.bit_generator.state)
+
+
+def test_sample_indices_redraw_rejected_blocks():
+    J, B = 3 * 2**30, ROUND_BLOCK
+    keys = stream_keys(5, 8)[PURPOSE_SAMPLE]
+    streams, gens = _Streams(keys), _philox_generators(keys)
+    raw = np.stack([np.random.Philox(key=k).random_raw(B // 2) for k in keys])
+    u = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=-1).reshape(len(keys), B)
+    first = streams.indices(J, B)
+    want = np.stack([gen.integers(J, size=B) for gen in gens])
+    # numpy rejects some words, so the raw decoding alone is wrong; the redraw is not
+    assert not np.array_equal((u * np.uint64(J)) >> 32, want)
+    assert np.array_equal(first, want)
+    # an odd number of rejections leaves a spare half word, which the next block reads first
+    assert any(state["has_uint32"] for state in streams._states)
+    last = streams.indices(J, 7, last=True)
+    assert np.array_equal(last, np.stack([gen.integers(J, size=7) for gen in gens]))
 
 
 

@@ -9,6 +9,7 @@ from helpers import (
     per_sample_loss,
     predictions,
     reference_evaluate,
+    sigmoid,
 )
 
 from pushdp.models import (
@@ -17,7 +18,6 @@ from pushdp.models import (
     Task,
     batched_sample_gradients,
     evaluate,
-    _sigmoid,
     synth_dataset,
 )
 
@@ -289,7 +289,7 @@ def test_sigmoid_equals_masked_form_bitwise():
     rng = np.random.default_rng(3)
     edges = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, 709.8, -709.8, 37.0, -37.0, np.inf, -np.inf]
     z = np.concatenate([edges, rng.normal(0, 4, 5000), rng.normal(0, 400, 1000)])
-    got = _sigmoid(z)
+    got = sigmoid(z)
     assert got.dtype == z.dtype
     assert np.array_equal(got.view(np.int64), _masked_sigmoid(z).view(np.int64))
     # saturates without overflow: exp(-745) is the smallest subnormal, exp(-1e308) is 0
@@ -303,7 +303,8 @@ def _bits(value) -> np.ndarray:
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)
 @given(
-    kind=st.sampled_from(["logistic", "mlp-2class", "mlp-3class"]),
+    # numpy's row sum adds left to right below 8 columns and pairwise from 8 up
+    kind=st.sampled_from(["logistic", "mlp-2class", "mlp-3class", "mlp-7class", "mlp-9class"]),
     d_in=st.integers(1, 12),
     n=st.integers(1, 4),
     J=st.integers(1, 40),
@@ -313,7 +314,7 @@ def _bits(value) -> np.ndarray:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_evaluate_equals_two_pass_reference_bitwise(kind, d_in, n, J, shard_labels, scale, seed):
-    classes = 3 if kind == "mlp-3class" else 2
+    classes = int(kind[4]) if kind.startswith("mlp") else 2
     if kind == "logistic":
         model = Model(kind="logistic", d_in=d_in)
     else:
