@@ -260,50 +260,52 @@ def run(config: RunConfig) -> MetricsLog:
     max_weight_drift = 0.0
     max_grad_norm = 0.0
 
-    for k, (idx, std_noise) in enumerate(_round_draws(config, keys, bool(sigma.any()))):
-        C_k = float(clip[k])
-        xbar = X.sum(axis=0) / n  # == X.mean(axis=0)
-        loss, grad, acc = evaluate(model, data, xbar)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence fails by NonFiniteParameter
+        for k, (idx, std_noise) in enumerate(_round_draws(config, keys, bool(sigma.any()))):
+            C_k = float(clip[k])
+            xbar = X.sum(axis=0) / n  # == X.mean(axis=0)
+            loss, grad, acc = evaluate(model, data, xbar)
 
-        G = batched_sample_gradients(model, Z, data.features[nodes, idx], data.labels[nodes, idx])
-        norms = np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])  # == np.linalg.norm per row
-        clipped = norms > C_k
-        G *= np.divide(C_k, norms, out=np.ones(n), where=clipped)[:, None]  # x * 1.0 == x
-        noise = None if std_noise is None else std_noise * float(sigma[k])
-        halves = X - config.gamma * (G if noise is None else G + noise)
-        max_grad_norm = max(max_grad_norm, float(norms.max()))
+            Xs, ys = data.features[nodes, idx], data.labels[nodes, idx]
+            G = batched_sample_gradients(model, Z, Xs, ys)
+            norms = np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])  # == np.linalg.norm per row
+            clipped = norms > C_k
+            G *= np.divide(C_k, norms, out=np.ones(n), where=clipped)[:, None]  # x * 1.0 == x
+            noise = None if std_noise is None else std_noise * float(sigma[k])
+            halves = X - config.gamma * (G if noise is None else G + noise)
+            max_grad_norm = max(max_grad_norm, float(norms.max()))
 
-        X_next, w_next, Z_next = _mix_arrays(halves, w, config.graph.matrix_at(k))
-        if not np.isfinite(X_next).all():
-            raise NonFiniteParameter(k)
-        max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))
+            X_next, w_next, Z_next = _mix_arrays(halves, w, config.graph.matrix_at(k))
+            if not np.isfinite(X_next).all():
+                raise NonFiniteParameter(k)
+            max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))
 
-        rows.append(
-            RoundStats(
-                k=k,
-                loss=loss,
-                grad_norm_sq=float(grad @ grad),
-                consensus_err=mean_sq_consensus(Z, xbar),
-                clip_rate=np.count_nonzero(clipped) / n,
-                clip_bound=C_k,
-                step_budget=float(budget[k]),
-                noise_std=float(sigma[k]),
-                accuracy=acc,
-            )
-        )
-        if details is not None:
-            details.append(
-                RoundDetail(
-                    xbar=xbar,
-                    xbar_next=X_next.mean(axis=0),
-                    halves_mean=halves.mean(axis=0),
-                    mean_clipped_grad=G.mean(axis=0),
-                    mean_noise=np.zeros(d) if noise is None else noise.mean(axis=0),
-                    weight_sum=float(w_next.sum()),
-                    stoch_grad_norms=norms,
+            rows.append(
+                RoundStats(
+                    k=k,
+                    loss=loss,
+                    grad_norm_sq=float(grad @ grad),
+                    consensus_err=mean_sq_consensus(Z, xbar),
+                    clip_rate=np.count_nonzero(clipped) / n,
+                    clip_bound=C_k,
+                    step_budget=float(budget[k]),
+                    noise_std=float(sigma[k]),
+                    accuracy=acc,
                 )
             )
-        X, w, Z = X_next, w_next, Z_next
+            if details is not None:
+                details.append(
+                    RoundDetail(
+                        xbar=xbar,
+                        xbar_next=X_next.mean(axis=0),
+                        halves_mean=halves.mean(axis=0),
+                        mean_clipped_grad=G.mean(axis=0),
+                        mean_noise=np.zeros(d) if noise is None else noise.mean(axis=0),
+                        weight_sum=float(w_next.sum()),
+                        stoch_grad_norms=norms,
+                    )
+                )
+            X, w, Z = X_next, w_next, Z_next
 
     meta = {
         "n": n,

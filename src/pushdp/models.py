@@ -12,9 +12,9 @@ Two model families cover the convex and non-convex regimes:
 * ``mlp``: one tanh hidden layer into a softmax output, parameters
   flattened as (W1, b1, W2, b2), trained with softmax cross-entropy.
 
-Gradients are hand-derived and vectorized; ``evaluate`` averages the loss and
-gradient over every sample on every node in one pass (bit-identical to the
-two-pass formula) and is the quantity the engine logs at the average iterate.
+Gradients are hand-derived and vectorized.  ``evaluate``, which the engine logs at
+the average iterate, averages the loss and gradient over every sample in one pass;
+its logistic loss ``log1p(exp(-|z|)) + max(z, 0) - y z`` shares the sigmoid's exp.
 """
 
 from __future__ import annotations
@@ -182,11 +182,9 @@ def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float,
     """Loss, gradient, and accuracy over the pooled dataset in one forward pass;
     the accuracy reads the loss pass's scores instead of predicting again.
 
-    The logistic loss and gradient take one elementwise pass over z = X w + b
-    and equal the two-pass ``logaddexp(0, z) - y z`` and ``sigmoid(z) - y``
-    bit for bit: numpy's ``logaddexp(0, z)`` is ``max(z, 0) + log1p(exp(-|z|))``
-    in libm, so ``logaddexp(0, -|z|) + max(z, 0)`` is the same sum with a
-    predictable branch, and its ``exp(-|z|)`` is the sigmoid's.
+    The logistic pass over z = X w + b takes e = exp(-|z|) once for both the loss
+    terms ``log1p(e) + max(z, 0) - y z`` and the sigmoid ``max(e, z >= 0) / (1 + e)``
+    of the gradient's ``sigmoid(z) - y``; each equals its two-pass formula bit for bit.
     """
     X, y = dataset.flat()
     N = X.shape[0]
@@ -196,11 +194,10 @@ def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float,
         z = X @ w
         z += b
         e, buf, mask = np.abs(z), np.empty(N), np.empty(N, dtype=bool)  # work in place
-        np.negative(e, out=e)
-        terms = np.logaddexp(0.0, e)
+        np.exp(np.negative(e, out=e), out=e)  # exp(-|z|), shared by the loss and the sigmoid
+        terms = np.log1p(e)
         terms += np.maximum(z, 0.0, out=buf)
         terms -= np.multiply(dataset.targets, z, out=buf)
-        np.exp(e, out=e)
         coeff = np.maximum(e, np.greater_equal(z, 0.0, out=mask), out=buf)
         e += 1.0
         coeff /= e

@@ -43,16 +43,16 @@ def reference_loss_grad(
     logit z (logistic) or logits (mlp) whose sign or argmax is the prediction.
 
     The two-pass formulas, kept as the oracle for ``evaluate``'s one pass: the
-    logistic loss is ``logaddexp(0, z) - y z`` and its gradient a second pass
-    through ``sigmoid``; the mlp takes ``exp(shifted)`` once for the loss and
-    again for the softmax.
+    logistic loss is the stable softplus ``log1p(exp(-|z|)) + max(z, 0) - y z`` and
+    its gradient a second pass through ``sigmoid``, which takes exp(-|z|) again; the
+    mlp takes ``exp(shifted)`` once for the loss and again for the softmax.
     """
     N = X.shape[0]
     if model.kind == "logistic":
         w, b = model.unflatten(params)
         z = X @ w + b
         # log(1 + e^z) - y z, stable for either sign of z
-        loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+        loss = float(np.mean(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0) - y * z))
         coeff = sigmoid(z) - y
         grad = np.empty(model.dim)
         grad[: model.d_in] = X.T @ coeff / N

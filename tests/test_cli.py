@@ -3,7 +3,10 @@ import contextlib
 import dataclasses
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from helpers import cli_resolving_each_leg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pushdp
 from pushdp import cli
 from pushdp.accountant import mu_tot_from_eps_delta
 from pushdp.cli import (
@@ -393,6 +397,18 @@ def test_run_io_failure_exits_2(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert main(["run", "--config", config, "--output", str(missing_dir)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_diverging_run_prints_one_error_line_and_exits_2(tmp_path):
+    # numpy's overflow warnings would add lines naming install paths and source lines
+    sets = ["run.n=2", "run.K=50", "run.gamma=1e308", "task.J=10", "schedule.variant=nonprivate"]
+    args = ["run", "--config", write_config(tmp_path), "--output", str(tmp_path / "out.csv")]
+    args += [arg for pair in sets for arg in ("--set", pair)]
+    src = str(Path(pushdp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "pushdp.cli", *args], capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert re.fullmatch(r"error: non-finite parameter after round \d+; try a smaller step size\n", out.stderr)
 
 
 def test_bad_cli_usage_exits_1(capsys):

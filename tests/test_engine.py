@@ -17,6 +17,7 @@ from helpers import (
     run_from,
 )
 
+from pushdp import engine
 from pushdp.accountant import PrivacySpec
 from pushdp.engine import (
     PURPOSE_NOISE,
@@ -400,6 +401,39 @@ def test_run_matches_per_node_reference(make):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.weight_sum == want.weight_sum
         assert got.stoch_grad_norms.tobytes() == want.stoch_grad_norms.tobytes()
+
+
+def _constant_evaluate(model, data, params):
+    return 7.0, np.full(model.dim, 0.5), 0.25
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: private_config(n=6, J=20, K=ROUND_BLOCK + 5, epsilon=0.5, variant="dyn", seed=9),
+        lambda: nonprivate_config(n=5, J=15, K=30, seed=2, graph="ring"),
+        _mlp_private_config,
+    ],
+    ids=["dyn", "nonprivate", "mlp"],
+)
+def test_evaluation_only_observes(make, monkeypatch):
+    # evaluate reads the average iterate and feeds nothing back, so a change to its
+    # formulas can move the loss, grad_norm_sq and accuracy columns and nothing else
+    real = run(make()).csv_text().splitlines()
+    monkeypatch.setattr(engine, "evaluate", _constant_evaluate)
+    cfg = make()
+    fake = run(cfg).csv_text().splitlines()
+    meta = sum(line.startswith("#") for line in real)
+    assert fake[: meta + 1] == real[: meta + 1]  # metadata and the column header
+    header = real[meta].split(",")
+    observed = [header.index(name) for name in ("loss", "grad_norm_sq", "accuracy")]
+    assert len(fake) == len(real) == meta + 1 + cfg.K
+    for got, want in zip(fake[meta + 1 :], real[meta + 1 :]):
+        got, want = got.split(","), want.split(",")
+        assert [got[i] for i in observed] == ["7.0", repr(0.25 * cfg.d), "0.25"]
+        assert [c for i, c in enumerate(got) if i not in observed] == [
+            c for i, c in enumerate(want) if i not in observed
+        ]
 
 
 def test_seed_changes_trajectory():

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from helpers import (
     per_sample_loss,
     predictions,
     reference_evaluate,
+    reference_loss_grad,
     sigmoid,
 )
 
@@ -301,6 +303,28 @@ def _bits(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64).view(np.int64)
 
 
+def _evaluate_draw(kind, d_in, n, J, shard_labels, scale, seed):
+    """A model, a random dataset and parameters at ``scale``.  ``planted`` labels are
+    the model's own predictions at the parameters, which then move by 5%: the low-loss
+    regime, where the log1p(exp(-|z|)) terms make up most of the logistic loss."""
+    classes = int(kind[4]) if kind.startswith("mlp") else 2
+    if kind == "logistic":
+        model = Model(kind="logistic", d_in=d_in)
+    else:
+        model = Model(kind="mlp", d_in=d_in, classes=classes, hidden=4)
+    rng = np.random.default_rng(seed)
+    features = 3.0 * rng.standard_normal((n, J, d_in))
+    params = scale * rng.standard_normal(model.dim)
+    if shard_labels == "planted":
+        labels = predictions(model, params, features.reshape(-1, d_in)).reshape(n, J)
+        params *= 1.0 + 0.05 * rng.standard_normal(model.dim)
+    elif shard_labels == "mixed":
+        labels = rng.integers(classes, size=(n, J))
+    else:
+        labels = np.full((n, J), int(shard_labels[-1]))
+    return model, Dataset(features=features, labels=labels, classes=classes, seed=seed), params
+
+
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)
 @given(
     # numpy's row sum adds left to right below 8 columns and pairwise from 8 up
@@ -308,29 +332,66 @@ def _bits(value) -> np.ndarray:
     d_in=st.integers(1, 12),
     n=st.integers(1, 4),
     J=st.integers(1, 40),
-    shard_labels=st.sampled_from(["mixed", "all 0", "all 1"]),
+    shard_labels=st.sampled_from(["mixed", "all 0", "all 1", "planted"]),
     # zero params give z = +-0; at 1e3 exp(-|z|) underflows to 0
     scale=st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 1e3]) | st.floats(0.0, 1e3),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_evaluate_equals_two_pass_reference_bitwise(kind, d_in, n, J, shard_labels, scale, seed):
-    classes = int(kind[4]) if kind.startswith("mlp") else 2
-    if kind == "logistic":
-        model = Model(kind="logistic", d_in=d_in)
-    else:
-        model = Model(kind="mlp", d_in=d_in, classes=classes, hidden=4)
-    rng = np.random.default_rng(seed)
-    if shard_labels == "mixed":
-        labels = rng.integers(classes, size=(n, J))
-    else:
-        labels = np.full((n, J), int(shard_labels[-1]))
-    data = Dataset(
-        features=3.0 * rng.standard_normal((n, J, d_in)), labels=labels, classes=classes, seed=seed
-    )
-    params = scale * rng.standard_normal(model.dim)
+    model, data, params = _evaluate_draw(kind, d_in, n, J, shard_labels, scale, seed)
     loss, grad, acc = evaluate(model, data, params)
     ref_loss, ref_grad, ref_acc = reference_evaluate(model, data, params)
     assert _bits(loss) == _bits(ref_loss)
     assert np.array_equal(_bits(grad), _bits(ref_grad))
     assert _bits(acc) == _bits(ref_acc)
     assert type(loss) is type(acc) is float
+
+
+def _logaddexp_loss(z: np.ndarray, y: np.ndarray) -> float:
+    """The logistic loss as numpy's ``logaddexp``, which runs scalar libm exp and log1p
+    where ``np.exp`` and ``np.log1p`` may take vectorized routines that round otherwise."""
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
+def test_planted_draws_tell_the_loss_formulas_apart():
+    # the bitwise test above sees a swap of evaluate's loss formula: on its planted draws
+    # the mean of log1p(exp(-|z|)) + max(z, 0) - y z differs from logaddexp's
+    differ = 0
+    for seed in range(100):
+        model, data, params = _evaluate_draw("logistic", 6, 4, 40, "planted", 1.0, seed)
+        X, y = data.flat()
+        loss, _, z = reference_loss_grad(model, params, X, y)
+        differ += loss != _logaddexp_loss(z, y)
+    assert differ > 0
+
+
+def _mpmath_loss(z: np.ndarray, y: np.ndarray) -> mpmath.mpf:
+    """Mean of log(1 + e^z) - y z in 50 significant digits."""
+    with mpmath.workdps(50):
+        zs = [mpmath.mpf(zi) for zi in z]
+        return mpmath.fsum(mpmath.log1p(mpmath.exp(zi)) - int(yi) * zi for zi, yi in zip(zs, y)) / len(z)
+
+
+def _evaluate_loss(z: np.ndarray, y: np.ndarray) -> float:
+    """``evaluate``'s logistic loss at logits z: one feature equal to z, weight 1, bias 0."""
+    data = Dataset(features=z.reshape(1, -1, 1), labels=y.reshape(1, -1), classes=2, seed=0)
+    return evaluate(Model(kind="logistic", d_in=1), data, np.array([1.0, 0.0]))[0]
+
+
+@pytest.mark.parametrize("loss_of", [_evaluate_loss, _logaddexp_loss])
+@pytest.mark.parametrize("seed", range(8))
+def test_logistic_loss_matches_mpmath(loss_of, seed):
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(1, 201))
+    # moderate z, |z| where exp(-|z|) is below one ulp of 1, and |z| in [700, 750],
+    # where exp(-|z|) is subnormal (below 2.2e-308 from |z| = 708.4) or 0 (from 745.2)
+    pools = [rng.normal(0.0, 4.0, N), rng.uniform(30.0, 40.0, N), rng.uniform(700.0, 750.0, N)]
+    z = rng.choice([-1.0, 1.0], N) * np.concatenate(pools)[rng.permutation(3 * N)[:N]]
+    y = rng.integers(2, size=N)
+    exact = _mpmath_loss(z, y)
+    assert abs(loss_of(z, y) - exact) <= 1e-14 * exact
+    # labels all right: the loss is the log1p terms alone, far below max(z, 0), and
+    # (log1p(e) + max(z, 0)) - y z cancels to a few ulp of max(z, 0) per term
+    y = (z > 0).astype(int)
+    exact = _mpmath_loss(z, y)
+    assert abs(loss_of(z, y) - exact) <= 1e-14 * max(exact, float(np.mean(np.maximum(z, 0.0))))
