@@ -12,10 +12,9 @@ bisection.  K heterogeneous per-step budgets mu_k, each released on a random
 
     mu_tot = (1/J) * sqrt(sum_k (exp(mu_k^2) - 1)).
 
-``uniform_budget`` and ``solve_mu0`` invert that composition for a flat and a
-geometrically growing budget profile respectively, and
-``noise_scale_general`` calibrates a common noise multiplier for an arbitrary
-clipping/noise-shape profile from the linearized composition bound.
+``solve_mu0`` inverts that composition for every budget profile: it scales a
+given shape s_k until mu_k = m * s_k composes to the target, in closed form
+for a flat shape and by bisection otherwise.
 """
 
 from __future__ import annotations
@@ -45,11 +44,8 @@ class BudgetOverflow(ValueError):
 
 
 class RegimeWarning(UserWarning):
-    """A per-step budget left the linearization regime (mu_k^2 > 1).
-
-    Composition itself stays exact; only the closed-form noise-multiplier
-    calibration becomes loose there, so this warns instead of failing.
-    """
+    """A per-step budget left the small-budget regime (mu_k^2 > 1), where the
+    CLT composition may under-report delta; this warns instead of failing."""
 
 
 def gaussian_cdf(t: float) -> float:
@@ -128,7 +124,7 @@ def compose_general(step_budgets, sampling_prob: float) -> float:
     Evaluates p * sqrt(sum_k expm1(mu_k^2)) for the sampling probability p in
     (0, 1]; expm1 keeps small budgets exact (a zero step contributes exactly
     zero).  Budgets above MU_STEP_CAP raise BudgetOverflow with the offending
-    index; budgets merely past the linearization regime only warn.
+    index; budgets merely past the small-budget regime only warn.
     """
     if not 0 < sampling_prob <= 1:
         raise ValueError("sampling probability must lie in (0, 1]")
@@ -141,50 +137,44 @@ def compose_general(step_budgets, sampling_prob: float) -> float:
         raise BudgetOverflow(k, float(mus[k]))
     if (np.square(mus) > 1.0).any():
         warnings.warn(
-            "some per-step budgets exceed mu_k^2 = 1; composition stays exact but "
-            "the closed-form noise-multiplier bound is loose in this regime",
+            "some per-step budgets exceed mu_k^2 = 1; "
+            "the CLT composition may under-report delta in this regime",
             RegimeWarning,
         )
     return float(sampling_prob * math.sqrt(np.expm1(np.square(mus)).sum()))
 
 
-def uniform_budget(mu_tot: float, J: int, K: int) -> float:
-    """Flat per-step budget whose composition hits mu_tot exactly.
+def solve_mu0(mu_tot: float, J: int, shape) -> float:
+    """Multiplier m whose budget profile mu_k = m * s_k composes to mu_tot.
 
-    Closed form mu_bar = sqrt(log1p(J^2 mu_tot^2 / K)); log1p/expm1 make the
-    round trip through ``compose_general`` exact to rounding.
+    Solves sum_k expm1((m s_k)^2) = (J mu_tot)^2 over the K entries of
+    ``shape``, which must be finite and positive.  A flat shape has the closed
+    form m = sqrt(log1p((J mu_tot)^2 / K)) / s_0, which log1p/expm1 make exact
+    to rounding through ``compose_general``.  Any other shape is bisected; the
+    flat budget bounds m from above when every s_k >= 1, as rho^(k/K) is, and
+    the bracket auto-expands otherwise.  Raises BudgetOverflow when the largest
+    step budget would pass the representable cap.
     """
-    if mu_tot <= 0 or J < 1 or K < 1:
+    s = np.asarray(shape, dtype=float)
+    if mu_tot <= 0 or J < 1 or s.ndim != 1 or not s.size:
         raise ValueError("need positive budget and at least one node sample and step")
-    return math.sqrt(math.log1p((J * mu_tot) ** 2 / K))
-
-
-def solve_mu0(mu_tot: float, J: int, K: int, rho_mu: float) -> float:
-    """Initial budget of a geometric profile mu_k = mu0 * rho_mu^(k/K).
-
-    Solves sum_k expm1(mu_k^2) = (J mu_tot)^2 for mu0 by bisection.  The flat
-    budget is always a valid upper bracket because growing profiles dominate
-    it termwise; the bracket still auto-expands as a guard.  Raises
-    BudgetOverflow when the solution would push the final step budget past
-    the representable cap, and accepts rho_mu = 1 by delegating to the
-    closed form.
-    """
-    if rho_mu < 1:
-        raise ValueError("budget growth factor must be at least 1")
-    if rho_mu == 1:
-        return uniform_budget(mu_tot, J, K)
-    if mu_tot <= 0 or J < 1 or K < 1:
-        raise ValueError("need positive budget and at least one node sample and step")
-    growth = rho_mu ** (np.arange(K) / K)
+    if not (np.isfinite(s) & (s > 0)).all():
+        raise ValueError("budget shape entries must be finite and positive")
+    K, top = len(s), int(np.argmax(s))
     target = (J * mu_tot) ** 2
+    flat = math.sqrt(math.log1p(target / K))
+    if (s == s[0]).all():
+        if flat > MU_STEP_CAP:
+            raise BudgetOverflow(top, flat)
+        return flat / float(s[0])
 
     def residual(mu0: float) -> float:
-        return float(np.expm1(np.square(mu0 * growth)).sum()) - target
+        return float(np.expm1(np.square(mu0 * s)).sum()) - target
 
-    cap = MU_STEP_CAP / float(growth[-1])
+    cap = MU_STEP_CAP / float(s[top])
     if residual(cap) < 0:
-        raise BudgetOverflow(K - 1, MU_STEP_CAP)
-    lo, hi = 0.0, min(uniform_budget(mu_tot, J, K), cap)
+        raise BudgetOverflow(top, MU_STEP_CAP)
+    lo, hi = 0.0, min(flat, cap)
     while residual(hi) < 0:
         hi = min(2.0 * hi, cap)
     for _ in range(200):
@@ -199,29 +189,6 @@ def solve_mu0(mu_tot: float, J: int, K: int, rho_mu: float) -> float:
     if abs(residual(mu0)) > 1e-10 * target:
         raise ArithmeticError("budget equation residual failed to converge")
     return mu0
-
-
-def noise_scale_general(clip_bounds, noise_shape, J: int, mu_tot: float) -> float:
-    """Common noise multiplier for an arbitrary clipping/noise-shape profile.
-
-    Given per-step clip bounds C_k and a relative noise shape s_k (the step-k
-    noise has standard deviation scale * s_k), returns
-
-        scale = sqrt(2 * sum_k C_k^2 / s_k^2) / (J * mu_tot),
-
-    the linearized-composition calibration; it is conservative while every
-    implied step budget satisfies mu_k^2 <= 1.
-    """
-    C = np.asarray(clip_bounds, dtype=float)
-    s = np.asarray(noise_shape, dtype=float)
-    if C.shape != s.shape:
-        raise ValueError("clip bounds and noise shape must have matching length")
-    for name, values in (("clip bounds", C), ("noise shape", s)):
-        if not (np.isfinite(values) & (values > 0)).all():
-            raise ValueError(f"{name} must be finite and positive")
-    if mu_tot <= 0 or J < 1:
-        raise ValueError("need a positive budget and at least one sample per node")
-    return math.sqrt(2.0 * float(np.square(C / s).sum())) / (J * mu_tot)
 
 
 @dataclass(frozen=True)

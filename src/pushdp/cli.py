@@ -29,6 +29,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -477,8 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        with warnings.catch_warnings():  # each warning as one plain stderr line
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            args = parser.parse_args(argv)
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

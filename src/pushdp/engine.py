@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import MetricsLog, RoundDetail, RoundStats, mean_sq_consensus
+from .metrics import MetricsLog, RoundStats, mean_sq_consensus
 from .models import Task, batched_sample_gradients, evaluate
 from .schedule import NoiseSchedule
 from .topology import GraphSchedule
@@ -171,7 +171,7 @@ def _mix_arrays(
 class RunConfig:
     """Everything one deterministic run needs.
 
-    ``schedule`` is a NoiseSchedule from either builder; None selects the
+    ``schedule`` is a NoiseSchedule from ``build_schedule``; None selects the
     non-private path (no clipping, no noise).  ``noise_enabled = False`` keeps
     the clipping bound of the schedule but injects no noise, which isolates
     the two privacy mechanisms in ablations.
@@ -184,7 +184,6 @@ class RunConfig:
     K: int
     seed: int
     noise_enabled: bool = True
-    capture_detail: bool = False
     extra_meta: dict = field(default_factory=dict)
 
     @property
@@ -256,7 +255,6 @@ def run(config: RunConfig) -> MetricsLog:
     Z = X.copy()
     nodes = np.arange(n)
     rows: list[RoundStats] = []
-    details: list[RoundDetail] = [] if config.capture_detail else None
     max_weight_drift = 0.0
     max_grad_norm = 0.0
 
@@ -293,31 +291,11 @@ def run(config: RunConfig) -> MetricsLog:
                     accuracy=acc,
                 )
             )
-            if details is not None:
-                details.append(
-                    RoundDetail(
-                        xbar=xbar,
-                        xbar_next=X_next.mean(axis=0),
-                        halves_mean=halves.mean(axis=0),
-                        mean_clipped_grad=G.mean(axis=0),
-                        mean_noise=np.zeros(d) if noise is None else noise.mean(axis=0),
-                        weight_sum=float(w_next.sum()),
-                        stoch_grad_norms=norms,
-                    )
-                )
             X, w, Z = X_next, w_next, Z_next
 
     meta = {
-        "n": n,
-        "d": d,
-        "K": K,
-        "J": J,
-        "gamma": repr(float(config.gamma)),
-        "seed": config.seed,
-        "graph": config.graph.kind,
-        "noise_enabled": config.noise_enabled,
+        "n": n, "d": d, "K": K, "J": J, "gamma": repr(float(config.gamma)), "seed": config.seed,
+        "graph": config.graph.kind, "noise_enabled": config.noise_enabled, **config.extra_meta,
+        "max_weight_sum_drift": repr(max_weight_drift), "max_stoch_grad_norm": repr(max_grad_norm),
     }
-    meta.update(config.extra_meta)
-    meta["max_weight_sum_drift"] = repr(max_weight_drift)
-    meta["max_stoch_grad_norm"] = repr(max_grad_norm)
-    return MetricsLog(meta=meta, rows=rows, detail=details)
+    return MetricsLog(meta=meta, rows=rows)

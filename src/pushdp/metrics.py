@@ -34,27 +34,12 @@ class RoundStats:
     accuracy: float
 
 
-@dataclass(frozen=True)
-class RoundDetail:
-    """Debug-level per-round vectors for invariant checks."""
-
-    xbar: np.ndarray
-    xbar_next: np.ndarray
-    halves_mean: np.ndarray
-    mean_clipped_grad: np.ndarray
-    mean_noise: np.ndarray
-    weight_sum: float
-    # unclipped per-node stochastic gradient norms sampled this round
-    stoch_grad_norms: np.ndarray | None = None
-
-
 @dataclass
 class MetricsLog:
     """Append-only run record: metadata dict plus one RoundStats per round."""
 
     meta: dict
     rows: list[RoundStats]
-    detail: list[RoundDetail] | None = None
 
     def csv_body(self) -> str:
         """Header line plus data rows, no metadata; used for byte comparisons."""

@@ -1,6 +1,7 @@
 """Shared builders for engine-level and acceptance tests."""
 
 import contextlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -183,7 +184,57 @@ def reference_single_node_sgd(task, gamma, K, seed):
     return traj
 
 
-def reference_run(config):
+@dataclass(frozen=True)
+class RoundDetail:
+    """One round's per-node arrays: the average iterate it evaluates, each node's
+    unclipped and clipped gradient, its half-step, the push-sum weights entering the
+    round and the iterates mixed from the half-steps.  ``noise``, the noise each node
+    added, is known to ``reference_run`` only."""
+
+    xbar: np.ndarray
+    grads: np.ndarray
+    clipped: np.ndarray
+    halves: np.ndarray
+    weights: np.ndarray
+    mixed: np.ndarray
+    noise: np.ndarray | None = None
+
+
+@contextlib.contextmanager
+def recorded_rounds():
+    """Yield a list that gains one RoundDetail per round of every ``engine.run``
+    inside the block, taken from what the round passes to the names it calls:
+    ``evaluate`` (xbar), ``batched_sample_gradients`` (its result, copied as
+    returned and again once the round has clipped it in place) and ``_mix_arrays``
+    (half-steps and weights in, mixed iterates out)."""
+    details, pending = [], {}
+    evaluate, gradients, mix = engine.evaluate, engine.batched_sample_gradients, engine._mix_arrays
+
+    def record_evaluate(model, data, xbar):
+        pending["xbar"] = xbar.copy()
+        return evaluate(model, data, xbar)
+
+    def record_gradients(*args):
+        pending["G"] = gradients(*args)
+        pending["grads"] = pending["G"].copy()
+        return pending["G"]
+
+    def record_mix(halves, weights, P):
+        mixed = mix(halves, weights, P)
+        details.append(RoundDetail(
+            xbar=pending["xbar"], grads=pending["grads"], clipped=pending["G"].copy(),
+            halves=halves.copy(), weights=weights.copy(), mixed=mixed[0].copy(),
+        ))
+        return mixed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "evaluate", record_evaluate)
+        patch.setattr(engine, "batched_sample_gradients", record_gradients)
+        patch.setattr(engine, "_mix_arrays", record_mix)
+        yield details
+
+
+def reference_run(config, details: list | None = None):
     """The round loop one node and one stream draw at a time.
 
     Each node's streams are built on their own by ``node_stream``.  A node
@@ -192,9 +243,10 @@ def reference_run(config):
     ``per_sample_gradient`` at its own de-biased estimate, clips by
     ``np.linalg.norm`` and draws its own noise vector; the schedule is read
     one step at a time.  ``engine.run`` must reproduce it byte for byte.
+    A ``details`` list gains one RoundDetail per round.
     """
     from pushdp.engine import _mix_arrays
-    from pushdp.metrics import MetricsLog, RoundDetail, RoundStats, mean_sq_consensus
+    from pushdp.metrics import MetricsLog, RoundStats, mean_sq_consensus
 
     model, data, sched = config.task.model, config.task.dataset, config.schedule
     n, d, K, J = config.n, config.d, config.K, data.J
@@ -204,7 +256,7 @@ def reference_run(config):
     X = np.stack([r.standard_normal(d) * INIT_SCALE for r in init])
     w = np.ones(n)
     Z = X.copy()
-    rows, details = [], []
+    rows = []
     max_weight_drift = max_grad_norm = 0.0
     for k in range(K):
         if sched is None:
@@ -215,10 +267,11 @@ def reference_run(config):
         xbar = X.mean(axis=0)
         loss, grad, acc = reference_evaluate(model, data, xbar)
         halves, grads, noises = np.empty((n, d)), np.empty((n, d)), np.zeros((n, d))
-        norms, clipped = [], []
+        norms, clipped, clipped_grads = [], [], np.empty((n, d))
         for i in range(n):
             idx = int(sample_rngs[i].integers(J))
             g = per_sample_gradient(model, Z[i], data.features[i, idx], data.labels[i, idx])
+            grads[i] = g
             norms.append(float(np.linalg.norm(g)))
             clipped.append(norms[i] > C_k)
             if clipped[i]:
@@ -228,7 +281,7 @@ def reference_run(config):
                 halves[i] = X[i] - config.gamma * (g + noises[i])
             else:
                 halves[i] = X[i] - config.gamma * g
-            grads[i] = g
+            clipped_grads[i] = g
         max_grad_norm = max(max_grad_norm, max(norms))
         X_next, w_next, Z_next = _mix_arrays(halves, w, config.graph.matrix_at(k))
         max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))
@@ -239,13 +292,11 @@ def reference_run(config):
                 clip_bound=C_k, step_budget=mu_k, noise_std=sigma, accuracy=acc,
             )
         )
-        details.append(
-            RoundDetail(
-                xbar=xbar, xbar_next=X_next.mean(axis=0), halves_mean=halves.mean(axis=0),
-                mean_clipped_grad=grads.mean(axis=0), mean_noise=noises.mean(axis=0),
-                weight_sum=float(w_next.sum()), stoch_grad_norms=np.asarray(norms),
-            )
-        )
+        if details is not None:
+            details.append(RoundDetail(
+                xbar=xbar, grads=grads, clipped=clipped_grads, halves=halves, weights=w,
+                mixed=X_next, noise=noises,
+            ))
         X, w, Z = X_next, w_next, Z_next
     meta = {
         "n": n, "d": d, "K": K, "J": J, "gamma": repr(float(config.gamma)),
@@ -254,7 +305,7 @@ def reference_run(config):
         "max_weight_sum_drift": repr(max_weight_drift),
         "max_stoch_grad_norm": repr(max_grad_norm),
     }
-    return MetricsLog(meta=meta, rows=rows, detail=details)
+    return MetricsLog(meta=meta, rows=rows)
 
 
 def final_accuracies(logs) -> np.ndarray:

@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushdp.accountant import (
     MU_BRACKET,
+    MU_STEP_CAP,
     BudgetOverflow,
     NoBracket,
     PrivacySpec,
@@ -14,10 +18,9 @@ from pushdp.accountant import (
     gaussian_cdf,
     log_ndtr,
     mu_tot_from_eps_delta,
-    noise_scale_general,
     solve_mu0,
-    uniform_budget,
 )
+from pushdp.schedule import build_schedule
 
 # 20-digit references computed with mpmath (mp.ncdf at dps=40)
 CDF_REFERENCE = [
@@ -160,22 +163,25 @@ def test_compose_budget_overflow_carries_index():
 
 
 def test_compose_warns_outside_linearization_regime():
-    with pytest.warns(RegimeWarning):
+    with pytest.warns(RegimeWarning, match="CLT composition may under-report delta"):
         compose_general(np.array([1.5]), 1.0)
+
+
+def growth(rho, K):
+    """The budget shape rho^(k/K) of a growing schedule."""
+    return rho ** (np.arange(K) / K)
 
 
 def test_uniform_budget_identity_case():
     # J = 1, K = 1, mu_tot = sqrt(e - 1) gives mu_bar = 1 exactly
-    mu_bar = uniform_budget(math.sqrt(math.e - 1.0), 1, 1)
+    mu_bar = solve_mu0(math.sqrt(math.e - 1.0), 1, np.ones(1))
     assert mu_bar == pytest.approx(1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("J,K", [(1, 1), (10, 50), (250, 2000), (1000, 200)])
 def test_uniform_budget_round_trips_through_composition(J, K):
-    import warnings
-
     for mu_tot in (0.05, 0.3, 1.0):
-        mu_bar = uniform_budget(mu_tot, J, K)
+        mu_bar = solve_mu0(mu_tot, J, np.ones(K))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
             composed = compose_general(np.full(K, mu_bar), 1.0 / J)
@@ -184,58 +190,72 @@ def test_uniform_budget_round_trips_through_composition(J, K):
 
 def test_solve_mu0_residual_property():
     mu_tot, J, K, rho = 0.3, 100, 500, 4.0
-    mu0 = solve_mu0(mu_tot, J, K, rho)
-    profile = mu0 * rho ** (np.arange(K) / K)
+    mu0 = solve_mu0(mu_tot, J, growth(rho, K))
+    profile = mu0 * growth(rho, K)
     target = (J * mu_tot) ** 2
     assert abs(np.expm1(profile**2).sum() - target) <= 1e-10 * target
 
 
 def test_solve_mu0_matches_uniform_in_the_flat_limit():
     mu_tot, J, K = 0.2, 50, 100
-    near_flat = solve_mu0(mu_tot, J, K, 1.0 + 1e-9)
-    assert near_flat == pytest.approx(uniform_budget(mu_tot, J, K), abs=1e-6)
+    near_flat = solve_mu0(mu_tot, J, growth(1.0 + 1e-9, K))
+    assert near_flat == pytest.approx(solve_mu0(mu_tot, J, np.ones(K)), abs=1e-6)
 
 
 def test_solve_mu0_delegates_at_exactly_one():
+    # a flat shape takes the closed form, scaled by its level, as a Python float
     mu_tot, J, K = 0.2, 50, 100
-    assert solve_mu0(mu_tot, J, K, 1.0) == uniform_budget(mu_tot, J, K)
+    closed = math.sqrt(math.log1p((J * mu_tot) ** 2 / K))
+    flat = solve_mu0(mu_tot, J, growth(1.0, K))
+    assert type(flat) is float and flat == closed
+    assert solve_mu0(mu_tot, J, np.full(K, 2.0)) == closed / 2.0
 
 
 def test_solve_mu0_monotone_in_growth_rate():
     # faster late growth must start lower to hit the same total
     mu_tot, J, K = 0.3, 100, 400
-    mu0s = [solve_mu0(mu_tot, J, K, rho) for rho in (1.5, 2.0, 4.0, 8.0)]
+    mu0s = [solve_mu0(mu_tot, J, growth(rho, K)) for rho in (1.5, 2.0, 4.0, 8.0)]
     assert all(b < a for a, b in zip(mu0s, mu0s[1:]))
 
 
 def test_solve_mu0_budget_overflow():
-    # the target exceeds what a single step at the budget cap can supply
-    with pytest.raises(BudgetOverflow):
-        solve_mu0(64.0, 10**13, 1, 2.0)
+    # the target exceeds what the steps at the budget cap can supply, flat or growing
+    with pytest.raises(BudgetOverflow) as exc:
+        solve_mu0(64.0, 10**13, growth(2.0, 1))
+    assert exc.value.k == 0 and exc.value.mu > MU_STEP_CAP
+    with pytest.raises(BudgetOverflow) as exc:
+        solve_mu0(64.0, 10**13, growth(2.0, 2))
+    assert exc.value.k == 1
 
 
 def test_solve_mu0_rejects_shrinking_budgets():
-    with pytest.raises(ValueError):
-        solve_mu0(0.3, 100, 500, 0.5)
+    # the solver scales any positive shape; a shrinking growth rate is refused where
+    # the shape is made
+    privacy = PrivacySpec.resolve(0.3, 1e-4, 100, 500)
+    with pytest.raises(ValueError, match="growth rate above 1"):
+        build_schedule("dyn-mu", privacy, clip0=2.0, rho_mu=0.5)
 
 
-def test_noise_scale_general_flat_profile():
-    # C = 1, shapes = 1, J = 10, mu_tot = 1, K = 50: sqrt(100)/10 = 1
-    scale = noise_scale_general(np.ones(50), np.ones(50), 10, 1.0)
-    assert scale == pytest.approx(1.0, rel=1e-14)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_solve_mu0_rejects_nonfinite_or_nonpositive_shape(bad):
+    # an infinite entry would give sigma_k = 0 there, a NaN one sigma_k = nan
+    with pytest.raises(ValueError, match="shape entries must be finite and positive"):
+        solve_mu0(0.3, 10, [1.0, bad, 1.0, 1.0, 1.0])
 
 
-def test_noise_scale_general_scales_inversely_with_budget():
-    clips = np.linspace(1.0, 0.5, 20)
-    shapes = np.linspace(1.0, 0.25, 20)
-    a = noise_scale_general(clips, shapes, 10, 0.5)
-    b = noise_scale_general(clips, shapes, 10, 1.0)
-    assert a == pytest.approx(2.0 * b, rel=1e-14)
-
-
-def test_noise_scale_general_rejects_mismatched_profiles():
-    with pytest.raises(ValueError):
-        noise_scale_general(np.ones(5), np.ones(6), 10, 1.0)
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(
+    shape=st.lists(st.floats(1.0, 1e3), min_size=1, max_size=60),
+    J=st.integers(1, 10**4),
+    mu_tot=st.floats(1e-3, 3.0),
+)
+def test_solve_mu0_composes_any_shape_to_the_target(shape, J, mu_tot):
+    # (J mu_tot)^2 <= 9e8 stays far below expm1(MU_STEP_CAP^2), so no shape overflows
+    m = solve_mu0(mu_tot, J, shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        composed = compose_general(m * np.asarray(shape), 1.0 / J)
+    assert composed == pytest.approx(mu_tot, rel=1e-10)
 
 
 def test_privacy_spec_resolves_and_round_trips():

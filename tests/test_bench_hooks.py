@@ -1,10 +1,11 @@
-"""The benchmark's boundary hooks must find their targets in the package.
+"""The benchmark's hooks must find their targets in the package.
 
 ``bench/tracing.py`` times a job's engine run, CSV write and schedule table
 by wrapping functions it names by module and attribute; a hook whose target
-was renamed is skipped, and its time silently moves into ``setup_s``.  The
-tracer is loaded read-only from its source file and installed against the
-package exactly as the benchmark does.
+was renamed is skipped, and its time silently moves into ``setup_s``.  Every
+boundary hook must resolve, and the full set may miss only the targets known
+to be gone.  The tracer is loaded read-only from its source file and installed
+against the package exactly as the benchmark does.
 """
 
 import sys
@@ -58,3 +59,28 @@ def test_boundary_hooks_resolve_against_the_package(tracing):
         pushdp.metrics.MetricsLog.__dict__["write_csv"],
         pushdp.schedule.NoiseSchedule.__dict__["table_csv"],
     )
+
+
+# Full-tracer targets already gone from the package, which the benchmark still names:
+# their stats read zero.  A target that goes missing beyond these fails the test below.
+KNOWN_DEAD_TARGETS = [
+    "pushdp.engine.per_sample_gradient",
+    "pushdp.cli.spectral_report",
+    "pushdp.engine.validate_column_stochastic",
+    *(
+        f"pushdp.schedule.{cls}.{method}"
+        for cls in ("NoiseSchedule", "GeneralSchedule")
+        for method in ("clip_bound_at", "budget_at", "sigma_at")
+    ),
+    "pushdp.schedule.uniform_budget",  # folded into solve_mu0
+]
+
+
+def test_full_tracer_misses_only_known_dead_targets(tracing):
+    tracer = tracing.Tracer(full=True)
+    tracer.install()
+    try:
+        missing = list(tracer.missing)
+    finally:
+        tracer.uninstall()
+    assert set(missing) <= set(KNOWN_DEAD_TARGETS), sorted(set(missing) - set(KNOWN_DEAD_TARGETS))

@@ -399,16 +399,33 @@ def test_run_io_failure_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _cli_process(args, sets):
+    """``python -m pushdp.cli`` in a fresh process, with ``--set`` for each override."""
+    args = [*args, *(arg for pair in sets for arg in ("--set", pair))]
+    src = str(Path(pushdp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "pushdp.cli", *args], capture_output=True, text=True, env=env)
+
+
 def test_diverging_run_prints_one_error_line_and_exits_2(tmp_path):
     # numpy's overflow warnings would add lines naming install paths and source lines
     sets = ["run.n=2", "run.K=50", "run.gamma=1e308", "task.J=10", "schedule.variant=nonprivate"]
     args = ["run", "--config", write_config(tmp_path), "--output", str(tmp_path / "out.csv")]
-    args += [arg for pair in sets for arg in ("--set", pair)]
-    src = str(Path(pushdp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-m", "pushdp.cli", *args], capture_output=True, text=True, env=env)
+    out = _cli_process(args, sets)
     assert out.returncode == 2
     assert re.fullmatch(r"error: non-finite parameter after round \d+; try a smaller step size\n", out.stderr)
+
+
+def test_accountant_prints_a_warning_as_one_plain_line(tmp_path):
+    # at J = 64, K = 20 the late dyn step budgets pass mu_k^2 = 1; the warning must
+    # not name an install path or a source line
+    sets = ["schedule.variant=dyn", "privacy.epsilon=0.3", "task.J=64", "run.K=20"]
+    out = _cli_process(["accountant", "--config", write_config(tmp_path)], sets)
+    assert out.returncode == 0
+    assert out.stderr == (
+        "warning: some per-step budgets exceed mu_k^2 = 1; "
+        "the CLT composition may under-report delta in this regime\n"
+    )
 
 
 def test_bad_cli_usage_exits_1(capsys):

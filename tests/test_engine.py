@@ -12,6 +12,7 @@ from helpers import (
     nonprivate_config,
     per_sample_gradient,
     private_config,
+    recorded_rounds,
     reference_run,
     reference_single_node_sgd,
     run_from,
@@ -20,6 +21,8 @@ from helpers import (
 from pushdp import engine
 from pushdp.accountant import PrivacySpec
 from pushdp.engine import (
+    INIT_SCALE,
+    PURPOSE_INIT,
     PURPOSE_NOISE,
     PURPOSE_SAMPLE,
     ROUND_BLOCK,
@@ -32,7 +35,7 @@ from pushdp.engine import (
     stream_keys,
 )
 from pushdp.models import Model, Task, synth_dataset
-from pushdp.schedule import build_general_schedule, build_schedule
+from pushdp.schedule import NoiseSchedule, build_schedule
 from pushdp.topology import graph_schedule
 
 
@@ -42,32 +45,35 @@ from pushdp.topology import graph_schedule
 
 def _one_node_run(clip_bound=None, noise=False, x0=None, d_in=6, J=1, K=1):
     """A K-round run on one node whose clip bound is ``clip_bound`` every round
-    (None: the non-private path), plus the unclipped gradient of round 0."""
+    (None: the non-private path), its rounds as recorded, and the unclipped
+    gradient of round 0."""
     task = logistic_task(1, J, d_in=d_in)
     sched = None
     if clip_bound is not None:
         privacy = PrivacySpec.resolve(1.0, 1e-4, J=J, K=K)
-        sched = build_general_schedule(np.full(K, clip_bound), np.ones(K), privacy)
+        sched = build_schedule("const", privacy, clip0=clip_bound)
     cfg = RunConfig(
         task=task, graph=graph_schedule("ring", 1), schedule=sched, gamma=0.1, K=K,
-        seed=3, noise_enabled=noise, capture_detail=True,
+        seed=3, noise_enabled=noise,
     )
-    log = run(cfg) if x0 is None else run_from(cfg, x0)
-    z0 = log.detail[0].xbar
+    with recorded_rounds() as details:
+        log = run(cfg) if x0 is None else run_from(cfg, x0)
+    z0 = details[0].xbar
     idx = int(node_stream(3, 0, PURPOSE_SAMPLE).integers(J))
     data = task.dataset
-    return log, per_sample_gradient(task.model, z0, data.features[0, idx], data.labels[0, idx])
+    g = per_sample_gradient(task.model, z0, data.features[0, idx], data.labels[0, idx])
+    return log, details, g
 
 
 def test_clip_passes_short_vectors_through():
-    log, g = _one_node_run(clip_bound=1e6)
+    log, details, g = _one_node_run(clip_bound=1e6)
     assert log.rows[0].clip_rate == 0.0
-    assert log.detail[0].mean_clipped_grad.tobytes() == g.tobytes()
+    assert details[0].clipped[0].tobytes() == g.tobytes()
 
 
 def test_clip_scales_to_bound():
-    log, g = _one_node_run(clip_bound=1e-3)
-    out = log.detail[0].mean_clipped_grad
+    log, details, g = _one_node_run(clip_bound=1e-3)
+    out = details[0].clipped[0]
     assert log.rows[0].clip_rate == 1.0
     assert np.linalg.norm(out) == pytest.approx(1e-3, rel=1e-14)
     # direction preserved
@@ -79,14 +85,14 @@ def test_clip_zero_vector_and_inf_bound():
     data = logistic_task(1, 1).dataset
     x0 = np.zeros((1, 7))
     x0[0, -1] = 1000.0 if data.labels[0, 0] == 1 else -1000.0
-    log, g = _one_node_run(clip_bound=0.5, x0=x0)
-    assert not g.any() and log.detail[0].stoch_grad_norms[0] == 0.0
+    log, details, g = _one_node_run(clip_bound=0.5, x0=x0)
+    assert not g.any() and not details[0].grads.any()
     assert log.rows[0].clip_rate == 0.0
-    assert not log.detail[0].mean_clipped_grad.any()
+    assert not details[0].clipped.any()
     # the non-private path clips at C_k = inf: a gradient of any size passes
-    log, g = _one_node_run(clip_bound=None, x0=np.full((1, 7), 3.0), K=3)
+    log, details, g = _one_node_run(clip_bound=None, x0=np.full((1, 7), 3.0), K=3)
     assert all(r.clip_bound == np.inf and r.clip_rate == 0.0 for r in log.rows)
-    assert log.detail[0].mean_clipped_grad.tobytes() == g.tobytes()
+    assert details[0].clipped[0].tobytes() == g.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -94,19 +100,21 @@ def test_clip_zero_vector_and_inf_bound():
 
 
 def test_local_step_noise_free_is_plain_sgd():
-    log, g = _one_node_run(clip_bound=1e6, noise=False)
-    det = log.detail[0]
-    assert log.rows[0].noise_std == 0.0 and not det.mean_noise.any()
-    assert det.halves_mean.tobytes() == (det.xbar - 0.1 * g).tobytes()
+    log, details, g = _one_node_run(clip_bound=1e6, noise=False)
+    det = details[0]
+    assert log.rows[0].noise_std == 0.0
+    assert det.halves[0].tobytes() == (det.xbar - 0.1 * g).tobytes()
 
 
 def test_local_step_noise_magnitude_matches_sigma():
-    # mean squared norm of the injected noise should match sigma^2 * d
-    log, _ = _one_node_run(clip_bound=1.0, noise=True, d_in=999, J=5, K=100)
+    # mean squared norm of the injected noise should match sigma^2 * d; on one node
+    # the half-step x - 0.1 (g + noise) starts from x = xbar
+    log, details, _ = _one_node_run(clip_bound=1.0, noise=True, d_in=999, J=5, K=100)
     d = 1000
     sigma = log.rows[0].noise_std
     assert all(r.noise_std == sigma for r in log.rows) and sigma > 0
-    mean_per_coord = np.mean([det.mean_noise @ det.mean_noise for det in log.detail]) / d
+    noises = [(det.xbar - det.halves[0]) / 0.1 - det.clipped[0] for det in details]
+    mean_per_coord = np.mean([noise @ noise for noise in noises]) / d
     assert sigma**2 * 0.85 < mean_per_coord < sigma**2 * 1.15
 
 
@@ -216,12 +224,13 @@ def test_ring_mixing_reaches_consensus():
 
 def test_single_node_run_reduces_to_sgd():
     K = 200
-    cfg = nonprivate_config(n=1, J=40, K=K, gamma=0.1, seed=5, graph="ring", capture_detail=True)
-    log = run(cfg)
+    cfg = nonprivate_config(n=1, J=40, K=K, gamma=0.1, seed=5, graph="ring")
+    with recorded_rounds() as details:
+        log = run(cfg)
     ref = reference_single_node_sgd(cfg.task, 0.1, K, 5)
     for k in range(K):
-        assert np.max(np.abs(log.detail[k].xbar - ref[k])) <= 1e-12
-    assert np.max(np.abs(log.detail[-1].xbar_next - ref[K])) <= 1e-12
+        assert np.max(np.abs(details[k].xbar - ref[k])) <= 1e-12
+    assert np.max(np.abs(details[-1].mixed.mean(axis=0) - ref[K])) <= 1e-12
     # logged loss agrees with an independent objective evaluation
     assert log.rows[50].loss == pytest.approx(
         full_objective(cfg.task.model, cfg.task.dataset, ref[50])[0], rel=1e-12
@@ -252,15 +261,19 @@ def test_consensus_decay_is_geometric_and_within_theory_rate():
 def test_average_iterate_follows_mean_noisy_gradient():
     cfg = private_config(
         n=4, J=30, K=40, epsilon=1.0, variant="const", clip0=0.5,
-        gamma=0.05, seed=3, capture_detail=True,
+        gamma=0.05, seed=3,
     )
-    log = run(cfg)
-    for det in log.detail:
-        expected = det.xbar - cfg.gamma * (det.mean_clipped_grad + det.mean_noise)
-        assert np.max(np.abs(det.halves_mean - expected)) <= 1e-12
+    with recorded_rounds() as details:
+        run(cfg)
+    ref = []
+    reference_run(cfg, ref)  # the noise each node added, which the round does not pass on
+    for det, want in zip(details, ref, strict=True):
+        halves_mean = det.halves.mean(axis=0)
+        expected = det.xbar - cfg.gamma * (det.clipped.mean(axis=0) + want.noise.mean(axis=0))
+        assert np.max(np.abs(halves_mean - expected)) <= 1e-12
         # column stochasticity: mixing preserves the mean half-step
-        assert np.max(np.abs(det.xbar_next - det.halves_mean)) <= 1e-10
-        assert det.weight_sum == pytest.approx(4.0, abs=1e-10)
+        assert np.max(np.abs(det.mixed.mean(axis=0) - halves_mean)) <= 1e-10
+        assert det.weights.sum() == pytest.approx(4.0, abs=1e-10)
 
 
 def test_weight_sums_conserved_across_graphs():
@@ -393,14 +406,14 @@ def _mlp_private_config():
 )
 def test_run_matches_per_node_reference(make):
     cfg = make()
-    cfg.capture_detail = True
-    log, ref = run(cfg), reference_run(cfg)
-    assert log.csv_text() == ref.csv_text()
-    for got, want in zip(log.detail, ref.detail, strict=True):
-        for name in ("xbar", "xbar_next", "halves_mean", "mean_clipped_grad", "mean_noise"):
+    ref = []
+    with recorded_rounds() as details:
+        log = run(cfg)
+    assert log.csv_text() == reference_run(cfg, ref).csv_text()
+    assert len(details) == len(ref) == cfg.K
+    for got, want in zip(details, ref):
+        for name in ("xbar", "grads", "clipped", "halves", "weights", "mixed"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-        assert got.weight_sum == want.weight_sum
-        assert got.stoch_grad_norms.tobytes() == want.stoch_grad_norms.tobytes()
 
 
 def _constant_evaluate(model, data, params):
@@ -445,12 +458,18 @@ def test_seed_changes_trajectory():
 def test_noise_ablation_keeps_data_sequence():
     # the noise stream is keyed separately from the sampling stream, so
     # switching noise off must not shift which points get sampled
-    on = private_config(n=4, J=20, K=1, epsilon=0.5, seed=4, capture_detail=True)
-    off = private_config(n=4, J=20, K=1, epsilon=0.5, seed=4, capture_detail=True, noise_enabled=False)
-    det_on = run(on).detail[0]
-    det_off = run(off).detail[0]
-    assert np.array_equal(det_on.mean_clipped_grad, det_off.mean_clipped_grad)
-    assert np.array_equal(det_off.mean_noise, np.zeros(on.d))
+    on = private_config(n=4, J=20, K=1, epsilon=0.5, seed=4)
+    off = private_config(n=4, J=20, K=1, epsilon=0.5, seed=4, noise_enabled=False)
+    with recorded_rounds() as details:
+        run(on)
+        run(off)
+    det_on, det_off = details
+    assert np.array_equal(det_on.clipped, det_off.clipped)
+    # with noise off the half-step is the initial iterate minus the clipped step alone
+    init = [node_stream(4, i, PURPOSE_INIT).standard_normal(on.d) for i in range(4)]
+    x0 = np.stack(init) * INIT_SCALE
+    assert det_off.halves.tobytes() == (x0 - off.gamma * det_off.clipped).tobytes()
+    assert not np.array_equal(det_on.halves, det_off.halves)
 
 
 def test_noise_hurts_optimization():
@@ -502,10 +521,14 @@ def test_tiny_bound_clips_everything():
 
 
 def test_general_schedule_drives_engine():
+    # a noise level that no named variant makes: it steps through three levels
     K = 12
-    privacy = PrivacySpec.resolve(1.0, 1e-4, J=20, K=K)
     clips = 1.5 * 2.0 ** (-np.arange(K) / K)
-    sched = build_general_schedule(clips, 1.0 + np.arange(K) % 3, privacy)
+    sigma = 0.4 * (1.0 + np.arange(K) % 3)
+    sched = NoiseSchedule(
+        variant="general", clip=clips, budget=clips / sigma, sigma=sigma,
+        clip0=1.5, rho_c=2.0, rho_mu=1.0, mu0=float(clips[0] / sigma[0]),
+    )
     task = logistic_task(4, 20)
     cfg = RunConfig(
         task=task, graph=graph_schedule("exponential", 4), schedule=sched,

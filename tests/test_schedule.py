@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from pushdp.accountant import (
+    MU_STEP_CAP,
+    BudgetOverflow,
     PrivacySpec,
     RegimeWarning,
     compose_general,
     solve_mu0,
-    uniform_budget,
 )
-from pushdp.schedule import VARIANTS, NoiseSchedule, build_general_schedule, build_schedule
+from pushdp.schedule import VARIANTS, NoiseSchedule, build_schedule
 
 
 def quiet_compose(step_budgets, sampling_prob):
@@ -40,7 +41,8 @@ def test_flat_variants_keep_constant_clip(privacy):
 
 
 def test_flat_budget_variants_use_closed_form(privacy):
-    expected = uniform_budget(privacy.mu_tot, privacy.J, privacy.K)
+    expected = math.sqrt(math.log1p((privacy.J * privacy.mu_tot) ** 2 / privacy.K))
+    assert solve_mu0(privacy.mu_tot, privacy.J, np.ones(privacy.K)) == expected
     for variant in ("dyn-clip", "const"):
         sched = build_schedule(variant, privacy, clip0=2.0, rho_c=4.0)
         assert sched.mu0 == expected
@@ -49,7 +51,7 @@ def test_flat_budget_variants_use_closed_form(privacy):
 
 
 def test_growing_budget_variants_solve_composition(privacy):
-    expected = solve_mu0(privacy.mu_tot, privacy.J, privacy.K, 4.0)
+    expected = solve_mu0(privacy.mu_tot, privacy.J, 4.0 ** (np.arange(privacy.K) / privacy.K))
     for variant in ("dyn", "dyn-mu"):
         sched = build_schedule(variant, privacy, clip0=2.0, rho_c=4.0, rho_mu=4.0)
         assert sched.mu0 == expected
@@ -144,15 +146,16 @@ def test_schedule_arrays_are_read_only(privacy):
 
 def test_schedule_copies_its_arrays_and_checks_their_shapes():
     clip = np.ones(4)
-    sched = NoiseSchedule(variant="general", clip=clip, budget=np.ones(4), sigma=np.ones(4))
+    provenance = dict(variant="general", clip0=1.0, rho_c=1.0, rho_mu=1.0, mu0=1.0)
+    sched = NoiseSchedule(clip=clip, budget=np.ones(4), sigma=np.ones(4), **provenance)
     clip[0] = 5.0
     assert sched.clip[0] == 1.0 and sched.K == 4
     with pytest.raises(ValueError, match="equal-length"):
-        NoiseSchedule(variant="general", clip=np.ones(4), budget=np.ones(3), sigma=np.ones(4))
+        NoiseSchedule(clip=np.ones(4), budget=np.ones(3), sigma=np.ones(4), **provenance)
     with pytest.raises(ValueError, match="equal-length"):
-        NoiseSchedule(variant="general", clip=[], budget=[], sigma=[])
+        NoiseSchedule(clip=[], budget=[], sigma=[], **provenance)
     with pytest.raises(ValueError, match="equal-length"):
-        NoiseSchedule(variant="general", clip=1.0, budget=1.0, sigma=1.0)
+        NoiseSchedule(clip=1.0, budget=1.0, sigma=1.0, **provenance)
 
 
 def test_table_csv_shape(privacy):
@@ -181,56 +184,43 @@ def test_build_rejects_nonfinite_or_nonpositive_inputs(privacy, key, bad):
         build_schedule("dyn", privacy, **kwargs)
 
 
-def test_general_schedule_flat_profile_matches_closed_form():
-    privacy = PrivacySpec.resolve(1.0, 1e-4, 10, 50)
-    # overwrite mu_tot with 1.0 to hit the worked example scale = 1
-    privacy = PrivacySpec(1.0, 1e-4, 10, 50, 1.0)
-    sched = build_general_schedule(np.ones(50), np.ones(50), privacy)
-    assert sched.variant == "general" and sched.K == 50
-    assert sched.mu0 is None and sched.clip0 is None
-    np.testing.assert_allclose(sched.sigma, 1.0, rtol=1e-14)
-    np.testing.assert_allclose(sched.budget, 1.0, rtol=1e-14)
-    assert np.array_equal(sched.clip, np.ones(50))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_variant_checks_the_step_budget_cap(variant):
+    # one step over 10^15 samples asks for a flat budget of about 8.04, over the cap
+    privacy = PrivacySpec.resolve(0.3, 1e-4, 10**15, 1)
+    assert math.sqrt(math.log1p((privacy.J * privacy.mu_tot) ** 2)) > MU_STEP_CAP
+    with pytest.raises(BudgetOverflow):
+        build_schedule(variant, privacy, 2.0, rho_c=4.0, rho_mu=4.0)
 
 
-def test_general_schedule_closed_form_scale():
-    # scale = sqrt(2 * sum_k C_k^2 / s_k^2) / (J * mu_tot), sigma_k = scale * s_k
-    privacy = PrivacySpec(1.0, 1e-4, 4, 3, 0.5)
-    clips, shapes = np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.5, 2.0])
-    sched = build_general_schedule(clips, shapes, privacy)
-    scale = math.sqrt(2.0 * (1.0 + 16.0 + 2.25)) / (4 * 0.5)
-    np.testing.assert_allclose(sched.sigma, scale * shapes, rtol=1e-14)
-    assert np.array_equal(sched.budget, clips / sched.sigma)
+# (mu0, sigma_0, sigma_{K-1}) at eps 0.3, delta 1e-4, c0 2, rho_c = rho_mu = 4, frozen
+# before the budget solvers were merged into one; every digit must stay
+FROZEN_SCHEDULES = {
+    (250, 2000): {
+        "dyn": ("0.22949790922000968", 8.71467634192121, 0.5454228641530606),
+        "dyn-clip": ("0.5562227923065701", 3.595681492493877, 0.8995436732400514),
+        "dyn-mu": ("0.22949790922000968", 8.71467634192121, 2.1801797473092863),
+        "const": ("0.5562227923065701", 3.595681492493877, 3.595681492493877),
+    },
+    (250, 200): {
+        "dyn": ("0.4546711423986569", 4.398783677910208, 0.2787617756101691),
+        "dyn-clip": ("1.237602771572725", 1.616027408744757, 0.4068169420698277),
+        "dyn-mu": ("0.4546711423986569", 4.398783677910208, 1.1073449094926475),
+        "const": ("1.237602771572725", 1.616027408744757, 1.616027408744757),
+    },
+    (64, 20): {
+        "dyn": ("0.4292036493536825", 4.659792625276382, 0.3345435077051435),
+        "dyn-clip": ("1.1030694562827381", 1.813122454446206, 0.48581413275102814),
+        "dyn-mu": ("0.4292036493536825", 4.659792625276382, 1.2485605191733882),
+        "const": ("1.1030694562827381", 1.813122454446206, 1.813122454446206),
+    },
+}
 
 
-def test_general_schedule_is_conservative():
-    # linearized calibration must not exceed the requested budget while
-    # every implied step budget stays in the linearization regime
-    privacy = PrivacySpec.resolve(0.3, 1e-4, 250, 500)
-    clips = 2.0 * 4.0 ** (-np.arange(500) / 500)
-    shapes = clips / clips[0]  # noise tracking the clip bound keeps budgets flat
-    sched = build_general_schedule(clips, shapes, privacy)
-    assert sched.budget.max() <= 1.0
-    assert quiet_compose(sched.budget, 1.0 / privacy.J) <= privacy.mu_tot
-
-
-def test_general_schedule_rejects_wrong_length():
-    privacy = PrivacySpec.resolve(0.3, 1e-4, 10, 50)
-    with pytest.raises(ValueError):
-        build_general_schedule(np.ones(49), np.ones(49), privacy)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_general_schedule_rejects_nonfinite_or_nonpositive_clip(bad):
-    # a NaN bound used to give sigma_k = nan at every step
-    privacy = PrivacySpec.resolve(0.3, 1e-4, 10, 5)
-    with pytest.raises(ValueError, match="clip bounds must be finite and positive"):
-        build_general_schedule([1.0, bad, 1.0, 1.0, 1.0], np.ones(5), privacy)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_general_schedule_rejects_nonfinite_or_nonpositive_noise_shape(bad):
-    # an infinite shape entry used to give sigma_1 = inf and mu_1 = 0
-    privacy = PrivacySpec.resolve(0.3, 1e-4, 10, 5)
-    with pytest.raises(ValueError, match="noise shape must be finite and positive"):
-        build_general_schedule(np.ones(5), [1.0, bad, 1.0, 1.0, 1.0], privacy)
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("J,K", list(FROZEN_SCHEDULES), ids=["readme", "logistic-n20", "net-n256"])
+def test_schedules_match_frozen_values(J, K, variant):
+    sched = build_schedule(variant, PrivacySpec.resolve(0.3, 1e-4, J, K), 2.0, rho_c=4.0, rho_mu=4.0)
+    mu0, sigma_first, sigma_last = FROZEN_SCHEDULES[J, K][variant]
+    assert repr(sched.mu0) == mu0
+    assert float(sched.sigma[0]) == sigma_first and float(sched.sigma[-1]) == sigma_last
