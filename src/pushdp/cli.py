@@ -12,6 +12,9 @@ Subcommands:
 
 A command builds the dataset and graph and checks connectivity once, shared by
 every variant and seed it runs (``sweep`` rebuilds them per ``n`` or ``graph``).
+It resolves each variant once: one function, ``_leg``, makes every check and
+derives K, the step size, the privacy budget and the schedule, and the seeds of
+a variant's replicates share the result.  ``accountant`` audits that same leg.
 
 Configuration lives in an INI-style file with sections [run], [privacy],
 [schedule], [graph], and [task]; ``--set section.key=value`` overrides any
@@ -28,6 +31,7 @@ import configparser
 import dataclasses
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -227,42 +231,11 @@ def _setting(cfg: ExperimentConfig) -> tuple:
     return task, graph, check_b_strong_connectivity(graph, B) if cfg.n > 1 else None
 
 
-def _check_privacy(cfg: ExperimentConfig) -> float:
-    """Total GDP budget mu_tot of the (epsilon, delta) target, named keys on failure."""
-    if not cfg.epsilon > 0:
-        raise ConfigError("privacy.epsilon is required for private variants")
-    if not 0 < cfg.delta < 1:
-        raise ConfigError("privacy.delta must lie in (0, 1)")
-    try:
-        return mu_tot_from_eps_delta(cfg.epsilon, cfg.delta)
-    except NoBracket as exc:
-        raise ConfigError(f"privacy.epsilon and privacy.delta: {exc}") from exc
-
-
-def _private_schedule(cfg: ExperimentConfig, variant: str, K: int):
-    """Privacy target and schedule of a private variant over K steps."""
-    privacy = PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, K)
-    try:
-        rates = dict(rho_c=cfg.rho_c or None, rho_mu=cfg.rho_mu or None)
-        return privacy, build_schedule(variant, privacy, clip0=cfg.c0, **rates)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _graph_meta(report) -> dict:
-    """A leg's connectivity metadata (none for one node); fails unless B-connected."""
-    if report and not report.is_b_connected:
-        raise ConfigError(
-            f"graph schedule is not strongly connected over windows of {report.window}"
-        )
-    return {"graph_window": report.window, "graph_diameter": report.diameter} if report else {}
-
-
-def _resolve(cfg: ExperimentConfig, seed: int, variant=None, setting=None) -> RunConfig:
-    """Turn a config into a concrete RunConfig for one replicate in a ``_setting``."""
-    variant = variant if variant is not None else cfg.variant
+def _leg(cfg: ExperimentConfig, variant: str, setting: tuple) -> RunConfig:
+    """One variant of a command as a RunConfig at seed ``cfg.seed`` in the command's
+    ``_setting``: every check, the step size, K, the privacy solve and the schedule."""
     n = cfg.n
-    task, graph, report = setting or _setting(cfg)
+    task, graph, report = setting
     extra_meta: dict = {"variant": variant}
 
     if cfg.gamma != "corollary" and cfg.K < 1:
@@ -274,7 +247,14 @@ def _resolve(cfg: ExperimentConfig, seed: int, variant=None, setting=None) -> Ru
     else:
         if variant not in VARIANTS:
             raise ConfigError(f"schedule.variant must be one of {VARIANTS + (NONPRIVATE,)}")
-        mu_tot = _check_privacy(cfg)
+        if not cfg.epsilon > 0:
+            raise ConfigError("privacy.epsilon is required for private variants")
+        if not 0 < cfg.delta < 1:
+            raise ConfigError("privacy.delta must lie in (0, 1)")
+        try:
+            mu_tot = mu_tot_from_eps_delta(cfg.epsilon, cfg.delta)
+        except NoBracket as exc:
+            raise ConfigError(f"privacy.epsilon and privacy.delta: {exc}") from exc
         if cfg.gamma == "corollary":
             if cfg.J * mu_tot <= math.sqrt(n):
                 raise ConfigError(
@@ -286,7 +266,12 @@ def _resolve(cfg: ExperimentConfig, seed: int, variant=None, setting=None) -> Ru
             extra_meta["gamma_preset"] = "corollary"
         else:
             gamma, K = float(cfg.gamma), cfg.K
-        privacy, sched = _private_schedule(cfg, variant, K)
+        privacy = PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, K)
+        try:
+            rates = dict(rho_c=cfg.rho_c or None, rho_mu=cfg.rho_mu or None)
+            sched = build_schedule(variant, privacy, clip0=cfg.c0, **rates)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         extra_meta.update(
             epsilon=_ser_float(cfg.epsilon),
             delta=_ser_float(cfg.delta),
@@ -297,9 +282,15 @@ def _resolve(cfg: ExperimentConfig, seed: int, variant=None, setting=None) -> Ru
             rho_mu=_ser_float(sched.rho_mu),
         )
 
-    extra_meta.update(_graph_meta(report))
+    if report:  # none for one node
+        if not report.is_b_connected:
+            raise ConfigError(
+                f"graph schedule is not strongly connected over windows of {report.window}"
+            )
+        extra_meta.update(graph_window=report.window, graph_diameter=report.diameter)
     return RunConfig(
-        task=task, graph=graph, schedule=sched, gamma=gamma, K=K, seed=seed, extra_meta=extra_meta
+        task=task, graph=graph, schedule=sched, gamma=gamma, K=K, seed=cfg.seed,
+        extra_meta=extra_meta,
     )
 
 
@@ -307,16 +298,16 @@ def _output_path(base: str, default: str, seed: int, repeat: int) -> str:
     path = base or default
     if repeat <= 1:
         return path
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return f"{path}_seed{seed}"
-    return f"{stem}_seed{seed}.{ext}"
+    stem, ext = os.path.splitext(path)  # the extension of the file name, not of a directory
+    return f"{stem}_seed{seed}{ext}"
 
 
-def _replicates(cfg: ExperimentConfig, setting: tuple, variant: str | None = None):
-    """(seed, metrics log) of each replicate, seeds cfg.seed .. cfg.seed + repeat - 1."""
+def _replicates(cfg: ExperimentConfig, setting: tuple, variant: str):
+    """(seed, metrics log) of each replicate of one variant, whose leg is resolved
+    once and run at seeds cfg.seed .. cfg.seed + repeat - 1."""
+    leg = _leg(cfg, variant, setting)
     for seed in range(cfg.seed, cfg.seed + cfg.repeat):
-        yield seed, run(_resolve(cfg, seed, variant, setting))
+        yield seed, run(dataclasses.replace(leg, seed=seed))
 
 
 def _write(path: str, text: str) -> None:
@@ -334,7 +325,7 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config, args.set)
     if args.output:
         cfg.output = args.output
-    for seed, log in _replicates(cfg, _setting(cfg)):
+    for seed, log in _replicates(cfg, _setting(cfg), cfg.variant):
         if seed == cfg.seed:
             for key in ("mu_tot", "mu0"):
                 if key in log.meta:
@@ -397,7 +388,7 @@ def cmd_sweep(args) -> int:
         point = _apply_axis(cfg, args.axis, value)
         if setting is None or args.axis in ("n", "graph"):  # the axes that shape the setting
             setting = _setting(point)
-        for seed, log in _replicates(point, setting):
+        for seed, log in _replicates(point, setting, point.variant):
             s = summarize(log)
             cells = (s.final_loss, s.final_accuracy, s.mean_grad_norm_sq, s.clip_fraction)
             lines.append(",".join([args.axis, value, str(seed), *map(_ser_float, cells)]))
@@ -407,17 +398,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_accountant(args) -> int:
     cfg = load_config(args.config, args.set)
-    report = _setting(cfg)[2]  # bad [task] and [graph] entries fail as for a run
+    setting = _setting(cfg)  # bad [task] and [graph] entries fail as for a run
     if cfg.variant == NONPRIVATE:
         raise ConfigError("the accountant needs a private schedule variant")
-    if cfg.K < 1:
-        raise ConfigError("run.K must be positive")
-    _check_privacy(cfg)
-    privacy, sched = _private_schedule(cfg, cfg.variant, cfg.K)
-    _graph_meta(report)
-    composed = compose_general(sched.budget, 1.0 / privacy.J)
-    print(f"epsilon = {privacy.epsilon:g}, delta = {privacy.delta:g}")
-    print(f"mu_tot = {privacy.mu_tot!r}")
+    leg = _leg(cfg, cfg.variant, setting)  # the K, step size and schedule a run executes
+    sched = leg.schedule
+    composed = compose_general(sched.budget, 1.0 / cfg.J)
+    print(f"epsilon = {cfg.epsilon:g}, delta = {cfg.delta:g}")
+    print(f"mu_tot = {leg.extra_meta['mu_tot']}")
     print(f"variant = {sched.variant}")
     print(f"mu0 = {sched.mu0!r}")
     print(f"sigma_first = {float(sched.sigma[0])!r}")

@@ -41,9 +41,10 @@ class MetricsLog:
     meta: dict
     rows: list[RoundStats]
 
-    def csv_body(self) -> str:
-        """Header line plus data rows, no metadata; used for byte comparisons."""
-        lines = ["k,loss,grad_norm_sq,consensus_err,clip_rate,C_k,mu_k,sigma_k,accuracy"]
+    def csv_text(self) -> str:
+        """``# key=value`` metadata lines, the header line, then one row per round."""
+        lines = [f"# {key}={value}" for key, value in self.meta.items()]
+        lines.append("k,loss,grad_norm_sq,consensus_err,clip_rate,C_k,mu_k,sigma_k,accuracy")
         for r in self.rows:
             cells = [
                 str(r.k),
@@ -59,10 +60,6 @@ class MetricsLog:
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
-    def csv_text(self) -> str:
-        header = "".join(f"# {key}={value}\n" for key, value in self.meta.items())
-        return header + self.csv_body()
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
             fh.write(self.csv_text())
@@ -77,8 +74,6 @@ def mean_sq_consensus(Z: np.ndarray, xbar: np.ndarray) -> float:
 @dataclass(frozen=True)
 class RunSummary:
     final_loss: float
-    mean_loss: float
-    min_grad_norm_sq: float
     mean_grad_norm_sq: float
     clip_fraction: float
     final_accuracy: float
@@ -88,13 +83,10 @@ def summarize(log: MetricsLog) -> RunSummary:
     """Scalar roll-up of a run; the gradient mean is the Cesaro average."""
     if not log.rows:
         raise ValueError("cannot summarize an empty log")
-    losses = np.array([r.loss for r in log.rows])
     grads = np.array([r.grad_norm_sq for r in log.rows])
     clips = np.array([r.clip_rate for r in log.rows])
     return RunSummary(
-        final_loss=float(losses[-1]),
-        mean_loss=float(losses.mean()),
-        min_grad_norm_sq=float(grads.min()),
+        final_loss=float(log.rows[-1].loss),
         mean_grad_norm_sq=float(grads.mean()),
         clip_fraction=float(clips.mean()),
         final_accuracy=log.rows[-1].accuracy,

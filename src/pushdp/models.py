@@ -35,7 +35,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     classes: int
-    seed: int
     targets: np.ndarray = field(init=False, repr=False, compare=False)
     positive: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -99,7 +98,6 @@ def synth_dataset(
         features=features.reshape(n, J, d_in),
         labels=labels.reshape(n, J),
         classes=classes,
-        seed=seed,
     )
 
 

@@ -197,22 +197,23 @@ def check_b_strong_connectivity(schedule: GraphSchedule, B: int) -> Connectivity
     """Check that every window of B consecutive rounds is strongly connected.
 
     The schedule is periodic, so examining lcm(period, B) / B consecutive
-    windows covers every union graph that can ever occur.  The reported
-    diameter is the worst shortest-path length over those windows, measured
-    along the direction messages travel (edge j -> i when ``P[i, j] > 0``).
-    Each window is one bitset BFS from all sources at once (see
-    ``_window_distances``) taking diameter + 1 hops: a handful for the
-    exponential graph, n for a ring.
+    windows covers every union graph that can ever occur.  A window of at least
+    a period holds every matrix of the period, so it unites ``min(B, period)``
+    rounds and all such windows are the one union: the cost is bounded by the
+    period, however large B is.  The reported diameter is the worst
+    shortest-path length over the windows, measured along the direction
+    messages travel (edge j -> i when ``P[i, j] > 0``).  Each window is one
+    bitset BFS from all sources at once (see ``_window_distances``) taking
+    diameter + 1 hops: a handful for the exponential graph, n for a ring.
     """
     if B < 1:
         raise ValueError("window must be at least one round")
-    n = schedule.n
-    num_windows = math.lcm(schedule.period, B) // B
+    n, period = schedule.n, schedule.period
+    num_windows = 1 if B >= period else math.lcm(period, B) // B
+    edges = schedule.weights > 0
     diameter = 0
     for window in range(num_windows):
-        union = np.zeros((n, n), dtype=bool)
-        for k in range(window * B, (window + 1) * B):
-            union |= schedule.matrix_at(k) > 0
+        union = edges[(window * B + np.arange(min(B, period))) % period].any(axis=0)
         dist = _window_distances(n, union)
         if (dist < 0).any():
             return ConnectivityReport(is_b_connected=False, window=B, diameter=None)

@@ -1,6 +1,7 @@
 """Shared builders for engine-level and acceptance tests."""
 
 import contextlib
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,16 +326,18 @@ def validate_each_slice(weights) -> None:
 
 @contextlib.contextmanager
 def cli_resolving_each_leg():
-    """``pushdp.cli`` as if nothing were shared: every leg of a command builds its
-    own dataset, graph and connectivity report from its config.  The reference
-    for the setting a command builds once."""
-    resolve = cli._resolve
+    """``pushdp.cli`` as if nothing were shared: every (variant, seed) pair of a
+    command builds its own dataset, graph, connectivity report and leg from its
+    config.  The reference for the setting a command builds once and the leg it
+    resolves once per variant."""
 
-    def resolve_alone(cfg, seed, variant=None, setting=None):
-        return resolve(cfg, seed, variant)
+    def replicates_alone(cfg, setting, variant):
+        for seed in range(cfg.seed, cfg.seed + cfg.repeat):
+            alone = dataclasses.replace(cfg, seed=seed)
+            yield seed, cli.run(cli._leg(alone, variant, cli._setting(alone)))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_resolve", resolve_alone)
+        patch.setattr(cli, "_replicates", replicates_alone)
         yield
 
 

@@ -310,7 +310,7 @@ d_in = 6
 
 
 def test_10_byte_identical_reruns(tmp_path):
-    from pushdp.cli import _resolve, main, parse_config
+    from pushdp.cli import _leg, _setting, main, parse_config
 
     t0 = time.perf_counter()
     config = tmp_path / "exp.ini"
@@ -319,7 +319,8 @@ def test_10_byte_identical_reruns(tmp_path):
     assert main(["run", "--config", str(config), "--output", str(outs[0])]) == 0
     assert main(["run", "--config", str(config), "--output", str(outs[1])]) == 0
     rerun = outs[0].read_bytes() == outs[1].read_bytes()
-    reference = reference_run(_resolve(parse_config(CONFIG_10), seed=0)).csv_text()
+    cfg = parse_config(CONFIG_10)
+    reference = reference_run(_leg(cfg, cfg.variant, _setting(cfg))).csv_text()
     per_node = outs[0].read_text() == reference
     assert rerun and per_node
     report(

@@ -21,8 +21,9 @@ from pushdp.cli import (
     _FIELDS,
     ConfigError,
     ExperimentConfig,
+    _leg,
     _parse_gamma,
-    _resolve,
+    _setting,
     main,
     parse_config,
     serialize_config,
@@ -133,9 +134,14 @@ def test_override_rejects_malformed_and_unknown():
 # resolution
 
 
+def _run_leg(cfg):
+    """The leg ``run`` executes for a config."""
+    return _leg(cfg, cfg.variant, _setting(cfg))
+
+
 def test_resolve_corollary_preset_sets_gamma_and_k():
     cfg = parse_config(BASE, ["run.gamma=corollary", "run.K=0", "privacy.epsilon=0.3", "task.J=100"])
-    rc = _resolve(cfg, seed=0)
+    rc = _run_leg(cfg)
     mu_tot = mu_tot_from_eps_delta(0.3, 1e-4)
     assert rc.gamma == pytest.approx(1.0 / (math.sqrt(4) * 100 * mu_tot), rel=1e-12)
     assert rc.K == round(4 * (100 * mu_tot) ** 2)
@@ -145,24 +151,24 @@ def test_resolve_corollary_preset_sets_gamma_and_k():
 def test_resolve_corollary_preset_needs_enough_budget():
     cfg = parse_config(BASE, ["run.gamma=corollary", "run.n=16", "task.J=10", "privacy.epsilon=0.3"])
     with pytest.raises(ConfigError, match="sqrt"):
-        _resolve(cfg, seed=0)
+        _run_leg(cfg)
 
 
 def test_resolve_requires_epsilon_for_private_variants():
     cfg = parse_config(BASE, ["privacy.epsilon=0.0"])
     with pytest.raises(ConfigError, match="epsilon"):
-        _resolve(cfg, seed=0)
+        _run_leg(cfg)
 
 
 def test_resolve_nonprivate_ignores_privacy_section():
     cfg = parse_config(BASE, ["schedule.variant=nonprivate", "privacy.epsilon=0.0"])
-    rc = _resolve(cfg, seed=0)
+    rc = _run_leg(cfg)
     assert rc.schedule is None
 
 
 def test_resolve_records_graph_diagnostics():
     cfg = parse_config(BASE)
-    rc = _resolve(cfg, seed=0)
+    rc = _run_leg(cfg)
     assert rc.extra_meta["graph_window"] == 2  # exponential n=4 has period 2
     assert rc.extra_meta["graph_diameter"] == 2
     assert "contraction_rate" not in rc.extra_meta
@@ -170,7 +176,7 @@ def test_resolve_records_graph_diagnostics():
 
 def test_resolve_respects_b_window_override():
     cfg = parse_config(BASE, ["run.b_window=4"])
-    rc = _resolve(cfg, seed=0)
+    rc = _run_leg(cfg)
     assert rc.extra_meta["graph_window"] == 4
 
 
@@ -181,7 +187,7 @@ def test_resolve_explicit_graph_from_json():
         "run.n=2",
     ]
     cfg = parse_config(BASE, overrides)
-    rc = _resolve(cfg, seed=0)
+    rc = _run_leg(cfg)
     assert rc.graph.kind == "explicit"
     assert rc.graph.period == 1
 
@@ -194,13 +200,13 @@ def test_resolve_rejects_invalid_explicit_matrix():
     ]
     cfg = parse_config(BASE, overrides)
     with pytest.raises(ConfigError, match="matrices"):
-        _resolve(cfg, seed=0)
+        _run_leg(cfg)
 
 
 def test_resolve_rejects_unknown_variant():
     cfg = parse_config(BASE, ["schedule.variant=banana"])
     with pytest.raises(ConfigError, match="variant"):
-        _resolve(cfg, seed=0)
+        _run_leg(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +242,17 @@ def test_run_repeat_writes_one_file_per_seed(tmp_path):
     a, b = tmp_path / "metrics_seed0.csv", tmp_path / "metrics_seed1.csv"
     assert a.exists() and b.exists()
     assert a.read_text() != b.read_text()
+
+
+@pytest.mark.parametrize("name", ["run", "metrics.csv"])
+def test_run_repeat_splits_the_extension_of_the_file_name_only(tmp_path, name):
+    results = tmp_path / "results.v2"
+    results.mkdir()
+    args = ["run", "--config", write_config(tmp_path), "--set", "run.repeat=2"]
+    assert main([*args, "--output", str(results / name)]) == 0
+    stem, dot, ext = name.partition(".")
+    written = sorted(p.name for p in results.iterdir())
+    assert written == [f"{stem}_seed{s}{dot}{ext}" for s in (0, 1)]
 
 
 def test_run_is_byte_reproducible(tmp_path):
@@ -530,6 +547,40 @@ def test_accountant_rejects_nonprivate(tmp_path):
         tmp_path, BASE.replace("variant = const", "variant = nonprivate")
     )
     assert main(["accountant", "--config", config]) == 1
+
+
+# a plain dyn config, and the corollary preset with K derived and with run.K also set
+AUDITED = {
+    "dyn": [],
+    "corollary": ["run.gamma=corollary", "run.K=0"],
+    "corollary-with-K": ["run.gamma=corollary", "run.K=15"],
+}
+
+
+@pytest.mark.filterwarnings("ignore::pushdp.accountant.RegimeWarning")
+@pytest.mark.parametrize("overrides", AUDITED.values(), ids=AUDITED.keys())
+def test_accountant_audits_the_schedule_run_executes(tmp_path, capsys, overrides):
+    config = write_config(tmp_path, BASE.replace("variant = const", "variant = dyn"))
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    table, metrics = tmp_path / "table.csv", tmp_path / "run.csv"
+    assert main(["accountant", "--config", config, *sets, "--table", str(table)]) == 0
+    audit = dict(ln.split(" = ", 1) for ln in capsys.readouterr().out.splitlines() if " = " in ln)
+    assert main(["run", "--config", config, *sets, "--output", str(metrics)]) == 0
+    lines = metrics.read_text().splitlines()
+    meta = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+    # the run's k, C_k, mu_k, sigma_k columns, header included, are the audit table
+    columns = [[c[0], *c[5:8]] for c in (ln.split(",") for ln in data_lines(metrics))]
+    assert columns == [ln.split(",") for ln in table.read_text().splitlines()]
+    assert (audit["mu_tot"], audit["mu0"]) == (meta["mu_tot"], meta["mu0"])
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "accountant"])
+def test_unknown_variant_names_its_key(tmp_path, command):
+    out = tmp_path / "out.csv"
+    args = _command_args(command, write_config(tmp_path), ["schedule.variant=bogus"], out)
+    code, err = _exit_code_and_stderr(args)
+    assert code == 1 and err.startswith("config error: schedule.variant must be one of ("), err
+    assert not out.exists()
 
 
 def test_apply_axis_does_not_mutate_base():

@@ -57,18 +57,15 @@ def test_summarize_constant_log():
     log = MetricsLog(meta={}, rows=[make_row(k) for k in range(10)])
     s = summarize(log)
     assert s.final_loss == 1.0
-    assert s.mean_loss == 1.0
-    assert s.min_grad_norm_sq == 4.0
     assert s.mean_grad_norm_sq == 4.0
     assert s.clip_fraction == 0.25
     assert s.final_accuracy == 0.75
 
 
-def test_summarize_tracks_minimum_and_cesaro_mean():
+def test_summarize_tracks_final_loss_and_cesaro_mean():
     rows = [make_row(k, grad_norm_sq=float(10 - k), loss=float(k)) for k in range(5)]
     s = summarize(MetricsLog(meta={}, rows=rows))
     assert s.final_loss == 4.0
-    assert s.min_grad_norm_sq == 6.0
     assert s.mean_grad_norm_sq == pytest.approx(8.0)
 
 
@@ -97,8 +94,8 @@ def test_csv_deterministic_bytes():
 
 def test_csv_renders_nonfinite_schedule_columns():
     row = make_row(0, clip_bound=float("inf"), step_budget=float("nan"), noise_std=0.0)
-    body = MetricsLog(meta={}, rows=[row]).csv_body()
-    cells = body.splitlines()[1].split(",")
+    text = MetricsLog(meta={}, rows=[row]).csv_text()
+    cells = text.splitlines()[1].split(",")
     assert cells[5] == "inf"
     assert cells[6] == "nan"
 

@@ -77,7 +77,7 @@ def test_derived_labels_are_read_only_and_belong_to_one_dataset():
 
 def test_dataset_built_by_hand_is_read_only():
     features, labels = np.zeros((2, 3, 4)), np.ones((2, 3), dtype=int)
-    data = Dataset(features=features, labels=labels, classes=2, seed=0)
+    data = Dataset(features=features, labels=labels, classes=2)
     for array in (data.features, data.labels, data.targets, data.positive):
         assert not array.flags.writeable
 
@@ -209,7 +209,7 @@ def test_full_objective_invariant_under_node_permutation():
     perm = np.array([2, 0, 3, 1])
     shuffled = Dataset(
         features=data.features[perm], labels=data.labels[perm],
-        classes=data.classes, seed=data.seed,
+        classes=data.classes,
     )
     model = Model(kind="logistic", d_in=5)
     params = np.random.default_rng(1).standard_normal(model.dim)
@@ -322,7 +322,7 @@ def _evaluate_draw(kind, d_in, n, J, shard_labels, scale, seed):
         labels = rng.integers(classes, size=(n, J))
     else:
         labels = np.full((n, J), int(shard_labels[-1]))
-    return model, Dataset(features=features, labels=labels, classes=classes, seed=seed), params
+    return model, Dataset(features=features, labels=labels, classes=classes), params
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)
@@ -374,7 +374,7 @@ def _mpmath_loss(z: np.ndarray, y: np.ndarray) -> mpmath.mpf:
 
 def _evaluate_loss(z: np.ndarray, y: np.ndarray) -> float:
     """``evaluate``'s logistic loss at logits z: one feature equal to z, weight 1, bias 0."""
-    data = Dataset(features=z.reshape(1, -1, 1), labels=y.reshape(1, -1), classes=2, seed=0)
+    data = Dataset(features=z.reshape(1, -1, 1), labels=y.reshape(1, -1), classes=2)
     return evaluate(Model(kind="logistic", d_in=1), data, np.array([1.0, 0.0]))[0]
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from pushdp.topology import (
     GraphSchedule,
     NegativeWeight,
     NonFiniteWeight,
+    ConnectivityReport,
     check_b_strong_connectivity,
     exponential_period,
     graph_schedule,
@@ -223,6 +225,53 @@ def test_disconnected_explicit_schedule():
     sched = graph_schedule("explicit", 3, [identity])
     for B in (1, 2, 5):
         assert not check_b_strong_connectivity(sched, B).is_b_connected
+
+
+def per_round_report(schedule, B):
+    """The connectivity report with each window's union taken one round at a time,
+    over all lcm(period, B) / B windows; the oracle for the bounded window."""
+    diameter = 0
+    for window in range(math.lcm(schedule.period, B) // B):
+        union = np.zeros((schedule.n, schedule.n), dtype=bool)
+        for k in range(window * B, (window + 1) * B):
+            union |= schedule.matrix_at(k) > 0
+        dist = reference_window_distances(schedule.n, union)
+        if (dist < 0).any():
+            return ConnectivityReport(is_b_connected=False, window=B, diameter=None)
+        diameter = max(diameter, int(dist.max()))
+    return ConnectivityReport(is_b_connected=True, window=B, diameter=diameter)
+
+
+# a period-3 explicit schedule whose rounds each link one pair of 3 nodes
+_PAIRS = [
+    np.eye(3) + 0.5 * np.array(m)
+    for m in (
+        [[-1, 1, 0], [1, -1, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, -1, 1], [0, 1, -1]],
+        [[-1, 0, 1], [0, 0, 0], [1, 0, -1]],
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        graph_schedule("exponential", 8),
+        graph_schedule("exponential", 5),
+        graph_schedule("ring", 4),
+        graph_schedule("explicit", 3, _PAIRS),
+        graph_schedule("explicit", 3, _PAIRS[:2]),
+        graph_schedule("explicit", 3, [np.eye(3)]),
+    ],
+    ids=["exponential-8", "exponential-5", "ring-4", "pairs-3", "pairs-2", "identity"],
+)
+def test_window_of_a_period_or_more_costs_one_period(schedule):
+    period = schedule.period
+    at_period = check_b_strong_connectivity(schedule, period)
+    huge = check_b_strong_connectivity(schedule, 10**9)
+    assert huge == ConnectivityReport(at_period.is_b_connected, 10**9, at_period.diameter)
+    for B in (period + 1, 2 * period):
+        assert check_b_strong_connectivity(schedule, B) == per_round_report(schedule, B)
 
 
 def _second_eigenvalue_modulus(schedule):
