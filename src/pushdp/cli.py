@@ -344,9 +344,14 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"unknown variant {v!r} in --variants")
     variants.append(NONPRIVATE)
     setting = _setting(cfg)
+    baseline = cfg
+    if cfg.gamma == "corollary":  # the private legs' step size and K: set by n, J, epsilon, delta
+        leg = _leg(cfg, VARIANTS[0], setting)
+        baseline = dataclasses.replace(cfg, gamma=leg.gamma, K=leg.K)
     table = []  # (variant, (loss mean, loss std, accuracy mean, accuracy std))
     for variant in variants:
-        summaries = [summarize(log) for _, log in _replicates(cfg, setting, variant)]
+        legs = _replicates(baseline if variant == NONPRIVATE else cfg, setting, variant)
+        summaries = [summarize(log) for _, log in legs]
         losses = [s.final_loss for s in summaries]
         accuracies = [s.final_accuracy for s in summaries]
         table.append((variant, _mean_std(losses) + _mean_std(accuracies)))

@@ -16,7 +16,8 @@ directed graph would otherwise inject into z.
 
 ``run`` is the only round path.  Its node phase is vectorized: one batched
 kernel computes every node's gradient at its own z_i, and clipping, noise and
-the half-step act on all rows at once; ``_mix_arrays`` then mixes every row.
+the half-step act on all rows at once; ``_mix_arrays`` then mixes every row by the
+graph's ``mix``, a gather of each node's one peer on ring and exponential graphs.
 Each dot product reproduces its single-node counterpart bit for bit, so the
 result equals a per-node loop exactly.  The schedule is read as its three
 arrays, checked once before round 0.
@@ -156,11 +157,11 @@ class _Streams:
 
 
 def _mix_arrays(
-    halves: np.ndarray, weights: np.ndarray, P: np.ndarray
+    halves: np.ndarray, weights: np.ndarray, graph: GraphSchedule, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One gossip exchange: mixed iterates, mixed weights, de-biased estimates."""
-    x_next = P @ halves
-    w_next = P @ weights
+    """Round k's gossip exchange: mixed iterates, mixed weights, de-biased estimates."""
+    x_next = graph.mix(k, halves)
+    w_next = graph.mix(k, weights)
     if (w_next <= WEIGHT_FLOOR).any():
         node = int(np.argmax(w_next <= WEIGHT_FLOOR))
         raise DegenerateWeight(f"push-sum weight underflowed at node {node}")
@@ -273,7 +274,7 @@ def run(config: RunConfig) -> MetricsLog:
             halves = X - config.gamma * (G if noise is None else G + noise)
             max_grad_norm = max(max_grad_norm, float(norms.max()))
 
-            X_next, w_next, Z_next = _mix_arrays(halves, w, config.graph.matrix_at(k))
+            X_next, w_next, Z_next = _mix_arrays(halves, w, config.graph, k)
             if not np.isfinite(X_next).all():
                 raise NonFiniteParameter(k)
             max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))

@@ -14,7 +14,7 @@ Two model families cover the convex and non-convex regimes:
 
 Gradients are hand-derived and vectorized.  ``evaluate``, which the engine logs at
 the average iterate, averages the loss and gradient over every sample in one pass;
-its logistic loss ``log1p(exp(-|z|)) + max(z, 0) - y z`` shares the sigmoid's exp.
+its logistic loss ``log1p(exp(-|z|)) + (max(z, 0) - y z)`` shares the sigmoid's exp.
 """
 
 from __future__ import annotations
@@ -181,8 +181,9 @@ def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float,
     the accuracy reads the loss pass's scores instead of predicting again.
 
     The logistic pass over z = X w + b takes e = exp(-|z|) once for both the loss
-    terms ``log1p(e) + max(z, 0) - y z`` and the sigmoid ``max(e, z >= 0) / (1 + e)``
+    terms ``log1p(e) + (max(z, 0) - y z)`` and the sigmoid ``max(e, z >= 0) / (1 + e)``
     of the gradient's ``sigmoid(z) - y``; each equals its two-pass formula bit for bit.
+    The bracket is exact for y in {0, 1}, so a right label's small loss does not cancel.
     """
     X, y = dataset.flat()
     N = X.shape[0]
@@ -193,9 +194,9 @@ def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float,
         z += b
         e, buf, mask = np.abs(z), np.empty(N), np.empty(N, dtype=bool)  # work in place
         np.exp(np.negative(e, out=e), out=e)  # exp(-|z|), shared by the loss and the sigmoid
-        terms = np.log1p(e)
-        terms += np.maximum(z, 0.0, out=buf)
+        terms = np.maximum(z, 0.0)
         terms -= np.multiply(dataset.targets, z, out=buf)
+        terms += np.log1p(e, out=buf)
         coeff = np.maximum(e, np.greater_equal(z, 0.0, out=mask), out=buf)
         e += 1.0
         coeff /= e

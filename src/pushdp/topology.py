@@ -4,7 +4,7 @@ A communication round is described by a mixing matrix P where ``P[i, j]`` is
 the weight node i applies to the value pushed by node j.  Columns describe how
 a sender splits its outgoing mass, so every column must sum to one (push-sum
 weights then undo the directional bias).  ``graph_schedule`` builds a
-``GraphSchedule``, one read-only stack of such matrices cycled round by round,
+``GraphSchedule``, a read-only table of such matrices cycled round by round,
 from one of four kinds:
 
 * ``ring``: node i keeps half its mass and sends half to (i + 1) mod n.
@@ -14,6 +14,8 @@ from one of four kinds:
 * ``complete``: uniform all-to-all averaging with every entry 1/n.
 * ``explicit``: a given list of matrices.
 
+Ring and exponential, the one-peer push of Stochastic Gradient Push, are kept as
+an O(n) source index per round and mixed by a gather, the others as dense matrices.
 The module also checks B-strong-connectivity of a schedule: every window of B
 consecutive rounds must have a strongly connected edge union.
 """
@@ -91,38 +93,56 @@ def exponential_period(n: int) -> int:
 class GraphSchedule:
     """Periodic sequence of mixing matrices, one per communication round.
 
-    ``weights`` is a read-only ``(period, n, n)`` stack and round k mixes
-    through ``weights[k % period]``.  The stack is validated in one pass on
-    construction (its first bad slice raises as ``validate_column_stochastic``
-    does), so a schedule that exists is valid.  It is not copied: an array
-    passed in becomes read-only.
+    Round k mixes through P_k, slot ``k % period`` of one read-only table: either
+    ``peers``, a ``(period, n)`` source index whose rows are permutations, for the
+    one-peer push P_k = (I + S_k) / 2 with ``S_k[i, peers[k, i]] = 1``; or
+    ``weights``, a dense ``(period, n, n)`` stack validated in one pass (its first
+    bad slice raises as ``validate_column_stochastic`` does).  So a schedule that
+    exists is valid.  The table is not copied: an array passed in becomes read-only.
     """
 
     kind: str
-    weights: np.ndarray
+    weights: np.ndarray | None = None
+    peers: np.ndarray | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 3 or not len(w) or w.shape[1] != w.shape[2]:
-            raise ValueError(f"weights must be a (period, n, n) stack, got {w.shape}")
-        # NaN fails ``>= 0`` and +inf fails the column sum, so no non-finite slice passes
-        bad = ~(w >= 0).all(axis=(1, 2)) | (np.diagonal(w, axis1=1, axis2=2) <= 0).any(axis=1)
-        bad |= (np.abs(w.sum(axis=1) - 1.0) > COLUMN_SUM_TOL).any(axis=1)
-        if bad.any():
-            validate_column_stochastic(w[bad.argmax()])
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        if self.peers is not None:
+            table = np.asarray(self.peers)
+            nodes = np.arange(table.shape[-1])
+            if table.ndim != 2 or not table.size or (np.sort(table, axis=1) != nodes).any():
+                raise ValueError("peers must be a (period, n) stack of permutations of the nodes")
+        else:
+            table = np.asarray(self.weights, dtype=float)
+            if table.ndim != 3 or not len(table) or table.shape[1] != table.shape[2]:
+                raise ValueError(f"weights must be a (period, n, n) stack, got {table.shape}")
+            # NaN fails ``>= 0`` and +inf fails the column sum, so no non-finite slice passes
+            bad = ~(table >= 0).all(axis=(1, 2)) | (np.diagonal(table, 0, 1, 2) <= 0).any(axis=1)
+            bad |= (np.abs(table.sum(axis=1) - 1.0) > COLUMN_SUM_TOL).any(axis=1)
+            if bad.any():
+                validate_column_stochastic(table[bad.argmax()])
+        table.setflags(write=False)
+        object.__setattr__(self, "weights" if self.peers is None else "peers", table)
 
     @property
     def n(self) -> int:
-        return self.weights.shape[1]
+        return (self.weights if self.peers is None else self.peers).shape[-1]
 
     @property
     def period(self) -> int:
-        return self.weights.shape[0]
+        return len(self.weights if self.peers is None else self.peers)
+
+    def mix(self, k: int, x: np.ndarray) -> np.ndarray:
+        """P_k @ x for an x of n rows: under one-peer push, half of each row plus half of
+        its peer's, which is the dense product bit for bit unless x has 0s or subnormals."""
+        if self.peers is None:
+            return self.weights[k % self.period] @ x
+        return x * 0.5 + x[self.peers[k % self.period]] * 0.5
 
     def matrix_at(self, k: int) -> np.ndarray:
-        return self.weights[k % self.period]
+        """The dense, read-only P_k (for ``peers``, built on each call as P_k @ I)."""
+        P = self.weights[k % self.period] if self.peers is None else self.mix(k, np.eye(self.n))
+        P.setflags(write=False)
+        return P
 
 
 def graph_schedule(kind: str, n: int, matrices=None) -> GraphSchedule:
@@ -130,8 +150,8 @@ def graph_schedule(kind: str, n: int, matrices=None) -> GraphSchedule:
 
     ``kind`` is one of ``ring``, ``exponential``, ``complete``, or
     ``explicit``; the latter takes ``matrices`` (dense ``(n, n)`` arrays or
-    nested lists) and cycles through them.  Each generator fills its stack in
-    place, so the schedule holds the array built here.
+    nested lists) and cycles through them.  Ring and exponential are built as
+    ``peers``, the others as a dense stack; the schedule holds the array built here.
     """
     if kind == "explicit":
         if not matrices:
@@ -148,12 +168,8 @@ def graph_schedule(kind: str, n: int, matrices=None) -> GraphSchedule:
     if kind == "complete":
         return GraphSchedule(kind, np.full((1, n, n), 1.0 / n))
     hops = 2 ** np.arange(exponential_period(n)) if kind == "exponential" else np.ones(1, int)
-    w = np.zeros((len(hops), n, n))
-    rounds, senders = np.arange(len(hops))[:, None], np.arange(n)
-    w[rounds, senders, senders] = 0.5
-    # receivers are a permutation per round; hop % n == 0 sends to self
-    w[rounds, (senders + hops[:, None]) % n, senders] += 0.5
-    return GraphSchedule(kind, w)
+    # node i receives from (i - hop) mod n; hop % n == 0 sends to self
+    return GraphSchedule(kind, peers=(np.arange(n) - hops[:, None]) % n)
 
 
 @dataclass(frozen=True)
@@ -163,33 +179,31 @@ class ConnectivityReport:
     diameter: int | None  # max shortest-path length over windows; None if disconnected
 
 
-def _window_distances(n: int, adjacency: np.ndarray) -> np.ndarray:
-    """All-pairs BFS hop counts on a directed adjacency matrix (-1 if unreachable).
+def _saturation(n: int, receivers: np.ndarray, senders: np.ndarray):
+    """Per receiver, whether every source reaches it and its saturation hop (its
+    distance from the last source to reach it), over edges ``senders[e]`` ->
+    ``receivers[e]`` sorted by receiver, every node having its self edge.
 
-    ``adjacency[i, j]`` marks an edge j -> i and ``dist[source, i]`` counts hops
-    along edges.  One breadth-first search advances every source at once: row i
-    of ``reach`` is a bitset over sources (packed into 64-bit words) holding
-    those that have reached node i.  A hop ORs the rows of each node's
-    in-neighbours, itself included, in one ``bitwise_or.reduceat`` over the edges
-    sorted by receiver (the self edge keeps every group non-empty); bits that
-    turn on get the hop count, and the search stops at the first hop that turns
-    on none.  A hop costs O(edges * n / 64) word operations plus an n x n unpack,
-    and there are diameter + 1 hops.
+    One breadth-first search advances every source at once: row i of ``reach`` is a
+    bitset over sources (bit s % 64 of word s // 64) holding those that have reached
+    node i.  A hop ORs the rows of each node's in-neighbours in one
+    ``bitwise_or.reduceat`` at O(edges * n / 64) word operations, and the search
+    stops at the first hop that reaches no one new: diameter + 1 hops.
     """
-    receivers, senders = np.nonzero(adjacency | np.eye(n, dtype=bool))
     starts = np.flatnonzero(np.diff(receivers, prepend=-1))
-    words = -(-n // 64)
-    reach = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1).view(np.uint64)
-    dist = np.full((n, n), -1, dtype=int)  # indexed [i, source] until the return
-    np.fill_diagonal(dist, 0)
+    nodes = np.arange(n)
+    reach = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    reach[nodes, nodes // 64] = np.uint64(1) << (nodes % 64).astype(np.uint64)
+    everyone = np.bitwise_or.reduce(reach, axis=0)
+    saturation = np.zeros(n, dtype=int)
     hops = 0
     while True:
-        hops += 1
         grown = np.bitwise_or.reduceat(reach[senders], starts, axis=0)
-        fresh = (grown & ~reach).view(np.uint8)
+        fresh = (grown != reach).any(axis=1)
         if not fresh.any():
-            return dist.T.copy()
-        dist[np.unpackbits(fresh, axis=1, count=n).view(bool)] = hops
+            return (reach == everyone).all(axis=1), saturation
+        hops += 1
+        saturation[fresh] = hops
         reach = grown
 
 
@@ -202,20 +216,25 @@ def check_b_strong_connectivity(schedule: GraphSchedule, B: int) -> Connectivity
     rounds and all such windows are the one union: the cost is bounded by the
     period, however large B is.  The reported diameter is the worst
     shortest-path length over the windows, measured along the direction
-    messages travel (edge j -> i when ``P[i, j] > 0``).  Each window is one
-    bitset BFS from all sources at once (see ``_window_distances``) taking
-    diameter + 1 hops: a handful for the exponential graph, n for a ring.
+    messages travel (edge j -> i when ``P[i, j] > 0``).  A window's union is an
+    edge list read from ``peers`` or the dense union's nonzeros, and one bitset
+    BFS (``_saturation``) over it takes a handful of hops for the exponential
+    graph, n for a ring.
     """
     if B < 1:
         raise ValueError("window must be at least one round")
     n, period = schedule.n, schedule.period
     num_windows = 1 if B >= period else math.lcm(period, B) // B
-    edges = schedule.weights > 0
     diameter = 0
     for window in range(num_windows):
-        union = edges[(window * B + np.arange(min(B, period))) % period].any(axis=0)
-        dist = _window_distances(n, union)
-        if (dist < 0).any():
+        rounds = (window * B + np.arange(min(B, period))) % period
+        if schedule.peers is None:
+            receivers, senders = np.nonzero((schedule.weights[rounds] > 0).any(axis=0))
+        else:  # each node's self edge, then its peer in each round
+            senders = np.vstack([np.arange(n), schedule.peers[rounds]]).T.ravel()
+            receivers = np.repeat(np.arange(n), len(rounds) + 1)
+        reached, saturation = _saturation(n, receivers, senders)
+        if not reached.all():
             return ConnectivityReport(is_b_connected=False, window=B, diameter=None)
-        diameter = max(diameter, int(dist.max()))
+        diameter = max(diameter, int(saturation.max()))
     return ConnectivityReport(is_b_connected=True, window=B, diameter=diameter)

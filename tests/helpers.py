@@ -45,7 +45,7 @@ def reference_loss_grad(
     logit z (logistic) or logits (mlp) whose sign or argmax is the prediction.
 
     The two-pass formulas, kept as the oracle for ``evaluate``'s one pass: the
-    logistic loss is the stable softplus ``log1p(exp(-|z|)) + max(z, 0) - y z`` and
+    logistic loss is the stable softplus ``log1p(exp(-|z|)) + (max(z, 0) - y z)`` and
     its gradient a second pass through ``sigmoid``, which takes exp(-|z|) again; the
     mlp takes ``exp(shifted)`` once for the loss and again for the softmax.
     """
@@ -53,8 +53,8 @@ def reference_loss_grad(
     if model.kind == "logistic":
         w, b = model.unflatten(params)
         z = X @ w + b
-        # log(1 + e^z) - y z, stable for either sign of z
-        loss = float(np.mean(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0) - y * z))
+        # log(1 + e^z) - y z, stable for either sign of z; the bracket is exact for y in {0, 1}
+        loss = float(np.mean(np.log1p(np.exp(-np.abs(z))) + (np.maximum(z, 0.0) - y * z)))
         coeff = sigmoid(z) - y
         grad = np.empty(model.dim)
         grad[: model.d_in] = X.T @ coeff / N
@@ -220,8 +220,8 @@ def recorded_rounds():
         pending["grads"] = pending["G"].copy()
         return pending["G"]
 
-    def record_mix(halves, weights, P):
-        mixed = mix(halves, weights, P)
+    def record_mix(halves, weights, graph, k):
+        mixed = mix(halves, weights, graph, k)
         details.append(RoundDetail(
             xbar=pending["xbar"], grads=pending["grads"], clipped=pending["G"].copy(),
             halves=halves.copy(), weights=weights.copy(), mixed=mixed[0].copy(),
@@ -243,10 +243,10 @@ def reference_run(config, details: list | None = None):
     single ``integers`` call, takes
     ``per_sample_gradient`` at its own de-biased estimate, clips by
     ``np.linalg.norm`` and draws its own noise vector; the schedule is read
-    one step at a time.  ``engine.run`` must reproduce it byte for byte.
-    A ``details`` list gains one RoundDetail per round.
+    one step at a time, and every round mixes by a dense matrix product, through
+    ``one_peer_matrices`` for a ring or exponential graph.  ``engine.run`` must
+    reproduce it byte for byte.  A ``details`` list gains one RoundDetail per round.
     """
-    from pushdp.engine import _mix_arrays
     from pushdp.metrics import MetricsLog, RoundStats, mean_sq_consensus
 
     model, data, sched = config.task.model, config.task.dataset, config.schedule
@@ -259,6 +259,8 @@ def reference_run(config, details: list | None = None):
     Z = X.copy()
     rows = []
     max_weight_drift = max_grad_norm = 0.0
+    kind = config.graph.kind
+    stack = one_peer_matrices(kind, n) if kind in ("ring", "exponential") else None
     for k in range(K):
         if sched is None:
             C_k, mu_k, sigma = np.inf, np.nan, 0.0
@@ -284,7 +286,9 @@ def reference_run(config, details: list | None = None):
                 halves[i] = X[i] - config.gamma * g
             clipped_grads[i] = g
         max_grad_norm = max(max_grad_norm, max(norms))
-        X_next, w_next, Z_next = _mix_arrays(halves, w, config.graph.matrix_at(k))
+        P = config.graph.matrix_at(k) if stack is None else stack[k % len(stack)]
+        X_next, w_next = P @ halves, P @ w
+        Z_next = X_next / w_next[:, None]
         max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))
         rows.append(
             RoundStats(
@@ -317,6 +321,22 @@ def final_losses(logs) -> np.ndarray:
     return np.array([log.rows[-1].loss for log in logs])
 
 
+def one_peer_matrices(kind: str, n: int) -> np.ndarray:
+    """The dense ``(period, n, n)`` stack of a ring or exponential schedule, built
+    from its definition: at round k node i keeps half its mass and sends half to
+    node (i + h_k) mod n, with h_k = 1 on the ring and 2^(k mod m) on the
+    exponential graph, where m = floor(log2(n - 1)) + 1 (one below three nodes).
+    The oracle for the ``peers`` form ``graph_schedule`` keeps."""
+    period = max(1, (n - 1).bit_length()) if kind == "exponential" else 1
+    stack = np.zeros((period, n, n))
+    for k in range(period):
+        hop = 2**k if kind == "exponential" else 1
+        for i in range(n):
+            stack[k, i, i] += 0.5
+            stack[k, (i + hop) % n, i] += 0.5
+    return stack
+
+
 def validate_each_slice(weights) -> None:
     """``validate_column_stochastic`` on each slice of a ``(period, n, n)`` stack in
     turn; the oracle for ``GraphSchedule``'s one-pass check."""
@@ -345,7 +365,7 @@ def reference_window_distances(n: int, adjacency: np.ndarray) -> np.ndarray:
     """All-pairs BFS hop counts on a directed adjacency matrix (-1 if unreachable).
 
     One plain BFS per source over explicit out-neighbour lists; the oracle for
-    ``topology._window_distances``.
+    ``topology._saturation``, whose results are its column-wise reachability and max.
     """
     dist = np.full((n, n), -1, dtype=int)
     out_neighbors = [np.flatnonzero(adjacency[:, j]) for j in range(n)]

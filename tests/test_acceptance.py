@@ -88,7 +88,7 @@ def test_03_push_sum_consensus():
         w = np.ones(8)
         target = X.mean(axis=0)
         for k in range(300):
-            X, w, Z = _mix_arrays(X, w, sched.matrix_at(k))
+            X, w, Z = _mix_arrays(X, w, sched, k)
             worst_drift = max(worst_drift, abs(float(w.sum()) - 8.0))
         worst_dev = max(worst_dev, float(np.linalg.norm(Z - target, axis=1).max()))
     assert worst_dev <= 1e-6

@@ -473,6 +473,23 @@ def test_compare_prints_variants_and_baseline(tmp_path, capsys):
     assert rows[3].startswith("nonprivate,,")
 
 
+def test_compare_runs_the_corollary_preset_with_the_private_step_size_and_k(tmp_path, capsys):
+    config = write_config(tmp_path)
+    sets = ["--set", "run.gamma=corollary", "--set", "run.K=0", "--set", "privacy.epsilon=0.3"]
+    rows = []
+    leg = _run_leg(parse_config(BASE, [item for item in sets if item != "--set"]))
+    for extra in ([], ["--set", f"run.gamma={leg.gamma!r}", "--set", f"run.K={leg.K}"]):
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--config", config, *sets, *extra, "--variants", "dyn", "--output", str(out)]) == 0
+        rows.append(out.read_text().splitlines())
+    capsys.readouterr()
+    # the baseline runs at the derived step size and K, as the private legs do
+    assert rows[0][2].startswith("nonprivate,,") and rows[0][2] == rows[1][2]
+    for command in ("run", "sweep"):  # a nonprivate leg of its own still needs the budget
+        args = _command_args(command, config, sets[1::2] + ["schedule.variant=nonprivate"], tmp_path / "o.csv")
+        assert _exit_code_and_stderr(args) == (1, "config error: run.gamma = corollary needs a privacy budget\n")
+
+
 def test_compare_rejects_unknown_variant(tmp_path):
     config = write_config(tmp_path)
     assert main(["compare", "--config", config, "--variants", "dyn,nope"]) == 1

@@ -172,15 +172,15 @@ def test_local_step_sigma_zero_does_not_advance_stream(monkeypatch):
 
 def test_mix_round_identity_matrix_is_noop():
     X = np.array([[1.0, 0.0], [0.0, 5.0]])
-    x_next, w_next, z_next = _mix_arrays(X, np.ones(2), np.eye(2))
+    identity = graph_schedule("explicit", 2, [np.eye(2)])
+    x_next, w_next, z_next = _mix_arrays(X, np.ones(2), identity, 0)
     assert np.array_equal(x_next, X) and np.array_equal(z_next, X)
     assert np.array_equal(w_next, np.ones(2))
 
 
 def test_mix_round_complete_graph_averages_in_one_round():
-    P = graph_schedule("complete", 4).matrix_at(0)
     X = np.array([[float(i), -float(i)] for i in range(4)])
-    x_next, _, z_next = _mix_arrays(X, np.ones(4), P)
+    x_next, _, z_next = _mix_arrays(X, np.ones(4), graph_schedule("complete", 4), 0)
     mean = X.mean(axis=0)
     assert np.allclose(x_next, mean, atol=1e-15)
     assert np.allclose(z_next, mean, atol=1e-15)
@@ -193,8 +193,9 @@ def test_mix_round_conserves_sums():
     # the one-peer graphs are doubly stochastic; a generic column-stochastic
     # matrix also tells P @ x from P.T @ x
     A = rng.uniform(0.0, 1.0, (8, 8))
-    for P in (graph_schedule("exponential", 8).matrix_at(0), A / A.sum(axis=0)):
-        x_next, w_next, z_next = _mix_arrays(X, w, P)
+    generic = graph_schedule("explicit", 8, [A / A.sum(axis=0)])
+    for graph in (graph_schedule("exponential", 8), generic):
+        x_next, w_next, z_next = _mix_arrays(X, w, graph, 0)
         assert np.allclose(x_next.sum(axis=0), X.sum(axis=0), atol=1e-12)
         assert w_next.sum() == pytest.approx(w.sum(), abs=1e-12)
         assert np.allclose(z_next * w_next[:, None], x_next, atol=1e-12)
@@ -203,9 +204,9 @@ def test_mix_round_conserves_sums():
 def test_mix_round_degenerate_weight():
     # column-stochastic but node 1 keeps only 10% of its weight per round,
     # so feeding it an already-underflowed weight must trip the floor
-    P = graph_schedule("explicit", 2, [[[1.0, 0.9], [0.0, 0.1]]]).matrix_at(0)
+    graph = graph_schedule("explicit", 2, [[[1.0, 0.9], [0.0, 0.1]]])
     with pytest.raises(DegenerateWeight, match="node 1"):
-        _mix_arrays(np.zeros((2, 1)), np.array([1.0, 2e-300]), P)
+        _mix_arrays(np.zeros((2, 1)), np.array([1.0, 2e-300]), graph, 0)
 
 
 def test_ring_mixing_reaches_consensus():
@@ -214,7 +215,7 @@ def test_ring_mixing_reaches_consensus():
     mean = X.mean(axis=0)
     w = np.ones(4)
     for k in range(200):
-        X, w, Z = _mix_arrays(X, w, sched.matrix_at(k))
+        X, w, Z = _mix_arrays(X, w, sched, k)
     assert np.linalg.norm(Z - mean, axis=1).max() <= 1e-6
 
 

@@ -348,14 +348,15 @@ def test_evaluate_equals_two_pass_reference_bitwise(kind, d_in, n, J, shard_labe
 
 
 def _logaddexp_loss(z: np.ndarray, y: np.ndarray) -> float:
-    """The logistic loss as numpy's ``logaddexp``, which runs scalar libm exp and log1p
-    where ``np.exp`` and ``np.log1p`` may take vectorized routines that round otherwise."""
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+    """The logistic loss by numpy's ``logaddexp``, which runs scalar libm exp and log1p
+    where ``np.exp`` and ``np.log1p`` may take vectorized routines that round otherwise;
+    its terms are ``logaddexp(0, -|z|) + (max(z, 0) - y z)``, as ``evaluate``'s are."""
+    return float(np.mean(np.logaddexp(0.0, -np.abs(z)) + (np.maximum(z, 0.0) - y * z)))
 
 
 def test_planted_draws_tell_the_loss_formulas_apart():
     # the bitwise test above sees a swap of evaluate's loss formula: on its planted draws
-    # the mean of log1p(exp(-|z|)) + max(z, 0) - y z differs from logaddexp's
+    # the mean of log1p(exp(-|z|)) + (max(z, 0) - y z) differs from logaddexp's
     differ = 0
     for seed in range(100):
         model, data, params = _evaluate_draw("logistic", 6, 4, 40, "planted", 1.0, seed)
@@ -390,8 +391,9 @@ def test_logistic_loss_matches_mpmath(loss_of, seed):
     y = rng.integers(2, size=N)
     exact = _mpmath_loss(z, y)
     assert abs(loss_of(z, y) - exact) <= 1e-14 * exact
-    # labels all right: the loss is the log1p terms alone, far below max(z, 0), and
-    # (log1p(e) + max(z, 0)) - y z cancels to a few ulp of max(z, 0) per term
+    # labels all right: the loss is the log1p terms alone, far below max(z, 0); the
+    # bracket max(z, 0) - y z is then exactly 0, so nothing cancels (summing the terms
+    # as (log1p(e) + max(z, 0)) - y z misses by up to 1.3e-15 relative on these draws)
     y = (z > 0).astype(int)
     exact = _mpmath_loss(z, y)
-    assert abs(loss_of(z, y) - exact) <= 1e-14 * max(exact, float(np.mean(np.maximum(z, 0.0))))
+    assert abs(loss_of(z, y) - exact) <= 1e-15 * exact

@@ -2,13 +2,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import reference_window_distances, validate_each_slice
+from helpers import one_peer_matrices, reference_window_distances, validate_each_slice
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import pushdp
 from pushdp.topology import (
@@ -21,7 +23,7 @@ from pushdp.topology import (
     check_b_strong_connectivity,
     exponential_period,
     graph_schedule,
-    _window_distances,
+    _saturation,
     validate_column_stochastic,
 )
 
@@ -178,12 +180,19 @@ def test_schedule_check_matches_per_slice_check(period, n, seed, faults):
 
 
 def test_schedule_weights_are_read_only():
+    # a one-peer schedule holds its (period, n) source index and no dense stack
     sched = graph_schedule("exponential", 8)
-    with pytest.raises(ValueError, match="read-only"):
-        sched.weights[0, 0, 0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        sched.matrix_at(1)[0, 0] = 0.0
-    assert sched.weights.shape == (sched.period, 8, 8) and sched.n == 8
+    assert sched.weights is None and sched.peers.shape == (sched.period, 8) and sched.n == 8
+    for table in (sched.peers, sched.matrix_at(1), graph_schedule("complete", 3).weights[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+
+
+@pytest.mark.parametrize("peers", [[[0, 0]], [[0, 2]], [0, 1], np.zeros((0, 2), int)])
+def test_schedule_rejects_peers_that_are_not_permutations(peers):
+    # a repeated source leaves some sender's column summing to 1/2 or 3/2
+    with pytest.raises(ValueError, match="permutations"):
+        GraphSchedule("ring", peers=np.array(peers))
 
 
 def test_explicit_schedule_rejects_wrong_shape():
@@ -276,7 +285,8 @@ def test_window_of_a_period_or_more_costs_one_period(schedule):
 
 def _second_eigenvalue_modulus(schedule):
     """|lambda_2| of the period product P_{T-1} ... P_0."""
-    product = np.linalg.multi_dot([*schedule.weights[::-1], np.eye(schedule.n)])
+    slices = [schedule.matrix_at(k) for k in reversed(range(schedule.period))]
+    product = np.linalg.multi_dot([*slices, np.eye(schedule.n)])
     return np.sort(np.abs(np.linalg.eigvals(product)))[-2]
 
 
@@ -290,16 +300,18 @@ def test_complete_contracts_faster_than_ring(n):
 def _window_union(kind, n):
     schedule = graph_schedule(kind, n)
     union = np.zeros((n, n), dtype=bool)
-    for m in schedule.weights:
-        union |= m > 0
+    for k in range(schedule.period):
+        union |= schedule.matrix_at(k) > 0
     return union
 
 
 def _assert_distances_match_reference(n, adjacency):
-    got = _window_distances(n, adjacency)
+    # each receiver is reached by every source, and saturates, as the all-pairs BFS says
+    receivers, senders = np.nonzero(adjacency | np.eye(n, dtype=bool))
+    reached, saturation = _saturation(n, receivers, senders)
     want = reference_window_distances(n, adjacency)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    assert np.array_equal(reached, (want >= 0).all(axis=0))
+    assert np.array_equal(saturation, want.max(axis=0))
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=200)
@@ -321,9 +333,9 @@ def test_window_distances_disconnected_components():
     adjacency = np.zeros((6, 6), dtype=bool)
     for j, i in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]:
         adjacency[i, j] = True
-    dist = _window_distances(6, adjacency)
-    assert (dist[3:, :3] == -1).all()
-    assert dist[0, 5] == 5 and dist[2, 3] == 1
+    reached, saturation = _saturation(6, *np.nonzero(adjacency | np.eye(6, dtype=bool)))
+    assert reached.tolist() == [False] * 3 + [True] * 3
+    assert saturation.tolist() == [2, 2, 2, 3, 4, 5]  # 0 -> 1 -> 2 -> 3 -> 4 -> 5 is the longest
     _assert_distances_match_reference(6, adjacency)
 
 
@@ -340,3 +352,88 @@ def test_importing_the_cli_leaves_scipy_sparse_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("kind", ["ring", "exponential"])
+def test_one_peer_schedules_match_their_definition(kind):
+    for n in range(1, 71):
+        schedule, oracle = graph_schedule(kind, n), one_peer_matrices(kind, n)
+        assert schedule.period == len(oracle)
+        for k in range(2 * schedule.period):
+            assert np.array_equal(schedule.matrix_at(k), oracle[k % len(oracle)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 20, 33, 64])
+@pytest.mark.parametrize("kind", ["ring", "exponential"])
+def test_connectivity_from_peers_matches_dense_oracle(kind, n):
+    # the edge list read from peers against the nonzeros of the definition's dense stack
+    schedule = graph_schedule(kind, n)
+    dense = GraphSchedule("explicit", one_peer_matrices(kind, n))
+    for B in range(1, schedule.period + 2):
+        assert check_b_strong_connectivity(schedule, B) == check_b_strong_connectivity(dense, B)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+# exact zeros of both signs, subnormals (odd ones lose their last bit when halved) and
+# values near the top of the range, mixed in among ordinary ones
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -1.5e-323, 2.5e-310, 1e300, -1e300])
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(
+    kind=st.sampled_from(["ring", "exponential"]),
+    n=st.integers(1, 70),
+    k=st.integers(0, 20),
+    cols=st.sampled_from([None, 1, 3]),
+    data=st.data(),
+)
+def test_mix_matches_dense_oracle(kind, n, k, cols, data):
+    schedule, oracle = graph_schedule(kind, n), one_peer_matrices(kind, n)
+    P = oracle[k % len(oracle)]
+    shape = (n,) if cols is None else (n, cols)
+    # ordinary floats: each half is exact, so the two-term gather is the dense product
+    ordinary = np.random.default_rng([n, k]).standard_normal(shape) * 10.0 ** (k - 10)
+    assert _bits(schedule.mix(k, ordinary)) == _bits(P @ ordinary)
+    elements = st.one_of(_EDGE_FLOATS, st.floats(-1e3, 1e3, allow_subnormal=False))
+    x = data.draw(hnp.arrays(np.float64, shape, elements=elements))
+    got, want = schedule.mix(k, x), P @ x
+    if (x * 0.5 * 2 == x).all():
+        # exact halves: equal values, and equal bits except for the sign of a zero
+        # sum, which the product takes from its zero terms 0 * x_j as well
+        assert np.array_equal(got, want)
+        assert _bits(got[want != 0]) == _bits(want[want != 0])
+        if (x != 0).all():
+            assert _bits(got) == _bits(want)
+    else:
+        # an odd subnormal's half rounds; the product may fuse it into its sum
+        assert np.abs(got - want).max() <= 5e-324
+
+
+@pytest.mark.parametrize("kind", ["ring", "exponential"])
+def test_single_node_mix_returns_its_input(kind):
+    # P = [[1.0]]: x / 2 + x / 2 is x for every float whose half is exact, -0.0 included
+    # (the dense product gives +0.0 there); an odd subnormal's halves round to even
+    schedule = graph_schedule(kind, 1)
+    x = np.array([[-0.0, 0.0, 2.5, -1e300, 2e-323, 5e-324, 1.5e-323]])  # one node's row
+    got = schedule.mix(0, x)
+    assert _bits(got[:, :5]) == _bits(x[:, :5])
+    assert got[0, 5:].tolist() == [0.0, 2e-323]
+    for j, value in enumerate(x[0]):
+        assert _bits(schedule.mix(0, np.array([value]))) == _bits(got[:, j])
+
+
+def test_exponential_n1024_schedule_and_check_allocate_no_dense_matrix():
+    # a dense (period, n, n) stack alone would take 84 MB at n = 1024, one n x n float
+    # matrix 8 MB; the peers table and the bitset BFS need well under 8 MB together
+    tracemalloc.start()
+    try:
+        schedule = graph_schedule("exponential", 1024)
+        report = check_b_strong_connectivity(schedule, schedule.period)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == ConnectivityReport(True, 10, 10)
+    assert peak < 8 * 2**20
