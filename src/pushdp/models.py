@@ -183,7 +183,6 @@ def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float,
     The logistic pass over z = X w + b takes e = exp(-|z|) once for both the loss
     terms ``log1p(e) + (max(z, 0) - y z)`` and the sigmoid ``max(e, z >= 0) / (1 + e)``
     of the gradient's ``sigmoid(z) - y``; each equals its two-pass formula bit for bit.
-    The bracket is exact for y in {0, 1}, so a right label's small loss does not cancel.
     """
     X, y = dataset.flat()
     N = X.shape[0]
@@ -195,7 +194,7 @@ def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float,
         e, buf, mask = np.abs(z), np.empty(N), np.empty(N, dtype=bool)  # work in place
         np.exp(np.negative(e, out=e), out=e)  # exp(-|z|), shared by the loss and the sigmoid
         terms = np.maximum(z, 0.0)
-        terms -= np.multiply(dataset.targets, z, out=buf)
+        terms -= np.multiply(dataset.targets, z, out=buf)  # exact for y in {0, 1}: no cancelling
         terms += np.log1p(e, out=buf)
         coeff = np.maximum(e, np.greater_equal(z, 0.0, out=mask), out=buf)
         e += 1.0

@@ -474,19 +474,18 @@ def test_compare_prints_variants_and_baseline(tmp_path, capsys):
 
 
 def test_compare_runs_the_corollary_preset_with_the_private_step_size_and_k(tmp_path, capsys):
-    config = write_config(tmp_path)
-    sets = ["--set", "run.gamma=corollary", "--set", "run.K=0", "--set", "privacy.epsilon=0.3"]
+    config, out = write_config(tmp_path), tmp_path / "table.csv"
+    preset = ["run.gamma=corollary", "run.K=0", "privacy.epsilon=0.3"]
+    leg = _run_leg(parse_config(BASE, preset))
     rows = []
-    leg = _run_leg(parse_config(BASE, [item for item in sets if item != "--set"]))
-    for extra in ([], ["--set", f"run.gamma={leg.gamma!r}", "--set", f"run.K={leg.K}"]):
-        out = tmp_path / "table.csv"
-        assert main(["compare", "--config", config, *sets, *extra, "--variants", "dyn", "--output", str(out)]) == 0
+    for overrides in (preset, preset + [f"run.gamma={leg.gamma!r}", f"run.K={leg.K}"]):
+        assert main(_command_args("compare", config, overrides, out)) == 0
         rows.append(out.read_text().splitlines())
     capsys.readouterr()
     # the baseline runs at the derived step size and K, as the private legs do
     assert rows[0][2].startswith("nonprivate,,") and rows[0][2] == rows[1][2]
     for command in ("run", "sweep"):  # a nonprivate leg of its own still needs the budget
-        args = _command_args(command, config, sets[1::2] + ["schedule.variant=nonprivate"], tmp_path / "o.csv")
+        args = _command_args(command, config, preset + ["schedule.variant=nonprivate"], out)
         assert _exit_code_and_stderr(args) == (1, "config error: run.gamma = corollary needs a privacy budget\n")
 
 
