@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# mu_tot_from_eps_delta is not called here: the benchmark's tracer hooks it by this name
 from .accountant import NoBracket, PrivacySpec, compose_general, mu_tot_from_eps_delta
 from .engine import RunConfig, run
 from .metrics import summarize
@@ -90,7 +91,6 @@ class ExperimentConfig:
     gamma: float | str = _entry("run", 0.05, _parse_gamma)
     seed: int = _entry("run", 0, _nonnegative_int)
     repeat: int = _entry("run", 1, _positive_int)
-    output: str = _entry("run", "")
     b_window: int = _entry("run", 0, _nonnegative_int)  # 0 means the graph period
     epsilon: float = _entry("privacy", 0.0)  # 0 means unset
     delta: float = _entry("privacy", 0.0)
@@ -252,9 +252,10 @@ def _leg(cfg: ExperimentConfig, variant: str, setting: tuple) -> RunConfig:
         if not 0 < cfg.delta < 1:
             raise ConfigError("privacy.delta must lie in (0, 1)")
         try:
-            mu_tot = mu_tot_from_eps_delta(cfg.epsilon, cfg.delta)
+            privacy = PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, cfg.K)
         except NoBracket as exc:
             raise ConfigError(f"privacy.epsilon and privacy.delta: {exc}") from exc
+        mu_tot = privacy.mu_tot
         if cfg.gamma == "corollary":
             if cfg.J * mu_tot <= math.sqrt(n):
                 raise ConfigError(
@@ -263,10 +264,10 @@ def _leg(cfg: ExperimentConfig, variant: str, setting: tuple) -> RunConfig:
                 )
             gamma = 1.0 / (math.sqrt(n) * cfg.J * mu_tot)
             K = round(n * (cfg.J * mu_tot) ** 2)
+            privacy = dataclasses.replace(privacy, K=K)
             extra_meta["gamma_preset"] = "corollary"
         else:
             gamma, K = float(cfg.gamma), cfg.K
-        privacy = PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, K)
         try:
             rates = dict(rho_c=cfg.rho_c or None, rho_mu=cfg.rho_mu or None)
             sched = build_schedule(variant, privacy, clip0=cfg.c0, **rates)
@@ -294,14 +295,6 @@ def _leg(cfg: ExperimentConfig, variant: str, setting: tuple) -> RunConfig:
     )
 
 
-def _output_path(base: str, default: str, seed: int, repeat: int) -> str:
-    path = base or default
-    if repeat <= 1:
-        return path
-    stem, ext = os.path.splitext(path)  # the extension of the file name, not of a directory
-    return f"{stem}_seed{seed}{ext}"
-
-
 def _replicates(cfg: ExperimentConfig, setting: tuple, variant: str):
     """(seed, metrics log) of each replicate of one variant, whose leg is resolved
     once and run at seeds cfg.seed .. cfg.seed + repeat - 1."""
@@ -323,14 +316,13 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args.set)
-    if args.output:
-        cfg.output = args.output
+    stem, ext = os.path.splitext(args.output or "run.csv")  # the file name's extension only
     for seed, log in _replicates(cfg, _setting(cfg), cfg.variant):
         if seed == cfg.seed:
             for key in ("mu_tot", "mu0"):
                 if key in log.meta:
                     print(f"{key} = {log.meta[key]}")
-        path = _output_path(cfg.output, "run.csv", seed, cfg.repeat)
+        path = f"{stem}{ext}" if cfg.repeat == 1 else f"{stem}_seed{seed}{ext}"
         log.write_csv(path)
         print(f"wrote {path}")
     return 0
@@ -397,7 +389,7 @@ def cmd_sweep(args) -> int:
             s = summarize(log)
             cells = (s.final_loss, s.final_accuracy, s.mean_grad_norm_sq, s.clip_fraction)
             lines.append(",".join([args.axis, value, str(seed), *map(_ser_float, cells)]))
-    _write(args.output or cfg.output or "sweep.csv", "\n".join(lines) + "\n")
+    _write(args.output or "sweep.csv", "\n".join(lines) + "\n")
     return 0
 
 

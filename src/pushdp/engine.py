@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import MetricsLog, RoundStats, mean_sq_consensus
+from .metrics import MetricsLog, mean_sq_consensus, round_records
 from .models import Task, batched_sample_gradients, evaluate
 from .schedule import NoiseSchedule
 from .topology import GraphSchedule
@@ -255,7 +255,7 @@ def run(config: RunConfig) -> MetricsLog:
     w = np.ones(n)
     Z = X.copy()
     nodes = np.arange(n)
-    rows: list[RoundStats] = []
+    measured = np.empty((K, 5))  # per round: loss, grad_norm_sq, consensus_err, clip_rate, accuracy
     max_weight_drift = 0.0
     max_grad_norm = 0.0
 
@@ -279,19 +279,8 @@ def run(config: RunConfig) -> MetricsLog:
                 raise NonFiniteParameter(k)
             max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))
 
-            rows.append(
-                RoundStats(
-                    k=k,
-                    loss=loss,
-                    grad_norm_sq=float(grad @ grad),
-                    consensus_err=mean_sq_consensus(Z, xbar),
-                    clip_rate=np.count_nonzero(clipped) / n,
-                    clip_bound=C_k,
-                    step_budget=float(budget[k]),
-                    noise_std=float(sigma[k]),
-                    accuracy=acc,
-                )
-            )
+            rate = np.count_nonzero(clipped) / n
+            measured[k] = loss, grad @ grad, mean_sq_consensus(Z, xbar), rate, acc
             X, w, Z = X_next, w_next, Z_next
 
     meta = {
@@ -299,4 +288,4 @@ def run(config: RunConfig) -> MetricsLog:
         "graph": config.graph.kind, "noise_enabled": config.noise_enabled, **config.extra_meta,
         "max_weight_sum_drift": repr(max_weight_drift), "max_stoch_grad_norm": repr(max_grad_norm),
     }
-    return MetricsLog(meta=meta, rows=rows)
+    return MetricsLog(meta=meta, rows=round_records(measured, clip, budget, sigma))

@@ -5,12 +5,13 @@ mean of the node parameter vectors), which is the quantity the convergence
 guarantees speak about.  Consensus error measures how far the de-biased node
 estimates have drifted from that average.
 
-The CSV layout is one row per iteration with the fixed column set
+A run's log is one numpy record array, one row per iteration, whose fields are
+``COLUMNS``, which is also the CSV header:
 
     k, loss, grad_norm_sq, consensus_err, clip_rate, C_k, mu_k, sigma_k, accuracy
 
-preceded by ``#``-prefixed metadata lines.  Floats are written with ``repr`` so equal
-runs produce byte-identical files.
+The CSV precedes it with ``#``-prefixed metadata lines.  Cells are written with
+``repr`` so equal runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,46 +19,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+COLUMNS = tuple("k,loss,grad_norm_sq,consensus_err,clip_rate,C_k,mu_k,sigma_k,accuracy".split(","))
 
-@dataclass(frozen=True)
-class RoundStats:
-    """One iteration's diagnostics, evaluated before the round's update."""
 
-    k: int
-    loss: float
-    grad_norm_sq: float
-    consensus_err: float
-    clip_rate: float
-    clip_bound: float
-    step_budget: float
-    noise_std: float
-    accuracy: float
+def round_records(measured: np.ndarray, clip, budget, sigma) -> np.recarray:
+    """The rows of a K-round log from the (K, 5) array ``measured``, whose columns are
+    loss, grad_norm_sq, consensus_err, clip_rate and accuracy, and the C_k, mu_k and
+    sigma_k columns ``clip``, ``budget`` and ``sigma``."""
+    loss, grad_norm_sq, consensus_err, clip_rate, accuracy = measured.T
+    columns = loss, grad_norm_sq, consensus_err, clip_rate, clip, budget, sigma, accuracy
+    return np.rec.fromarrays([np.arange(len(measured)), *columns], names=COLUMNS)
 
 
 @dataclass
 class MetricsLog:
-    """Append-only run record: metadata dict plus one RoundStats per round."""
+    """Run record: a metadata dict and ``rows``, a record array with one row per
+    round whose fields are ``COLUMNS``, the CSV header."""
 
     meta: dict
-    rows: list[RoundStats]
+    rows: np.recarray
 
     def csv_text(self) -> str:
         """``# key=value`` metadata lines, the header line, then one row per round."""
         lines = [f"# {key}={value}" for key, value in self.meta.items()]
-        lines.append("k,loss,grad_norm_sq,consensus_err,clip_rate,C_k,mu_k,sigma_k,accuracy")
-        for r in self.rows:
-            cells = [
-                str(r.k),
-                repr(float(r.loss)),
-                repr(float(r.grad_norm_sq)),
-                repr(float(r.consensus_err)),
-                repr(float(r.clip_rate)),
-                repr(float(r.clip_bound)),
-                repr(float(r.step_budget)),
-                repr(float(r.noise_std)),
-                repr(float(r.accuracy)),
-            ]
-            lines.append(",".join(cells))
+        lines.append(",".join(COLUMNS))
+        cells = zip(*(self.rows[name].tolist() for name in COLUMNS))
+        lines += (",".join(map(repr, row)) for row in cells)
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -81,13 +68,11 @@ class RunSummary:
 
 def summarize(log: MetricsLog) -> RunSummary:
     """Scalar roll-up of a run; the gradient mean is the Cesaro average."""
-    if not log.rows:
+    if not len(log.rows):
         raise ValueError("cannot summarize an empty log")
-    grads = np.array([r.grad_norm_sq for r in log.rows])
-    clips = np.array([r.clip_rate for r in log.rows])
     return RunSummary(
-        final_loss=float(log.rows[-1].loss),
-        mean_grad_norm_sq=float(grads.mean()),
-        clip_fraction=float(clips.mean()),
-        final_accuracy=log.rows[-1].accuracy,
+        final_loss=float(log.rows["loss"][-1]),
+        mean_grad_norm_sq=float(log.rows["grad_norm_sq"].mean()),
+        clip_fraction=float(log.rows["clip_rate"].mean()),
+        final_accuracy=float(log.rows["accuracy"][-1]),
     )

@@ -247,7 +247,7 @@ def reference_run(config, details: list | None = None):
     ``one_peer_matrices`` for a ring or exponential graph.  ``engine.run`` must
     reproduce it byte for byte.  A ``details`` list gains one RoundDetail per round.
     """
-    from pushdp.metrics import MetricsLog, RoundStats, mean_sq_consensus
+    from pushdp.metrics import MetricsLog, mean_sq_consensus, round_records
 
     model, data, sched = config.task.model, config.task.dataset, config.schedule
     n, d, K, J = config.n, config.d, config.K, data.J
@@ -257,7 +257,7 @@ def reference_run(config, details: list | None = None):
     X = np.stack([r.standard_normal(d) * INIT_SCALE for r in init])
     w = np.ones(n)
     Z = X.copy()
-    rows = []
+    measured, schedule = np.empty((K, 5)), np.empty((3, K))  # schedule: C_k, mu_k, sigma_k
     max_weight_drift = max_grad_norm = 0.0
     kind = config.graph.kind
     stack = one_peer_matrices(kind, n) if kind in ("ring", "exponential") else None
@@ -290,13 +290,8 @@ def reference_run(config, details: list | None = None):
         X_next, w_next = P @ halves, P @ w
         Z_next = X_next / w_next[:, None]
         max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))
-        rows.append(
-            RoundStats(
-                k=k, loss=loss, grad_norm_sq=float(grad @ grad),
-                consensus_err=mean_sq_consensus(Z, xbar), clip_rate=float(np.mean(clipped)),
-                clip_bound=C_k, step_budget=mu_k, noise_std=sigma, accuracy=acc,
-            )
-        )
+        measured[k] = loss, grad @ grad, mean_sq_consensus(Z, xbar), np.mean(clipped), acc
+        schedule[:, k] = C_k, mu_k, sigma
         if details is not None:
             details.append(RoundDetail(
                 xbar=xbar, grads=grads, clipped=clipped_grads, halves=halves, weights=w,
@@ -310,7 +305,7 @@ def reference_run(config, details: list | None = None):
         "max_weight_sum_drift": repr(max_weight_drift),
         "max_stoch_grad_norm": repr(max_grad_norm),
     }
-    return MetricsLog(meta=meta, rows=rows)
+    return MetricsLog(meta=meta, rows=round_records(measured, *schedule))
 
 
 def final_accuracies(logs) -> np.ndarray:

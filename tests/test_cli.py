@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pushdp
-from pushdp import cli
+from pushdp import accountant, cli
 from pushdp.accountant import mu_tot_from_eps_delta
 from pushdp.cli import (
     _FIELDS,
@@ -128,6 +128,8 @@ def test_override_rejects_malformed_and_unknown():
         parse_config(BASE, ["K=3"])
     with pytest.raises(ConfigError, match="run.bogus"):
         parse_config(BASE, ["run.bogus=3"])
+    with pytest.raises(ConfigError, match="unknown key run.output"):  # --output names files
+        parse_config(BASE, ["run.output=x.csv"])
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +148,23 @@ def test_resolve_corollary_preset_sets_gamma_and_k():
     assert rc.gamma == pytest.approx(1.0 / (math.sqrt(4) * 100 * mu_tot), rel=1e-12)
     assert rc.K == round(4 * (100 * mu_tot) ** 2)
     assert rc.extra_meta["gamma_preset"] == "corollary"
+
+
+def test_leg_solves_the_privacy_target_once(monkeypatch):
+    # each bisection of (epsilon, delta) -> mu_tot evaluates the transfer once at
+    # the low end of its bracket
+    lows, transfer = [], accountant.delta_from_mu_eps
+
+    def counted(mu, eps):
+        lows.append(mu == accountant.MU_BRACKET[0])
+        return transfer(mu, eps)
+
+    monkeypatch.setattr(accountant, "delta_from_mu_eps", counted)
+    for preset in ([], ["run.gamma=corollary", "run.K=0"]):
+        lows.clear()
+        leg = _run_leg(parse_config(BASE, preset))
+        assert sum(lows) == 1
+        assert leg.schedule.K == leg.K
 
 
 def test_resolve_corollary_preset_needs_enough_budget():

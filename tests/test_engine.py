@@ -91,7 +91,7 @@ def test_clip_zero_vector_and_inf_bound():
     assert not details[0].clipped.any()
     # the non-private path clips at C_k = inf: a gradient of any size passes
     log, details, g = _one_node_run(clip_bound=None, x0=np.full((1, 7), 3.0), K=3)
-    assert all(r.clip_bound == np.inf and r.clip_rate == 0.0 for r in log.rows)
+    assert all(r.C_k == np.inf and r.clip_rate == 0.0 for r in log.rows)
     assert details[0].clipped[0].tobytes() == g.tobytes()
 
 
@@ -102,7 +102,7 @@ def test_clip_zero_vector_and_inf_bound():
 def test_local_step_noise_free_is_plain_sgd():
     log, details, g = _one_node_run(clip_bound=1e6, noise=False)
     det = details[0]
-    assert log.rows[0].noise_std == 0.0
+    assert log.rows[0].sigma_k == 0.0
     assert det.halves[0].tobytes() == (det.xbar - 0.1 * g).tobytes()
 
 
@@ -111,8 +111,8 @@ def test_local_step_noise_magnitude_matches_sigma():
     # the half-step x - 0.1 (g + noise) starts from x = xbar
     log, details, _ = _one_node_run(clip_bound=1.0, noise=True, d_in=999, J=5, K=100)
     d = 1000
-    sigma = log.rows[0].noise_std
-    assert all(r.noise_std == sigma for r in log.rows) and sigma > 0
+    sigma = log.rows[0].sigma_k
+    assert all(r.sigma_k == sigma for r in log.rows) and sigma > 0
     noises = [(det.xbar - det.halves[0]) / 0.1 - det.clipped[0] for det in details]
     mean_per_coord = np.mean([noise @ noise for noise in noises]) / d
     assert sigma**2 * 0.85 < mean_per_coord < sigma**2 * 1.15
@@ -494,24 +494,29 @@ def test_row_schedule_columns_match_schedule():
     log = run(cfg)
     sched = cfg.schedule
     for k in (0, 7, 29):
-        assert log.rows[k].clip_bound == sched.clip[k]
-        assert log.rows[k].step_budget == sched.budget[k]
-        assert log.rows[k].noise_std == sched.sigma[k]
+        assert log.rows[k].C_k == sched.clip[k]
+        assert log.rows[k].mu_k == sched.budget[k]
+        assert log.rows[k].sigma_k == sched.sigma[k]
+    # the fields are the CSV header, and the schedule columns its arrays bit for bit
+    header = [line for line in log.csv_text().splitlines() if not line.startswith("#")][0]
+    assert ",".join(log.rows.dtype.names) == header
+    for name, column in (("C_k", sched.clip), ("mu_k", sched.budget), ("sigma_k", sched.sigma)):
+        assert log.rows[name].tobytes() == column[: cfg.K].tobytes()
 
 
 def test_noise_disabled_zeroes_sigma_column_only():
     cfg = private_config(n=4, J=20, K=10, epsilon=0.5, variant="dyn", noise_enabled=False)
     log = run(cfg)
-    assert all(r.noise_std == 0.0 for r in log.rows)
-    assert all(np.isfinite(r.clip_bound) for r in log.rows)
+    assert all(r.sigma_k == 0.0 for r in log.rows)
+    assert all(np.isfinite(r.C_k) for r in log.rows)
 
 
 def test_nonprivate_rows_disable_clipping():
     log = run(nonprivate_config(n=2, J=10, K=5))
     for r in log.rows:
-        assert r.clip_bound == np.inf
-        assert np.isnan(r.step_budget)
-        assert r.noise_std == 0.0
+        assert r.C_k == np.inf
+        assert np.isnan(r.mu_k)
+        assert r.sigma_k == 0.0
         assert r.clip_rate == 0.0
 
 
@@ -537,7 +542,7 @@ def test_general_schedule_drives_engine():
     )
     log = run(cfg)
     for k, r in enumerate(log.rows):
-        assert (r.clip_bound, r.step_budget, r.noise_std) == (
+        assert (r.C_k, r.mu_k, r.sigma_k) == (
             sched.clip[k], sched.budget[k], sched.sigma[k]
         )
     assert log.csv_text() == reference_run(cfg).csv_text()

@@ -3,23 +3,29 @@ import pytest
 
 from helpers import nonprivate_config, run_from
 
-from pushdp.metrics import MetricsLog, RoundStats, mean_sq_consensus, summarize
+from pushdp.metrics import COLUMNS, MetricsLog, mean_sq_consensus, summarize
 
 
-def make_row(k, **kwargs):
+def make_row(k, **columns):
+    """Round k's record: these defaults, overridden by column name."""
     base = dict(
         k=k,
         loss=1.0,
         grad_norm_sq=4.0,
         consensus_err=0.0,
         clip_rate=0.25,
-        clip_bound=2.0,
-        step_budget=0.5,
-        noise_std=4.0,
+        C_k=2.0,
+        mu_k=0.5,
+        sigma_k=4.0,
         accuracy=0.75,
     )
-    base.update(kwargs)
-    return RoundStats(**base)
+    base.update(columns)
+    return tuple(base[name] for name in COLUMNS)
+
+
+def make_log(rows, meta=None):
+    """A log of the given records (at least one), fields named by COLUMNS."""
+    return MetricsLog(meta=meta or {}, rows=np.rec.fromrecords(rows, names=COLUMNS))
 
 
 def test_mean_sq_consensus_worked_example():
@@ -54,7 +60,7 @@ def test_mean_sq_consensus_matches_states_path():
 
 
 def test_summarize_constant_log():
-    log = MetricsLog(meta={}, rows=[make_row(k) for k in range(10)])
+    log = make_log([make_row(k) for k in range(10)])
     s = summarize(log)
     assert s.final_loss == 1.0
     assert s.mean_grad_norm_sq == 4.0
@@ -64,18 +70,19 @@ def test_summarize_constant_log():
 
 def test_summarize_tracks_final_loss_and_cesaro_mean():
     rows = [make_row(k, grad_norm_sq=float(10 - k), loss=float(k)) for k in range(5)]
-    s = summarize(MetricsLog(meta={}, rows=rows))
+    s = summarize(make_log(rows))
     assert s.final_loss == 4.0
     assert s.mean_grad_norm_sq == pytest.approx(8.0)
 
 
 def test_summarize_rejects_empty_log():
+    empty = make_log([make_row(0)]).rows[:0]
     with pytest.raises(ValueError):
-        summarize(MetricsLog(meta={}, rows=[]))
+        summarize(MetricsLog(meta={}, rows=empty))
 
 
 def test_csv_header_and_shape():
-    log = MetricsLog(meta={"n": 2, "seed": 7}, rows=[make_row(k) for k in range(3)])
+    log = make_log([make_row(k) for k in range(3)], {"n": 2, "seed": 7})
     text = log.csv_text()
     lines = text.strip().split("\n")
     assert lines[0] == "# n=2"
@@ -87,21 +94,21 @@ def test_csv_header_and_shape():
 
 def test_csv_deterministic_bytes():
     rows = [make_row(k, loss=np.float64(k) / 3.0) for k in range(5)]
-    a = MetricsLog(meta={"seed": 1}, rows=rows).csv_text()
-    b = MetricsLog(meta={"seed": 1}, rows=list(rows)).csv_text()
+    a = make_log(rows, {"seed": 1}).csv_text()
+    b = make_log(list(rows), {"seed": 1}).csv_text()
     assert a == b
 
 
 def test_csv_renders_nonfinite_schedule_columns():
-    row = make_row(0, clip_bound=float("inf"), step_budget=float("nan"), noise_std=0.0)
-    text = MetricsLog(meta={}, rows=[row]).csv_text()
+    row = make_row(0, C_k=float("inf"), mu_k=float("nan"), sigma_k=0.0)
+    text = make_log([row]).csv_text()
     cells = text.splitlines()[1].split(",")
     assert cells[5] == "inf"
     assert cells[6] == "nan"
 
 
 def test_write_csv(tmp_path):
-    log = MetricsLog(meta={"n": 2}, rows=[make_row(0)])
+    log = make_log([make_row(0)], {"n": 2})
     path = tmp_path / "out.csv"
     log.write_csv(path)
     assert path.read_text() == log.csv_text()
