@@ -10,11 +10,11 @@ Subcommands:
                  of values and write a summary grid CSV.
 * ``accountant`` resolve and audit a privacy schedule without training.
 
-A command builds the dataset and graph and checks connectivity once, shared by
-every variant and seed it runs (``sweep`` rebuilds them per ``n`` or ``graph``).
-It resolves each variant once: one function, ``_leg``, makes every check and
-derives K, the step size, the privacy budget and the schedule, and the seeds of
-a variant's replicates share the result.  ``accountant`` audits that same leg.
+``run``, ``compare`` and ``sweep`` run (label, config) points through ``_grid``,
+which builds the dataset and graph and checks connectivity once, and again only
+when a point's ``n`` or graph kind differs.  It resolves each point once in
+``_leg``, which makes every check and derives K, the step size, the privacy budget
+and the schedule for all the point's seeds.  ``accountant`` audits that same leg.
 
 Configuration lives in an INI-style file with sections [run], [privacy],
 [schedule], [graph], and [task]; ``--set section.key=value`` overrides any
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -206,8 +207,8 @@ def _build_task(cfg: ExperimentConfig) -> Task:
 
 
 def _setting(cfg: ExperimentConfig) -> tuple:
-    """(task, graph, connectivity report or None for one node): what every leg of a
-    command shares, since none of it depends on the seed or the variant."""
+    """(task, graph, connectivity report or None for one node): what the legs of a
+    grid share while n and graph kind hold, as none of it depends on seed or variant."""
     task = _build_task(cfg)
     if cfg.graph not in GRAPH_KINDS:
         raise ConfigError(f"graph.kind must be one of {GRAPH_KINDS}, got {cfg.graph!r}")
@@ -231,10 +232,10 @@ def _setting(cfg: ExperimentConfig) -> tuple:
     return task, graph, check_b_strong_connectivity(graph, B) if cfg.n > 1 else None
 
 
-def _leg(cfg: ExperimentConfig, variant: str, setting: tuple) -> RunConfig:
-    """One variant of a command as a RunConfig at seed ``cfg.seed`` in the command's
-    ``_setting``: every check, the step size, K, the privacy solve and the schedule."""
-    n = cfg.n
+def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
+    """A config as a RunConfig at seed ``cfg.seed`` in a ``_setting`` built for its n
+    and graph: every check, the step size, K, the privacy solve and the schedule."""
+    n, variant = cfg.n, cfg.variant
     task, graph, report = setting
     extra_meta: dict = {"variant": variant}
 
@@ -277,8 +278,8 @@ def _leg(cfg: ExperimentConfig, variant: str, setting: tuple) -> RunConfig:
             epsilon=_ser_float(cfg.epsilon),
             delta=_ser_float(cfg.delta),
             mu_tot=_ser_float(privacy.mu_tot),
-            mu0=_ser_float(sched.mu0),
-            c0=_ser_float(sched.clip0),
+            mu0=_ser_float(sched.budget[0]),
+            c0=_ser_float(sched.clip[0]),
             rho_c=_ser_float(sched.rho_c),
             rho_mu=_ser_float(sched.rho_mu),
         )
@@ -295,12 +296,15 @@ def _leg(cfg: ExperimentConfig, variant: str, setting: tuple) -> RunConfig:
     )
 
 
-def _replicates(cfg: ExperimentConfig, setting: tuple, variant: str):
-    """(seed, metrics log) of each replicate of one variant, whose leg is resolved
-    once and run at seeds cfg.seed .. cfg.seed + repeat - 1."""
-    leg = _leg(cfg, variant, setting)
-    for seed in range(cfg.seed, cfg.seed + cfg.repeat):
-        yield seed, run(dataclasses.replace(leg, seed=seed))
+def _grid(points, setting: tuple | None = None):
+    """(label, seed, metrics log) at each of the repeat seeds of each (label, config) point;
+    a point's leg is resolved once, in a setting rebuilt only when its n or graph differs."""
+    for label, cfg in points:
+        if setting is None or (cfg.n, cfg.graph) != (setting[1].n, setting[1].kind):
+            setting = _setting(cfg)
+        leg = _leg(cfg, setting)
+        for seed in range(cfg.seed, cfg.seed + cfg.repeat):
+            yield label, seed, run(dataclasses.replace(leg, seed=seed))
 
 
 def _write(path: str, text: str) -> None:
@@ -314,10 +318,9 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config, args.set)
+def cmd_run(args, cfg: ExperimentConfig) -> int:
     stem, ext = os.path.splitext(args.output or "run.csv")  # the file name's extension only
-    for seed, log in _replicates(cfg, _setting(cfg), cfg.variant):
+    for _, seed, log in _grid([(cfg.variant, cfg)]):
         if seed == cfg.seed:
             for key in ("mu_tot", "mu0"):
                 if key in log.meta:
@@ -328,39 +331,38 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = load_config(args.config, args.set)
+def cmd_compare(args, cfg: ExperimentConfig) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise ConfigError("--variants must list at least one variant")
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r} in --variants")
-    variants.append(NONPRIVATE)
     setting = _setting(cfg)
-    baseline = cfg
-    if cfg.gamma == "corollary":  # the private legs' step size and K: set by n, J, epsilon, delta
-        leg = _leg(cfg, VARIANTS[0], setting)
-        baseline = dataclasses.replace(cfg, gamma=leg.gamma, K=leg.K)
-    table = []  # (variant, (loss mean, loss std, accuracy mean, accuracy std))
-    for variant in variants:
-        legs = _replicates(baseline if variant == NONPRIVATE else cfg, setting, variant)
-        summaries = [summarize(log) for _, log in legs]
-        losses = [s.final_loss for s in summaries]
-        accuracies = [s.final_accuracy for s in summaries]
-        table.append((variant, _mean_std(losses) + _mean_std(accuracies)))
-    print(f"{'variant':<12} {'epsilon':>8} {'delta':>8} {'final_loss':>18} {'final_accuracy':>18}")
+    points = [(v, dataclasses.replace(cfg, variant=v)) for v in variants]
+    if cfg.gamma == "corollary":  # the baseline runs at the private legs' step size and K
+        leg = _leg(points[0][1], setting)
+        cfg = dataclasses.replace(cfg, gamma=leg.gamma, K=leg.K)
+    points.append((NONPRIVATE, dataclasses.replace(cfg, variant=NONPRIVATE)))
+    grid = _grid(points, setting)
+    table = [("variant", "epsilon", "delta", "final_loss", "final_accuracy")]
     lines = [
         "variant,epsilon,delta,final_loss_mean,final_loss_std,"
         "final_accuracy_mean,final_accuracy_std"
     ]
-    for variant, stats in table:
+    for variant, _ in points:  # each point's cfg.repeat logs, in turn
+        summaries = [summarize(log) for _, _, log in itertools.islice(grid, cfg.repeat)]
+        stats = _mean_std([s.final_loss for s in summaries])
+        stats += _mean_std([s.final_accuracy for s in summaries])
         private = variant != NONPRIVATE
         eps = f"{cfg.epsilon:g}" if private else "-"
         delta = f"{cfg.delta:g}" if private else "-"
         loss = "{:.4f}+/-{:.4f}".format(*stats[:2])
         acc = "{:.4f}+/-{:.4f}".format(*stats[2:])
-        print(f"{variant:<12} {eps:>8} {delta:>8} {loss:>18} {acc:>18}")
+        table.append((variant, eps, delta, loss, acc))
         privacy = [_ser_float(cfg.epsilon), _ser_float(cfg.delta)] if private else ["", ""]
         lines.append(",".join([variant, *privacy, *map(repr, stats)]))
+    print("\n".join("{:<12} {:>8} {:>8} {:>18} {:>18}".format(*row) for row in table))
     if args.output:
         _write(args.output, "\n".join(lines) + "\n")
     return 0
@@ -372,39 +374,32 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value: str) -> ExperimentConfi
     return dataclasses.replace(cfg, **{attr: parsed})
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, args.set)
+def cmd_sweep(args, cfg: ExperimentConfig) -> int:
     if args.axis not in SWEEP_AXES:
         raise ConfigError(f"--axis must be one of {SWEEP_AXES}")
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
     lines = ["axis,value,seed,final_loss,final_accuracy,mean_grad_norm_sq,clip_fraction"]
-    setting = None
-    for value in values:
-        point = _apply_axis(cfg, args.axis, value)
-        if setting is None or args.axis in ("n", "graph"):  # the axes that shape the setting
-            setting = _setting(point)
-        for seed, log in _replicates(point, setting, point.variant):
-            s = summarize(log)
-            cells = (s.final_loss, s.final_accuracy, s.mean_grad_norm_sq, s.clip_fraction)
-            lines.append(",".join([args.axis, value, str(seed), *map(_ser_float, cells)]))
+    for value, seed, log in _grid((v, _apply_axis(cfg, args.axis, v)) for v in values):
+        s = summarize(log)
+        cells = (s.final_loss, s.final_accuracy, s.mean_grad_norm_sq, s.clip_fraction)
+        lines.append(",".join([args.axis, value, str(seed), *map(_ser_float, cells)]))
     _write(args.output or "sweep.csv", "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_accountant(args) -> int:
-    cfg = load_config(args.config, args.set)
+def cmd_accountant(args, cfg: ExperimentConfig) -> int:
     setting = _setting(cfg)  # bad [task] and [graph] entries fail as for a run
     if cfg.variant == NONPRIVATE:
         raise ConfigError("the accountant needs a private schedule variant")
-    leg = _leg(cfg, cfg.variant, setting)  # the K, step size and schedule a run executes
+    leg = _leg(cfg, setting)  # the K, step size and schedule a run executes
     sched = leg.schedule
     composed = compose_general(sched.budget, 1.0 / cfg.J)
     print(f"epsilon = {cfg.epsilon:g}, delta = {cfg.delta:g}")
     print(f"mu_tot = {leg.extra_meta['mu_tot']}")
-    print(f"variant = {sched.variant}")
-    print(f"mu0 = {sched.mu0!r}")
+    print(f"variant = {cfg.variant}")
+    print(f"mu0 = {float(sched.budget[0])!r}")
     print(f"sigma_first = {float(sched.sigma[0])!r}")
     print(f"sigma_last = {float(sched.sigma[-1])!r}")
     print(f"composed_mu_tot = {composed!r}")
@@ -466,7 +461,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():  # each warning as one plain stderr line
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             args = parser.parse_args(argv)
-            return args.func(args)
+            return args.func(args, load_config(args.config, args.set))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

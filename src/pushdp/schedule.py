@@ -36,21 +36,15 @@ _DYNAMIC_MU = {"dyn", "dyn-mu"}
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Read-only (C_k, mu_k, sigma_k) arrays for a K-step run, plus provenance.
+    """Read-only (C_k, mu_k, sigma_k) arrays for a K-step run, plus the rates that
+    shaped them, 1.0 on frozen axes.  ``clip[0]`` and ``budget[0]`` are the initial
+    (or flat) clip bound and step budget."""
 
-    ``clip0`` is the initial bound for decaying-clip variants and the flat
-    bound otherwise; ``mu0`` likewise is the initial or flat step budget.
-    Rates are 1.0 on frozen axes.
-    """
-
-    variant: str
     clip: np.ndarray
     budget: np.ndarray
     sigma: np.ndarray
-    clip0: float
     rho_c: float
     rho_mu: float
-    mu0: float
 
     def __post_init__(self):
         for name in ("clip", "budget", "sigma"):
@@ -107,10 +101,8 @@ def build_schedule(
     fractions = np.arange(privacy.K) / privacy.K
     clip = clip0 * clip_rate**-fractions
     shape = budget_rate**fractions
-    mu0 = solve_mu0(privacy.mu_tot, privacy.J, shape)
-    budget = mu0 * shape
+    budget = solve_mu0(privacy.mu_tot, privacy.J, shape) * shape
     return NoiseSchedule(
-        variant=variant, clip=clip, budget=budget, sigma=clip / budget,
-        clip0=clip0, rho_c=clip_rate, rho_mu=budget_rate, mu0=mu0,
+        clip=clip, budget=budget, sigma=clip / budget, rho_c=clip_rate, rho_mu=budget_rate
     )
 

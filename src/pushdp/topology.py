@@ -216,7 +216,7 @@ def check_b_strong_connectivity(schedule: GraphSchedule, B: int) -> Connectivity
     messages travel (edge j -> i when ``P[i, j] > 0``).  A window's union is an
     edge list read from ``peers`` or the dense union's nonzeros, and one bitset
     BFS (``_saturation``) over it takes a handful of hops for the exponential
-    graph, n for a ring.
+    graph, n for a ring; a union of all n^2 edges has diameter 1 with no search.
     """
     if B < 1:
         raise ValueError("window must be at least one round")
@@ -226,7 +226,11 @@ def check_b_strong_connectivity(schedule: GraphSchedule, B: int) -> Connectivity
     for window in range(num_windows):
         rounds = (window * B + np.arange(min(B, period))) % period
         if schedule.peers is None:
-            receivers, senders = np.nonzero((schedule.weights[rounds] > 0).any(axis=0))
+            union = (schedule.weights > 0)[rounds].any(axis=0)
+            if union.all():  # every edge, as on a complete graph: no search needed
+                diameter = max(diameter, int(n > 1))
+                continue
+            receivers, senders = np.nonzero(union)
         else:  # each node's self edge, then its peer in each round
             senders = np.vstack([np.arange(n), schedule.peers[rounds]]).T.ravel()
             receivers = np.repeat(np.arange(n), len(rounds) + 1)

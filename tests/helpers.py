@@ -341,18 +341,19 @@ def validate_each_slice(weights) -> None:
 
 @contextlib.contextmanager
 def cli_resolving_each_leg():
-    """``pushdp.cli`` as if nothing were shared: every (variant, seed) pair of a
-    command builds its own dataset, graph, connectivity report and leg from its
-    config.  The reference for the setting a command builds once and the leg it
-    resolves once per variant."""
+    """``pushdp.cli`` as if nothing were shared: every (point, seed) pair of a
+    command's grid builds its own dataset, graph, connectivity report and leg from
+    its config.  The reference for the setting a grid builds once per n and graph
+    kind and the leg it resolves once per point."""
 
-    def replicates_alone(cfg, setting, variant):
-        for seed in range(cfg.seed, cfg.seed + cfg.repeat):
-            alone = dataclasses.replace(cfg, seed=seed)
-            yield seed, cli.run(cli._leg(alone, variant, cli._setting(alone)))
+    def grid_alone(points, setting=None):
+        for label, cfg in points:
+            for seed in range(cfg.seed, cfg.seed + cfg.repeat):
+                alone = dataclasses.replace(cfg, seed=seed)
+                yield label, seed, cli.run(cli._leg(alone, cli._setting(alone)))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_replicates", replicates_alone)
+        patch.setattr(cli, "_grid", grid_alone)
         yield
 
 

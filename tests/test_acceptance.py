@@ -320,7 +320,7 @@ def test_10_byte_identical_reruns(tmp_path):
     assert main(["run", "--config", str(config), "--output", str(outs[1])]) == 0
     rerun = outs[0].read_bytes() == outs[1].read_bytes()
     cfg = parse_config(CONFIG_10)
-    reference = reference_run(_leg(cfg, cfg.variant, _setting(cfg))).csv_text()
+    reference = reference_run(_leg(cfg, _setting(cfg))).csv_text()
     per_node = outs[0].read_text() == reference
     assert rerun and per_node
     report(

@@ -61,6 +61,53 @@ def test_boundary_hooks_resolve_against_the_package(tracing):
     )
 
 
+CONFIG = """\
+[run]
+n = 4
+K = 5
+repeat = 2
+
+[privacy]
+epsilon = 0.5
+delta = 0.0001
+
+[schedule]
+rho_c = 4.0
+rho_mu = 4.0
+
+[task]
+J = 20
+d_in = 6
+"""
+
+
+@pytest.mark.parametrize(
+    "command,runs",
+    [
+        (["compare", "--variants", "dyn,const"], 6),  # (2 variants + baseline) x 2 seeds
+        (["sweep", "--axis", "epsilon", "--values", "0.5,1.0"], 4),  # 2 values x 2 seeds
+    ],
+    ids=["compare", "sweep"],
+)
+def test_boundary_tracer_sees_every_engine_run_of_a_grid(tracing, tmp_path, capsys, command, runs):
+    # a grid that called the engine by any name but pushdp.cli.run would move its time,
+    # uncounted, into the benchmark's setup_s
+    import pushdp.cli
+
+    config = tmp_path / "exp.ini"
+    config.write_text(CONFIG)
+    tracer = tracing.Tracer(full=False)
+    tracer.install()
+    try:
+        args = [command[0], "--config", str(config), *command[1:], "--output", str(tmp_path / "out.csv")]
+        assert pushdp.cli.main(args) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.stats["engine.run"][0] == runs
+    assert len(tracer.logs) == runs
+
+
 # Full-tracer targets already gone from the package, which the benchmark still names:
 # their stats read zero.  A target that goes missing beyond these fails the test below.
 KNOWN_DEAD_TARGETS = [

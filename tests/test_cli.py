@@ -138,7 +138,7 @@ def test_override_rejects_malformed_and_unknown():
 
 def _run_leg(cfg):
     """The leg ``run`` executes for a config."""
-    return _leg(cfg, cfg.variant, _setting(cfg))
+    return _leg(cfg, _setting(cfg))
 
 
 def test_resolve_corollary_preset_sets_gamma_and_k():
@@ -418,7 +418,12 @@ def test_disconnected_schedule_fails_after_each_legs_own_checks(tmp_path, comman
 
 @pytest.mark.parametrize(
     "axis,value,key",
-    [("epsilon", "inf", "privacy.epsilon"), ("rho_c", "nan", "schedule.rho_c"), ("n", "0", "run.n")],
+    [
+        ("epsilon", "inf", "privacy.epsilon"),
+        ("rho_c", "nan", "schedule.rho_c"),
+        ("n", "0", "run.n"),
+        ("epsilon", "0.5,inf", "privacy.epsilon"),  # after a value whose legs ran
+    ],
 )
 def test_sweep_value_errors_name_the_key(tmp_path, axis, value, key):
     config = write_config(tmp_path, BASE.replace("variant = const", "variant = dyn"))
@@ -426,6 +431,7 @@ def test_sweep_value_errors_name_the_key(tmp_path, axis, value, key):
     args = ["sweep", "--config", config, "--axis", axis, "--values", value, "--output", str(out)]
     code, err = _exit_code_and_stderr(args)
     assert code == 1 and key in err
+    assert not out.exists()
 
 
 def test_run_io_failure_exits_2(tmp_path, capsys):
@@ -511,6 +517,32 @@ def test_compare_runs_the_corollary_preset_with_the_private_step_size_and_k(tmp_
 def test_compare_rejects_unknown_variant(tmp_path):
     config = write_config(tmp_path)
     assert main(["compare", "--config", config, "--variants", "dyn,nope"]) == 1
+
+
+@pytest.mark.parametrize("variants", ["", " , "])
+def test_compare_rejects_an_empty_variant_list(tmp_path, variants):
+    out = tmp_path / "table.csv"
+    args = ["compare", "--config", write_config(tmp_path), "--variants", variants, "--output", str(out)]
+    assert _exit_code_and_stderr(args) == (1, "config error: --variants must list at least one variant\n")
+    assert not out.exists()
+
+
+def test_compare_corollary_baseline_resolves_only_the_listed_variants(tmp_path, capsys):
+    # const reads no rate, so with none set only dyn (never listed) would fail; the preset's
+    # step size and K depend on n, J, epsilon and delta alone, so the baseline is unchanged
+    config, out = write_config(tmp_path), tmp_path / "table.csv"
+    preset = ["run.gamma=corollary", "run.K=0", "privacy.epsilon=0.3"]
+    no_rates = preset + ["schedule.rho_c=0", "schedule.rho_mu=0"]
+    baselines = []
+    for overrides, variants in ((preset, "dyn,const"), (no_rates, "const")):
+        args = _command_args("compare", config, overrides, out)
+        args[args.index("--variants") + 1] = variants
+        assert main(args) == 0
+        baselines.append(out.read_text().splitlines()[-1])
+    assert baselines[0].startswith("nonprivate,,") and baselines[0] == baselines[1]
+    run_const = _command_args("run", config, no_rates + ["schedule.variant=const"], tmp_path / "m.csv")
+    assert main(run_const) == 0
+    capsys.readouterr()
 
 
 def test_sweep_writes_grid(tmp_path):
@@ -658,7 +690,15 @@ def test_compare_builds_the_setting_once(tmp_path, builds):
 
 
 @pytest.mark.parametrize(
-    "axis,values,count", [("epsilon", "0.5,1.0,2.0", 1), ("rho_mu", "2,8", 1), ("n", "4,8", 2)]
+    "axis,values,count",
+    [
+        ("epsilon", "0.5,1.0,2.0", 1),
+        ("rho_mu", "2,8", 1),
+        ("n", "4,8", 2),
+        ("n", "4,8,4", 3),
+        ("n", "4,4,8", 2),  # a value that keeps n keeps the setting
+        ("graph", "ring,complete", 2),
+    ],
 )
 def test_sweep_builds_a_setting_per_value_of_an_axis_that_shapes_it(
     tmp_path, builds, axis, values, count
@@ -703,3 +743,20 @@ def test_compare_with_a_shared_setting_equals_legs_built_alone(tmp_path, builds,
     assert results[0] == results[1]
     # once shared, then once up front and once for each of the 5 x 2 legs
     assert builds["synth_dataset"] == 1 + 1 + 10
+
+
+@pytest.mark.parametrize("axis,values", [("n", "4,8,4"), ("graph", "ring,complete")])
+def test_sweep_with_a_shared_setting_equals_legs_built_alone(tmp_path, axis, values):
+    config = write_config(tmp_path, BASE.replace("K = 15", "K = 10"))
+    out = tmp_path / "grid.csv"
+    args = [
+        "sweep", "--config", config, "--set", "run.repeat=2", "--axis", axis, "--values", values,
+        "--output", str(out),
+    ]
+    results = []
+    for context in (contextlib.nullcontext(), cli_resolving_each_leg()):
+        stdout = io.StringIO()
+        with context, contextlib.redirect_stdout(stdout):
+            assert main(args) == 0
+        results.append((stdout.getvalue(), out.read_bytes()))
+    assert results[0] == results[1]

@@ -531,10 +531,7 @@ def test_general_schedule_drives_engine():
     K = 12
     clips = 1.5 * 2.0 ** (-np.arange(K) / K)
     sigma = 0.4 * (1.0 + np.arange(K) % 3)
-    sched = NoiseSchedule(
-        variant="general", clip=clips, budget=clips / sigma, sigma=sigma,
-        clip0=1.5, rho_c=2.0, rho_mu=1.0, mu0=float(clips[0] / sigma[0]),
-    )
+    sched = NoiseSchedule(clip=clips, budget=clips / sigma, sigma=sigma, rho_c=2.0, rho_mu=1.0)
     task = logistic_task(4, 20)
     cfg = RunConfig(
         task=task, graph=graph_schedule("exponential", 4), schedule=sched,

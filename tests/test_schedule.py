@@ -45,7 +45,6 @@ def test_flat_budget_variants_use_closed_form(privacy):
     assert solve_mu0(privacy.mu_tot, privacy.J, np.ones(privacy.K)) == expected
     for variant in ("dyn-clip", "const"):
         sched = build_schedule(variant, privacy, clip0=2.0, rho_c=4.0)
-        assert sched.mu0 == expected
         assert sched.budget[0] == expected
         assert sched.budget[privacy.K - 1] == expected
 
@@ -54,7 +53,7 @@ def test_growing_budget_variants_solve_composition(privacy):
     expected = solve_mu0(privacy.mu_tot, privacy.J, 4.0 ** (np.arange(privacy.K) / privacy.K))
     for variant in ("dyn", "dyn-mu"):
         sched = build_schedule(variant, privacy, clip0=2.0, rho_c=4.0, rho_mu=4.0)
-        assert sched.mu0 == expected
+        assert sched.budget[0] == expected
 
 
 def test_sigma_is_clip_over_budget(privacy):
@@ -71,19 +70,19 @@ def test_sigma_closed_forms(privacy):
     ks = np.array([0, 17, K // 2, K - 1])
     dyn = build_schedule("dyn", privacy, clip0=2.0, rho_c=4.0, rho_mu=4.0)
     for k in ks:
-        expected = (2.0 / dyn.mu0) * (4.0 * 4.0) ** (-k / K)
+        expected = (2.0 / dyn.budget[0]) * (4.0 * 4.0) ** (-k / K)
         assert dyn.sigma[k] == pytest.approx(expected, rel=1e-12)
     dyn_clip = build_schedule("dyn-clip", privacy, clip0=2.0, rho_c=4.0)
     for k in ks:
-        expected = (2.0 / dyn_clip.mu0) * 4.0 ** (-k / K)
+        expected = (2.0 / dyn_clip.budget[0]) * 4.0 ** (-k / K)
         assert dyn_clip.sigma[k] == pytest.approx(expected, rel=1e-12)
     dyn_mu = build_schedule("dyn-mu", privacy, clip0=2.0, rho_mu=4.0)
     for k in ks:
-        expected = (2.0 / dyn_mu.mu0) * 4.0 ** (-k / K)
+        expected = (2.0 / dyn_mu.budget[0]) * 4.0 ** (-k / K)
         assert dyn_mu.sigma[k] == pytest.approx(expected, rel=1e-12)
     const = build_schedule("const", privacy, clip0=2.0)
     sigmas = {float(const.sigma[k]) for k in ks}
-    assert sigmas == {2.0 / const.mu0}
+    assert sigmas == {2.0 / float(const.budget[0])}
 
 
 def test_dyn_sigma_decay_ratio(privacy):
@@ -146,7 +145,7 @@ def test_schedule_arrays_are_read_only(privacy):
 
 def test_schedule_copies_its_arrays_and_checks_their_shapes():
     clip = np.ones(4)
-    provenance = dict(variant="general", clip0=1.0, rho_c=1.0, rho_mu=1.0, mu0=1.0)
+    provenance = dict(rho_c=1.0, rho_mu=1.0)
     sched = NoiseSchedule(clip=clip, budget=np.ones(4), sigma=np.ones(4), **provenance)
     clip[0] = 5.0
     assert sched.clip[0] == 1.0 and sched.K == 4
@@ -222,5 +221,5 @@ FROZEN_SCHEDULES = {
 def test_schedules_match_frozen_values(J, K, variant):
     sched = build_schedule(variant, PrivacySpec.resolve(0.3, 1e-4, J, K), 2.0, rho_c=4.0, rho_mu=4.0)
     mu0, sigma_first, sigma_last = FROZEN_SCHEDULES[J, K][variant]
-    assert repr(sched.mu0) == mu0
+    assert repr(float(sched.budget[0])) == mu0
     assert float(sched.sigma[0]) == sigma_first and float(sched.sigma[-1]) == sigma_last

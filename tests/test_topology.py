@@ -437,3 +437,24 @@ def test_exponential_n1024_schedule_and_check_allocate_no_dense_matrix():
         tracemalloc.stop()
     assert report == ConnectivityReport(True, 10, 10)
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_complete_schedule_report_matches_the_search(n):
+    # a union of all n^2 edges skips the search; its report is the one the search gives
+    reached, saturation = _saturation(n, *np.nonzero(np.ones((n, n), dtype=bool)))
+    searched = ConnectivityReport(bool(reached.all()), 1, int(saturation.max()))
+    assert check_b_strong_connectivity(graph_schedule("complete", n), 1) == searched
+
+
+def test_complete_n1024_check_gathers_no_edge_list():
+    # the search over all n^2 edges peaked at 144 MB here; the union alone is 1 MB of bools
+    schedule = graph_schedule("complete", 1024)
+    tracemalloc.start()
+    try:
+        report = check_b_strong_connectivity(schedule, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == ConnectivityReport(True, 1, 1)
+    assert peak < 10 * 2**20
