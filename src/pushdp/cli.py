@@ -42,7 +42,7 @@ import numpy as np
 # mu_tot_from_eps_delta is not called here: the benchmark's tracer hooks it by this name
 from .accountant import NoBracket, PrivacySpec, compose_general, mu_tot_from_eps_delta
 from .engine import RunConfig, run
-from .metrics import summarize
+from .metrics import RunSummary, csv_text, summarize
 from .models import Model, Task, synth_dataset
 from .schedule import VARIANTS, build_schedule
 from .topology import check_b_strong_connectivity, graph_schedule
@@ -121,10 +121,6 @@ for _sec, _key, _attr, _parse in _FIELDS:
 _AXIS_KEYS = {attr: (sec, key) for sec, key, attr, _ in _FIELDS if attr in SWEEP_AXES}
 
 
-def _ser_float(v) -> str:
-    return repr(float(v))
-
-
 def _parse_field(section: str, key: str, value: str):
     """(attribute, parsed value) of one entry; a bad or non-finite value names its key."""
     attr, parse = _BY_SECTION[section][key]
@@ -186,8 +182,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
                 lines.append("")
             lines.append(f"[{section}]")
             current = section
-        value = getattr(cfg, attr)
-        lines.append(f"{key} = {_ser_float(value) if isinstance(value, float) else value}")
+        lines.append(f"{key} = {getattr(cfg, attr)}")
     return "\n".join(lines) + "\n"
 
 
@@ -232,56 +227,59 @@ def _setting(cfg: ExperimentConfig) -> tuple:
     return task, graph, check_b_strong_connectivity(graph, B) if cfg.n > 1 else None
 
 
+def _privacy(cfg: ExperimentConfig) -> PrivacySpec:
+    """The (epsilon, delta) target of a private config, solved for mu_tot over run.K steps."""
+    if not cfg.epsilon > 0:
+        raise ConfigError("privacy.epsilon is required for private variants")
+    if not 0 < cfg.delta < 1:
+        raise ConfigError("privacy.delta must lie in (0, 1)")
+    try:
+        return PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, cfg.K)
+    except NoBracket as exc:
+        raise ConfigError(f"privacy.epsilon and privacy.delta: {exc}") from exc
+
+
+def _corollary(cfg: ExperimentConfig, mu_tot: float) -> tuple[float, int]:
+    """The corollary preset's step size 1 / (sqrt(n) J mu_tot), its product taken left to
+    right, and K = n (J mu_tot)^2."""
+    n, budget = cfg.n, cfg.J * mu_tot
+    if budget <= math.sqrt(n):
+        raise ConfigError(
+            f"corollary preset needs J * mu_tot > sqrt(n); got {budget:.3f} vs {math.sqrt(n):.3f}"
+        )
+    return 1.0 / (math.sqrt(n) * cfg.J * mu_tot), round(n * budget**2)
+
+
 def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
     """A config as a RunConfig at seed ``cfg.seed`` in a ``_setting`` built for its n
     and graph: every check, the step size, K, the privacy solve and the schedule."""
-    n, variant = cfg.n, cfg.variant
     task, graph, report = setting
-    extra_meta: dict = {"variant": variant}
+    extra_meta: dict = {"variant": cfg.variant}
 
     if cfg.gamma != "corollary" and cfg.K < 1:
         raise ConfigError("run.K must be positive")
-    if variant == NONPRIVATE:
+    if cfg.variant == NONPRIVATE:
         if cfg.gamma == "corollary":
             raise ConfigError("run.gamma = corollary needs a privacy budget")
         gamma, K, sched = float(cfg.gamma), cfg.K, None
     else:
-        if variant not in VARIANTS:
+        if cfg.variant not in VARIANTS:
             raise ConfigError(f"schedule.variant must be one of {VARIANTS + (NONPRIVATE,)}")
-        if not cfg.epsilon > 0:
-            raise ConfigError("privacy.epsilon is required for private variants")
-        if not 0 < cfg.delta < 1:
-            raise ConfigError("privacy.delta must lie in (0, 1)")
-        try:
-            privacy = PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, cfg.K)
-        except NoBracket as exc:
-            raise ConfigError(f"privacy.epsilon and privacy.delta: {exc}") from exc
-        mu_tot = privacy.mu_tot
+        privacy = _privacy(cfg)
         if cfg.gamma == "corollary":
-            if cfg.J * mu_tot <= math.sqrt(n):
-                raise ConfigError(
-                    f"corollary preset needs J * mu_tot > sqrt(n); "
-                    f"got {cfg.J * mu_tot:.3f} vs {math.sqrt(n):.3f}"
-                )
-            gamma = 1.0 / (math.sqrt(n) * cfg.J * mu_tot)
-            K = round(n * (cfg.J * mu_tot) ** 2)
+            gamma, K = _corollary(cfg, privacy.mu_tot)
             privacy = dataclasses.replace(privacy, K=K)
             extra_meta["gamma_preset"] = "corollary"
         else:
             gamma, K = float(cfg.gamma), cfg.K
         try:
             rates = dict(rho_c=cfg.rho_c or None, rho_mu=cfg.rho_mu or None)
-            sched = build_schedule(variant, privacy, clip0=cfg.c0, **rates)
+            sched = build_schedule(cfg.variant, privacy, clip0=cfg.c0, **rates)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         extra_meta.update(
-            epsilon=_ser_float(cfg.epsilon),
-            delta=_ser_float(cfg.delta),
-            mu_tot=_ser_float(privacy.mu_tot),
-            mu0=_ser_float(sched.budget[0]),
-            c0=_ser_float(sched.clip[0]),
-            rho_c=_ser_float(sched.rho_c),
-            rho_mu=_ser_float(sched.rho_mu),
+            epsilon=cfg.epsilon, delta=cfg.delta, mu_tot=privacy.mu_tot, mu0=float(sched.budget[0]),
+            c0=float(sched.clip[0]), rho_c=sched.rho_c, rho_mu=sched.rho_mu,
         )
 
     if report:  # none for one node
@@ -341,30 +339,25 @@ def cmd_compare(args, cfg: ExperimentConfig) -> int:
     setting = _setting(cfg)
     points = [(v, dataclasses.replace(cfg, variant=v)) for v in variants]
     if cfg.gamma == "corollary":  # the baseline runs at the private legs' step size and K
-        leg = _leg(points[0][1], setting)
-        cfg = dataclasses.replace(cfg, gamma=leg.gamma, K=leg.K)
+        gamma, K = _corollary(cfg, _privacy(cfg).mu_tot)
+        cfg = dataclasses.replace(cfg, gamma=gamma, K=K)
     points.append((NONPRIVATE, dataclasses.replace(cfg, variant=NONPRIVATE)))
     grid = _grid(points, setting)
     table = [("variant", "epsilon", "delta", "final_loss", "final_accuracy")]
-    lines = [
-        "variant,epsilon,delta,final_loss_mean,final_loss_std,"
-        "final_accuracy_mean,final_accuracy_std"
-    ]
+    rows = []
     for variant, _ in points:  # each point's cfg.repeat logs, in turn
         summaries = [summarize(log) for _, _, log in itertools.islice(grid, cfg.repeat)]
         stats = _mean_std([s.final_loss for s in summaries])
         stats += _mean_std([s.final_accuracy for s in summaries])
         private = variant != NONPRIVATE
-        eps = f"{cfg.epsilon:g}" if private else "-"
-        delta = f"{cfg.delta:g}" if private else "-"
-        loss = "{:.4f}+/-{:.4f}".format(*stats[:2])
-        acc = "{:.4f}+/-{:.4f}".format(*stats[2:])
-        table.append((variant, eps, delta, loss, acc))
-        privacy = [_ser_float(cfg.epsilon), _ser_float(cfg.delta)] if private else ["", ""]
-        lines.append(",".join([variant, *privacy, *map(repr, stats)]))
+        eps, delta = (f"{cfg.epsilon:g}", f"{cfg.delta:g}") if private else ("-", "-")
+        spread = "{:.4f}+/-{:.4f}"
+        table.append((variant, eps, delta, spread.format(*stats[:2]), spread.format(*stats[2:])))
+        rows.append((variant, *((cfg.epsilon, cfg.delta) if private else ("", "")), *stats))
     print("\n".join("{:<12} {:>8} {:>8} {:>18} {:>18}".format(*row) for row in table))
     if args.output:
-        _write(args.output, "\n".join(lines) + "\n")
+        names = "final_loss_mean,final_loss_std,final_accuracy_mean,final_accuracy_std"
+        _write(args.output, csv_text(f"variant,epsilon,delta,{names}", zip(*rows)))
     return 0
 
 
@@ -380,12 +373,10 @@ def cmd_sweep(args, cfg: ExperimentConfig) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
-    lines = ["axis,value,seed,final_loss,final_accuracy,mean_grad_norm_sq,clip_fraction"]
-    for value, seed, log in _grid((v, _apply_axis(cfg, args.axis, v)) for v in values):
-        s = summarize(log)
-        cells = (s.final_loss, s.final_accuracy, s.mean_grad_norm_sq, s.clip_fraction)
-        lines.append(",".join([args.axis, value, str(seed), *map(_ser_float, cells)]))
-    _write(args.output or "sweep.csv", "\n".join(lines) + "\n")
+    grid = _grid((v, _apply_axis(cfg, args.axis, v)) for v in values)
+    rows = [(args.axis, v, seed, *dataclasses.astuple(summarize(log))) for v, seed, log in grid]
+    header = ",".join(["axis", "value", "seed", *(f.name for f in dataclasses.fields(RunSummary))])
+    _write(args.output or "sweep.csv", csv_text(header, zip(*rows)))
     return 0
 
 
@@ -399,10 +390,10 @@ def cmd_accountant(args, cfg: ExperimentConfig) -> int:
     print(f"epsilon = {cfg.epsilon:g}, delta = {cfg.delta:g}")
     print(f"mu_tot = {leg.extra_meta['mu_tot']}")
     print(f"variant = {cfg.variant}")
-    print(f"mu0 = {float(sched.budget[0])!r}")
-    print(f"sigma_first = {float(sched.sigma[0])!r}")
-    print(f"sigma_last = {float(sched.sigma[-1])!r}")
-    print(f"composed_mu_tot = {composed!r}")
+    print(f"mu0 = {sched.budget[0]}")
+    print(f"sigma_first = {sched.sigma[0]}")
+    print(f"sigma_last = {sched.sigma[-1]}")
+    print(f"composed_mu_tot = {composed}")
     if args.table:
         _write(args.table, sched.table_csv())
     return 0

@@ -284,8 +284,8 @@ def run(config: RunConfig) -> MetricsLog:
             X, w, Z = X_next, w_next, Z_next
 
     meta = {
-        "n": n, "d": d, "K": K, "J": J, "gamma": repr(float(config.gamma)), "seed": config.seed,
+        "n": n, "d": d, "K": K, "J": J, "gamma": float(config.gamma), "seed": config.seed,
         "graph": config.graph.kind, "noise_enabled": config.noise_enabled, **config.extra_meta,
-        "max_weight_sum_drift": repr(max_weight_drift), "max_stoch_grad_norm": repr(max_grad_norm),
+        "max_weight_sum_drift": max_weight_drift, "max_stoch_grad_norm": max_grad_norm,
     }
     return MetricsLog(meta=meta, rows=round_records(measured, clip, budget, sigma))

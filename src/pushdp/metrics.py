@@ -1,4 +1,4 @@
-"""Run diagnostics: per-round records, summaries, and CSV serialization.
+"""Run diagnostics: per-round records, summaries, and the one CSV writer.
 
 All optimization metrics are evaluated at the average iterate (the plain
 mean of the node parameter vectors), which is the quantity the convergence
@@ -10,8 +10,9 @@ A run's log is one numpy record array, one row per iteration, whose fields are
 
     k, loss, grad_norm_sq, consensus_err, clip_rate, C_k, mu_k, sigma_k, accuracy
 
-The CSV precedes it with ``#``-prefixed metadata lines.  Cells are written with
-``repr`` so equal runs produce byte-identical files.
+The CSV precedes it with ``#``-prefixed metadata lines.  ``csv_text`` writes every
+CSV pushdp writes, each value by ``str``, which spells a float (numpy's float64 too)
+as ``repr(float(v))``, so equal runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,6 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 COLUMNS = tuple("k,loss,grad_norm_sq,consensus_err,clip_rate,C_k,mu_k,sigma_k,accuracy".split(","))
+
+
+def csv_text(header, columns, meta=None) -> str:
+    """A ``# key=value`` line per ``meta`` entry, the ``header`` line, then one line per
+    row of ``columns``, equal-length sequences or arrays, one per name in the header.
+    Arrays are read by ``tolist``, as ``str`` is faster on Python floats than on numpy's."""
+    lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
+    lines.append(header)
+    cells = (map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns)
+    lines += map(",".join, zip(*cells, strict=True))
+    return "\n".join(lines) + "\n"
 
 
 def round_records(measured: np.ndarray, clip, budget, sigma) -> np.recarray:
@@ -41,11 +53,7 @@ class MetricsLog:
 
     def csv_text(self) -> str:
         """``# key=value`` metadata lines, the header line, then one row per round."""
-        lines = [f"# {key}={value}" for key, value in self.meta.items()]
-        lines.append(",".join(COLUMNS))
-        cells = zip(*(self.rows[name].tolist() for name in COLUMNS))
-        lines += (",".join(map(repr, row)) for row in cells)
-        return "\n".join(lines) + "\n"
+        return csv_text(",".join(COLUMNS), [self.rows[name] for name in COLUMNS], self.meta)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -60,10 +68,12 @@ def mean_sq_consensus(Z: np.ndarray, xbar: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RunSummary:
+    """A run's scalar roll-up; its fields, in order, are the columns of a sweep grid."""
+
     final_loss: float
+    final_accuracy: float
     mean_grad_norm_sq: float
     clip_fraction: float
-    final_accuracy: float
 
 
 def summarize(log: MetricsLog) -> RunSummary:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accountant import PrivacySpec, solve_mu0
+from .metrics import csv_text
 
 VARIANTS = ("dyn", "dyn-clip", "dyn-mu", "const")
 
@@ -61,10 +62,7 @@ class NoiseSchedule:
 
     def table_csv(self) -> str:
         """Audit dump of the full schedule, one row per step."""
-        lines = ["k,C_k,mu_k,sigma_k"]
-        rows = zip(self.clip.tolist(), self.budget.tolist(), self.sigma.tolist())
-        lines += [f"{k},{c!r},{mu!r},{s!r}" for k, (c, mu, s) in enumerate(rows)]
-        return "\n".join(lines) + "\n"
+        return csv_text("k,C_k,mu_k,sigma_k", (range(self.K), self.clip, self.budget, self.sigma))
 
 
 def build_schedule(

@@ -97,6 +97,10 @@ def test_delta_rejects_bad_arguments():
         delta_from_mu_eps(0.0, 1.0)
     with pytest.raises(ValueError):
         delta_from_mu_eps(1.0, -0.5)
+    # and so does the inverse transfer, before it looks for a bracket
+    for eps, delta in ((0.0, 1e-4), (-1.0, 1e-4), (1.0, 0.0), (1.0, 1.0), (1.0, 1.5)):
+        with pytest.raises(ValueError, match="eps must be positive|delta must lie in"):
+            mu_tot_from_eps_delta(eps, delta)
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.7, 1.0, 3.0])
@@ -140,6 +144,8 @@ def test_compose_single_step_closed_form():
 def test_compose_zero_steps_contribute_nothing():
     with_zeros = compose_general(np.array([0.5, 0.0, 0.0, 0.5]), 0.25)
     assert with_zeros == compose_general(np.array([0.5, 0.5]), 0.25)
+    with pytest.raises(ValueError, match="step budgets must be nonnegative"):
+        compose_general(np.array([0.5, -1e-300]), 0.25)
 
 
 def test_compose_scales_with_sampling_probability():
@@ -209,6 +215,18 @@ def test_solve_mu0_delegates_at_exactly_one():
     flat = solve_mu0(mu_tot, J, growth(1.0, K))
     assert type(flat) is float and flat == closed
     assert solve_mu0(mu_tot, J, np.full(K, 2.0)) == closed / 2.0
+
+
+@pytest.mark.parametrize("J,K,mu_tot", [(100, 500, 0.3), (10, 50, 1.0), (1, 3, 0.5)])
+def test_solve_mu0_expands_its_bracket_for_a_shape_below_one(J, K, mu_tot):
+    # entries below 1 make the flat budget undershoot, so the bracket's top must grow
+    shape = 4.0 ** (-np.arange(K) / K)
+    m = solve_mu0(mu_tot, J, shape)
+    assert m > math.sqrt(math.log1p((J * mu_tot) ** 2 / K))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        composed = compose_general(m * shape, 1.0 / J)
+    assert composed == pytest.approx(mu_tot, rel=1e-10)
 
 
 def test_solve_mu0_monotone_in_growth_rate():

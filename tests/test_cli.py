@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from helpers import cli_resolving_each_leg
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from pushdp.cli import (
     parse_config,
     serialize_config,
 )
+from pushdp.metrics import COLUMNS, summarize
 
 BASE = """\
 [run]
@@ -318,6 +320,8 @@ BAD_MATRICES = [
     (["graph.kind=ring", "run.n=2", "graph.matrices=5"], "graph.matrices"),
     (["graph.matrices=[[[0.5, 0.5], [0.5, 0.5]]]"], "graph.matrices"),
     (["graph.kind=explicit", "run.n=2", "graph.matrices=[[[NaN, 0.5], [0.5, 0.5]]]"], "graph.matrices"),
+    (["graph.kind=explicit"], "graph.matrices"),  # no matrices
+    (["graph.kind=explicit", "graph.matrices=[["], "graph.matrices"),  # not JSON
 ]
 OUT_OF_RANGE = MODEL_OUT_OF_RANGE + BAD_MATRICES + [
     (["run.gamma=-1"], "run.gamma"),
@@ -330,6 +334,11 @@ OUT_OF_RANGE = MODEL_OUT_OF_RANGE + BAD_MATRICES + [
     (["run.seed=-1"], "run.seed"),
     (["task.data_seed=-1"], "task.data_seed"),
     (["run.b_window=-3"], "run.b_window"),
+    (["task.model=bogus"], "task.model"),
+    (["graph.kind=bogus"], "graph.kind"),
+    (["run.K=0"], "run.K"),  # with a numeric step size
+    (["privacy.delta=0"], "privacy.delta"),
+    (["privacy.delta=1.5"], "privacy.delta"),
 ]
 NON_FINITE_CASES = [([f"{key}={v}"], key) for key in FLOAT_KEYS for v in ("nan", "inf", "-inf")]
 
@@ -423,6 +432,7 @@ def test_disconnected_schedule_fails_after_each_legs_own_checks(tmp_path, comman
         ("rho_c", "nan", "schedule.rho_c"),
         ("n", "0", "run.n"),
         ("epsilon", "0.5,inf", "privacy.epsilon"),  # after a value whose legs ran
+        ("epsilon", " , ", "--values"),  # no value at all
     ],
 )
 def test_sweep_value_errors_name_the_key(tmp_path, axis, value, key):
@@ -431,6 +441,15 @@ def test_sweep_value_errors_name_the_key(tmp_path, axis, value, key):
     args = ["sweep", "--config", config, "--axis", axis, "--values", value, "--output", str(out)]
     code, err = _exit_code_and_stderr(args)
     assert code == 1 and key in err
+    assert not out.exists()
+
+
+def test_config_without_a_section_header_exits_1(tmp_path):
+    config = write_config(tmp_path, "n = 4\n" + BASE)
+    out = tmp_path / "out.csv"
+    code, err = _exit_code_and_stderr(["run", "--config", config, "--output", str(out)])
+    assert code == 1 and err.startswith("config error: malformed config: File contains no section")
+    assert "'n = 4\\n'" in err  # the entry it could not place
     assert not out.exists()
 
 
@@ -512,6 +531,22 @@ def test_compare_runs_the_corollary_preset_with_the_private_step_size_and_k(tmp_
     for command in ("run", "sweep"):  # a nonprivate leg of its own still needs the budget
         args = _command_args(command, config, preset + ["schedule.variant=nonprivate"], out)
         assert _exit_code_and_stderr(args) == (1, "config error: run.gamma = corollary needs a privacy budget\n")
+
+
+def test_compare_under_the_corollary_preset_builds_each_schedule_once(tmp_path, monkeypatch):
+    # the baseline's step size and K come from the privacy solve alone, not from a leg
+    built, build = [], cli.build_schedule
+
+    def counted(variant, *args, **kwargs):
+        built.append(variant)
+        return build(variant, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_schedule", counted)
+    preset = ["run.gamma=corollary", "run.K=0", "privacy.epsilon=0.3"]
+    args = _command_args("compare", write_config(tmp_path), preset, tmp_path / "table.csv")
+    args[args.index("--variants") + 1] = "dyn,const"
+    assert _exit_code_and_stderr(args) == (0, "")
+    assert built == ["dyn", "const"]
 
 
 def test_compare_rejects_unknown_variant(tmp_path):
@@ -648,6 +683,87 @@ def test_unknown_variant_names_its_key(tmp_path, command):
     code, err = _exit_code_and_stderr(args)
     assert code == 1 and err.startswith("config error: schedule.variant must be one of ("), err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# written files: every value reads back exactly
+
+
+@pytest.fixture
+def logs(monkeypatch):
+    """Every metrics log the CLI's runs return, in order."""
+    made, run = [], cli.run
+
+    def recorded(config):
+        made.append(run(config))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "run", recorded)
+    return made
+
+
+def _read_back(path):
+    """(metadata, header, rows) of a written CSV, as text cells."""
+    text = path.read_text()
+    assert "np." not in text
+    lines = text.splitlines()
+    meta = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+    header, *rows = (ln.split(",") for ln in lines if not ln.startswith("#"))
+    return meta, header, rows
+
+
+def _cells_equal(cells, values) -> bool:
+    """Each cell reads back through ``float`` to its float value bit for bit (nan to nan)
+    and is any other value's ``str``."""
+    values = list(values)
+    assert len(cells) == len(values)
+    return all(
+        float(c).hex() == float(v).hex() if isinstance(v, float) else c == str(v)
+        for c, v in zip(cells, values)
+    )
+
+
+@pytest.mark.filterwarnings("ignore::pushdp.accountant.RegimeWarning")
+def test_every_written_csv_reads_back_to_the_values_it_records(tmp_path, logs):
+    config = write_config(tmp_path, BASE.replace("variant = const", "variant = dyn"))
+    out = tmp_path / "out.csv"
+    for variant in ("dyn", "nonprivate"):  # the non-private C_k and mu_k are inf and nan
+        logs.clear()
+        sets = [f"schedule.variant={variant}", "run.repeat=2"]
+        assert main(_command_args("run", config, sets, out)) == 0
+        assert len(logs) == 2
+        for seed, log in enumerate(logs):
+            meta, header, rows = _read_back(tmp_path / f"out_seed{seed}.csv")
+            assert list(meta) == list(log.meta) and _cells_equal(meta.values(), log.meta.values())
+            assert header == list(COLUMNS) and len(rows) == 15
+            assert all(_cells_equal(row, log.rows[k].tolist()) for k, row in enumerate(rows))
+
+    logs.clear()
+    assert main(_command_args("compare", config, ["run.repeat=2"], out)) == 0
+    _, header, rows = _read_back(out)
+    assert header[:3] == ["variant", "epsilon", "delta"] and len(logs) == 4
+    for row, pair, privacy in zip(rows, (logs[:2], logs[2:]), ([0.5, 1e-4], ["", ""]), strict=True):
+        stats = []
+        for name in ("final_loss", "final_accuracy"):
+            values = np.array([getattr(summarize(log), name) for log in pair])
+            stats += [float(values.mean()), float(values.std(ddof=1))]
+        assert _cells_equal(row, [pair[0].meta["variant"], *privacy, *stats])
+
+    logs.clear()
+    sweep = ["sweep", "--config", config, "--set", "run.repeat=2", "--axis", "epsilon"]
+    assert main([*sweep, "--values", "0.5,1", "--output", str(out)]) == 0
+    _, header, rows = _read_back(out)
+    assert header == ["axis", "value", "seed", *dataclasses.asdict(summarize(logs[0]))]
+    points = [("0.5", 0), ("0.5", 1), ("1", 0), ("1", 1)]
+    for row, (value, seed), log in zip(rows, points, logs, strict=True):
+        assert _cells_equal(row, ["epsilon", value, seed, *dataclasses.astuple(summarize(log))])
+
+    assert main(["accountant", "--config", config, "--table", str(out)]) == 0
+    sched = _run_leg(parse_config(Path(config).read_text())).schedule
+    _, header, rows = _read_back(out)
+    assert header == ["k", "C_k", "mu_k", "sigma_k"]
+    columns = zip(range(sched.K), sched.clip.tolist(), sched.budget.tolist(), sched.sigma.tolist())
+    assert len(rows) == 15 and all(_cells_equal(row, want) for row, want in zip(rows, columns))
 
 
 def test_apply_axis_does_not_mutate_base():

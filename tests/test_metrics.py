@@ -3,7 +3,7 @@ import pytest
 
 from helpers import nonprivate_config, run_from
 
-from pushdp.metrics import COLUMNS, MetricsLog, mean_sq_consensus, summarize
+from pushdp.metrics import COLUMNS, MetricsLog, csv_text, mean_sq_consensus, summarize
 
 
 def make_row(k, **columns):
@@ -112,3 +112,35 @@ def test_write_csv(tmp_path):
     path = tmp_path / "out.csv"
     log.write_csv(path)
     assert path.read_text() == log.csv_text()
+
+
+# floats of both types, signed zeros, the 1e16 cutover to exponent form, a subnormal
+# and non-finite values, then values that are not floats
+FLOATS = [
+    np.float64(2.0), np.float64(0.1) + np.float64(0.2), 0.1, -0.0, np.float64(-0.0),
+    1e16, np.float64(9999999999999998.0), np.float64(5e-324), np.float64("nan"), -np.inf,
+]
+OTHERS = [7, np.int64(-3), True, np.bool_(False), "dyn", ""]
+
+
+def test_csv_text_writes_a_float_as_its_repr_and_any_other_value_by_str():
+    values = FLOATS + OTHERS
+    want = [repr(float(v)) for v in FLOATS] + [str(v) for v in OTHERS]
+    meta = {f"m{i}": v for i, v in enumerate(values)}
+    text = csv_text("value,index", [values, range(len(values))], meta)
+    assert "np." not in text
+    assert text == "".join(
+        [f"# m{i}={w}\n" for i, w in enumerate(want)]
+        + ["value,index\n"]
+        + [f"{w},{i}\n" for i, w in enumerate(want)]
+    )
+
+
+def test_csv_text_writes_array_columns_as_their_values():
+    text = csv_text("k,x", [np.arange(3), np.array([0.5, np.nan, 1e-300])])
+    assert text == "k,x\n0,0.5\n1,nan\n2,1e-300\n"
+
+
+def test_csv_text_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError):
+        csv_text("a,b", [[1, 2], [3]])
