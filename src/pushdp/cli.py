@@ -294,15 +294,16 @@ def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
     )
 
 
-def _grid(points, setting: tuple | None = None):
+def _grid(points, setting: tuple | None = None, every_round: bool = True):
     """(label, seed, metrics log) at each of the repeat seeds of each (label, config) point;
-    a point's leg is resolved once, in a setting rebuilt only when its n or graph differs."""
+    a point's leg is resolved once, in a setting rebuilt only when its n or graph differs.
+    ``every_round`` goes to ``run``: False evaluates each log at its last round only."""
     for label, cfg in points:
         if setting is None or (cfg.n, cfg.graph) != (setting[1].n, setting[1].kind):
             setting = _setting(cfg)
         leg = _leg(cfg, setting)
         for seed in range(cfg.seed, cfg.seed + cfg.repeat):
-            yield label, seed, run(dataclasses.replace(leg, seed=seed))
+            yield label, seed, run(dataclasses.replace(leg, seed=seed), every_round=every_round)
 
 
 def _write(path: str, text: str) -> None:
@@ -342,7 +343,7 @@ def cmd_compare(args, cfg: ExperimentConfig) -> int:
         gamma, K = _corollary(cfg, _privacy(cfg).mu_tot)
         cfg = dataclasses.replace(cfg, gamma=gamma, K=K)
     points.append((NONPRIVATE, dataclasses.replace(cfg, variant=NONPRIVATE)))
-    grid = _grid(points, setting)
+    grid = _grid(points, setting, every_round=False)  # the table reads only the final row
     table = [("variant", "epsilon", "delta", "final_loss", "final_accuracy")]
     rows = []
     for variant, _ in points:  # each point's cfg.repeat logs, in turn

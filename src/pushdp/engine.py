@@ -234,11 +234,14 @@ def _round_draws(config: RunConfig, keys: np.ndarray, noisy: bool):
             yield idx[t], noise[t] if noisy else None
 
 
-def run(config: RunConfig) -> MetricsLog:
+def run(config: RunConfig, every_round: bool = True) -> MetricsLog:
     """Execute K rounds and return the full metrics log.
 
     Row k is evaluated at the average iterate entering round k, while its
-    clip rate refers to the gradients sampled during round k.  The log's
+    clip rate refers to the gradients sampled during round k.  With
+    ``every_round=False`` only row K-1 is: the loss, grad_norm_sq and accuracy
+    of earlier rows are NaN, and as evaluation only observes, every other cell
+    and the metadata are those of the every-round log.  The log's
     metadata records the worst push-sum weight-sum drift and the largest
     unclipped stochastic gradient norm seen, both useful sanity checks.
     """
@@ -258,12 +261,14 @@ def run(config: RunConfig) -> MetricsLog:
     measured = np.empty((K, 5))  # per round: loss, grad_norm_sq, consensus_err, clip_rate, accuracy
     max_weight_drift = 0.0
     max_grad_norm = 0.0
+    unevaluated = math.nan, np.full(d, math.nan), math.nan
 
     with np.errstate(over="ignore", invalid="ignore"):  # divergence fails by NonFiniteParameter
         for k, (idx, std_noise) in enumerate(_round_draws(config, keys, bool(sigma.any()))):
             C_k = float(clip[k])
             xbar = X.sum(axis=0) / n  # == X.mean(axis=0)
-            loss, grad, acc = evaluate(model, data, xbar)
+            evaluated = every_round or k == K - 1
+            loss, grad, acc = evaluate(model, data, xbar) if evaluated else unevaluated
 
             Xs, ys = data.features[nodes, idx], data.labels[nodes, idx]
             G = batched_sample_gradients(model, Z, Xs, ys)

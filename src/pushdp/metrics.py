@@ -77,7 +77,9 @@ class RunSummary:
 
 
 def summarize(log: MetricsLog) -> RunSummary:
-    """Scalar roll-up of a run; the gradient mean is the Cesaro average."""
+    """Scalar roll-up of a run; the gradient mean is the Cesaro average.  A log evaluated
+    at its last round only has NaN evaluation cells before it, so its mean is NaN: only
+    ``run`` and ``sweep`` logs carry it."""
     if not len(log.rows):
         raise ValueError("cannot summarize an empty log")
     return RunSummary(

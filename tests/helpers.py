@@ -346,11 +346,12 @@ def cli_resolving_each_leg():
     its config.  The reference for the setting a grid builds once per n and graph
     kind and the leg it resolves once per point."""
 
-    def grid_alone(points, setting=None):
+    def grid_alone(points, setting=None, every_round=True):
         for label, cfg in points:
             for seed in range(cfg.seed, cfg.seed + cfg.repeat):
                 alone = dataclasses.replace(cfg, seed=seed)
-                yield label, seed, cli.run(cli._leg(alone, cli._setting(alone)))
+                leg = cli._leg(alone, cli._setting(alone))
+                yield label, seed, cli.run(leg, every_round=every_round)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_grid", grid_alone)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pushdp
-from pushdp import accountant, cli
+from pushdp import accountant, cli, engine
 from pushdp.accountant import mu_tot_from_eps_delta
 from pushdp.cli import (
     _FIELDS,
@@ -694,8 +694,8 @@ def logs(monkeypatch):
     """Every metrics log the CLI's runs return, in order."""
     made, run = [], cli.run
 
-    def recorded(config):
-        made.append(run(config))
+    def recorded(config, every_round=True):
+        made.append(run(config, every_round=every_round))
         return made[-1]
 
     monkeypatch.setattr(cli, "run", recorded)
@@ -876,3 +876,61 @@ def test_sweep_with_a_shared_setting_equals_legs_built_alone(tmp_path, axis, val
             assert main(args) == 0
         results.append((stdout.getvalue(), out.read_bytes()))
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# evaluation: compare evaluates each run at its last round, run and sweep at every one
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The ``engine.evaluate`` calls of each engine run the CLI makes, one count per run."""
+    counts, run, evaluate = [], cli.run, engine.evaluate
+
+    def counted_run(config, every_round=True):
+        counts.append(0)
+        return run(config, every_round=every_round)
+
+    def counted_evaluate(*args):
+        counts[-1] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, "run", counted_run)
+    monkeypatch.setattr(engine, "evaluate", counted_evaluate)
+    return counts
+
+
+@contextlib.contextmanager
+def grid_evaluating_every_round():
+    """``cli._grid`` with every run evaluated at every round, whatever its caller asks."""
+    grid = cli._grid
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_grid", lambda points, setting=None, every_round=True: grid(points, setting))
+        yield
+
+
+def test_compare_evaluates_each_run_once_and_prints_what_every_round_evaluation_prints(
+    tmp_path, evaluations
+):
+    config = write_config(tmp_path, BASE.replace("K = 15", "K = 10"))
+    out = tmp_path / "table.csv"
+    args = ["compare", "--config", config, "--set", "run.repeat=2", "--output", str(out)]
+    results = []
+    for context, calls in ((contextlib.nullcontext(), 1), (grid_evaluating_every_round(), 10)):
+        evaluations.clear()
+        stdout = io.StringIO()
+        with context, contextlib.redirect_stdout(stdout):
+            assert main(args) == 0
+        assert evaluations == [calls] * 10  # 4 variants and the baseline, 2 seeds each
+        results.append((stdout.getvalue(), out.read_bytes()))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("command,runs", [("run", 2), ("sweep", 4)])
+def test_run_and_sweep_evaluate_every_round(tmp_path, evaluations, command, runs):
+    config = write_config(tmp_path, BASE.replace("K = 15", "K = 10"))
+    args = _command_args(command, config, ["run.repeat=2"], tmp_path / "out.csv")
+    if command == "sweep":
+        args[args.index("--values") + 1] = "4,8"
+    assert _exit_code_and_stderr(args) == (0, "")
+    assert evaluations == [10] * runs

@@ -34,6 +34,7 @@ from pushdp.engine import (
     run,
     stream_keys,
 )
+from pushdp.metrics import COLUMNS
 from pushdp.models import Model, Task, synth_dataset
 from pushdp.schedule import NoiseSchedule, build_schedule
 from pushdp.topology import graph_schedule
@@ -389,22 +390,25 @@ def _mlp_private_config():
     )
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: private_config(n=8, J=20, K=40, epsilon=0.5, variant="dyn", seed=9),
-        lambda: nonprivate_config(n=6, J=15, K=40, seed=2, graph="ring"),
-        lambda: private_config(
-            n=5, J=20, K=40, epsilon=0.5, variant="dyn", seed=3, noise_enabled=False
-        ),
-        # crosses two block boundaries of the stream draws and ends in a partial block
-        lambda: private_config(n=3, J=10, K=2 * ROUND_BLOCK + 3, epsilon=1.0, variant="dyn-clip", seed=1),
-        _mlp_private_config,
-        # a seed of two 32-bit words keys the streams by multi-word entropy
-        lambda: private_config(n=5, J=12, K=ROUND_BLOCK + 7, epsilon=0.5, variant="dyn", seed=2**40 + 3),
-    ],
-    ids=["dyn", "nonprivate", "noise-disabled", "partial-block", "mlp", "seed-2^40+3"],
-)
+REFERENCE_CASES = {
+    "dyn": lambda: private_config(n=8, J=20, K=40, epsilon=0.5, variant="dyn", seed=9),
+    "nonprivate": lambda: nonprivate_config(n=6, J=15, K=40, seed=2, graph="ring"),
+    "noise-disabled": lambda: private_config(
+        n=5, J=20, K=40, epsilon=0.5, variant="dyn", seed=3, noise_enabled=False
+    ),
+    # crosses two block boundaries of the stream draws and ends in a partial block
+    "partial-block": lambda: private_config(
+        n=3, J=10, K=2 * ROUND_BLOCK + 3, epsilon=1.0, variant="dyn-clip", seed=1
+    ),
+    "mlp": _mlp_private_config,
+    # a seed of two 32-bit words keys the streams by multi-word entropy
+    "seed-2^40+3": lambda: private_config(
+        n=5, J=12, K=ROUND_BLOCK + 7, epsilon=0.5, variant="dyn", seed=2**40 + 3
+    ),
+}
+
+
+@pytest.mark.parametrize("make", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
 def test_run_matches_per_node_reference(make):
     cfg = make()
     ref = []
@@ -415,6 +419,33 @@ def test_run_matches_per_node_reference(make):
     for got, want in zip(details, ref):
         for name in ("xbar", "grads", "clipped", "halves", "weights", "mixed"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+FINAL_ONLY_CASES = {
+    **REFERENCE_CASES,
+    "K=1": lambda: private_config(n=4, J=10, K=1, epsilon=0.5, variant="dyn", seed=5),
+}
+
+
+@pytest.mark.parametrize("make", FINAL_ONLY_CASES.values(), ids=FINAL_ONLY_CASES.keys())
+def test_final_only_evaluation_keeps_every_other_cell(make, monkeypatch):
+    # one evaluate call, at round K-1; the rounds before it leave their evaluation cells NaN
+    full, calls, evaluate = run(make()), [], engine.evaluate
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(engine, "evaluate", counted)
+    final = run(make(), every_round=False)
+    assert len(calls) == 1
+    assert final.meta == full.meta
+    assert final.rows[-1:].tobytes() == full.rows[-1:].tobytes()
+    for name in COLUMNS:
+        if name in ("loss", "grad_norm_sq", "accuracy"):
+            assert np.isnan(final.rows[name][:-1]).all(), name
+        else:
+            assert final.rows[name].tobytes() == full.rows[name].tobytes(), name
 
 
 def _constant_evaluate(model, data, params):
