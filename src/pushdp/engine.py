@@ -24,11 +24,13 @@ arrays, checked once before round 0.
 
 Randomness comes from one counter-based Philox stream per node and purpose (init,
 sampling, noise), keyed by ``SeedSequence([seed, node, purpose])``; ``stream_keys``
-derives all keys in one vectorized pass, and one generator per purpose is re-keyed
-to each node's saved state.  Streams are read in blocks of ROUND_BLOCK rounds, equal
-to the single draws they replace (sample indices decoded from raw words by numpy's
-own rule), and a noise-free run builds no noise stream.  Results are bitwise
-reproducible for a given seed, and ablating noise never shifts the sampled data.
+derives all keys in one vectorized pass.  One generator per purpose serves all
+nodes: set to a fresh-state template keyed to node i (later, node i's saved state),
+it writes node i's draw in place into its row.  Key, counter and buffer are the whole
+Philox state, so this equals separate per-node generators.  Streams are read in
+blocks of ROUND_BLOCK rounds, equal to single draws (sample indices decoded from raw
+words by numpy's own rule), and a noise-free run builds no noise stream.  Runs are
+bitwise reproducible per seed, and ablating noise never shifts the sampled data.
 """
 
 from __future__ import annotations
@@ -118,23 +120,26 @@ def stream_keys(seed: int, n: int) -> np.ndarray:
 
 
 class _Streams:
-    """The per-node streams of one purpose, read through one Philox generator set
-    to node i's saved state (fresh: counter 0, empty buffer) for node i's draw."""
+    """The per-node streams of one purpose through one Philox generator, set for node i
+    to one fresh state (the setter copies it) keyed to i, then to the state i saved."""
 
     def __init__(self, keys: np.ndarray):
         self._gen = np.random.Generator(np.random.Philox(key=keys[0]))
-        zeros = np.zeros(4, np.uint64)  # the state setter copies, so all states share it
-        fresh = dict(bit_generator="Philox", buffer=zeros, buffer_pos=4, has_uint32=0, uinteger=0)
-        self._states = [dict(fresh, state={"counter": zeros, "key": k}) for k in keys]
+        self._keys, self._states = keys, [self._gen.bit_generator.state] * len(keys)
 
-    def each(self, draw, last: bool = False) -> list:
-        """``draw(generator)`` from each node's stream; ``last`` keeps no state."""
-        bits, out = self._gen.bit_generator, []
-        for i, state in enumerate(self._states):
-            bits.state = state
-            out.append(draw(self._gen))
+    def _set(self, states: list, i: int) -> None:
+        states[i]["state"]["key"] = self._keys[i]  # re-keys the fresh dict; a saved one has it
+        self._gen.bit_generator.state = states[i]
+
+    def normals(self, out: np.ndarray, last: bool = False) -> np.ndarray:
+        """Fill and return ``out``, row i with node i's ``standard_normal(out[i].shape)``."""
+        bits, before, saved = self._gen.bit_generator, self._states, []
+        for i, row in enumerate(out):
+            self._set(before, i)
+            self._gen.standard_normal(out=row)
             if not last:
-                self._states[i] = bits.state
+                saved.append(bits.state)
+        self._states = saved
         return out
 
     def indices(self, J: int, B: int, last: bool = False) -> np.ndarray:
@@ -143,16 +148,22 @@ class _Streams:
         node with a u numpy rejects (every u once J > 2**32) or a spare half word is
         redrawn by ``integers`` from its state before the block.  An odd B leaves a
         high half unread, so only the last block may be odd."""
-        before, raw = list(self._states), self._gen.bit_generator.random_raw
-        words = np.stack(self.each(lambda gen: raw((B + 1) // 2), last))
-        scaled = words.astype("<u8").view("<u4")[:, :B] * np.uint64(J)  # u, low half first
+        bits, before, saved, m = self._gen.bit_generator, self._states, [], (B + 1) // 2
+        words = np.empty((len(self._keys), m), "<u8")
+        for i, row in enumerate(words):
+            self._set(before, i)
+            row[:] = bits.random_raw(m)
+            if not last:
+                saved.append(bits.state)
+        self._states = saved
+        scaled = words.view("<u4")[:, :B] * np.uint64(J)  # u, low half first
         idx = (scaled >> 32).astype(np.int64)
         redo = ((scaled & _MASK32) < (1 << 32) % J).any(axis=1)  # numpy's rejection test
         for i in np.flatnonzero(redo | [state["has_uint32"] == 1 for state in before]):
-            self._gen.bit_generator.state = before[i]
+            self._set(before, i)
             idx[i] = self._gen.integers(J, size=B)
             if not last:
-                self._states[i] = self._gen.bit_generator.state
+                saved[i] = bits.state
         return idx
 
 
@@ -197,8 +208,7 @@ class RunConfig:
 
 
 def _initial_iterates(config: RunConfig, keys: np.ndarray) -> np.ndarray:
-    draws = _Streams(keys).each(lambda gen: gen.standard_normal(config.d), last=True)
-    return np.stack(draws) * INIT_SCALE
+    return _Streams(keys).normals(np.empty((len(keys), config.d)), last=True) * INIT_SCALE
 
 
 def _schedule_arrays(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,7 +231,7 @@ def _schedule_arrays(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _round_draws(config: RunConfig, keys: np.ndarray, noisy: bool):
     """Per round: each node's sample index, and its standard-normal noise row
     when ``noisy`` (else None), drawn ROUND_BLOCK rounds at a time."""
-    d, K, J = config.d, config.K, config.task.dataset.J
+    n, d, K, J = len(keys[0]), config.d, config.K, config.task.dataset.J
     samplers = _Streams(keys[PURPOSE_SAMPLE])
     noisers = _Streams(keys[PURPOSE_NOISE]) if noisy else None
     for k0 in range(0, K, ROUND_BLOCK):
@@ -229,9 +239,9 @@ def _round_draws(config: RunConfig, keys: np.ndarray, noisy: bool):
         last = k0 + B == K
         idx = samplers.indices(J, B, last).T
         if noisy:
-            noise = np.stack(noisers.each(lambda gen: gen.standard_normal((B, d)), last), axis=1)
+            noise = noisers.normals(np.empty((n, B, d)), last)
         for t in range(B):
-            yield idx[t], noise[t] if noisy else None
+            yield idx[t], noise[:, t] if noisy else None
 
 
 def run(config: RunConfig, every_round: bool = True) -> MetricsLog:

@@ -132,9 +132,9 @@ def test_local_step_sigma_zero_does_not_advance_stream(monkeypatch):
             self.purpose = next(p for p in range(3) if np.array_equal(keys[p], stream_keys))
             built.append(self.purpose)
 
-        def each(self, draw, last=False):
+        def normals(self, out, last=False):
             reads.append(self.purpose)
-            return super().each(draw, last)
+            return super().normals(out, last)
 
         def indices(self, J, B, last=False):
             out = super().indices(J, B, last)  # the decoded (n, B) block
@@ -156,6 +156,7 @@ def test_local_step_sigma_zero_does_not_advance_stream(monkeypatch):
 
     on = sample_blocks(True)
     assert PURPOSE_NOISE in built
+    assert PURPOSE_NOISE in reads
     off = sample_blocks(False)
     # noise off: no noise stream is built or read, and the sampled indices are unchanged
     assert PURPOSE_NOISE not in built
@@ -350,6 +351,29 @@ def test_sample_indices_equal_generator_integers(keys, J, halves, last_B):
         want = np.stack([gen.integers(J, size=B) for gen in gens])
         assert got.dtype == want.dtype and np.array_equal(got, want)
         if not last and J > 1:  # at J = 1 numpy draws nothing and every index is 0
+            for state, gen in zip(streams._states, gens, strict=True):
+                assert _live_state(state) == _live_state(gen.bit_generator.state)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=100)
+@given(
+    keys=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), min_size=1, max_size=4),
+    d=st.integers(1, 12),
+    blocks=st.lists(st.integers(1, ROUND_BLOCK), max_size=3),
+    last_half=st.integers(0, ROUND_BLOCK // 2 - 1),
+)
+def test_normals_equal_generator_standard_normal(keys, d, blocks, last_half):
+    """``_Streams.normals`` writes each node's ``standard_normal((B, d))`` block
+    into its row, block after block, and a non-final block saves the state numpy's
+    generator is left in."""
+    keys = np.array(keys, dtype=np.uint64)
+    streams, gens = _Streams(keys), _philox_generators(keys)
+    for B, last in [(B, False) for B in blocks] + [(2 * last_half + 1, True)]:
+        got = np.empty((len(keys), B, d))
+        assert streams.normals(got, last) is got
+        want = np.stack([gen.standard_normal((B, d)) for gen in gens])
+        assert got.tobytes() == want.tobytes()
+        if not last:
             for state, gen in zip(streams._states, gens, strict=True):
                 assert _live_state(state) == _live_state(gen.bit_generator.state)
 
