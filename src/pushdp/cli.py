@@ -10,6 +10,10 @@ Subcommands:
                  of values and write a summary grid CSV.
 * ``accountant`` resolve and audit a privacy schedule without training.
 
+Each is declared once, as an entry of ``_COMMANDS`` (handler, help and own flags);
+the parser is built from that table once per process, at import, and gives every
+subcommand ``--config`` and ``--set``, so ``main`` only parses.
+
 ``run``, ``compare`` and ``sweep`` run (label, config) points through ``_grid``,
 which builds the dataset and graph and checks connectivity once, and again only
 when a point's ``n`` or graph kind differs.  It resolves each point once in
@@ -45,11 +49,10 @@ from .engine import RunConfig, run
 from .metrics import RunSummary, csv_text, summarize
 from .models import Model, Task, synth_dataset
 from .schedule import VARIANTS, build_schedule
-from .topology import check_b_strong_connectivity, graph_schedule
+from .topology import GRAPH_KINDS, check_b_strong_connectivity, graph_schedule
 
 NONPRIVATE = "nonprivate"
 SWEEP_AXES = ("rho_c", "rho_mu", "epsilon", "n", "graph")  # named as config attributes
-GRAPH_KINDS = ("ring", "exponential", "complete", "explicit")
 
 
 class ConfigError(ValueError):
@@ -405,54 +408,45 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", required=True, help="path to the INI config file")
-    sub.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="SECTION.KEY=VALUE",
+# name -> (handler, help, own flags as {flag: (default, help)}); a default of None
+# makes the flag required.  Every subcommand also takes --config and --set.
+_COMMANDS = {
+    "run": (cmd_run, "execute one configuration", {
+        "--output": ("", "metrics CSV path (default run.csv)"),
+    }),
+    "compare": (cmd_compare, "run variants plus the non-private baseline", {
+        "--variants": ("dyn,dyn-clip,dyn-mu,const", "comma-separated variants"),
+        "--output": ("", "optional table CSV path"),
+    }),
+    "sweep": (cmd_sweep, "vary one axis over a list of values", {
+        "--axis": (None, f"one of {SWEEP_AXES}"),
+        "--values": (None, "comma-separated values"),
+        "--output": ("", "grid CSV path (default sweep.csv)"),
+    }),
+    "accountant": (cmd_accountant, "audit a schedule without training", {
+        "--table": ("", "write the full schedule table CSV here"),
+    }),
+}
+
+_PARSER = _Parser(prog="pushdp", description=__doc__.splitlines()[0])
+_subparsers = _PARSER.add_subparsers(dest="command", required=True)
+for _name, (_func, _help, _flags) in _COMMANDS.items():
+    _sub = _subparsers.add_parser(_name, help=_help)
+    _sub.set_defaults(func=_func)
+    _sub.add_argument("--config", required=True, help="path to the INI config file")
+    _sub.add_argument(
+        "--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
         help="override one config entry (repeatable)",
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pushdp", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    p_run = commands.add_parser("run", help="execute one configuration")
-    _add_common(p_run)
-    p_run.add_argument("--output", default="", help="metrics CSV path (default run.csv)")
-    p_run.set_defaults(func=cmd_run)
-
-    p_cmp = commands.add_parser("compare", help="run variants plus the non-private baseline")
-    _add_common(p_cmp)
-    p_cmp.add_argument(
-        "--variants", default="dyn,dyn-clip,dyn-mu,const", help="comma-separated variants"
-    )
-    p_cmp.add_argument("--output", default="", help="optional table CSV path")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_swp = commands.add_parser("sweep", help="vary one axis over a list of values")
-    _add_common(p_swp)
-    p_swp.add_argument("--axis", required=True, help=f"one of {SWEEP_AXES}")
-    p_swp.add_argument("--values", required=True, help="comma-separated values")
-    p_swp.add_argument("--output", default="", help="grid CSV path (default sweep.csv)")
-    p_swp.set_defaults(func=cmd_sweep)
-
-    p_acc = commands.add_parser("accountant", help="audit a schedule without training")
-    _add_common(p_acc)
-    p_acc.add_argument("--table", default="", help="write the full schedule table CSV here")
-    p_acc.set_defaults(func=cmd_accountant)
-    return parser
+    for _flag, (_default, _flag_help) in _flags.items():
+        _sub.add_argument(_flag, default=_default, required=_default is None, help=_flag_help)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
         with warnings.catch_warnings():  # each warning as one plain stderr line
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-            args = parser.parse_args(argv)
+            args = _PARSER.parse_args(argv)
             return args.func(args, load_config(args.config, args.set))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,11 +28,11 @@ import numpy as np
 from .accountant import PrivacySpec, solve_mu0
 from .metrics import csv_text
 
-VARIANTS = ("dyn", "dyn-clip", "dyn-mu", "const")
-
-# Which axes decay/grow under each variant.
-_DYNAMIC_CLIP = {"dyn", "dyn-clip"}
-_DYNAMIC_MU = {"dyn", "dyn-mu"}
+# variant -> (clip bound decays, budget grows)
+_DYNAMIC = {
+    "dyn": (True, True), "dyn-clip": (True, False), "dyn-mu": (False, True), "const": (False, False)
+}
+VARIANTS = tuple(_DYNAMIC)
 
 
 @dataclass(frozen=True)
@@ -75,27 +75,26 @@ def build_schedule(
     """Resolve a named variant against a privacy target.
 
     The initial step budget scales the budget shape, growing or flat, to the
-    total budget.  A rate is required exactly when its axis is dynamic (and
-    must exceed 1); rates on frozen axes are ignored.  The clip bound and any rate given must be
-    finite and positive, or the error names the config key.
+    total budget.  A rate is required exactly when its axis is dynamic, and must then
+    exceed 1; rates on frozen axes are ignored.  The clip bound and any rate given must
+    be finite and positive.  Every error names its config key.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown schedule variant {variant!r}")
     for key, value in (("c0", clip0), ("rho_c", rho_c), ("rho_mu", rho_mu)):
         if value is not None and not (np.isfinite(value) and value > 0):
             raise ValueError(f"schedule.{key} must be finite and positive, got {value!r}")
-    if variant in _DYNAMIC_CLIP:
-        if rho_c is None or rho_c <= 1:
-            raise ValueError(f"variant {variant!r} needs a clip decay rate above 1")
-        clip_rate = rho_c
-    else:
-        clip_rate = 1.0
-    if variant in _DYNAMIC_MU:
-        if rho_mu is None or rho_mu <= 1:
-            raise ValueError(f"variant {variant!r} needs a budget growth rate above 1")
-        budget_rate = rho_mu
-    else:
-        budget_rate = 1.0
+    rates = []
+    for dynamic, key, rate, what in zip(
+        _DYNAMIC[variant], ("rho_c", "rho_mu"), (rho_c, rho_mu), ("clip decay", "budget growth")
+    ):
+        if dynamic and (rate is None or rate <= 1):
+            got = "unset" if rate is None else repr(rate)
+            raise ValueError(
+                f"schedule.{key} is {got}, but variant {variant!r} needs a {what} rate above 1"
+            )
+        rates.append(rate if dynamic else 1.0)
+    clip_rate, budget_rate = rates
     fractions = np.arange(privacy.K) / privacy.K
     clip = clip0 * clip_rate**-fractions
     shape = budget_rate**fractions

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+GRAPH_KINDS = ("ring", "exponential", "complete", "explicit")
+
 # Column sums may deviate from one by at most this much.
 COLUMN_SUM_TOL = 1e-12
 
@@ -145,11 +147,12 @@ class GraphSchedule:
 def graph_schedule(kind: str, n: int, matrices=None) -> GraphSchedule:
     """Build a schedule from a generator name or an explicit matrix list.
 
-    ``kind`` is one of ``ring``, ``exponential``, ``complete``, or
-    ``explicit``; the latter takes ``matrices`` (dense ``(n, n)`` arrays or
-    nested lists) and cycles through them.  Ring and exponential are built as
-    ``peers``, the others as a dense stack; the schedule holds the array built here.
+    ``kind`` is one of ``GRAPH_KINDS``; ``explicit`` takes ``matrices`` (dense
+    ``(n, n)`` arrays or nested lists) and cycles through them.  Ring and exponential
+    are built as ``peers``, the others as a dense stack; the schedule holds that array.
     """
+    if kind not in GRAPH_KINDS:
+        raise ValueError(f"unknown graph kind {kind!r}")
     if kind == "explicit":
         if not matrices:
             raise ValueError("explicit schedule needs at least one matrix")
@@ -158,8 +161,6 @@ def graph_schedule(kind: str, n: int, matrices=None) -> GraphSchedule:
             if m.shape != (n, n):
                 raise ValueError(f"weights must be ({n}, {n}), got {m.shape}")
         return GraphSchedule(kind, np.stack(mats))
-    if kind not in ("ring", "exponential", "complete"):
-        raise ValueError(f"unknown graph kind {kind!r}")
     if n < 1:
         raise ValueError("need at least one node")
     if kind == "complete":

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import dataclasses
@@ -339,6 +340,10 @@ OUT_OF_RANGE = MODEL_OUT_OF_RANGE + BAD_MATRICES + [
     (["run.K=0"], "run.K"),  # with a numeric step size
     (["privacy.delta=0"], "privacy.delta"),
     (["privacy.delta=1.5"], "privacy.delta"),
+    # a dynamic axis whose rate is not above 1, or unset (0)
+    (["schedule.rho_c=0.5"], "schedule.rho_c"),
+    (["schedule.variant=dyn-mu", "schedule.rho_mu=1"], "schedule.rho_mu"),
+    (["schedule.variant=dyn-clip", "schedule.rho_c=0"], "schedule.rho_c"),
 ]
 NON_FINITE_CASES = [([f"{key}={v}"], key) for key in FLOAT_KEYS for v in ("nan", "inf", "-inf")]
 
@@ -489,9 +494,61 @@ def test_accountant_prints_a_warning_as_one_plain_line(tmp_path):
     )
 
 
-def test_bad_cli_usage_exits_1(capsys):
-    assert main(["run"]) == 1  # --config is required
-    capsys.readouterr()
+REQUIRED = "the following arguments are required: "
+USAGE_ERRORS = {
+    "run-without-config": (["run"], REQUIRED + "--config"),
+    "compare-without-config": (["compare"], REQUIRED + "--config"),
+    "sweep-without-config": (["sweep", "--axis", "n", "--values", "4"], REQUIRED + "--config"),
+    "accountant-without-config": (["accountant"], REQUIRED + "--config"),
+    "sweep-without-axis-and-values": (["sweep", "--config", "exp.ini"], REQUIRED + "--axis, --values"),
+    "no-subcommand": ([], REQUIRED + "command"),
+    "unknown-subcommand": (
+        ["bogus"],
+        "argument command: invalid choice: 'bogus' (choose from 'run', 'compare', 'sweep', 'accountant')",
+    ),
+    "unknown-flag": (["run", "--config", "exp.ini", "--bogus"], "unrecognized arguments: --bogus"),
+}
+
+
+def test_bad_cli_usage_exits_1():
+    for case, (args, message) in USAGE_ERRORS.items():
+        assert _exit_code_and_stderr(args) == (1, f"config error: {message}\n"), case
+
+
+HELP_FLAGS = {
+    "run": ["--output"],
+    "compare": ["--variants", "--output"],
+    "sweep": ["--axis", "--values", "--output"],
+    "accountant": ["--table"],
+}
+
+
+@pytest.mark.parametrize("command,flags", HELP_FLAGS.items(), ids=HELP_FLAGS.keys())
+def test_subcommand_help_exits_0_listing_its_flags(capsys, command, flags):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: pushdp {command} [-h] --config CONFIG [--set SECTION.KEY=VALUE]")
+    listed = re.findall(r"^  (--[a-z]+)", out, re.MULTILINE)
+    assert listed == ["--config", "--set", *flags]  # after "  -h, --help"
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    table = tmp_path / "schedule.csv"
+    args = ["accountant", "--config", write_config(tmp_path), "--table", str(table)]
+    assert _exit_code_and_stderr([*args, "--set", "run.K=5"])[0] == 0
+    assert _exit_code_and_stderr(args)[0] == 0
+    assert built == []
+    assert len(table.read_text().splitlines()) == 1 + 15  # the first call's --set is gone
 
 
 def test_compare_prints_variants_and_baseline(tmp_path, capsys):

@@ -20,6 +20,7 @@ from pushdp.topology import (
     NegativeWeight,
     NonFiniteWeight,
     ConnectivityReport,
+    GRAPH_KINDS,
     check_b_strong_connectivity,
     exponential_period,
     graph_schedule,
@@ -193,6 +194,14 @@ def test_schedule_rejects_peers_that_are_not_permutations(peers):
     # a repeated source leaves some sender's column summing to 1/2 or 3/2
     with pytest.raises(ValueError, match="permutations"):
         GraphSchedule("ring", peers=np.array(peers))
+
+
+def test_graph_schedule_builds_exactly_the_graph_kinds():
+    for kind in GRAPH_KINDS:
+        assert graph_schedule(kind, 2, [[[1.0, 0.0], [0.0, 1.0]]]).kind == kind
+    for kind in ("star", "Ring", ""):
+        with pytest.raises(ValueError, match=f"^unknown graph kind {kind!r}$"):
+            graph_schedule(kind, 2)
 
 
 def test_explicit_schedule_rejects_wrong_shape():
