@@ -18,7 +18,10 @@ subcommand ``--config`` and ``--set``, so ``main`` only parses.
 which builds the dataset and graph and checks connectivity once, and again only
 when a point's ``n`` or graph kind differs.  It resolves each point once in
 ``_leg``, which makes every check and derives K, the step size, the privacy budget
-and the schedule for all the point's seeds.  ``accountant`` audits that same leg.
+(each distinct target solved once per command) and the schedule for all the point's
+seeds.  In ``compare`` and ``sweep`` the legs at one seed share that seed's initial
+iterates and sample indices (``engine.SeedDraws``) while (n, K, J, d) holds, for
+one command.  ``accountant`` audits that same leg.
 
 Configuration lives in an INI-style file with sections [run], [privacy],
 [schedule], [graph], and [task]; ``--set section.key=value`` overrides any
@@ -45,7 +48,7 @@ import numpy as np
 
 # mu_tot_from_eps_delta is not called here: the benchmark's tracer hooks it by this name
 from .accountant import NoBracket, PrivacySpec, compose_general, mu_tot_from_eps_delta
-from .engine import RunConfig, run
+from .engine import RunConfig, SeedDraws, run
 from .metrics import RunSummary, csv_text, summarize
 from .models import Model, Task, synth_dataset
 from .schedule import VARIANTS, build_schedule
@@ -230,16 +233,20 @@ def _setting(cfg: ExperimentConfig) -> tuple:
     return task, graph, check_b_strong_connectivity(graph, B) if cfg.n > 1 else None
 
 
-def _privacy(cfg: ExperimentConfig) -> PrivacySpec:
-    """The (epsilon, delta) target of a private config, solved for mu_tot over run.K steps."""
+def _privacy(cfg: ExperimentConfig, solved: dict) -> PrivacySpec:
+    """The (epsilon, delta) target of a private config, solved for mu_tot over run.K steps
+    once per command: ``solved`` holds the command's solves by target."""
     if not cfg.epsilon > 0:
         raise ConfigError("privacy.epsilon is required for private variants")
     if not 0 < cfg.delta < 1:
         raise ConfigError("privacy.delta must lie in (0, 1)")
-    try:
-        return PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, cfg.K)
-    except NoBracket as exc:
-        raise ConfigError(f"privacy.epsilon and privacy.delta: {exc}") from exc
+    target = cfg.epsilon, cfg.delta, cfg.J, cfg.K
+    if target not in solved:
+        try:
+            solved[target] = PrivacySpec.resolve(*target)
+        except NoBracket as exc:
+            raise ConfigError(f"privacy.epsilon and privacy.delta: {exc}") from exc
+    return solved[target]
 
 
 def _corollary(cfg: ExperimentConfig, mu_tot: float) -> tuple[float, int]:
@@ -253,9 +260,10 @@ def _corollary(cfg: ExperimentConfig, mu_tot: float) -> tuple[float, int]:
     return 1.0 / (math.sqrt(n) * cfg.J * mu_tot), round(n * budget**2)
 
 
-def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
+def _leg(cfg: ExperimentConfig, setting: tuple, solved: dict | None = None) -> RunConfig:
     """A config as a RunConfig at seed ``cfg.seed`` in a ``_setting`` built for its n
-    and graph: every check, the step size, K, the privacy solve and the schedule."""
+    and graph: every check, the step size, K, the privacy solve (shared through the
+    command's ``solved``, as in ``_privacy``) and the schedule."""
     task, graph, report = setting
     extra_meta: dict = {"variant": cfg.variant}
 
@@ -268,7 +276,7 @@ def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
     else:
         if cfg.variant not in VARIANTS:
             raise ConfigError(f"schedule.variant must be one of {VARIANTS + (NONPRIVATE,)}")
-        privacy = _privacy(cfg)
+        privacy = _privacy(cfg, {} if solved is None else solved)
         if cfg.gamma == "corollary":
             gamma, K = _corollary(cfg, privacy.mu_tot)
             privacy = dataclasses.replace(privacy, K=K)
@@ -297,16 +305,26 @@ def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
     )
 
 
-def _grid(points, setting: tuple | None = None, every_round: bool = True):
+def _grid(points, setting: tuple | None = None, every_round: bool = True, solved=None, share=True):
     """(label, seed, metrics log) at each of the repeat seeds of each (label, config) point;
-    a point's leg is resolved once, in a setting rebuilt only when its n or graph differs.
-    ``every_round`` goes to ``run``: False evaluates each log at its last round only."""
+    a point's leg is resolved once, in a setting rebuilt only when its n or graph differs,
+    and each privacy target is solved once (``solved``, as in ``_privacy``).  With
+    ``share``, the legs at one seed read one SeedDraws, held while points keep (n, K, J,
+    d); ``run`` draws inside, so the draws count as engine time.  ``every_round`` goes
+    to ``run``: False evaluates each log at its last round only."""
+    solved = {} if solved is None else solved
+    held, shape = {}, None  # SeedDraws by seed, for the points of this (n, K, J, d)
     for label, cfg in points:
         if setting is None or (cfg.n, cfg.graph) != (setting[1].n, setting[1].kind):
             setting = _setting(cfg)
-        leg = _leg(cfg, setting)
+        leg = _leg(cfg, setting, solved)
+        if shape != (leg.n, leg.K, cfg.J, leg.d):
+            held, shape = {}, (leg.n, leg.K, cfg.J, leg.d)
         for seed in range(cfg.seed, cfg.seed + cfg.repeat):
-            yield label, seed, run(dataclasses.replace(leg, seed=seed), every_round=every_round)
+            if share and seed not in held:
+                held[seed] = SeedDraws(seed, *shape)
+            leg_at_seed = dataclasses.replace(leg, seed=seed)
+            yield label, seed, run(leg_at_seed, every_round=every_round, draws=held.get(seed))
 
 
 def _write(path: str, text: str) -> None:
@@ -322,7 +340,7 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 def cmd_run(args, cfg: ExperimentConfig) -> int:
     stem, ext = os.path.splitext(args.output or "run.csv")  # the file name's extension only
-    for _, seed, log in _grid([(cfg.variant, cfg)]):
+    for _, seed, log in _grid([(cfg.variant, cfg)], share=False):  # one leg a seed
         if seed == cfg.seed:
             for key in ("mu_tot", "mu0"):
                 if key in log.meta:
@@ -340,13 +358,13 @@ def cmd_compare(args, cfg: ExperimentConfig) -> int:
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r} in --variants")
-    setting = _setting(cfg)
+    setting, solved = _setting(cfg), {}
     points = [(v, dataclasses.replace(cfg, variant=v)) for v in variants]
     if cfg.gamma == "corollary":  # the baseline runs at the private legs' step size and K
-        gamma, K = _corollary(cfg, _privacy(cfg).mu_tot)
+        gamma, K = _corollary(cfg, _privacy(cfg, solved).mu_tot)
         cfg = dataclasses.replace(cfg, gamma=gamma, K=K)
     points.append((NONPRIVATE, dataclasses.replace(cfg, variant=NONPRIVATE)))
-    grid = _grid(points, setting, every_round=False)  # the table reads only the final row
+    grid = _grid(points, setting, every_round=False, solved=solved)  # the table reads row K-1
     table = [("variant", "epsilon", "delta", "final_loss", "final_accuracy")]
     rows = []
     for variant, _ in points:  # each point's cfg.repeat logs, in turn

@@ -31,10 +31,19 @@ Philox state, so this equals separate per-node generators.  Streams are read in
 blocks of ROUND_BLOCK rounds, equal to single draws (sample indices decoded from raw
 words by numpy's own rule), and a noise-free run builds no noise stream.  Runs are
 bitwise reproducible per seed, and ablating noise never shifts the sampled data.
+
+What no leg at a seed changes, its keys, initial iterates and all K rounds of sample
+indices, is one ``SeedDraws``: drawn on first use inside ``run``, then held read-only.
+The index table is (K, n) in the smallest unsigned dtype that holds J - 1 (K * n bytes
+up to J = 256).  A grid hands one to every leg at its seed for one command; ``run``
+given none makes its own.  Noise is drawn per leg, block by block, so a run holds at
+most n * ROUND_BLOCK * d noise floats.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -207,10 +216,6 @@ class RunConfig:
         return self.task.model.dim
 
 
-def _initial_iterates(config: RunConfig, keys: np.ndarray) -> np.ndarray:
-    return _Streams(keys).normals(np.empty((len(keys), config.d)), last=True) * INIT_SCALE
-
-
 def _schedule_arrays(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-round (C_k, mu_k, sigma_k), checked once so privacy fails closed."""
     K, sched = config.K, config.schedule
@@ -228,23 +233,58 @@ def _schedule_arrays(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     return clip, budget, sigma
 
 
-def _round_draws(config: RunConfig, keys: np.ndarray, noisy: bool):
-    """Per round: each node's sample index, and its standard-normal noise row
-    when ``noisy`` (else None), drawn ROUND_BLOCK rounds at a time."""
-    n, d, K, J = len(keys[0]), config.d, config.K, config.task.dataset.J
-    samplers = _Streams(keys[PURPOSE_SAMPLE])
-    noisers = _Streams(keys[PURPOSE_NOISE]) if noisy else None
+@dataclass
+class SeedDraws:
+    """The draws every leg at one seed shares: its stream keys, each node's initial
+    iterate, and each node's sample index in all K rounds.  Each is drawn on first use
+    and then held read-only, so the legs of one grid at one seed read them once; a run
+    handed none makes its own.  The index table is (K, n) in the smallest unsigned
+    dtype that holds J - 1, filled ROUND_BLOCK rounds at a time.  Draws are equal when
+    made for the same (seed, n, K, J, d)."""
+
+    seed: int
+    n: int
+    K: int
+    J: int
+    d: int
+
+    @classmethod
+    def of(cls, config: RunConfig) -> SeedDraws:
+        return cls(config.seed, config.n, config.K, config.task.dataset.J, config.d)
+
+    @functools.cached_property
+    def keys(self) -> np.ndarray:
+        return stream_keys(self.seed, self.n)
+
+    @functools.cached_property
+    def init(self) -> np.ndarray:
+        init = _Streams(self.keys[PURPOSE_INIT]).normals(np.empty((self.n, self.d)), last=True)
+        init *= INIT_SCALE
+        init.flags.writeable = False
+        return init
+
+    @functools.cached_property
+    def indices(self) -> np.ndarray:
+        K, J = self.K, self.J
+        table = np.empty((K, self.n), np.min_scalar_type(J - 1))
+        samplers = _Streams(self.keys[PURPOSE_SAMPLE])
+        for k0 in range(0, K, ROUND_BLOCK):
+            B = min(ROUND_BLOCK, K - k0)
+            table[k0 : k0 + B] = samplers.indices(J, B, last=k0 + B == K).T
+        table.flags.writeable = False
+        return table
+
+
+def _noise_rows(keys: np.ndarray, d: int, K: int):
+    """Each round's (n, d) standard-normal noise, one row per node, drawn
+    ROUND_BLOCK rounds at a time."""
+    noisers = _Streams(keys)
     for k0 in range(0, K, ROUND_BLOCK):
         B = min(ROUND_BLOCK, K - k0)
-        last = k0 + B == K
-        idx = samplers.indices(J, B, last).T
-        if noisy:
-            noise = noisers.normals(np.empty((n, B, d)), last)
-        for t in range(B):
-            yield idx[t], noise[:, t] if noisy else None
+        yield from noisers.normals(np.empty((len(keys), B, d)), last=k0 + B == K).swapaxes(0, 1)
 
 
-def run(config: RunConfig, every_round: bool = True) -> MetricsLog:
+def run(config: RunConfig, every_round: bool = True, draws: SeedDraws | None = None) -> MetricsLog:
     """Execute K rounds and return the full metrics log.
 
     Row k is evaluated at the average iterate entering round k, while its
@@ -254,6 +294,8 @@ def run(config: RunConfig, every_round: bool = True) -> MetricsLog:
     and the metadata are those of the every-round log.  The log's
     metadata records the worst push-sum weight-sum drift and the largest
     unclipped stochastic gradient norm seen, both useful sanity checks.
+    ``draws`` are the config's own ``SeedDraws``, shared with other legs at its seed;
+    by default the run makes its own.
     """
     model, data = config.task.model, config.task.dataset
     n, d, K, J = config.n, config.d, config.K, config.task.dataset.J
@@ -262,9 +304,13 @@ def run(config: RunConfig, every_round: bool = True) -> MetricsLog:
     if config.gamma < 0:
         raise ValueError("step size must be nonnegative")
     clip, budget, sigma = _schedule_arrays(config)
+    own = SeedDraws.of(config)
+    if draws is None:
+        draws = own
+    elif draws != own:
+        raise ValueError(f"the run needs {own}, not {draws}")
 
-    keys = stream_keys(config.seed, n)
-    X = _initial_iterates(config, keys[PURPOSE_INIT])
+    X = draws.init
     w = np.ones(n)
     Z = X.copy()
     nodes = np.arange(n)
@@ -274,7 +320,8 @@ def run(config: RunConfig, every_round: bool = True) -> MetricsLog:
     unevaluated = math.nan, np.full(d, math.nan), math.nan
 
     with np.errstate(over="ignore", invalid="ignore"):  # divergence fails by NonFiniteParameter
-        for k, (idx, std_noise) in enumerate(_round_draws(config, keys, bool(sigma.any()))):
+        noises = _noise_rows(draws.keys[PURPOSE_NOISE], d, K) if sigma.any() else None
+        for k, (idx, std_noise) in enumerate(zip(draws.indices, noises or itertools.repeat(None))):
             C_k = float(clip[k])
             xbar = X.sum(axis=0) / n  # == X.mean(axis=0)
             evaluated = every_round or k == K - 1

@@ -32,10 +32,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 def run_from(config, x0):
     """``engine.run`` with node i starting from row i of the (n, d) array ``x0``
-    instead of its init-stream draw."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_initial_iterates", lambda cfg, keys: np.array(x0, dtype=float))
-        return engine.run(config)
+    instead of its init-stream draw: it is handed draws whose ``init`` is ``x0``."""
+    draws = engine.SeedDraws.of(config)
+    draws.init = np.array(x0, dtype=float)  # set before first use, so never drawn
+    return engine.run(config, draws=draws)
 
 
 def reference_loss_grad(
@@ -342,11 +342,12 @@ def validate_each_slice(weights) -> None:
 @contextlib.contextmanager
 def cli_resolving_each_leg():
     """``pushdp.cli`` as if nothing were shared: every (point, seed) pair of a
-    command's grid builds its own dataset, graph, connectivity report and leg from
-    its config.  The reference for the setting a grid builds once per n and graph
-    kind and the leg it resolves once per point."""
+    command's grid builds its own dataset, graph, connectivity report, leg (privacy
+    solve included) and draws from its config.  The reference for the setting a grid
+    builds once per n and graph kind, the leg it resolves once per point, the solve it
+    makes once per target and the draws its legs at one seed share."""
 
-    def grid_alone(points, setting=None, every_round=True):
+    def grid_alone(points, setting=None, every_round=True, **shared):
         for label, cfg in points:
             for seed in range(cfg.seed, cfg.seed + cfg.repeat):
                 alone = dataclasses.replace(cfg, seed=seed)

@@ -131,3 +131,45 @@ def test_full_tracer_misses_only_known_dead_targets(tracing):
     finally:
         tracer.uninstall()
     assert set(missing) <= set(KNOWN_DEAD_TARGETS), sorted(set(missing) - set(KNOWN_DEAD_TARGETS))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["compare", "--variants", "dyn,const"],
+        ["sweep", "--axis", "graph", "--values", "ring,complete"],
+        ["run"],
+    ],
+    ids=["compare", "sweep", "run"],
+)
+def test_every_stream_draw_of_a_grid_is_timed_as_engine_time(
+    tracing, tmp_path, capsys, monkeypatch, command
+):
+    # a grid's legs share their seeds' draws; a draw made outside pushdp.cli.run would
+    # move its time out of the benchmark's engine time and into setup_s
+    import pushdp.cli
+    import pushdp.engine as engine
+
+    config = tmp_path / "exp.ini"
+    config.write_text(CONFIG)
+    tracer = tracing.Tracer(full=False)
+    inside = []  # for each key derivation and stream draw: is an engine.run span open?
+
+    def watched(draw):
+        def call(*args, **kwargs):
+            inside.append(tracer._depth["engine"] == 1)
+            return draw(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(engine, "stream_keys", watched(engine.stream_keys))
+    for name in ("normals", "indices"):
+        monkeypatch.setattr(engine._Streams, name, watched(getattr(engine._Streams, name)))
+    tracer.install()
+    try:
+        args = [command[0], "--config", str(config), *command[1:], "--output", str(tmp_path / "o.csv")]
+        assert pushdp.cli.main(args) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert inside and all(inside), inside

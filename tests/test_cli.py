@@ -606,6 +606,31 @@ def test_compare_under_the_corollary_preset_builds_each_schedule_once(tmp_path, 
     assert built == ["dyn", "const"]
 
 
+def test_compare_under_the_corollary_preset_solves_its_privacy_target_once(tmp_path, monkeypatch):
+    # the baseline's step size and both legs read one solve of (epsilon, delta, J, K)
+    solves, resolve, privacy = [], accountant.PrivacySpec.resolve, cli._privacy
+
+    def counted(*target):
+        solves.append(target)
+        return resolve(*target)
+
+    monkeypatch.setattr(accountant.PrivacySpec, "resolve", counted)
+    preset = ["run.gamma=corollary", "run.K=0", "privacy.epsilon=0.3", "run.repeat=2"]
+    out = tmp_path / "table.csv"
+    args = _command_args("compare", write_config(tmp_path), preset, out)
+    args[args.index("--variants") + 1] = "dyn,const"
+    results = []
+    for solving, count in ((privacy, 1), (lambda cfg, solved: privacy(cfg, {}), 3)):
+        solves.clear()
+        monkeypatch.setattr(cli, "_privacy", solving)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(args) == 0
+        assert solves == [(0.3, 1e-4, 20, 0)] * count
+        results.append((stdout.getvalue(), out.read_bytes()))
+    assert results[0] == results[1]  # solving once per leg, as before, prints the same
+
+
 def test_compare_rejects_unknown_variant(tmp_path):
     config = write_config(tmp_path)
     assert main(["compare", "--config", config, "--variants", "dyn,nope"]) == 1
@@ -751,8 +776,8 @@ def logs(monkeypatch):
     """Every metrics log the CLI's runs return, in order."""
     made, run = [], cli.run
 
-    def recorded(config, every_round=True):
-        made.append(run(config, every_round=every_round))
+    def recorded(config, **kwargs):
+        made.append(run(config, **kwargs))
         return made[-1]
 
     monkeypatch.setattr(cli, "run", recorded)
@@ -944,9 +969,9 @@ def evaluations(monkeypatch):
     """The ``engine.evaluate`` calls of each engine run the CLI makes, one count per run."""
     counts, run, evaluate = [], cli.run, engine.evaluate
 
-    def counted_run(config, every_round=True):
+    def counted_run(config, **kwargs):
         counts.append(0)
-        return run(config, every_round=every_round)
+        return run(config, **kwargs)
 
     def counted_evaluate(*args):
         counts[-1] += 1
@@ -962,7 +987,9 @@ def grid_evaluating_every_round():
     """``cli._grid`` with every run evaluated at every round, whatever its caller asks."""
     grid = cli._grid
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_grid", lambda points, setting=None, every_round=True: grid(points, setting))
+        patch.setattr(cli, "_grid", lambda points, setting=None, every_round=True, **kwargs: grid(
+            points, setting, **kwargs
+        ))
         yield
 
 
@@ -991,3 +1018,103 @@ def test_run_and_sweep_evaluate_every_round(tmp_path, evaluations, command, runs
         args[args.index("--values") + 1] = "4,8"
     assert _exit_code_and_stderr(args) == (0, "")
     assert evaluations == [10] * runs
+
+
+# ---------------------------------------------------------------------------
+# draws: a grid's legs at one seed share one SeedDraws, within one command
+
+
+@pytest.fixture
+def legs(monkeypatch):
+    """(config, every_round, draws, log) of each engine run the CLI makes, in order."""
+    made, run = [], cli.run
+
+    def recorded(config, every_round=True, draws=None):
+        made.append((config, every_round, draws, run(config, every_round, draws)))
+        return made[-1][-1]
+
+    monkeypatch.setattr(cli, "run", recorded)
+    return made
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """How many ``engine._Streams`` each grid builds, by purpose (PURPOSE_INIT,
+    PURPOSE_SAMPLE, PURPOSE_NOISE), told apart by their keys."""
+    built = collections.Counter()
+
+    class Counted(engine._Streams):
+        def __init__(self, keys):
+            super().__init__(keys)
+            n = len(keys)
+            for seed in range(4):  # the seeds these tests run
+                for purpose, known in enumerate(engine.stream_keys(seed, n)):
+                    built[purpose] += np.array_equal(known, keys)
+
+    monkeypatch.setattr(engine, "_Streams", Counted)
+    return built
+
+
+GRIDS = {
+    "compare": ["compare", "--variants", "dyn,dyn-clip,dyn-mu,const"],  # and the baseline
+    "sweep-epsilon": ["sweep", "--axis", "epsilon", "--values", "0.5,1.0"],
+    "sweep-graph": ["sweep", "--axis", "graph", "--values", "ring,complete"],
+}
+
+
+def _grid_args(tmp_path, grid, *overrides):
+    config = write_config(tmp_path, BASE.replace("K = 15", f"K = {engine.ROUND_BLOCK + 7}"))
+    sets = [arg for item in ("run.repeat=2", *overrides) for arg in ("--set", item)]
+    command, *flags = GRIDS[grid]
+    return [command, "--config", config, *sets, *flags, "--output", str(tmp_path / "out.csv")]
+
+
+@pytest.mark.parametrize("grid", ["compare", "sweep-epsilon"])
+def test_grid_legs_sharing_draws_equal_runs_drawing_alone(tmp_path, legs, grid):
+    # K spans a block boundary of the index table
+    assert _exit_code_and_stderr(_grid_args(tmp_path, grid)) == (0, "")
+    assert len(legs) == (10 if grid == "compare" else 4)
+    assert {id(draws) for *_, draws, _ in legs} == {id(legs[0][2]), id(legs[1][2])}  # one a seed
+    for config, every_round, draws, log in legs:
+        assert draws.seed == config.seed
+        assert log.csv_text() == engine.run(config, every_round).csv_text()
+
+
+@pytest.mark.parametrize(
+    "grid,overrides,noise",
+    [
+        ("compare", [], 8),  # 4 private variants x 2 seeds; the baseline draws no noise
+        ("compare", ["run.gamma=corollary", "run.K=0", "privacy.epsilon=0.3"], 8),
+        ("sweep-epsilon", [], 4),
+        ("sweep-graph", [], 4),  # the draws do not depend on the graph
+    ],
+)
+def test_grid_draws_init_and_samples_once_per_seed_and_noise_per_private_leg(
+    tmp_path, streams, grid, overrides, noise
+):
+    args = _grid_args(tmp_path, grid, *overrides)
+    for calls in (1, 2):  # a second identical command draws again
+        assert _exit_code_and_stderr(args) == (0, "")
+        want = {engine.PURPOSE_INIT: 2, engine.PURPOSE_SAMPLE: 2, engine.PURPOSE_NOISE: noise}
+        assert streams == {purpose: calls * count for purpose, count in want.items()}
+
+
+@pytest.mark.parametrize(
+    "command,overrides,init",
+    [
+        (["sweep", "--axis", "n", "--values", "4,8,4"], [], 6),  # a point changing n redraws
+        (["sweep", "--axis", "n", "--values", "4,4"], [], 2),
+        (["run"], ["run.repeat=3"], 3),  # one leg a seed: each run draws its own
+    ],
+)
+def test_grid_redraws_for_a_new_shape_and_run_shares_nothing(
+    tmp_path, streams, legs, command, overrides, init
+):
+    config = write_config(tmp_path, BASE.replace("K = 15", "K = 9"))
+    sets = [arg for item in ("run.repeat=2", *overrides) for arg in ("--set", item)]
+    out = ["--output", str(tmp_path / "out.csv")]
+    args = [command[0], "--config", config, *sets, *command[1:], *out]
+    assert _exit_code_and_stderr(args) == (0, "")
+    assert streams[engine.PURPOSE_INIT] == streams[engine.PURPOSE_SAMPLE] == init
+    shared = [draws is not None for *_, draws, _ in legs]
+    assert shared == [command[0] != "run"] * len(legs)

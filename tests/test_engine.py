@@ -120,11 +120,9 @@ def test_local_step_noise_magnitude_matches_sigma():
 
 
 def test_local_step_sigma_zero_does_not_advance_stream(monkeypatch):
-    import pushdp.engine as engine
-
     seed, n, K = 3, 3, ROUND_BLOCK + 6  # the second block is partial
     keys = stream_keys(seed, n)
-    built, reads, blocks = [], [], []  # purposes built; purpose of each pass; sample indices
+    built, reads, blocks = [], [], []  # purposes built; of each normals pass; of each indices pass
 
     class RecordingStreams(engine._Streams):
         def __init__(self, stream_keys):
@@ -137,35 +135,81 @@ def test_local_step_sigma_zero_does_not_advance_stream(monkeypatch):
             return super().normals(out, last)
 
         def indices(self, J, B, last=False):
-            out = super().indices(J, B, last)  # the decoded (n, B) block
-            blocks.append((self.purpose, out))
-            return out
+            blocks.append(self.purpose)
+            return super().indices(J, B, last)
 
     monkeypatch.setattr(engine, "_Streams", RecordingStreams)
 
-    def sample_blocks(noise_enabled):
+    def sampled(noise_enabled):
+        """The index table of the draws a run was handed, which it samples by."""
         built.clear()
         reads.clear()
         blocks.clear()
         cfg = private_config(
             n=n, J=10, K=K, epsilon=0.5, variant="dyn", seed=seed, noise_enabled=noise_enabled
         )
-        run(cfg)
-        assert {p for p, _ in blocks} == {PURPOSE_SAMPLE}
-        return [out for _, out in blocks]
+        draws = engine.SeedDraws.of(cfg)
+        run(cfg, draws=draws)
+        assert blocks == [PURPOSE_SAMPLE] * 2
+        return draws.indices
 
-    on = sample_blocks(True)
-    assert PURPOSE_NOISE in built
-    assert PURPOSE_NOISE in reads
-    off = sample_blocks(False)
+    on = sampled(True)
+    assert sorted(built) == [PURPOSE_INIT, PURPOSE_SAMPLE, PURPOSE_NOISE]
+    assert reads == [PURPOSE_INIT, PURPOSE_NOISE, PURPOSE_NOISE]
+    off = sampled(False)
     # noise off: no noise stream is built or read, and the sampled indices are unchanged
-    assert PURPOSE_NOISE not in built
-    assert PURPOSE_NOISE not in reads
-    assert len(off) == 2
-    for a, b in zip(on, off, strict=True):
-        assert np.array_equal(a, b)
-    first = [node_stream(seed, i, PURPOSE_SAMPLE).integers(10, size=ROUND_BLOCK) for i in range(n)]
-    assert np.array_equal(off[0], np.stack(first))
+    assert sorted(built) == [PURPOSE_INIT, PURPOSE_SAMPLE]
+    assert reads == [PURPOSE_INIT]
+    assert np.array_equal(on, off)
+    rngs = [node_stream(seed, i, PURPOSE_SAMPLE) for i in range(n)]
+    assert np.array_equal(off, [[int(r.integers(10)) for r in rngs] for _ in range(K)])
+
+
+# ---------------------------------------------------------------------------
+# the draws a seed's legs share: ``SeedDraws``
+
+
+@pytest.mark.parametrize(
+    "J,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16), (70000, np.uint32)]
+)
+def test_seed_draws_hold_the_index_table_in_the_smallest_dtype_read_only(J, dtype):
+    seed, n, K = 5, 3, ROUND_BLOCK + 7  # the table spans a block boundary
+    draws = engine.SeedDraws(seed, n, K, J, 4)
+    table = draws.indices
+    assert table.shape == (K, n) and table.dtype == dtype
+    rngs = [node_stream(seed, i, PURPOSE_SAMPLE) for i in range(n)]
+    assert np.array_equal(table, [[int(r.integers(J)) for r in rngs] for _ in range(K)])
+    init = [node_stream(seed, i, PURPOSE_INIT).standard_normal(4) * INIT_SCALE for i in range(n)]
+    assert draws.init.tobytes() == np.stack(init).tobytes()
+    for held in (table, draws.init):
+        assert not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[0, 0] = 0
+
+
+def test_legs_handed_one_seeds_draws_equal_runs_drawing_alone():
+    private = private_config(n=4, J=12, K=ROUND_BLOCK + 7, epsilon=0.5, variant="dyn", seed=6)
+    legs = [
+        private,
+        dataclasses.replace(private, noise_enabled=False),
+        dataclasses.replace(private, schedule=None),  # the non-private baseline
+        dataclasses.replace(private, gamma=0.2),
+    ]
+    draws = engine.SeedDraws.of(private)
+    for every_round in (True, False):
+        for leg in legs:
+            shared = run(leg, every_round=every_round, draws=draws).csv_text()
+            assert shared == run(leg, every_round=every_round).csv_text()
+
+
+@pytest.mark.parametrize("field", ["seed", "n", "K", "J", "d"])
+def test_run_rejects_draws_made_for_another_seed_or_shape(field):
+    cfg = private_config(n=4, J=12, K=9, epsilon=0.5, seed=6)
+    shape = dict(seed=6, n=4, K=9, J=12, d=cfg.d)
+    engine.run(cfg, draws=engine.SeedDraws(**shape))  # its own shape runs
+    shape[field] += 1
+    with pytest.raises(ValueError, match=r"the run needs SeedDraws\(seed=6, n=4, K=9, J=12, d=7\)"):
+        engine.run(cfg, draws=engine.SeedDraws(**shape))
 
 
 # ---------------------------------------------------------------------------
