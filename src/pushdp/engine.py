@@ -14,36 +14,40 @@ Column stochasticity conserves the sums of x and w, so the average iterate
 follows the noisy mean gradient exactly and the weights w recover the bias a
 directed graph would otherwise inject into z.
 
-``run`` is the only round path.  Its node phase is vectorized: one batched
-kernel computes every node's gradient at its own z_i, and clipping, noise and
-the half-step act on all rows at once; ``_mix_arrays`` then mixes every row by the
-graph's ``mix``, a gather of each node's one peer on ring and exponential graphs.
-Each dot product reproduces its single-node counterpart bit for bit, so the
-result equals a per-node loop exactly.  The schedule is read as its three
-arrays, checked once before round 0.
+``run`` is the only round path.  It runs the rounds in blocks of ROUND_BLOCK, and a
+round computes only what the next one reads: the average iterate and its evaluation,
+every node's gradient at its own z_i in one batched kernel, then clipping, noise and
+the half-step on all rows at once, and ``_mix_arrays``, which mixes every row by the
+graph's ``mix`` (a gather of each node's one peer on ring and exponential graphs).
+Before its first round a block gathers its (B, n) samples in one ``take`` and scales
+its noise by sigma_k in place; after its last it derives the diagnostics (consensus
+error, grad_norm_sq, clip rate, largest gradient norm, weight-sum drift) from what its
+rounds kept.  Each dot product and sum reproduces its single-node, single-round
+counterpart bit for bit, so the result equals a per-node loop exactly.  The schedule
+is read as its three arrays, checked once before round 0.
 
 Randomness comes from one counter-based Philox stream per node and purpose (init,
 sampling, noise), keyed by ``SeedSequence([seed, node, purpose])``; ``stream_keys``
 derives all keys in one vectorized pass.  One generator per purpose serves all
-nodes: set to a fresh-state template keyed to node i (later, node i's saved state),
-it writes node i's draw in place into its row.  Key, counter and buffer are the whole
-Philox state, so this equals separate per-node generators.  Streams are read in
-blocks of ROUND_BLOCK rounds, equal to single draws (sample indices decoded from raw
-words by numpy's own rule), and a noise-free run builds no noise stream.  Runs are
-bitwise reproducible per seed, and ablating noise never shifts the sampled data.
+nodes: set to a fresh-state template of plain ints keyed to node i (later, node i's
+saved state), it writes node i's draw in place into its row.  Key, counter and buffer
+are the whole Philox state, so this equals separate per-node generators.  Streams are
+read in blocks of ROUND_BLOCK rounds, equal to single draws (sample indices decoded
+from raw words by numpy's own rule), and a noise-free run builds no noise stream.
+Runs are bitwise reproducible per seed, and ablating noise never shifts the sampled data.
 
 What no leg at a seed changes, its keys, initial iterates and all K rounds of sample
 indices, is one ``SeedDraws``: drawn on first use inside ``run``, then held read-only.
 The index table is (K, n) in the smallest unsigned dtype that holds J - 1 (K * n bytes
 up to J = 256).  A grid hands one to every leg at its seed for one command; ``run``
-given none makes its own.  Noise is drawn per leg, block by block, so a run holds at
-most n * ROUND_BLOCK * d noise floats.
+given none makes its own and reads its indices block by block, holding no table.  A
+block holds its noise (drawn per leg), its rounds' z_i and its gathered samples:
+n * ROUND_BLOCK * (2d + d_in) floats.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -130,11 +134,15 @@ def stream_keys(seed: int, n: int) -> np.ndarray:
 
 class _Streams:
     """The per-node streams of one purpose through one Philox generator, set for node i
-    to one fresh state (the setter copies it) keyed to i, then to the state i saved."""
+    to one fresh state keyed to i, then to the state i saved.  The setter copies the fresh
+    state, the generator's own with its arrays as plain ints, which it reads faster."""
 
     def __init__(self, keys: np.ndarray):
         self._gen = np.random.Generator(np.random.Philox(key=keys[0]))
-        self._keys, self._states = keys, [self._gen.bit_generator.state] * len(keys)
+        fresh = self._gen.bit_generator.state
+        fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+        fresh["buffer"] = fresh["buffer"].tolist()
+        self._keys, self._states = keys.tolist(), [fresh] * len(keys)
 
     def _set(self, states: list, i: int) -> None:
         states[i]["state"]["key"] = self._keys[i]  # re-keys the fresh dict; a saved one has it
@@ -237,10 +245,9 @@ def _schedule_arrays(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
 class SeedDraws:
     """The draws every leg at one seed shares: its stream keys, each node's initial
     iterate, and each node's sample index in all K rounds.  Each is drawn on first use
-    and then held read-only, so the legs of one grid at one seed read them once; a run
-    handed none makes its own.  The index table is (K, n) in the smallest unsigned
-    dtype that holds J - 1, filled ROUND_BLOCK rounds at a time.  Draws are equal when
-    made for the same (seed, n, K, J, d)."""
+    and then held read-only, so the legs of one grid at one seed read them once.  The
+    index table is (K, n) in the smallest unsigned dtype that holds J - 1, filled from
+    ``index_blocks``.  Draws are equal when made for the same (seed, n, K, J, d)."""
 
     seed: int
     n: int
@@ -263,25 +270,33 @@ class SeedDraws:
         init.flags.writeable = False
         return init
 
+    def index_blocks(self):
+        """Each block's (B, n) sample indices, drawn from the streams."""
+        samplers = _Streams(self.keys[PURPOSE_SAMPLE])
+        return (samplers.indices(self.J, B, last).T for _, B, last in _blocks(self.K))
+
     @functools.cached_property
     def indices(self) -> np.ndarray:
-        K, J = self.K, self.J
-        table = np.empty((K, self.n), np.min_scalar_type(J - 1))
-        samplers = _Streams(self.keys[PURPOSE_SAMPLE])
-        for k0 in range(0, K, ROUND_BLOCK):
-            B = min(ROUND_BLOCK, K - k0)
-            table[k0 : k0 + B] = samplers.indices(J, B, last=k0 + B == K).T
+        table = np.empty((self.K, self.n), np.min_scalar_type(self.J - 1))
+        for (k0, B, _), block in zip(_blocks(self.K), self.index_blocks()):
+            table[k0 : k0 + B] = block
         table.flags.writeable = False
         return table
 
 
-def _noise_rows(keys: np.ndarray, d: int, K: int):
-    """Each round's (n, d) standard-normal noise, one row per node, drawn
-    ROUND_BLOCK rounds at a time."""
+def _blocks(K: int):
+    """(first round, rounds, whether last) of each ROUND_BLOCK-round block of K rounds."""
+    return [(k0, min(ROUND_BLOCK, K - k0), k0 + ROUND_BLOCK >= K) for k0 in range(0, K, ROUND_BLOCK)]
+
+
+def _noise_blocks(keys: np.ndarray, sigma: np.ndarray, d: int):
+    """Each block's noise, (n, B, d) with [i, b] node i's noise in the block's round b:
+    standard normals scaled by sigma_k in place."""
     noisers = _Streams(keys)
-    for k0 in range(0, K, ROUND_BLOCK):
-        B = min(ROUND_BLOCK, K - k0)
-        yield from noisers.normals(np.empty((len(keys), B, d)), last=k0 + B == K).swapaxes(0, 1)
+    for k0, B, last in _blocks(len(sigma)):
+        block = noisers.normals(np.empty((len(keys), B, d)), last)
+        block *= sigma[k0 : k0 + B, None]  # round k0 + b's standard normals times its sigma_k
+        yield block
 
 
 def run(config: RunConfig, every_round: bool = True, draws: SeedDraws | None = None) -> MetricsLog:
@@ -305,45 +320,45 @@ def run(config: RunConfig, every_round: bool = True, draws: SeedDraws | None = N
         raise ValueError("step size must be nonnegative")
     clip, budget, sigma = _schedule_arrays(config)
     own = SeedDraws.of(config)
-    if draws is None:
-        draws = own
+    if draws is None:  # a lone run holds no index table: it reads its indices block by block
+        draws, index_blocks = own, own.index_blocks()
     elif draws != own:
         raise ValueError(f"the run needs {own}, not {draws}")
+    else:
+        index_blocks = (draws.indices[k0 : k0 + B] for k0, B, _ in _blocks(K))
 
-    X = draws.init
+    X = Z = draws.init
     w = np.ones(n)
-    Z = X.copy()
-    nodes = np.arange(n)
-    measured = np.empty((K, 5))  # per round: loss, grad_norm_sq, consensus_err, clip_rate, accuracy
-    max_weight_drift = 0.0
-    max_grad_norm = 0.0
-    unevaluated = math.nan, np.full(d, math.nan), math.nan
+    features, labels = data.flat()
+    offsets = np.arange(n) * J  # node i's shard starts at row i * J of the pooled data
+    measured = np.full((K, 5), math.nan)  # loss, grad_norm_sq, consensus_err, clip_rate, accuracy
+    max_weight_drift = max_grad_norm = 0.0
 
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence fails by NonFiniteParameter
-        noises = _noise_rows(draws.keys[PURPOSE_NOISE], d, K) if sigma.any() else None
-        for k, (idx, std_noise) in enumerate(zip(draws.indices, noises or itertools.repeat(None))):
-            C_k = float(clip[k])
-            xbar = X.sum(axis=0) / n  # == X.mean(axis=0)
-            evaluated = every_round or k == K - 1
-            loss, grad, acc = evaluate(model, data, xbar) if evaluated else unevaluated
-
-            Xs, ys = data.features[nodes, idx], data.labels[nodes, idx]
-            G = batched_sample_gradients(model, Z, Xs, ys)
-            norms = np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])  # == np.linalg.norm per row
-            clipped = norms > C_k
-            G *= np.divide(C_k, norms, out=np.ones(n), where=clipped)[:, None]  # x * 1.0 == x
-            noise = None if std_noise is None else std_noise * float(sigma[k])
-            halves = X - config.gamma * (G if noise is None else G + noise)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # divergence fails by NonFiniteParameter
+        noise_blocks = _noise_blocks(draws.keys[PURPOSE_NOISE], sigma, d) if sigma.any() else None
+        for (k0, B, _), idx in zip(_blocks(K), index_blocks):
+            noise = None if noise_blocks is None else next(noise_blocks)
+            Xs, ys = features.take(idx + offsets, axis=0), labels.take(idx + offsets)
+            xbars, grads = np.empty((B, d)), np.full((B, d), math.nan)
+            Zs, norms, weights = np.empty((B, n, d)), np.empty((B, n)), np.empty((B, n))
+            for b, k in enumerate(range(k0, k0 + B)):
+                xbar = np.divide(X.sum(axis=0), n, out=xbars[b])  # == X.mean(axis=0)
+                if every_round or k == K - 1:
+                    measured[k, 0], grads[b], measured[k, 4] = evaluate(model, data, xbar)
+                Zs[b] = Z
+                G = batched_sample_gradients(model, Z, Xs[b], ys[b])
+                np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0], out=norms[b])  # == np.linalg.norm per row
+                G *= np.minimum(clip[k] / norms[b], 1.0)[:, None]  # x * 1.0 == x
+                halves = X - config.gamma * (G if noise is None else G + noise[:, b])
+                X, w, Z = _mix_arrays(halves, w, config.graph, k)
+                if not np.isfinite(X).all():
+                    raise NonFiniteParameter(k)
+                weights[b] = w
+            measured[k0 : k0 + B, 1] = (grads[:, None, :] @ grads[:, :, None])[:, 0, 0]  # == grad @ grad
+            measured[k0 : k0 + B, 2] = mean_sq_consensus(Zs, xbars)
+            measured[k0 : k0 + B, 3] = np.count_nonzero(norms > clip[k0 : k0 + B, None], axis=1) / n
             max_grad_norm = max(max_grad_norm, float(norms.max()))
-
-            X_next, w_next, Z_next = _mix_arrays(halves, w, config.graph, k)
-            if not np.isfinite(X_next).all():
-                raise NonFiniteParameter(k)
-            max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))
-
-            rate = np.count_nonzero(clipped) / n
-            measured[k] = loss, grad @ grad, mean_sq_consensus(Z, xbar), rate, acc
-            X, w, Z = X_next, w_next, Z_next
+            max_weight_drift = max(max_weight_drift, float(np.abs(weights.sum(axis=1) - n).max()))
 
     meta = {
         "n": n, "d": d, "K": K, "J": J, "gamma": float(config.gamma), "seed": config.seed,

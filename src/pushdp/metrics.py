@@ -60,10 +60,11 @@ class MetricsLog:
             fh.write(self.csv_text())
 
 
-def mean_sq_consensus(Z: np.ndarray, xbar: np.ndarray) -> float:
-    """Mean over nodes of the squared distance from the average iterate."""
-    diff = Z - xbar
-    return float(np.einsum("ij,ij->i", diff, diff).sum() / len(diff))  # == np.mean
+def mean_sq_consensus(Z: np.ndarray, xbar: np.ndarray):
+    """Mean over nodes of the squared distance from the average iterate, for Z of shape
+    (..., n, d) and xbar of shape (..., d): a stack of rounds gives one value per round."""
+    diff = Z - xbar[..., None, :]
+    return np.einsum("...ij,...ij->...i", diff, diff).sum(axis=-1) / diff.shape[-2]  # == np.mean
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,8 @@ def synth_dataset(
 ) -> Dataset:
     """Sample, shuffle, and shard a blob classification problem.
 
-    Labels are balanced up to rounding before the shuffle, every shard gets
+    Sample i has class i % classes before the shuffle, so labels are balanced up to
+    rounding; the class means are added in place on the normals.  Every shard gets
     exactly J samples, and the draw is fully determined by ``seed`` (the blob
     means are shared across seeds so different seeds resample the same task).
     """
@@ -90,10 +91,12 @@ def synth_dataset(
     means = _class_means(d_in, classes, separation)
     rng = np.random.default_rng(seed)
     total = n * J
-    labels = np.arange(total) % classes
-    features = means[labels] + rng.standard_normal((total, d_in))
+    features = rng.standard_normal((total, d_in))
+    whole = total - total % classes
+    features[:whole].reshape(-1, classes, d_in)[:] += means
+    features[whole:] += means[: total % classes]
     order = rng.permutation(total)
-    features, labels = features[order], labels[order]
+    features, labels = features.take(order, axis=0), order % classes
     return Dataset(
         features=features.reshape(n, J, d_in),
         labels=labels.reshape(n, J),
@@ -158,7 +161,8 @@ def batched_sample_gradients(
         z = (Xs[:, None, :] @ w[:, :, None])[:, 0, 0] + b
         e = np.exp(-np.abs(z))
         coeff = np.maximum(e, z >= 0) / (1.0 + e) - ys  # sigmoid(z) - y, as in evaluate
-        grads[:, : model.d_in] = (Xs[:, :, None] @ coeff[:, None, None])[:, :, 0]
+        outer = np.multiply(Xs, coeff[:, None], out=grads[:, : model.d_in])
+        outer += 0.0  # -0.0 + 0.0 is 0.0, as in the one-term matmul x * c
         grads[:, model.d_in] = coeff
         return grads
     W1, b1, W2, b2 = model.unflatten(Z)

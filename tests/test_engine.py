@@ -370,6 +370,20 @@ def _philox_generators(keys):
     return [np.random.Generator(np.random.Philox(key=k)) for k in keys]
 
 
+@pytest.mark.parametrize(
+    "key",
+    [(0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1),
+     *np.random.default_rng(4).integers(0, 2**64, size=(3, 2), dtype=np.uint64).tolist()],
+)
+def test_set_leaves_a_fresh_philox_state_keyed_to_the_node(key):
+    keys = np.array([(1, 2), key, (3, 4)], dtype=np.uint64)
+    streams = _Streams(keys)
+    streams._set(streams._states, 1)
+    got, want = streams._gen.bit_generator.state, np.random.Philox(key=keys[1]).state
+    assert got["state"]["key"].tolist() == list(key)
+    assert _live_state(got) == _live_state(want) and got["uinteger"] == want["uinteger"]
+
+
 def test_round_block_is_even():
     # a block reads B / 2 raw words; only the last block, which keeps no state,
     # may be odd and leave a word's high half unread
@@ -469,6 +483,15 @@ REFERENCE_CASES = {
         n=3, J=10, K=2 * ROUND_BLOCK + 3, epsilon=1.0, variant="dyn-clip", seed=1
     ),
     "mlp": _mlp_private_config,
+    # an explicit schedule that is not doubly stochastic, so the push-sum weights move,
+    # over a block boundary; FINAL_ONLY_CASES runs it evaluated at its last round only
+    "explicit-moving-weights": lambda: dataclasses.replace(
+        private_config(n=3, J=10, K=ROUND_BLOCK + 9, epsilon=0.5, variant="dyn", seed=4),
+        graph=graph_schedule("explicit", 3, [
+            [[0.5, 0.2, 0.0], [0.5, 0.8, 0.3], [0.0, 0.0, 0.7]],
+            [[0.6, 0.0, 0.1], [0.0, 0.9, 0.0], [0.4, 0.1, 0.9]],
+        ]),
+    ),
     # a seed of two 32-bit words keys the streams by multi-word entropy
     "seed-2^40+3": lambda: private_config(
         n=5, J=12, K=ROUND_BLOCK + 7, epsilon=0.5, variant="dyn", seed=2**40 + 3
@@ -514,6 +537,19 @@ def test_final_only_evaluation_keeps_every_other_cell(make, monkeypatch):
             assert np.isnan(final.rows[name][:-1]).all(), name
         else:
             assert final.rows[name].tobytes() == full.rows[name].tobytes(), name
+
+
+def test_divergence_mid_block_raises_at_the_first_non_finite_round():
+    cfg = private_config(n=3, J=10, K=2 * ROUND_BLOCK, epsilon=1.0, variant="const", seed=1,
+                         gamma=3.2e306, clip0=1.0)
+    ref = []
+    with np.errstate(all="ignore"):
+        reference_run(cfg, ref)
+        with pytest.raises(NonFiniteParameter) as raised:
+            run(cfg)
+    first = next(k for k, detail in enumerate(ref) if not np.isfinite(detail.mixed).all())
+    assert ROUND_BLOCK < first < 2 * ROUND_BLOCK - 1  # inside the second block
+    assert raised.value.k == first
 
 
 def _constant_evaluate(model, data, params):

@@ -59,6 +59,19 @@ def test_mean_sq_consensus_matches_states_path():
     assert mean_sq_consensus(Z, xbar) == pytest.approx(per_node, abs=1e-15)
 
 
+@pytest.mark.parametrize("rounds,n,d", [(1, 1, 1), (64, 20, 11), (20, 256, 11), (7, 5, 131), (3, 300, 2)])
+def test_mean_sq_consensus_over_rounds_equals_each_round_bitwise(rounds, n, d):
+    # a stack of rounds gives one value per round, each that round's 2-D einsum form
+    rng = np.random.default_rng(n * d)
+    Z, xbar = rng.standard_normal((rounds, n, d)), rng.standard_normal((rounds, d))
+    got = mean_sq_consensus(Z, xbar)
+    assert got.shape == (rounds,)
+    for k in range(rounds):
+        diff = Z[k] - xbar[k]
+        want = np.einsum("ij,ij->i", diff, diff).sum() / n
+        assert got[k].tobytes() == want.tobytes() == mean_sq_consensus(Z[k], xbar[k]).tobytes(), k
+
+
 def test_summarize_constant_log():
     log = make_log([make_row(k) for k in range(10)])
     s = summarize(log)

@@ -168,21 +168,36 @@ def test_per_sample_gradient_matches_finite_differences(model):
         assert np.linalg.norm(fd - exact) <= 1e-5 * max(np.linalg.norm(exact), 1e-8)
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        Model(kind="logistic", d_in=6),
-        Model(kind="mlp", d_in=5, classes=2, hidden=7),
-        Model(kind="mlp", d_in=4, classes=3, hidden=16),
-    ],
-    ids=["logistic", "mlp-2class", "mlp-3class"],
-)
-def test_batched_sample_gradients_equal_per_sample_bitwise(model):
-    rng = np.random.default_rng(11)
-    n = 37
+def _gaussian_draw(model, rng, n):
     Z = rng.standard_normal((n, model.dim)) * 2.0
     Xs = rng.standard_normal((n, model.d_in)) * 3.0
-    ys = rng.integers(model.classes, size=n)
+    return Z, Xs, rng.integers(model.classes, size=n)
+
+
+def _saturated_draw(model, rng, n):
+    """Logistic draws whose bias alone sets |z| > 40, so sigmoid(z) - y is exactly 0.0
+    or tiny, over +-0.0 features: the outer product x * c has -0.0 entries, which the
+    single-sample matmul's one-term sum turns into 0.0."""
+    Z = np.zeros((n, model.dim))
+    Z[:, -1] = rng.choice([-60.0, -45.0, 45.0, 60.0], size=n)
+    Xs = rng.choice([-2.0, -0.0, 0.0, 1.5], size=(n, model.d_in))
+    return Z, Xs, rng.integers(model.classes, size=n)
+
+
+@pytest.mark.parametrize(
+    "model,draw",
+    [
+        (Model(kind="logistic", d_in=6), _gaussian_draw),
+        (Model(kind="mlp", d_in=5, classes=2, hidden=7), _gaussian_draw),
+        (Model(kind="mlp", d_in=4, classes=3, hidden=16), _gaussian_draw),
+        (Model(kind="logistic", d_in=6), _saturated_draw),
+    ],
+    ids=["logistic", "mlp-2class", "mlp-3class", "logistic-saturated"],
+)
+def test_batched_sample_gradients_equal_per_sample_bitwise(model, draw):
+    rng = np.random.default_rng(11)
+    n = 37
+    Z, Xs, ys = draw(model, rng, n)
     got = batched_sample_gradients(model, Z, Xs, ys)
     want = np.stack([per_sample_gradient(model, Z[i], Xs[i], ys[i]) for i in range(n)])
     assert got.tobytes() == want.tobytes()
