@@ -14,14 +14,14 @@ Each is declared once, as an entry of ``_COMMANDS`` (handler, help and own flags
 the parser is built from that table once per process, at import, and gives every
 subcommand ``--config`` and ``--set``, so ``main`` only parses.
 
-``run``, ``compare`` and ``sweep`` run (label, config) points through ``_grid``,
-which builds the dataset and graph and checks connectivity once, and again only
-when a point's ``n`` or graph kind differs.  It resolves each point once in
-``_leg``, which makes every check and derives K, the step size, the privacy budget
-(each distinct target solved once per command) and the schedule for all the point's
-seeds.  In ``compare`` and ``sweep`` the legs at one seed share that seed's initial
-iterates and sample indices (``engine.SeedDraws``) while (n, K, J, d) holds, for
-one command.  ``accountant`` audits that same leg.
+``run``, ``compare`` and ``sweep`` hand (label, config) points to ``_grid`` and
+call ``run`` on each leg it yields.  The grid builds the dataset and graph and
+checks connectivity once, and again only when a point's ``n`` or graph kind
+differs.  It resolves each point once in ``_leg``, which makes every check and
+derives K, the step size, the privacy budget and the schedule for all the point's
+seeds.  In a grid of more than one point the legs at one seed carry that seed's
+initial iterates and sample indices (``engine.SeedDraws``) while (n, K, J, d)
+holds, for one command.  ``accountant`` audits the same leg.
 
 Configuration lives in an INI-style file with sections [run], [privacy],
 [schedule], [graph], and [task]; ``--set section.key=value`` overrides any
@@ -233,20 +233,18 @@ def _setting(cfg: ExperimentConfig) -> tuple:
     return task, graph, check_b_strong_connectivity(graph, B) if cfg.n > 1 else None
 
 
-def _privacy(cfg: ExperimentConfig, solved: dict) -> PrivacySpec:
-    """The (epsilon, delta) target of a private config, solved for mu_tot over run.K steps
-    once per command: ``solved`` holds the command's solves by target."""
-    if not cfg.epsilon > 0:
+def _privacy(cfg: ExperimentConfig) -> PrivacySpec:
+    """The (epsilon, delta) target of a private config, solved for mu_tot over run.K steps."""
+    if cfg.epsilon == 0:
         raise ConfigError("privacy.epsilon is required for private variants")
+    if cfg.epsilon < 0:
+        raise ConfigError(f"privacy.epsilon must be positive, got {cfg.epsilon}")
     if not 0 < cfg.delta < 1:
         raise ConfigError("privacy.delta must lie in (0, 1)")
-    target = cfg.epsilon, cfg.delta, cfg.J, cfg.K
-    if target not in solved:
-        try:
-            solved[target] = PrivacySpec.resolve(*target)
-        except NoBracket as exc:
-            raise ConfigError(f"privacy.epsilon and privacy.delta: {exc}") from exc
-    return solved[target]
+    try:
+        return PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, cfg.K)
+    except NoBracket as exc:
+        raise ConfigError(f"privacy.epsilon and privacy.delta: {exc}") from exc
 
 
 def _corollary(cfg: ExperimentConfig, mu_tot: float) -> tuple[float, int]:
@@ -260,10 +258,9 @@ def _corollary(cfg: ExperimentConfig, mu_tot: float) -> tuple[float, int]:
     return 1.0 / (math.sqrt(n) * cfg.J * mu_tot), round(n * budget**2)
 
 
-def _leg(cfg: ExperimentConfig, setting: tuple, solved: dict | None = None) -> RunConfig:
+def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
     """A config as a RunConfig at seed ``cfg.seed`` in a ``_setting`` built for its n
-    and graph: every check, the step size, K, the privacy solve (shared through the
-    command's ``solved``, as in ``_privacy``) and the schedule."""
+    and graph: every check, the step size, K, the privacy solve and the schedule."""
     task, graph, report = setting
     extra_meta: dict = {"variant": cfg.variant}
 
@@ -276,7 +273,7 @@ def _leg(cfg: ExperimentConfig, setting: tuple, solved: dict | None = None) -> R
     else:
         if cfg.variant not in VARIANTS:
             raise ConfigError(f"schedule.variant must be one of {VARIANTS + (NONPRIVATE,)}")
-        privacy = _privacy(cfg, {} if solved is None else solved)
+        privacy = _privacy(cfg)
         if cfg.gamma == "corollary":
             gamma, K = _corollary(cfg, privacy.mu_tot)
             privacy = dataclasses.replace(privacy, K=K)
@@ -305,26 +302,24 @@ def _leg(cfg: ExperimentConfig, setting: tuple, solved: dict | None = None) -> R
     )
 
 
-def _grid(points, setting: tuple | None = None, every_round: bool = True, solved=None, share=True):
-    """(label, seed, metrics log) at each of the repeat seeds of each (label, config) point;
-    a point's leg is resolved once, in a setting rebuilt only when its n or graph differs,
-    and each privacy target is solved once (``solved``, as in ``_privacy``).  With
-    ``share``, the legs at one seed read one SeedDraws, held while points keep (n, K, J,
-    d); ``run`` draws inside, so the draws count as engine time.  ``every_round`` goes
-    to ``run``: False evaluates each log at its last round only."""
-    solved = {} if solved is None else solved
-    held, shape = {}, None  # SeedDraws by seed, for the points of this (n, K, J, d)
+def _grid(points: list):
+    """(label, leg) at each of the repeat seeds of each (label, config) point; a point's
+    leg is resolved once, in a setting rebuilt only when its n or graph differs.  With
+    more than one point, the legs at one seed carry one SeedDraws, held while points
+    keep (n, K, J, d); ``run`` draws inside, so the draws count as engine time."""
+    setting, held = None, {}  # SeedDraws by seed
     for label, cfg in points:
         if setting is None or (cfg.n, cfg.graph) != (setting[1].n, setting[1].kind):
             setting = _setting(cfg)
-        leg = _leg(cfg, setting, solved)
-        if shape != (leg.n, leg.K, cfg.J, leg.d):
-            held, shape = {}, (leg.n, leg.K, cfg.J, leg.d)
+        leg = _leg(cfg, setting)
         for seed in range(cfg.seed, cfg.seed + cfg.repeat):
-            if share and seed not in held:
-                held[seed] = SeedDraws(seed, *shape)
             leg_at_seed = dataclasses.replace(leg, seed=seed)
-            yield label, seed, run(leg_at_seed, every_round=every_round, draws=held.get(seed))
+            if len(points) > 1:  # a one-point grid's legs are all at distinct seeds
+                draws = SeedDraws.of(leg_at_seed)
+                if held.get(seed) != draws:  # a new seed or shape
+                    held[seed] = draws
+                leg_at_seed.draws = held[seed]
+            yield label, leg_at_seed
 
 
 def _write(path: str, text: str) -> None:
@@ -340,12 +335,13 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 def cmd_run(args, cfg: ExperimentConfig) -> int:
     stem, ext = os.path.splitext(args.output or "run.csv")  # the file name's extension only
-    for _, seed, log in _grid([(cfg.variant, cfg)], share=False):  # one leg a seed
-        if seed == cfg.seed:
+    for _, leg in _grid([(cfg.variant, cfg)]):
+        log = run(leg)
+        if leg.seed == cfg.seed:
             for key in ("mu_tot", "mu0"):
                 if key in log.meta:
                     print(f"{key} = {log.meta[key]}")
-        path = f"{stem}{ext}" if cfg.repeat == 1 else f"{stem}_seed{seed}{ext}"
+        path = f"{stem}{ext}" if cfg.repeat == 1 else f"{stem}_seed{leg.seed}{ext}"
         log.write_csv(path)
         print(f"wrote {path}")
     return 0
@@ -358,17 +354,17 @@ def cmd_compare(args, cfg: ExperimentConfig) -> int:
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r} in --variants")
-    setting, solved = _setting(cfg), {}
     points = [(v, dataclasses.replace(cfg, variant=v)) for v in variants]
     if cfg.gamma == "corollary":  # the baseline runs at the private legs' step size and K
-        gamma, K = _corollary(cfg, _privacy(cfg, solved).mu_tot)
+        gamma, K = _corollary(cfg, _privacy(cfg).mu_tot)
         cfg = dataclasses.replace(cfg, gamma=gamma, K=K)
     points.append((NONPRIVATE, dataclasses.replace(cfg, variant=NONPRIVATE)))
-    grid = _grid(points, setting, every_round=False, solved=solved)  # the table reads row K-1
+    grid = _grid(points)
     table = [("variant", "epsilon", "delta", "final_loss", "final_accuracy")]
     rows = []
-    for variant, _ in points:  # each point's cfg.repeat logs, in turn
-        summaries = [summarize(log) for _, _, log in itertools.islice(grid, cfg.repeat)]
+    for variant, _ in points:  # each point's cfg.repeat legs, in turn; the table reads row K-1
+        legs = itertools.islice(grid, cfg.repeat)
+        summaries = [summarize(run(dataclasses.replace(leg, every_round=False))) for _, leg in legs]
         stats = _mean_std([s.final_loss for s in summaries])
         stats += _mean_std([s.final_accuracy for s in summaries])
         private = variant != NONPRIVATE
@@ -395,8 +391,8 @@ def cmd_sweep(args, cfg: ExperimentConfig) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
-    grid = _grid((v, _apply_axis(cfg, args.axis, v)) for v in values)
-    rows = [(args.axis, v, seed, *dataclasses.astuple(summarize(log))) for v, seed, log in grid]
+    grid = _grid([(v, _apply_axis(cfg, args.axis, v)) for v in values])  # every value parsed first
+    rows = [(args.axis, v, leg.seed, *dataclasses.astuple(summarize(run(leg)))) for v, leg in grid]
     header = ",".join(["axis", "value", "seed", *(f.name for f in dataclasses.fields(RunSummary))])
     _write(args.output or "sweep.csv", csv_text(header, zip(*rows)))
     return 0

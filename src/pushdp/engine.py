@@ -39,10 +39,10 @@ Runs are bitwise reproducible per seed, and ablating noise never shifts the samp
 What no leg at a seed changes, its keys, initial iterates and all K rounds of sample
 indices, is one ``SeedDraws``: drawn on first use inside ``run``, then held read-only.
 The index table is (K, n) in the smallest unsigned dtype that holds J - 1 (K * n bytes
-up to J = 256).  A grid hands one to every leg at its seed for one command; ``run``
-given none makes its own and reads its indices block by block, holding no table.  A
-block holds its noise (drawn per leg), its rounds' z_i and its gathered samples:
-n * ROUND_BLOCK * (2d + d_in) floats.
+up to J = 256).  A leg carries it as ``RunConfig.draws``, shared with the other legs at
+its seed; a config with none makes its own and reads its indices block by block, holding
+no table.  A block holds its noise (drawn per leg), its rounds' z_i and its gathered
+samples: n * ROUND_BLOCK * (2d + d_in) floats.
 """
 
 from __future__ import annotations
@@ -203,7 +203,9 @@ class RunConfig:
     ``schedule`` is a NoiseSchedule from ``build_schedule``; None selects the
     non-private path (no clipping, no noise).  ``noise_enabled = False`` keeps
     the clipping bound of the schedule but injects no noise, which isolates
-    the two privacy mechanisms in ablations.
+    the two privacy mechanisms in ablations.  ``every_round = False`` evaluates
+    only round K-1 (see ``run``).  ``draws`` are the config's own ``SeedDraws``,
+    shared with other legs at its seed; by default the run makes its own.
     """
 
     task: Task
@@ -214,6 +216,8 @@ class RunConfig:
     seed: int
     noise_enabled: bool = True
     extra_meta: dict = field(default_factory=dict)
+    every_round: bool = True
+    draws: SeedDraws | None = None
 
     @property
     def n(self) -> int:
@@ -299,18 +303,17 @@ def _noise_blocks(keys: np.ndarray, sigma: np.ndarray, d: int):
         yield block
 
 
-def run(config: RunConfig, every_round: bool = True, draws: SeedDraws | None = None) -> MetricsLog:
+def run(config: RunConfig) -> MetricsLog:
     """Execute K rounds and return the full metrics log.
 
     Row k is evaluated at the average iterate entering round k, while its
     clip rate refers to the gradients sampled during round k.  With
-    ``every_round=False`` only row K-1 is: the loss, grad_norm_sq and accuracy
-    of earlier rows are NaN, and as evaluation only observes, every other cell
-    and the metadata are those of the every-round log.  The log's
+    ``config.every_round`` False only row K-1 is: the loss, grad_norm_sq and
+    accuracy of earlier rows are NaN, and as evaluation only observes, every
+    other cell and the metadata are those of the every-round log.  The log's
     metadata records the worst push-sum weight-sum drift and the largest
     unclipped stochastic gradient norm seen, both useful sanity checks.
-    ``draws`` are the config's own ``SeedDraws``, shared with other legs at its seed;
-    by default the run makes its own.
+    ``config.draws`` must be made for the config's (seed, n, K, J, d).
     """
     model, data = config.task.model, config.task.dataset
     n, d, K, J = config.n, config.d, config.K, config.task.dataset.J
@@ -319,7 +322,7 @@ def run(config: RunConfig, every_round: bool = True, draws: SeedDraws | None = N
     if config.gamma < 0:
         raise ValueError("step size must be nonnegative")
     clip, budget, sigma = _schedule_arrays(config)
-    own = SeedDraws.of(config)
+    own, draws = SeedDraws.of(config), config.draws
     if draws is None:  # a lone run holds no index table: it reads its indices block by block
         draws, index_blocks = own, own.index_blocks()
     elif draws != own:
@@ -343,7 +346,7 @@ def run(config: RunConfig, every_round: bool = True, draws: SeedDraws | None = N
             Zs, norms, weights = np.empty((B, n, d)), np.empty((B, n)), np.empty((B, n))
             for b, k in enumerate(range(k0, k0 + B)):
                 xbar = np.divide(X.sum(axis=0), n, out=xbars[b])  # == X.mean(axis=0)
-                if every_round or k == K - 1:
+                if config.every_round or k == K - 1:
                     measured[k, 0], grads[b], measured[k, 4] = evaluate(model, data, xbar)
                 Zs[b] = Z
                 G = batched_sample_gradients(model, Z, Xs[b], ys[b])

@@ -35,7 +35,7 @@ def run_from(config, x0):
     instead of its init-stream draw: it is handed draws whose ``init`` is ``x0``."""
     draws = engine.SeedDraws.of(config)
     draws.init = np.array(x0, dtype=float)  # set before first use, so never drawn
-    return engine.run(config, draws=draws)
+    return engine.run(dataclasses.replace(config, draws=draws))
 
 
 def reference_loss_grad(
@@ -342,17 +342,16 @@ def validate_each_slice(weights) -> None:
 @contextlib.contextmanager
 def cli_resolving_each_leg():
     """``pushdp.cli`` as if nothing were shared: every (point, seed) pair of a
-    command's grid builds its own dataset, graph, connectivity report, leg (privacy
-    solve included) and draws from its config.  The reference for the setting a grid
-    builds once per n and graph kind, the leg it resolves once per point, the solve it
-    makes once per target and the draws its legs at one seed share."""
+    command's grid builds its own dataset, graph, connectivity report and leg (privacy
+    solve included), and its run makes its own draws.  The reference for the setting a
+    grid builds once per n and graph kind, the leg it resolves once per point and the
+    draws its legs at one seed share."""
 
-    def grid_alone(points, setting=None, every_round=True, **shared):
+    def grid_alone(points):
         for label, cfg in points:
             for seed in range(cfg.seed, cfg.seed + cfg.repeat):
                 alone = dataclasses.replace(cfg, seed=seed)
-                leg = cli._leg(alone, cli._setting(alone))
-                yield label, seed, cli.run(leg, every_round=every_round)
+                yield label, cli._leg(alone, cli._setting(alone))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_grid", grid_alone)

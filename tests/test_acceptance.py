@@ -168,8 +168,8 @@ def test_06_schedule_variant_ordering():
                 private_config(
                     n=20, J=250, K=2000, epsilon=0.3, variant=variant,
                     gamma=0.15, d_in=10, separation=0.8, seed=s,
+                    every_round=False,  # only the final accuracy is read
                 ),
-                every_round=False,  # only the final accuracy is read
             )
             for s in seeds
         ]
@@ -239,9 +239,9 @@ def test_08_graph_ordering():
             sched = build_schedule("dyn", privacy, clip0=2.0, rho_c=4.0, rho_mu=4.0)
             cfg = RunConfig(
                 task=Task(model=model, dataset=data), graph=graph_schedule(kind, 20),
-                schedule=sched, gamma=0.1, K=K, seed=s,
+                schedule=sched, gamma=0.1, K=K, seed=s, every_round=False,
             )
-            accs.append(run(cfg, every_round=False).rows[-1].accuracy)
+            accs.append(run(cfg).rows[-1].accuracy)
         means[kind] = float(np.mean(accs))
     assert means["ring"] <= means["exponential"] <= means["complete"], means
     report(

@@ -427,6 +427,8 @@ def test_disconnected_schedule_fails_after_each_legs_own_checks(tmp_path, comman
     # a leg's own fault is named first, as when every leg built its setting itself
     no_epsilon = "config error: privacy.epsilon is required for private variants\n"
     assert _exit_code_and_stderr([*args, "--set", "privacy.epsilon=0"]) == (1, no_epsilon)
+    negative = "config error: privacy.epsilon must be positive, got -1.0\n"
+    assert _exit_code_and_stderr([*args, "--set", "privacy.epsilon=-1"]) == (1, negative)
     assert not out.exists()
 
 
@@ -436,7 +438,8 @@ def test_disconnected_schedule_fails_after_each_legs_own_checks(tmp_path, comman
         ("epsilon", "inf", "privacy.epsilon"),
         ("rho_c", "nan", "schedule.rho_c"),
         ("n", "0", "run.n"),
-        ("epsilon", "0.5,inf", "privacy.epsilon"),  # after a value whose legs ran
+        ("epsilon", "0.5,inf", "privacy.epsilon"),  # every value is parsed before a leg runs
+        ("epsilon", "0.5,-1", "privacy.epsilon must be positive, got -1.0"),
         ("epsilon", " , ", "--values"),  # no value at all
     ],
 )
@@ -606,9 +609,12 @@ def test_compare_under_the_corollary_preset_builds_each_schedule_once(tmp_path, 
     assert built == ["dyn", "const"]
 
 
-def test_compare_under_the_corollary_preset_solves_its_privacy_target_once(tmp_path, monkeypatch):
-    # the baseline's step size and both legs read one solve of (epsilon, delta, J, K)
-    solves, resolve, privacy = [], accountant.PrivacySpec.resolve, cli._privacy
+def test_compare_under_the_corollary_preset_solves_the_baseline_and_each_private_point(
+    tmp_path, monkeypatch
+):
+    # one solve of (epsilon, delta, J, K) for the baseline's step size and one per private
+    # point, shared by its seeds
+    solves, resolve = [], accountant.PrivacySpec.resolve
 
     def counted(*target):
         solves.append(target)
@@ -616,19 +622,10 @@ def test_compare_under_the_corollary_preset_solves_its_privacy_target_once(tmp_p
 
     monkeypatch.setattr(accountant.PrivacySpec, "resolve", counted)
     preset = ["run.gamma=corollary", "run.K=0", "privacy.epsilon=0.3", "run.repeat=2"]
-    out = tmp_path / "table.csv"
-    args = _command_args("compare", write_config(tmp_path), preset, out)
+    args = _command_args("compare", write_config(tmp_path), preset, tmp_path / "table.csv")
     args[args.index("--variants") + 1] = "dyn,const"
-    results = []
-    for solving, count in ((privacy, 1), (lambda cfg, solved: privacy(cfg, {}), 3)):
-        solves.clear()
-        monkeypatch.setattr(cli, "_privacy", solving)
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            assert main(args) == 0
-        assert solves == [(0.3, 1e-4, 20, 0)] * count
-        results.append((stdout.getvalue(), out.read_bytes()))
-    assert results[0] == results[1]  # solving once per leg, as before, prints the same
+    assert _exit_code_and_stderr(args) == (0, "")
+    assert solves == [(0.3, 1e-4, 20, 0)] * 3
 
 
 def test_compare_rejects_unknown_variant(tmp_path):
@@ -939,8 +936,8 @@ def test_compare_with_a_shared_setting_equals_legs_built_alone(tmp_path, builds,
             assert main(args) == 0
         results.append((stdout.getvalue(), out.read_bytes()))
     assert results[0] == results[1]
-    # once shared, then once up front and once for each of the 5 x 2 legs
-    assert builds["synth_dataset"] == 1 + 1 + 10
+    # once shared, then once for each of the 5 x 2 legs
+    assert builds["synth_dataset"] == 1 + 10
 
 
 @pytest.mark.parametrize("axis,values", [("n", "4,8,4"), ("graph", "ring,complete")])
@@ -969,9 +966,9 @@ def evaluations(monkeypatch):
     """The ``engine.evaluate`` calls of each engine run the CLI makes, one count per run."""
     counts, run, evaluate = [], cli.run, engine.evaluate
 
-    def counted_run(config, **kwargs):
+    def counted_run(config):
         counts.append(0)
-        return run(config, **kwargs)
+        return run(config)
 
     def counted_evaluate(*args):
         counts[-1] += 1
@@ -983,13 +980,11 @@ def evaluations(monkeypatch):
 
 
 @contextlib.contextmanager
-def grid_evaluating_every_round():
-    """``cli._grid`` with every run evaluated at every round, whatever its caller asks."""
-    grid = cli._grid
+def runs_evaluating_every_round():
+    """``cli.run`` with every run evaluated at every round, whatever its caller asks."""
+    run = cli.run
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_grid", lambda points, setting=None, every_round=True, **kwargs: grid(
-            points, setting, **kwargs
-        ))
+        patch.setattr(cli, "run", lambda config: run(dataclasses.replace(config, every_round=True)))
         yield
 
 
@@ -1000,7 +995,7 @@ def test_compare_evaluates_each_run_once_and_prints_what_every_round_evaluation_
     out = tmp_path / "table.csv"
     args = ["compare", "--config", config, "--set", "run.repeat=2", "--output", str(out)]
     results = []
-    for context, calls in ((contextlib.nullcontext(), 1), (grid_evaluating_every_round(), 10)):
+    for context, calls in ((contextlib.nullcontext(), 1), (runs_evaluating_every_round(), 10)):
         evaluations.clear()
         stdout = io.StringIO()
         with context, contextlib.redirect_stdout(stdout):
@@ -1026,15 +1021,42 @@ def test_run_and_sweep_evaluate_every_round(tmp_path, evaluations, command, runs
 
 @pytest.fixture
 def legs(monkeypatch):
-    """(config, every_round, draws, log) of each engine run the CLI makes, in order."""
+    """(config, log) of each engine run the CLI makes, in order."""
     made, run = [], cli.run
 
-    def recorded(config, every_round=True, draws=None):
-        made.append((config, every_round, draws, run(config, every_round, draws)))
+    def recorded(config):
+        made.append((config, run(config)))
         return made[-1][-1]
 
     monkeypatch.setattr(cli, "run", recorded)
     return made
+
+
+@pytest.mark.parametrize(
+    "command,runs",
+    [
+        (["run"], 2),
+        (["compare", "--variants", "dyn,const"], 6),  # (2 variants + baseline) x 2 seeds
+        (["sweep", "--axis", "epsilon", "--values", "0.5,1.0"], 4),
+    ],
+    ids=["run", "compare", "sweep"],
+)
+def test_a_wrapper_of_run_taking_the_config_alone_sees_every_leg(
+    tmp_path, monkeypatch, command, runs
+):
+    # the benchmark calibration's noise-free control wraps pushdp.cli.run in this form
+    logs, run = [], cli.run
+
+    def noise_free(config):
+        logs.append(run(dataclasses.replace(config, noise_enabled=False)))
+        return logs[-1]
+
+    monkeypatch.setattr(cli, "run", noise_free)
+    config = write_config(tmp_path, BASE.replace("variant = const", "variant = dyn"))
+    args = [command[0], "--config", config, "--set", "run.repeat=2", *command[1:]]
+    assert _exit_code_and_stderr([*args, "--output", str(tmp_path / "out.csv")]) == (0, "")
+    assert len(logs) == runs
+    assert all((log.rows["sigma_k"] == 0).all() for log in logs)
 
 
 @pytest.fixture
@@ -1074,10 +1096,11 @@ def test_grid_legs_sharing_draws_equal_runs_drawing_alone(tmp_path, legs, grid):
     # K spans a block boundary of the index table
     assert _exit_code_and_stderr(_grid_args(tmp_path, grid)) == (0, "")
     assert len(legs) == (10 if grid == "compare" else 4)
-    assert {id(draws) for *_, draws, _ in legs} == {id(legs[0][2]), id(legs[1][2])}  # one a seed
-    for config, every_round, draws, log in legs:
-        assert draws.seed == config.seed
-        assert log.csv_text() == engine.run(config, every_round).csv_text()
+    held = {id(config.draws) for config, _ in legs}
+    assert held == {id(legs[0][0].draws), id(legs[1][0].draws)}  # one a seed
+    for config, log in legs:
+        assert config.draws.seed == config.seed
+        assert log.csv_text() == engine.run(dataclasses.replace(config, draws=None)).csv_text()
 
 
 @pytest.mark.parametrize(
@@ -1105,6 +1128,7 @@ def test_grid_draws_init_and_samples_once_per_seed_and_noise_per_private_leg(
         (["sweep", "--axis", "n", "--values", "4,8,4"], [], 6),  # a point changing n redraws
         (["sweep", "--axis", "n", "--values", "4,4"], [], 2),
         (["run"], ["run.repeat=3"], 3),  # one leg a seed: each run draws its own
+        (["sweep", "--axis", "n", "--values", "4"], [], 2),  # one point, as for run
     ],
 )
 def test_grid_redraws_for_a_new_shape_and_run_shares_nothing(
@@ -1116,5 +1140,5 @@ def test_grid_redraws_for_a_new_shape_and_run_shares_nothing(
     args = [command[0], "--config", config, *sets, *command[1:], *out]
     assert _exit_code_and_stderr(args) == (0, "")
     assert streams[engine.PURPOSE_INIT] == streams[engine.PURPOSE_SAMPLE] == init
-    shared = [draws is not None for *_, draws, _ in legs]
-    assert shared == [command[0] != "run"] * len(legs)
+    points = 1 if command[0] == "run" else len(command[-1].split(","))
+    assert [config.draws is not None for config, _ in legs] == [points > 1] * len(legs)

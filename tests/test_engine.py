@@ -149,7 +149,7 @@ def test_local_step_sigma_zero_does_not_advance_stream(monkeypatch):
             n=n, J=10, K=K, epsilon=0.5, variant="dyn", seed=seed, noise_enabled=noise_enabled
         )
         draws = engine.SeedDraws.of(cfg)
-        run(cfg, draws=draws)
+        run(dataclasses.replace(cfg, draws=draws))
         assert blocks == [PURPOSE_SAMPLE] * 2
         return draws.indices
 
@@ -198,18 +198,19 @@ def test_legs_handed_one_seeds_draws_equal_runs_drawing_alone():
     draws = engine.SeedDraws.of(private)
     for every_round in (True, False):
         for leg in legs:
-            shared = run(leg, every_round=every_round, draws=draws).csv_text()
-            assert shared == run(leg, every_round=every_round).csv_text()
+            alone = dataclasses.replace(leg, every_round=every_round)
+            shared = run(dataclasses.replace(alone, draws=draws)).csv_text()
+            assert shared == run(alone).csv_text()
 
 
 @pytest.mark.parametrize("field", ["seed", "n", "K", "J", "d"])
 def test_run_rejects_draws_made_for_another_seed_or_shape(field):
     cfg = private_config(n=4, J=12, K=9, epsilon=0.5, seed=6)
     shape = dict(seed=6, n=4, K=9, J=12, d=cfg.d)
-    engine.run(cfg, draws=engine.SeedDraws(**shape))  # its own shape runs
+    engine.run(dataclasses.replace(cfg, draws=engine.SeedDraws(**shape)))  # its own shape runs
     shape[field] += 1
     with pytest.raises(ValueError, match=r"the run needs SeedDraws\(seed=6, n=4, K=9, J=12, d=7\)"):
-        engine.run(cfg, draws=engine.SeedDraws(**shape))
+        engine.run(dataclasses.replace(cfg, draws=engine.SeedDraws(**shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +529,7 @@ def test_final_only_evaluation_keeps_every_other_cell(make, monkeypatch):
         return evaluate(*args)
 
     monkeypatch.setattr(engine, "evaluate", counted)
-    final = run(make(), every_round=False)
+    final = run(dataclasses.replace(make(), every_round=False))
     assert len(calls) == 1
     assert final.meta == full.meta
     assert final.rows[-1:].tobytes() == full.rows[-1:].tobytes()
