@@ -14,35 +14,32 @@ Column stochasticity conserves the sums of x and w, so the average iterate
 follows the noisy mean gradient exactly and the weights w recover the bias a
 directed graph would otherwise inject into z.
 
-``run`` is the only round path.  It runs the rounds in blocks of ROUND_BLOCK, and a
-round computes only what the next one reads: the average iterate and its evaluation,
-every node's gradient at its own z_i in one batched kernel, then clipping, noise and
-the half-step on all rows at once, and ``_mix_arrays``, which mixes every row by the
-graph's ``mix`` (a gather of each node's one peer on ring and exponential graphs).
-Before its first round a block gathers its (B, n) samples in one ``take`` and scales
-its noise by sigma_k in place; after its last it derives the diagnostics (consensus
-error, grad_norm_sq, clip rate, largest gradient norm, weight-sum drift) from what its
-rounds kept.  Each dot product and sum reproduces its single-node, single-round
-counterpart bit for bit, so the result equals a per-node loop exactly.  The schedule
-is read as its three arrays, checked once before round 0.
+``run`` is the only round path, run in blocks of ROUND_BLOCK rounds.  Before its first
+round a block gathers its (B, n) samples in one ``take``, scales its noise by sigma_k in
+place, and mixes the push-sum weights of all its rounds, which never read the iterates;
+a weight at WEIGHT_FLOOR raises at its own round, after the rounds before it.  A round
+computes only what the next one reads: the average iterate and its evaluation, every
+node's gradient at its z_i in one batched kernel, clip, noise and half-step on all rows
+at once, and ``_mix_arrays``: the graph's ``mix`` (a gather of each node's one peer on
+ring and exponential graphs), divided by the weights it leaves into the block's z_i.
+After its last round the block derives the diagnostics from what its rounds kept.
+Every dot product and sum reproduces its single-node, single-round counterpart bit for
+bit, so the result equals a per-node loop exactly.
 
 Randomness comes from one counter-based Philox stream per node and purpose (init,
 sampling, noise), keyed by ``SeedSequence([seed, node, purpose])``; ``stream_keys``
-derives all keys in one vectorized pass.  One generator per purpose serves all
-nodes: set to a fresh-state template of plain ints keyed to node i (later, node i's
-saved state), it writes node i's draw in place into its row.  Key, counter and buffer
-are the whole Philox state, so this equals separate per-node generators.  Streams are
-read in blocks of ROUND_BLOCK rounds, equal to single draws (sample indices decoded
-from raw words by numpy's own rule), and a noise-free run builds no noise stream.
-Runs are bitwise reproducible per seed, and ablating noise never shifts the sampled data.
+derives all keys in one vectorized pass.  One generator per purpose serves all nodes:
+set to a fresh-state template of plain ints keyed to node i (later, node i's saved
+state), it writes node i's draws in place.  Key, counter and buffer are the whole Philox
+state, so this equals separate per-node generators, read a block at a time (sample
+indices decoded from raw words by numpy's own rule).  A noise-free run builds no noise
+stream, and ablating noise never shifts the sampled data.
 
 What no leg at a seed changes, its keys, initial iterates and all K rounds of sample
-indices, is one ``SeedDraws``: drawn on first use inside ``run``, then held read-only.
-The index table is (K, n) in the smallest unsigned dtype that holds J - 1 (K * n bytes
-up to J = 256).  A leg carries it as ``RunConfig.draws``, shared with the other legs at
-its seed; a config with none makes its own and reads its indices block by block, holding
-no table.  A block holds its noise (drawn per leg), its rounds' z_i and its gathered
-samples: n * ROUND_BLOCK * (2d + d_in) floats.
+indices, is one ``SeedDraws``, drawn on first use inside ``run`` and then held read-only
+(the index table in K * n bytes up to J = 256).  A leg carries it as ``RunConfig.draws``,
+shared with the other legs at its seed; a config with none reads its indices block by
+block.  Every block reuses one buffer of noise, z_i and samples: n * B * (2d + d_in) floats.
 """
 
 from __future__ import annotations
@@ -184,16 +181,11 @@ class _Streams:
         return idx
 
 
-def _mix_arrays(
-    halves: np.ndarray, weights: np.ndarray, graph: GraphSchedule, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Round k's gossip exchange: mixed iterates, mixed weights, de-biased estimates."""
-    x_next = graph.mix(k, halves)
-    w_next = graph.mix(k, weights)
-    if (w_next <= WEIGHT_FLOOR).any():
-        node = int(np.argmax(w_next <= WEIGHT_FLOOR))
-        raise DegenerateWeight(f"push-sum weight underflowed at node {node}")
-    return x_next, w_next, x_next / w_next[:, None]
+def _mix_arrays(halves: np.ndarray, weights: np.ndarray, graph: GraphSchedule, k: int, z: np.ndarray):
+    """Round k's half-steps mixed through P_k; their estimates de-biased by ``weights`` go to ``z``."""
+    mixed = graph.mix(k, halves)
+    np.divide(mixed, weights[:, None], out=z)
+    return mixed
 
 
 @dataclass
@@ -295,12 +287,11 @@ def _blocks(K: int):
 
 def _noise_blocks(keys: np.ndarray, sigma: np.ndarray, d: int):
     """Each block's noise, (n, B, d) with [i, b] node i's noise in the block's round b:
-    standard normals scaled by sigma_k in place."""
-    noisers = _Streams(keys)
+    standard normals scaled by sigma_k in place, in one buffer that each block reuses."""
+    noisers, buffer = _Streams(keys), np.empty((len(keys), min(ROUND_BLOCK, len(sigma)), d))
     for k0, B, last in _blocks(len(sigma)):
-        block = noisers.normals(np.empty((len(keys), B, d)), last)
-        block *= sigma[k0 : k0 + B, None]  # round k0 + b's standard normals times its sigma_k
-        yield block
+        block = noisers.normals(buffer[:, :B], last)
+        yield np.multiply(block, sigma[k0 : k0 + B, None], out=block)  # round k0 + b's times its sigma_k
 
 
 def run(config: RunConfig) -> MetricsLog:
@@ -330,8 +321,10 @@ def run(config: RunConfig) -> MetricsLog:
     else:
         index_blocks = (draws.indices[k0 : k0 + B] for k0, B, _ in _blocks(K))
 
-    X = Z = draws.init
-    w = np.ones(n)
+    X, rows = draws.init, min(K, ROUND_BLOCK) + 1  # every block reuses the buffers below
+    weights, Zs = np.ones((rows, n)), np.empty((rows, n, d))  # row b enters the block's round b
+    samples = np.empty((rows - 1, n, data.d_in))  # mode "clip" takes into it unbuffered: in range
+    Zs[0] = X
     features, labels = data.flat()
     offsets = np.arange(n) * J  # node i's shard starts at row i * J of the pooled data
     measured = np.full((K, 5), math.nan)  # loss, grad_norm_sq, consensus_err, clip_rate, accuracy
@@ -341,27 +334,32 @@ def run(config: RunConfig) -> MetricsLog:
         noise_blocks = _noise_blocks(draws.keys[PURPOSE_NOISE], sigma, d) if sigma.any() else None
         for (k0, B, _), idx in zip(_blocks(K), index_blocks):
             noise = None if noise_blocks is None else next(noise_blocks)
-            Xs, ys = features.take(idx + offsets, axis=0), labels.take(idx + offsets)
-            xbars, grads = np.empty((B, d)), np.full((B, d), math.nan)
-            Zs, norms, weights = np.empty((B, n, d)), np.empty((B, n)), np.empty((B, n))
+            at = idx + offsets  # the samples' rows in the pooled data
+            Xs, ys = features.take(at, axis=0, out=samples[:B], mode="clip"), labels.take(at)
+            for b in range(B):  # the push-sum weights never read the iterates
+                weights[b + 1] = config.graph.mix(k0 + b, weights[b])
+            starved = (weights[1 : B + 1] <= WEIGHT_FLOOR).any(axis=1).tolist()  # raised at its round
+            xbars, grads, norms = np.empty((B, d)), np.full((B, d), math.nan), np.empty((B, n))
             for b, k in enumerate(range(k0, k0 + B)):
-                xbar = np.divide(X.sum(axis=0), n, out=xbars[b])  # == X.mean(axis=0)
+                if starved[b]:
+                    node = int(np.argmax(weights[b + 1] <= WEIGHT_FLOOR))
+                    raise DegenerateWeight(f"push-sum weight underflowed at node {node}")
+                xbar = np.divide(np.einsum("ij->j", X), n, out=xbars[b])  # == X.mean(axis=0), as d >= 2
                 if config.every_round or k == K - 1:
                     measured[k, 0], grads[b], measured[k, 4] = evaluate(model, data, xbar)
-                Zs[b] = Z
-                G = batched_sample_gradients(model, Z, Xs[b], ys[b])
-                np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0], out=norms[b])  # == np.linalg.norm per row
+                G = batched_sample_gradients(model, Zs[b], Xs[b], ys[b])
+                np.sqrt(np.vecdot(G, G), out=norms[b])  # == np.linalg.norm per row
                 G *= np.minimum(clip[k] / norms[b], 1.0)[:, None]  # x * 1.0 == x
                 halves = X - config.gamma * (G if noise is None else G + noise[:, b])
-                X, w, Z = _mix_arrays(halves, w, config.graph, k)
+                X = _mix_arrays(halves, weights[b + 1], config.graph, k, Zs[b + 1])
                 if not np.isfinite(X).all():
                     raise NonFiniteParameter(k)
-                weights[b] = w
-            measured[k0 : k0 + B, 1] = (grads[:, None, :] @ grads[:, :, None])[:, 0, 0]  # == grad @ grad
-            measured[k0 : k0 + B, 2] = mean_sq_consensus(Zs, xbars)
+            measured[k0 : k0 + B, 1] = np.vecdot(grads, grads)  # == grad @ grad
+            measured[k0 : k0 + B, 2] = mean_sq_consensus(Zs[:B], xbars, out=Zs[:B])
             measured[k0 : k0 + B, 3] = np.count_nonzero(norms > clip[k0 : k0 + B, None], axis=1) / n
             max_grad_norm = max(max_grad_norm, float(norms.max()))
-            max_weight_drift = max(max_weight_drift, float(np.abs(weights.sum(axis=1) - n).max()))
+            max_weight_drift = max(max_weight_drift, float(np.abs(weights[1 : B + 1].sum(axis=1) - n).max()))
+            weights[0], Zs[0] = weights[B], Zs[B]  # what the next block's first round enters with
 
     meta = {
         "n": n, "d": d, "K": K, "J": J, "gamma": float(config.gamma), "seed": config.seed,

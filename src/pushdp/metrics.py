@@ -60,10 +60,10 @@ class MetricsLog:
             fh.write(self.csv_text())
 
 
-def mean_sq_consensus(Z: np.ndarray, xbar: np.ndarray):
-    """Mean over nodes of the squared distance from the average iterate, for Z of shape
-    (..., n, d) and xbar of shape (..., d): a stack of rounds gives one value per round."""
-    diff = Z - xbar[..., None, :]
+def mean_sq_consensus(Z: np.ndarray, xbar: np.ndarray, out: np.ndarray | None = None):
+    """Mean over nodes of the squared distance from the average iterate, for Z (..., n, d) and
+    xbar (..., d), one value per round of a stack; the differences go to ``out``, which may be Z."""
+    diff = np.subtract(Z, xbar[..., None, :], out=out)
     return np.einsum("...ij,...ij->...i", diff, diff).sum(axis=-1) / diff.shape[-2]  # == np.mean
 
 

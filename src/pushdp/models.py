@@ -19,6 +19,7 @@ its logistic loss ``log1p(exp(-|z|)) + (max(z, 0) - y z)`` shares the sigmoid's 
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,14 +62,15 @@ class Dataset:
         return self.features.reshape(-1, self.d_in), self.labels.reshape(-1)
 
 
+@functools.cache
 def _class_means(d_in: int, classes: int, separation: float) -> np.ndarray:
-    """Orthonormal directions scaled to ``separation``, fixed for all seeds."""
+    """Orthonormal directions scaled to ``separation``, fixed for all seeds; made once, read-only."""
     if classes > d_in:
         raise ValueError("need at least as many feature dimensions as classes")
-    rng = np.random.default_rng(_MEANS_SEED)
-    raw = rng.standard_normal((d_in, classes))
-    q, _ = np.linalg.qr(raw)
-    return separation * q[:, :classes].T
+    q, _ = np.linalg.qr(np.random.default_rng(_MEANS_SEED).standard_normal((d_in, classes)))
+    means = separation * q[:, :classes].T
+    means.setflags(write=False)
+    return means
 
 
 def synth_dataset(
@@ -150,19 +152,18 @@ def batched_sample_gradients(
 
     Equals a stack of single-sample two-pass loss-gradient calls bit for bit,
     signs of zero included: each product and sum keeps the single-sample shape
-    as a batched matmul or reduction slice, so numpy runs it by the same
-    routine (``einsum`` or a row-wise ``sum`` add in another order and differ
-    by an ulp).
+    as a batched matmul, a ``vecdot`` (the ddot a one-row matmul runs) or a
+    reduction slice, so numpy runs it by the same routine (``einsum`` or a
+    row-wise ``sum`` add in another order and differ by an ulp).
     """
-    n = Z.shape[0]
     grads = np.empty_like(Z)
     if model.kind == "logistic":
         w, b = model.unflatten(Z)
-        z = (Xs[:, None, :] @ w[:, :, None])[:, 0, 0] + b
+        z = np.vecdot(Xs, w) + b  # the ddot a (1, d) @ (d, 1) matmul runs
         e = np.exp(-np.abs(z))
         coeff = np.maximum(e, z >= 0) / (1.0 + e) - ys  # sigmoid(z) - y, as in evaluate
-        outer = np.multiply(Xs, coeff[:, None], out=grads[:, : model.d_in])
-        outer += 0.0  # -0.0 + 0.0 is 0.0, as in the one-term matmul x * c
+        # -0.0 + 0.0 is 0.0, as in the one-term matmul x * c; multiplied contiguously first
+        np.add(Xs * coeff[:, None], 0.0, out=grads[:, : model.d_in])
         grads[:, model.d_in] = coeff
         return grads
     W1, b1, W2, b2 = model.unflatten(Z)
@@ -170,7 +171,7 @@ def batched_sample_gradients(
     logits = (hidden[:, None, :] @ W2.transpose(0, 2, 1))[:, 0] + b2
     dlogits = np.exp(logits - logits.max(axis=1, keepdims=True))
     dlogits /= dlogits.sum(axis=1, keepdims=True)
-    dlogits[np.arange(n), ys] -= 1.0
+    dlogits[np.arange(len(Z)), ys] -= 1.0
     dpre = (dlogits[:, None, :] @ W2)[:, 0] * (1.0 - hidden**2)
     gW1, gb1, gW2, gb2 = model.unflatten(grads)
     gW1[:] = dpre[:, :, None] @ Xs[:, None, :]

@@ -131,11 +131,12 @@ class GraphSchedule:
         return len(self.weights if self.peers is None else self.peers)
 
     def mix(self, k: int, x: np.ndarray) -> np.ndarray:
-        """P_k @ x for an x of n rows: under one-peer push, half of each row plus half of
-        its peer's, which is the dense product bit for bit unless x has 0s or subnormals."""
+        """P_k @ x for an x of n rows: under one-peer push, half of each row plus the gathered
+        half of its peer's, which is the dense product bit for bit unless x has 0s or subnormals."""
         if self.peers is None:
             return self.weights[k % self.period] @ x
-        return x * 0.5 + x[self.peers[k % self.period]] * 0.5
+        half = x * 0.5
+        return half + half.take(self.peers[k % self.period], axis=0)
 
     def matrix_at(self, k: int) -> np.ndarray:
         """The dense, read-only P_k (for ``peers``, built on each call as P_k @ I)."""

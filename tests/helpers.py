@@ -30,6 +30,13 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def equal_but_nan_payloads(got: np.ndarray, want: np.ndarray) -> bool:
+    """Bitwise equal, except that a NaN may carry any payload: a run stops at its first
+    non-finite iterate, so no NaN's bits reach an output."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def run_from(config, x0):
     """``engine.run`` with node i starting from row i of the (n, d) array ``x0``
     instead of its init-stream draw: it is handed draws whose ``init`` is ``x0``."""
@@ -207,7 +214,8 @@ def recorded_rounds():
     inside the block, taken from what the round passes to the names it calls:
     ``evaluate`` (xbar), ``batched_sample_gradients`` (its result, copied as
     returned and again once the round has clipped it in place) and ``_mix_arrays``
-    (half-steps and weights in, mixed iterates out)."""
+    (half-steps and the weights the round leaves in, mixed iterates out).  The
+    weights entering round k are those round k - 1 left, and all ones at round 0."""
     details, pending = [], {}
     evaluate, gradients, mix = engine.evaluate, engine.batched_sample_gradients, engine._mix_arrays
 
@@ -220,12 +228,14 @@ def recorded_rounds():
         pending["grads"] = pending["G"].copy()
         return pending["G"]
 
-    def record_mix(halves, weights, graph, k):
-        mixed = mix(halves, weights, graph, k)
+    def record_mix(halves, weights, graph, k, z):
+        mixed = mix(halves, weights, graph, k, z)
         details.append(RoundDetail(
             xbar=pending["xbar"], grads=pending["grads"], clipped=pending["G"].copy(),
-            halves=halves.copy(), weights=weights.copy(), mixed=mixed[0].copy(),
+            halves=halves.copy(), weights=pending["weights"] if k else np.ones(len(weights)),
+            mixed=mixed.copy(),
         ))
+        pending["weights"] = weights.copy()
         return mixed
 
     with pytest.MonkeyPatch.context() as patch:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    equal_but_nan_payloads,
     full_objective,
     logistic_task,
     node_stream,
@@ -26,6 +27,7 @@ from pushdp.engine import (
     PURPOSE_NOISE,
     PURPOSE_SAMPLE,
     ROUND_BLOCK,
+    WEIGHT_FLOOR,
     DegenerateWeight,
     NonFiniteParameter,
     RunConfig,
@@ -214,20 +216,27 @@ def test_run_rejects_draws_made_for_another_seed_or_shape(field):
 
 
 # ---------------------------------------------------------------------------
-# mixing: ``_mix_arrays``, the exchange ``run`` performs every round
+# mixing: the push-sum weights, which ``run`` mixes once per block, and ``_mix_arrays``,
+# the exchange of the iterates it performs every round
+
+
+def _exchange(X, w, graph, k):
+    """Round k's exchange as ``run`` makes it: mixed iterates, weights, de-biased estimates."""
+    w_next, z_next = graph.mix(k, w), np.empty_like(X)
+    return _mix_arrays(X, w_next, graph, k, z_next), w_next, z_next
 
 
 def test_mix_round_identity_matrix_is_noop():
     X = np.array([[1.0, 0.0], [0.0, 5.0]])
     identity = graph_schedule("explicit", 2, [np.eye(2)])
-    x_next, w_next, z_next = _mix_arrays(X, np.ones(2), identity, 0)
+    x_next, w_next, z_next = _exchange(X, np.ones(2), identity, 0)
     assert np.array_equal(x_next, X) and np.array_equal(z_next, X)
     assert np.array_equal(w_next, np.ones(2))
 
 
 def test_mix_round_complete_graph_averages_in_one_round():
     X = np.array([[float(i), -float(i)] for i in range(4)])
-    x_next, _, z_next = _mix_arrays(X, np.ones(4), graph_schedule("complete", 4), 0)
+    x_next, _, z_next = _exchange(X, np.ones(4), graph_schedule("complete", 4), 0)
     mean = X.mean(axis=0)
     assert np.allclose(x_next, mean, atol=1e-15)
     assert np.allclose(z_next, mean, atol=1e-15)
@@ -242,18 +251,49 @@ def test_mix_round_conserves_sums():
     A = rng.uniform(0.0, 1.0, (8, 8))
     generic = graph_schedule("explicit", 8, [A / A.sum(axis=0)])
     for graph in (graph_schedule("exponential", 8), generic):
-        x_next, w_next, z_next = _mix_arrays(X, w, graph, 0)
+        x_next, w_next, z_next = _exchange(X, w, graph, 0)
         assert np.allclose(x_next.sum(axis=0), X.sum(axis=0), atol=1e-12)
         assert w_next.sum() == pytest.approx(w.sum(), abs=1e-12)
         assert np.allclose(z_next * w_next[:, None], x_next, atol=1e-12)
 
 
+def _starving_config(a, gamma, K=2 * ROUND_BLOCK):
+    """Two nodes mixing by [[1, 1 - a], [0, a]], so node 1's weight is a^(k+1) after round k."""
+    cfg = private_config(n=2, J=10, K=K, epsilon=1.0, variant="const", seed=3, gamma=gamma, clip0=1.0)
+    return dataclasses.replace(cfg, graph=graph_schedule("explicit", 2, [[[1.0, 1 - a], [0.0, a]]]))
+
+
 def test_mix_round_degenerate_weight():
-    # column-stochastic but node 1 keeps only 10% of its weight per round,
-    # so feeding it an already-underflowed weight must trip the floor
-    graph = graph_schedule("explicit", 2, [[[1.0, 0.9], [0.0, 0.1]]])
+    # column-stochastic but node 1 keeps only 10% of its weight per round, so its
+    # weight 0.1^(k+1) falls to the floor within 300 rounds
     with pytest.raises(DegenerateWeight, match="node 1"):
-        _mix_arrays(np.zeros((2, 1)), np.array([1.0, 2e-300]), graph, 0)
+        run(_starving_config(0.1, gamma=0.1, K=310))
+
+
+# (a, the round whose weights fall to WEIGHT_FLOOR, a step size that diverges before it):
+# at a block's first round, and twice inside a block, where the run diverges in that block
+@pytest.mark.parametrize("a, first, diverging", [
+    (2.2e-5, ROUND_BLOCK, 1e20), (2e-4, ROUND_BLOCK + 17, 1e50), (1e-3, ROUND_BLOCK + 36, 1e50),
+])
+def test_weight_underflow_mid_block_raises_like_a_per_round_check(a, first, diverging):
+    cfg = _starving_config(a, gamma=0.1)
+    P, w = cfg.graph.matrix_at(0), np.ones(2)
+    for k in range(cfg.K):  # the check each round made when it mixed its own weights
+        w = P @ w
+        if (w <= WEIGHT_FLOOR).any():
+            break
+    assert k == first and int(np.argmax(w <= WEIGHT_FLOOR)) == 1
+    with recorded_rounds() as details, pytest.raises(DegenerateWeight) as raised:
+        run(cfg)
+    assert str(raised.value) == "push-sum weight underflowed at node 1"
+    assert len(details) == first  # every round before it ran, and no round after
+    cfg, ref = _starving_config(a, gamma=diverging), []
+    with np.errstate(all="ignore"):
+        reference_run(cfg, ref)
+        with pytest.raises(NonFiniteParameter) as raised:
+            run(cfg)
+    assert raised.value.k == next(k for k, detail in enumerate(ref) if not np.isfinite(detail.mixed).all())
+    assert raised.value.k // ROUND_BLOCK == (first - 1) // ROUND_BLOCK  # the last block it ran
 
 
 def test_ring_mixing_reaches_consensus():
@@ -262,7 +302,7 @@ def test_ring_mixing_reaches_consensus():
     mean = X.mean(axis=0)
     w = np.ones(4)
     for k in range(200):
-        X, w, Z = _mix_arrays(X, w, sched, k)
+        X, w, Z = _exchange(X, w, sched, k)
     assert np.linalg.norm(Z - mean, axis=1).max() <= 1e-6
 
 
@@ -538,6 +578,45 @@ def test_final_only_evaluation_keeps_every_other_cell(make, monkeypatch):
             assert np.isnan(final.rows[name][:-1]).all(), name
         else:
             assert final.rows[name].tobytes() == full.rows[name].tobytes(), name
+
+
+# zeros of both signs, subnormals, values whose squares overflow, infinities and NaN
+_AWKWARD = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, np.inf, -np.inf, np.nan])
+
+
+def _awkward_rows(n, d, special):
+    """(n, d) normals over ten decades, a fifth of the entries drawn from ``_AWKWARD``
+    (its infinities and NaN only if ``special``), and a column of -0.0."""
+    rng = np.random.default_rng([n, d, special])
+    X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-5, 5, (n, d))
+    mask = rng.random((n, d)) < 0.2
+    X[mask] = rng.choice(_AWKWARD if special else _AWKWARD[:6], mask.sum())
+    X[:, 0] = -0.0
+    return X
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["finite", "inf-nan"])
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 3), (3, 11), (20, 11), (256, 11), (7, 210), (256, 33)])
+def test_node_sum_by_einsum_equals_the_axis_0_sum_bitwise(n, d, special):
+    # the sum behind each round's xbar adds the rows in the same order as X.sum(axis=0)
+    # for d >= 2, which every model has (at d = 1 numpy sums the column pairwise); a
+    # run stops at its first non-finite iterate, so no NaN's payload reaches an output
+    X = _awkward_rows(n, d, special)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = np.einsum("ij->j", X), X.sum(axis=0)
+    assert equal_but_nan_payloads(got, want)
+    if not special:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["finite", "inf-nan"])
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (3, 11), (20, 11), (256, 11), (7, 210)])
+def test_row_norms_by_vecdot_equal_linalg_norm_bitwise(n, d, special):
+    # the clip's gradient norms: vecdot runs the ddot np.linalg.norm takes of one row
+    G = _awkward_rows(n, d, special)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = np.sqrt(np.vecdot(G, G)), np.array([np.linalg.norm(g) for g in G])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_divergence_mid_block_raises_at_the_first_non_finite_round():

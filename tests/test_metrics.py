@@ -70,6 +70,10 @@ def test_mean_sq_consensus_over_rounds_equals_each_round_bitwise(rounds, n, d):
         diff = Z[k] - xbar[k]
         want = np.einsum("ij,ij->i", diff, diff).sum() / n
         assert got[k].tobytes() == want.tobytes() == mean_sq_consensus(Z[k], xbar[k]).tobytes(), k
+    # the differences taken in place into Z, as the engine does into its z_i buffer
+    diff = Z - xbar[:, None, :]
+    assert mean_sq_consensus(Z, xbar, out=Z).tobytes() == got.tobytes()
+    assert Z.tobytes() == diff.tobytes()
 
 
 def test_summarize_constant_log():

@@ -18,6 +18,7 @@ from pushdp.models import (
     Dataset,
     Model,
     Task,
+    _class_means,
     batched_sample_gradients,
     evaluate,
     synth_dataset,
@@ -103,6 +104,16 @@ def test_synth_dataset_means_shared_across_seeds():
     mean_a = a.flat()[0][a.flat()[1] == 0].mean(axis=0)
     mean_b = b.flat()[0][b.flat()[1] == 0].mean(axis=0)
     assert np.linalg.norm(mean_a - mean_b) < 0.5
+
+
+def test_class_means_are_made_once_and_read_only():
+    # every dataset build of one shape shares one array, which none of them may write
+    means = _class_means(6, 3, 2.5)
+    assert _class_means(6, 3, 2.5) is means and not means.flags.writeable
+    q, _ = np.linalg.qr(np.random.default_rng(1799).standard_normal((6, 3)))
+    assert means.tobytes() == (2.5 * q[:, :3].T).tobytes()
+    with pytest.raises(ValueError):
+        means += 1.0
 
 
 def test_logistic_is_trainable_noise_free():

@@ -7,7 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import one_peer_matrices, reference_window_distances, validate_each_slice
+from helpers import (
+    equal_but_nan_payloads,
+    one_peer_matrices,
+    reference_window_distances,
+    validate_each_slice,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -419,6 +424,28 @@ def test_mix_matches_dense_oracle(kind, n, k, cols, data):
     else:
         # an odd subnormal's half rounds; the product may fuse it into its sum
         assert np.abs(got - want).max() <= 5e-324
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(["ring", "exponential"]),
+    n=st.integers(1, 70),
+    k=st.integers(0, 20),
+    cols=st.sampled_from([None, 1, 11, 33]),
+    data=st.data(),
+)
+def test_one_peer_mix_equals_the_sum_of_both_halves_bitwise(kind, n, k, cols, data):
+    # each half is taken once and gathered: the old form x * 0.5 + x[p] * 0.5, signed
+    # zeros, subnormals and infinities included
+    schedule = graph_schedule(kind, n)
+    peers = schedule.peers[k % schedule.period]
+    elements = st.one_of(_EDGE_FLOATS, st.sampled_from([np.inf, -np.inf, np.nan]), st.floats(-1e3, 1e3))
+    x = data.draw(hnp.arrays(np.float64, (n,) if cols is None else (n, cols), elements=elements))
+    with np.errstate(invalid="ignore"):
+        got, want = schedule.mix(k, x), x * 0.5 + x[peers] * 0.5
+    assert equal_but_nan_payloads(got, want)
+    if not np.isnan(x).any():
+        assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("kind", ["ring", "exponential"])
