@@ -178,20 +178,6 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
     return parse_config(text, overrides)
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical INI text for a config; parsing it back is lossless."""
-    lines = []
-    current = None
-    for section, key, attr, _ in _FIELDS:
-        if section != current:
-            if current is not None:
-                lines.append("")
-            lines.append(f"[{section}]")
-            current = section
-        lines.append(f"{key} = {getattr(cfg, attr)}")
-    return "\n".join(lines) + "\n"
-
-
 def _build_task(cfg: ExperimentConfig) -> Task:
     mlp = cfg.model == "mlp"
     if not mlp and cfg.model != "logistic":

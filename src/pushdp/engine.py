@@ -16,13 +16,17 @@ directed graph would otherwise inject into z.
 
 ``run`` is the only round path, run in blocks of ROUND_BLOCK rounds.  Before its first
 round a block gathers its (B, n) samples in one ``take``, scales its noise by sigma_k in
-place, and mixes the push-sum weights of all its rounds, which never read the iterates;
-a weight at WEIGHT_FLOOR raises at its own round, after the rounds before it.  A round
-computes only what the next one reads: the average iterate and its evaluation, every
-node's gradient at its z_i in one batched kernel, clip, noise and half-step on all rows
-at once, and ``_mix_arrays``: the graph's ``mix`` (a gather of each node's one peer on
-ring and exponential graphs), divided by the weights it leaves into the block's z_i.
-After its last round the block derives the diagnostics from what its rounds kept.
+place, and mixes the push-sum weights of all its rounds, which never read the iterates.
+A round then computes only the step: every node's gradient at its z_i in one batched
+kernel, its norm, clip, noise and half-step in place in buffers each block reuses, and
+``_mix_arrays``, which writes the graph's ``mix`` (a gather of each node's one peer on
+ring and exponential graphs) straight into row b + 1 of a (B + 1, n, d) iterate buffer
+and divides it by the weights into the block's z_i.  The rounds stop before the first
+whose weights reach WEIGHT_FLOOR.  Only then does the block observe: one ``isfinite``
+over the rounds it ran raises ``NonFiniteParameter`` at the first non-finite one, else a
+starved round raises ``DegenerateWeight``, so the earlier of the two raises, as a
+per-round check would.  One ``einsum`` then takes the B average iterates, ``evaluate``
+runs at each in round order, and the diagnostics follow from what the rounds kept.
 Every dot product and sum reproduces its single-node, single-round counterpart bit for
 bit, so the result equals a per-node loop exactly.
 
@@ -39,7 +43,8 @@ What no leg at a seed changes, its keys, initial iterates and all K rounds of sa
 indices, is one ``SeedDraws``, drawn on first use inside ``run`` and then held read-only
 (the index table in K * n bytes up to J = 256).  A leg carries it as ``RunConfig.draws``,
 shared with the other legs at its seed; a config with none reads its indices block by
-block.  Every block reuses one buffer of noise, z_i and samples: n * B * (2d + d_in) floats.
+block.  Every block reuses one buffer of noise, iterates, z_i and samples:
+n * B * (3d + d_in) floats.
 """
 
 from __future__ import annotations
@@ -181,11 +186,10 @@ class _Streams:
         return idx
 
 
-def _mix_arrays(halves: np.ndarray, weights: np.ndarray, graph: GraphSchedule, k: int, z: np.ndarray):
-    """Round k's half-steps mixed through P_k; their estimates de-biased by ``weights`` go to ``z``."""
-    mixed = graph.mix(k, halves)
-    np.divide(mixed, weights[:, None], out=z)
-    return mixed
+def _mix_arrays(halves: np.ndarray, weights: np.ndarray, graph: GraphSchedule, k: int,
+                out: np.ndarray, z: np.ndarray):
+    """Round k's half-steps mixed through P_k into ``out``, and de-biased by ``weights`` into ``z``."""
+    np.divide(graph.mix(k, halves, out=out), weights[:, None], out=z)
 
 
 @dataclass
@@ -321,11 +325,13 @@ def run(config: RunConfig) -> MetricsLog:
     else:
         index_blocks = (draws.indices[k0 : k0 + B] for k0, B, _ in _blocks(K))
 
-    X, rows = draws.init, min(K, ROUND_BLOCK) + 1  # every block reuses the buffers below
-    weights, Zs = np.ones((rows, n)), np.empty((rows, n, d))  # row b enters the block's round b
+    graph, gamma, every_round = config.graph, config.gamma, config.every_round
+    rows = min(K, ROUND_BLOCK) + 1  # every block reuses the buffers below; row b enters its round b
+    weights, iterates, Zs = np.ones((rows, n)), np.empty((rows, n, d)), np.empty((rows, n, d))
     samples = np.empty((rows - 1, n, data.d_in))  # mode "clip" takes into it unbuffered: in range
-    Zs[0] = X
-    features, labels = data.flat()
+    norms, halves, scale = np.empty((rows - 1, n)), np.empty((n, d)), np.empty(n)
+    iterates[0] = Zs[0] = draws.init
+    features, labels = data.pooled_features, data.pooled_labels
     offsets = np.arange(n) * J  # node i's shard starts at row i * J of the pooled data
     measured = np.full((K, 5), math.nan)  # loss, grad_norm_sq, consensus_err, clip_rate, accuracy
     max_weight_drift = max_grad_norm = 0.0
@@ -337,29 +343,34 @@ def run(config: RunConfig) -> MetricsLog:
             at = idx + offsets  # the samples' rows in the pooled data
             Xs, ys = features.take(at, axis=0, out=samples[:B], mode="clip"), labels.take(at)
             for b in range(B):  # the push-sum weights never read the iterates
-                weights[b + 1] = config.graph.mix(k0 + b, weights[b])
-            starved = (weights[1 : B + 1] <= WEIGHT_FLOOR).any(axis=1).tolist()  # raised at its round
-            xbars, grads, norms = np.empty((B, d)), np.full((B, d), math.nan), np.empty((B, n))
-            for b, k in enumerate(range(k0, k0 + B)):
-                if starved[b]:
-                    node = int(np.argmax(weights[b + 1] <= WEIGHT_FLOOR))
-                    raise DegenerateWeight(f"push-sum weight underflowed at node {node}")
-                xbar = np.divide(np.einsum("ij->j", X), n, out=xbars[b])  # == X.mean(axis=0), as d >= 2
-                if config.every_round or k == K - 1:
-                    measured[k, 0], grads[b], measured[k, 4] = evaluate(model, data, xbar)
+                graph.mix(k0 + b, weights[b], out=weights[b + 1])
+            starved = (weights[1 : B + 1] <= WEIGHT_FLOOR).any(axis=1).tolist()
+            ran = starved.index(True) if True in starved else B  # round `ran` raises DegenerateWeight
+            for b, bound, norm in zip(range(ran), clip[k0 : k0 + ran].tolist(), norms):
                 G = batched_sample_gradients(model, Zs[b], Xs[b], ys[b])
-                np.sqrt(np.vecdot(G, G), out=norms[b])  # == np.linalg.norm per row
-                G *= np.minimum(clip[k] / norms[b], 1.0)[:, None]  # x * 1.0 == x
-                halves = X - config.gamma * (G if noise is None else G + noise[:, b])
-                X = _mix_arrays(halves, weights[b + 1], config.graph, k, Zs[b + 1])
-                if not np.isfinite(X).all():
-                    raise NonFiniteParameter(k)
+                np.sqrt(np.vecdot(G, G, out=norm), out=norm)  # == np.linalg.norm per row
+                G *= np.minimum(np.divide(bound, norm, out=scale), 1.0, out=scale)[:, None]  # x * 1.0 == x
+                step = G if noise is None else np.add(G, noise[:, b], out=halves)
+                np.subtract(iterates[b], np.multiply(step, gamma, out=halves), out=halves)
+                _mix_arrays(halves, weights[b + 1], graph, k0 + b, iterates[b + 1], Zs[b + 1])
+            finite = np.isfinite(iterates[1 : ran + 1]).all(axis=(1, 2))  # before the starved round
+            if not finite.all():
+                raise NonFiniteParameter(k0 + int(np.argmin(finite)))
+            if ran < B:
+                node = int(np.argmax(weights[ran + 1] <= WEIGHT_FLOOR))
+                raise DegenerateWeight(f"push-sum weight underflowed at node {node}")
+            xbars = np.einsum("bij->bj", iterates[:B])  # == each round's X.sum(axis=0), as d >= 2
+            xbars /= n
+            grads = np.full((B, d), math.nan)
+            for b, k in enumerate(range(k0, k0 + B)):
+                if every_round or k == K - 1:
+                    measured[k, 0], grads[b], measured[k, 4] = evaluate(model, data, xbars[b])
             measured[k0 : k0 + B, 1] = np.vecdot(grads, grads)  # == grad @ grad
             measured[k0 : k0 + B, 2] = mean_sq_consensus(Zs[:B], xbars, out=Zs[:B])
-            measured[k0 : k0 + B, 3] = np.count_nonzero(norms > clip[k0 : k0 + B, None], axis=1) / n
-            max_grad_norm = max(max_grad_norm, float(norms.max()))
+            measured[k0 : k0 + B, 3] = np.count_nonzero(norms[:B] > clip[k0 : k0 + B, None], axis=1) / n
+            max_grad_norm = max(max_grad_norm, float(norms[:B].max()))
             max_weight_drift = max(max_weight_drift, float(np.abs(weights[1 : B + 1].sum(axis=1) - n).max()))
-            weights[0], Zs[0] = weights[B], Zs[B]  # what the next block's first round enters with
+            weights[0], iterates[0], Zs[0] = weights[B], iterates[B], Zs[B]  # what the next block enters with
 
     meta = {
         "n": n, "d": d, "K": K, "J": J, "gamma": float(config.gamma), "seed": config.seed,

@@ -29,21 +29,26 @@ _MEANS_SEED = 1799  # class means are fixed across dataset seeds
 
 @dataclass(frozen=True)
 class Dataset:
-    """Disjoint node shards: features (n, J, d_in) and integer labels (n, J), plus
-    the pooled labels as floats (``targets``) and booleans (``positive``) for the
-    logistic evaluation, derived once.  All four arrays are read-only."""
+    """Disjoint node shards: features (n, J, d_in) and integer labels (n, J), plus, derived
+    once, all samples pooled (``pooled_features`` (n*J, d_in), ``pooled_labels`` (n*J,)) and
+    the pooled labels as floats (``targets``) and booleans (``positive``) for the logistic
+    evaluation.  All six arrays are read-only."""
 
     features: np.ndarray
     labels: np.ndarray
     classes: int
+    pooled_features: np.ndarray = field(init=False, repr=False, compare=False)
+    pooled_labels: np.ndarray = field(init=False, repr=False, compare=False)
     targets: np.ndarray = field(init=False, repr=False, compare=False)
     positive: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", self.labels.reshape(-1).astype(float))
-        object.__setattr__(self, "positive", self.labels.reshape(-1).astype(bool))
-        for array in (self.features, self.labels, self.targets, self.positive):
-            array.setflags(write=False)  # one dataset serves every run of a CLI command
+        object.__setattr__(self, "pooled_features", self.features.reshape(-1, self.features.shape[2]))
+        object.__setattr__(self, "pooled_labels", self.labels.reshape(-1))
+        object.__setattr__(self, "targets", self.pooled_labels.astype(float))
+        object.__setattr__(self, "positive", self.pooled_labels.astype(bool))
+        for name in ("features", "labels", "pooled_features", "pooled_labels", "targets", "positive"):
+            getattr(self, name).setflags(write=False)  # one dataset serves every run of a CLI command
 
     @property
     def n(self) -> int:
@@ -56,10 +61,6 @@ class Dataset:
     @property
     def d_in(self) -> int:
         return self.features.shape[2]
-
-    def flat(self) -> tuple[np.ndarray, np.ndarray]:
-        """All samples pooled: features (n*J, d_in), labels (n*J,)."""
-        return self.features.reshape(-1, self.d_in), self.labels.reshape(-1)
 
 
 @functools.cache
@@ -123,7 +124,7 @@ class Model:
         if self.kind == "mlp" and self.hidden < 1:
             raise ValueError("mlp needs a positive hidden width")
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         if self.kind == "logistic":
             return self.d_in + 1
@@ -189,7 +190,7 @@ def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float,
     terms ``log1p(e) + (max(z, 0) - y z)`` and the sigmoid ``max(e, z >= 0) / (1 + e)``
     of the gradient's ``sigmoid(z) - y``; each equals its two-pass formula bit for bit.
     """
-    X, y = dataset.flat()
+    X, y = dataset.pooled_features, dataset.pooled_labels
     N = X.shape[0]
     grad = np.empty(model.dim)
     if model.kind == "logistic":
@@ -206,9 +207,9 @@ def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float,
         coeff /= e
         coeff -= dataset.targets  # sigmoid(z) - y
         grad[: model.d_in] = X.T @ coeff / N
-        grad[model.d_in] = coeff.sum() / N  # == np.mean, as the loss below
+        grad[model.d_in] = np.add.reduce(coeff) / N  # == np.mean, as the loss below
         hits = np.count_nonzero(np.equal(np.greater(z, 0.0, out=mask), dataset.positive, out=mask))
-        return float(terms.sum() / N), grad, float(hits / N)  # exact: hits / N is np.mean's float
+        return float(np.add.reduce(terms) / N), grad, float(hits / N)  # exact: hits / N is np.mean's float
     W1, b1, W2, b2 = model.unflatten(params)
     hidden = np.tanh(X @ W1.T + b1)
     logits = hidden @ W2.T + b2

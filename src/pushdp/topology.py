@@ -130,13 +130,14 @@ class GraphSchedule:
     def period(self) -> int:
         return len(self.weights if self.peers is None else self.peers)
 
-    def mix(self, k: int, x: np.ndarray) -> np.ndarray:
-        """P_k @ x for an x of n rows: under one-peer push, half of each row plus the gathered
-        half of its peer's, which is the dense product bit for bit unless x has 0s or subnormals."""
+    def mix(self, k: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """P_k @ x for an x of n rows, written to ``out`` if given: under one-peer push, half of
+        each row plus the gathered half of its peer's, which is the dense product bit for bit
+        unless x has 0s or subnormals."""
         if self.peers is None:
-            return self.weights[k % self.period] @ x
-        half = x * 0.5
-        return half + half.take(self.peers[k % self.period], axis=0)
+            return np.matmul(self.weights[k % len(self.weights)], x, out=out)
+        half = np.multiply(x, 0.5, out=out)  # its gathered copy is taken before the add writes
+        return np.add(half, half.take(self.peers[k % len(self.peers)], axis=0), out=half)
 
     def matrix_at(self, k: int) -> np.ndarray:
         """The dense, read-only P_k (for ``peers``, built on each call as P_k @ I)."""

@@ -93,7 +93,7 @@ def reference_evaluate(
 ) -> tuple[float, np.ndarray, float]:
     """Loss, gradient and accuracy over the pooled dataset by the two-pass
     formulas; ``models.evaluate`` must equal it bit for bit."""
-    X, y = dataset.flat()
+    X, y = dataset.pooled_features, dataset.pooled_labels
     loss, grad, scores = reference_loss_grad(model, params, X, y)
     hits = (scores > 0) == y if model.kind == "logistic" else scores.argmax(axis=1) == y
     return loss, grad, float(np.mean(hits))
@@ -112,7 +112,7 @@ def per_sample_gradient(model: Model, params: np.ndarray, x: np.ndarray, y: int)
 
 def full_objective(model: Model, dataset, params: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss and gradient averaged over every sample on every node."""
-    X, y = dataset.flat()
+    X, y = dataset.pooled_features, dataset.pooled_labels
     loss, grad, _ = reference_loss_grad(model, params, X, y)
     return loss, grad
 
@@ -192,14 +192,14 @@ def reference_single_node_sgd(task, gamma, K, seed):
     return traj
 
 
-@dataclass(frozen=True)
+@dataclass
 class RoundDetail:
     """One round's per-node arrays: the average iterate it evaluates, each node's
     unclipped and clipped gradient, its half-step, the push-sum weights entering the
     round and the iterates mixed from the half-steps.  ``noise``, the noise each node
     added, is known to ``reference_run`` only."""
 
-    xbar: np.ndarray
+    xbar: np.ndarray | None
     grads: np.ndarray
     clipped: np.ndarray
     halves: np.ndarray
@@ -211,37 +211,40 @@ class RoundDetail:
 @contextlib.contextmanager
 def recorded_rounds():
     """Yield a list that gains one RoundDetail per round of every ``engine.run``
-    inside the block, taken from what the round passes to the names it calls:
-    ``evaluate`` (xbar), ``batched_sample_gradients`` (its result, copied as
-    returned and again once the round has clipped it in place) and ``_mix_arrays``
-    (half-steps and the weights the round leaves in, mixed iterates out).  The
-    weights entering round k are those round k - 1 left, and all ones at round 0."""
-    details, pending = [], {}
-    evaluate, gradients, mix = engine.evaluate, engine.batched_sample_gradients, engine._mix_arrays
+    inside the block, taken from what the run passes to the names it calls.
 
-    def record_evaluate(model, data, xbar):
-        pending["xbar"] = xbar.copy()
-        return evaluate(model, data, xbar)
+    A round calls ``batched_sample_gradients`` (its result is copied as returned, and
+    again once the round has clipped it in place: the step writes elsewhere) and
+    ``_mix_arrays`` (half-steps and the weights the round leaves in; the mixed iterates
+    it writes out).  The weights entering round k are those round k - 1 left, and all
+    ones at round 0.  A block observes its rounds only after the last of them, so each
+    round's xbar comes from the block's one ``mean_sq_consensus`` call, paired by round
+    with the block's details; a block that raises leaves the xbar of its rounds None."""
+    details, pending = [], {}
+    gradients, mix, consensus = engine.batched_sample_gradients, engine._mix_arrays, engine.mean_sq_consensus
 
     def record_gradients(*args):
         pending["G"] = gradients(*args)
         pending["grads"] = pending["G"].copy()
         return pending["G"]
 
-    def record_mix(halves, weights, graph, k, z):
-        mixed = mix(halves, weights, graph, k, z)
+    def record_mix(halves, weights, graph, k, out, z):
+        mix(halves, weights, graph, k, out, z)
         details.append(RoundDetail(
-            xbar=pending["xbar"], grads=pending["grads"], clipped=pending["G"].copy(),
-            halves=halves.copy(), weights=pending["weights"] if k else np.ones(len(weights)),
-            mixed=mixed.copy(),
+            xbar=None, grads=pending["grads"], clipped=pending["G"].copy(), halves=halves.copy(),
+            weights=pending["weights"] if k else np.ones(len(weights)), mixed=out.copy(),
         ))
         pending["weights"] = weights.copy()
-        return mixed
+
+    def record_consensus(Z, xbars, out=None):
+        for detail, xbar in zip(details[-len(xbars) :], xbars, strict=True):
+            detail.xbar = xbar.copy()
+        return consensus(Z, xbars, out=out)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "evaluate", record_evaluate)
         patch.setattr(engine, "batched_sample_gradients", record_gradients)
         patch.setattr(engine, "_mix_arrays", record_mix)
+        patch.setattr(engine, "mean_sq_consensus", record_consensus)
         yield details
 
 

@@ -85,11 +85,12 @@ def test_03_push_sum_consensus():
     for kind in ("ring", "exponential"):
         sched = graph_schedule(kind, 8)
         X = np.random.default_rng(123).standard_normal((8, 5))
-        w, Z = np.ones(8), np.empty_like(X)
+        w, Z, mixed = np.ones(8), np.empty_like(X), np.empty_like(X)
         target = X.mean(axis=0)
         for k in range(300):
             w = sched.mix(k, w)
-            X = _mix_arrays(X, w, sched, k, Z)
+            _mix_arrays(X, w, sched, k, mixed, Z)
+            X, mixed = mixed, X
             worst_drift = max(worst_drift, abs(float(w.sum()) - 8.0))
         worst_dev = max(worst_dev, float(np.linalg.norm(Z - target, axis=1).max()))
     assert worst_dev <= 1e-6

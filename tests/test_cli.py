@@ -22,13 +22,11 @@ from pushdp.accountant import mu_tot_from_eps_delta
 from pushdp.cli import (
     _FIELDS,
     ConfigError,
-    ExperimentConfig,
     _leg,
     _parse_gamma,
     _setting,
     main,
     parse_config,
-    serialize_config,
 )
 from pushdp.metrics import COLUMNS, summarize
 
@@ -72,24 +70,16 @@ def data_lines(path):
 # config parsing
 
 
-def test_parse_serialize_round_trip():
+def test_parse_base_config():
     cfg = parse_config(BASE)
     assert cfg.n == 4 and cfg.K == 15 and cfg.J == 20
-    again = parse_config(serialize_config(cfg))
-    assert again == cfg
 
 
-def test_serialize_default_config_round_trips():
-    cfg = ExperimentConfig()
-    assert parse_config(serialize_config(cfg)) == cfg
-
-
-def test_readme_config_example_parses_and_round_trips():
+def test_readme_config_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (example,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
     cfg = parse_config(example)
     assert (cfg.n, cfg.K, cfg.repeat, cfg.variant, cfg.J) == (20, 2000, 5, "dyn", 250)
-    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_parse_rejects_unknown_section():
@@ -117,7 +107,6 @@ def test_parse_rejects_bad_value():
 def test_parse_gamma_corollary_keyword():
     cfg = parse_config(BASE.replace("gamma = 0.05", "gamma = corollary"))
     assert cfg.gamma == "corollary"
-    assert parse_config(serialize_config(cfg)).gamma == "corollary"
 
 
 def test_overrides_apply_after_file():

@@ -222,8 +222,9 @@ def test_run_rejects_draws_made_for_another_seed_or_shape(field):
 
 def _exchange(X, w, graph, k):
     """Round k's exchange as ``run`` makes it: mixed iterates, weights, de-biased estimates."""
-    w_next, z_next = graph.mix(k, w), np.empty_like(X)
-    return _mix_arrays(X, w_next, graph, k, z_next), w_next, z_next
+    w_next, x_next, z_next = graph.mix(k, w), np.empty_like(X), np.empty_like(X)
+    _mix_arrays(X, w_next, graph, k, x_next, z_next)
+    return x_next, w_next, z_next
 
 
 def test_mix_round_identity_matrix_is_noop():
@@ -294,6 +295,31 @@ def test_weight_underflow_mid_block_raises_like_a_per_round_check(a, first, dive
             run(cfg)
     assert raised.value.k == next(k for k, detail in enumerate(ref) if not np.isfinite(detail.mixed).all())
     assert raised.value.k // ROUND_BLOCK == (first - 1) // ROUND_BLOCK  # the last block it ran
+
+
+# (step size, the error raised): both rounds fall in the block of rounds 64-127, the
+# weights starving at round 81 and the iterates diverging at round 85 or at round 79
+@pytest.mark.parametrize("gamma, error", [(0.1, DegenerateWeight), (1e20, NonFiniteParameter)])
+def test_starving_and_diverging_in_one_block_raise_at_the_earlier_round(gamma, error):
+    cfg, ref = _starving_config(2e-4, gamma=gamma), []
+    with np.errstate(all="ignore"):
+        reference_run(cfg, ref)  # it runs every round: find where each failure sets in
+    starved = next(k for k, detail in enumerate(ref[1:]) if (detail.weights <= WEIGHT_FLOOR).any())
+    diverged = next(k for k, detail in enumerate(ref) if not np.isfinite(detail.mixed).all())
+    assert starved // ROUND_BLOCK == diverged // ROUND_BLOCK == 1
+    assert (starved < diverged) == (error is DegenerateWeight)
+    with recorded_rounds() as details, pytest.raises(error) as raised:
+        run(cfg)
+    if error is DegenerateWeight:
+        assert str(raised.value) == "push-sum weight underflowed at node 1"
+    else:
+        assert raised.value.k == diverged
+    assert len(details) == starved  # the block ran up to its starved round, and no round after
+    for k, (got, want) in enumerate(zip(details[: min(starved, diverged)], ref)):
+        names = ("grads", "clipped", "halves", "weights", "mixed") + (("xbar",) if k < ROUND_BLOCK else ())
+        for name in names:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (k, name)
+    assert all(detail.xbar is None for detail in details[ROUND_BLOCK:])  # its block was not observed
 
 
 def test_ring_mixing_reaches_consensus():
@@ -584,10 +610,11 @@ def test_final_only_evaluation_keeps_every_other_cell(make, monkeypatch):
 _AWKWARD = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, np.inf, -np.inf, np.nan])
 
 
-def _awkward_rows(n, d, special):
+def _awkward_rows(n, d, special, *salt):
     """(n, d) normals over ten decades, a fifth of the entries drawn from ``_AWKWARD``
-    (its infinities and NaN only if ``special``), and a column of -0.0."""
-    rng = np.random.default_rng([n, d, special])
+    (its infinities and NaN only if ``special``), and a column of -0.0; ``salt`` varies
+    the draw."""
+    rng = np.random.default_rng([n, d, special, *salt])
     X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-5, 5, (n, d))
     mask = rng.random((n, d)) < 0.2
     X[mask] = rng.choice(_AWKWARD if special else _AWKWARD[:6], mask.sum())
@@ -607,6 +634,21 @@ def test_node_sum_by_einsum_equals_the_axis_0_sum_bitwise(n, d, special):
     assert equal_but_nan_payloads(got, want)
     if not special:
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["finite", "inf-nan"])
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 3), (3, 11), (20, 11), (256, 11), (7, 210), (256, 33)])
+def test_block_node_sums_by_einsum_equal_each_rounds_node_sum_bitwise(n, d, special):
+    # a block's xbars come from one einsum over its B stacked iterates, which must add
+    # each round's rows as that round's own einsum("ij->j") does
+    H = np.stack([_awkward_rows(n, d, special, b) for b in range(ROUND_BLOCK)])
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = np.einsum("bij->bj", H)
+        for b, rows in enumerate(H):
+            want = np.einsum("ij->j", rows)
+            assert equal_but_nan_payloads(got[b], want)
+            if not special:
+                assert got[b].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("special", [False, True], ids=["finite", "inf-nan"])

@@ -49,7 +49,7 @@ def test_synth_dataset_is_read_only():
         data.features[0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         data.labels[0, 0] = 1
-    X, y = data.flat()
+    X, y = data.pooled_features, data.pooled_labels
     assert not X.flags.writeable and not y.flags.writeable
 
 
@@ -79,8 +79,12 @@ def test_derived_labels_are_read_only_and_belong_to_one_dataset():
 def test_dataset_built_by_hand_is_read_only():
     features, labels = np.zeros((2, 3, 4)), np.ones((2, 3), dtype=int)
     data = Dataset(features=features, labels=labels, classes=2)
-    for array in (data.features, data.labels, data.targets, data.positive):
+    arrays = (data.features, data.labels, data.pooled_features, data.pooled_labels, data.targets, data.positive)
+    for array in arrays:
         assert not array.flags.writeable
+    # the pooled samples are views of the shards, taken once
+    assert data.pooled_features.shape == (6, 4) and np.shares_memory(data.pooled_features, features)
+    assert data.pooled_labels.shape == (6,) and np.shares_memory(data.pooled_labels, labels)
 
 
 def test_synth_dataset_deterministic_in_seed():
@@ -97,12 +101,12 @@ def test_synth_dataset_means_shared_across_seeds():
     a = synth_dataset(1, 2, 2000, d_in=4, classes=2)
     b = synth_dataset(2, 2, 2000, d_in=4, classes=2)
     for data in (a, b):
-        X, y = data.flat()
+        X, y = data.pooled_features, data.pooled_labels
         gap = X[y == 0].mean(axis=0) - X[y == 1].mean(axis=0)
         # orthogonal means of norm 3 sit 3 * sqrt(2) apart
         assert np.linalg.norm(gap) == pytest.approx(3.0 * np.sqrt(2), rel=0.1)
-    mean_a = a.flat()[0][a.flat()[1] == 0].mean(axis=0)
-    mean_b = b.flat()[0][b.flat()[1] == 0].mean(axis=0)
+    mean_a = a.pooled_features[a.pooled_labels == 0].mean(axis=0)
+    mean_b = b.pooled_features[b.pooled_labels == 0].mean(axis=0)
     assert np.linalg.norm(mean_a - mean_b) < 0.5
 
 
@@ -123,7 +127,7 @@ def test_logistic_is_trainable_noise_free():
     params = reference_gd(model, data, steps=6000, lr=0.4)
     _, grad = full_objective(model, data, params)
     assert np.linalg.norm(grad) <= 1e-4
-    X, y = data.flat()
+    X, y = data.pooled_features, data.pooled_labels
     assert np.mean(predictions(model, params, X) == y) >= 0.9
 
 
@@ -287,7 +291,7 @@ def test_evaluate_reports_loss_grad_accuracy():
             assert loss == ref_loss
             assert np.array_equal(grad, ref_grad)
             # the fused accuracy equals a separate forward pass's
-            X, y = data.flat()
+            X, y = data.pooled_features, data.pooled_labels
             assert acc == float(np.mean(predictions(model, params, X) == y))
 
 
@@ -299,7 +303,7 @@ def test_mlp_trains_past_chance():
     for _ in range(1500):
         _, grad = full_objective(model, data, params)
         params -= 0.3 * grad
-    X, y = data.flat()
+    X, y = data.pooled_features, data.pooled_labels
     assert np.mean(predictions(model, params, X) == y) >= 0.9
 
 
@@ -386,7 +390,7 @@ def test_planted_draws_tell_the_loss_formulas_apart():
     differ = 0
     for seed in range(100):
         model, data, params = _evaluate_draw("logistic", 6, 4, 40, "planted", 1.0, seed)
-        X, y = data.flat()
+        X, y = data.pooled_features, data.pooled_labels
         loss, _, z = reference_loss_grad(model, params, X, y)
         differ += loss != _logaddexp_loss(z, y)
     assert differ > 0

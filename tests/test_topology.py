@@ -461,6 +461,22 @@ def test_single_node_mix_returns_its_input(kind):
         assert _bits(schedule.mix(0, np.array([value]))) == _bits(got[:, j])
 
 
+@pytest.mark.parametrize("kind", ["ring", "exponential", "complete", "explicit"])
+def test_mix_into_out_returns_out_and_equals_the_allocating_mix_bitwise(kind):
+    # the round loop mixes straight into its iterate buffer and the weights into theirs
+    n = 6
+    A = np.random.default_rng(5).uniform(0.1, 1.0, (2, n, n))
+    schedule = graph_schedule(kind, n, list(A / A.sum(axis=1, keepdims=True)) if kind == "explicit" else None)
+    rng = np.random.default_rng([n, len(kind)])
+    for k in range(2 * schedule.period + 1):
+        for shape in ((n,), (n, 1), (n, 11)):
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            x[0] = -0.0
+            out = np.full(shape, np.nan)
+            assert schedule.mix(k, x, out=out) is out
+            assert _bits(out) == _bits(schedule.mix(k, x))
+
+
 def test_exponential_n1024_schedule_and_check_allocate_no_dense_matrix():
     # a dense (period, n, n) stack alone would take 84 MB at n = 1024, one n x n float
     # matrix 8 MB; the peers table and the bitset BFS need well under 8 MB together
