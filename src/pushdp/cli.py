@@ -46,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# mu_tot_from_eps_delta is not called here: the benchmark's tracer hooks it by this name
-from .accountant import NoBracket, PrivacySpec, compose_general, mu_tot_from_eps_delta
+from .accountant import NoBracket, PrivacySpec, compose_general
 from .engine import RunConfig, SeedDraws, run
 from .metrics import RunSummary, csv_text, summarize
 from .models import Model, Task, synth_dataset
@@ -182,11 +181,12 @@ def _build_task(cfg: ExperimentConfig) -> Task:
     mlp = cfg.model == "mlp"
     if not mlp and cfg.model != "logistic":
         raise ConfigError(f"task.model must be logistic or mlp, got {cfg.model!r}")
-    classes = cfg.classes if mlp else 2
-    for key, value, low in (("classes", classes, 2), ("d_in", cfg.d_in, classes)):
+    if not mlp and cfg.classes != 2:
+        raise ConfigError(f"task.classes must be 2 for the logistic model, got {cfg.classes}")
+    for key, value, low in (("classes", cfg.classes, 2), ("d_in", cfg.d_in, cfg.classes)):
         if value < low:
             raise ConfigError(f"task.{key} must be at least {low}, got {value}")
-    model = Model(kind=cfg.model, d_in=cfg.d_in, classes=classes, hidden=cfg.hidden if mlp else 0)
+    model = Model(kind=cfg.model, d_in=cfg.d_in, classes=cfg.classes, hidden=cfg.hidden if mlp else 0)
     dataset = synth_dataset(
         cfg.data_seed, cfg.n, cfg.J, d_in=cfg.d_in, classes=model.classes, separation=cfg.separation
     )

@@ -37,58 +37,28 @@ class MixingMatrixError(ValueError):
     """A proposed mixing matrix violates the column-stochastic contract."""
 
 
-class NonFiniteWeight(MixingMatrixError):
-    def __init__(self, i: int, j: int, value: float):
-        self.i, self.j, self.value = i, j, value
-        super().__init__(f"non-finite weight {value!r} at entry ({i}, {j})")
-
-
-class NegativeWeight(MixingMatrixError):
-    def __init__(self, i: int, j: int, value: float):
-        self.i, self.j, self.value = i, j, value
-        super().__init__(f"negative weight {value!r} at entry ({i}, {j})")
-
-
-class ColumnSumViolation(MixingMatrixError):
-    def __init__(self, j: int, total: float):
-        self.j, self.total = j, total
-        super().__init__(f"column {j} sums to {total!r}, expected 1 within {COLUMN_SUM_TOL}")
-
-
-class MissingSelfLoop(MixingMatrixError):
-    def __init__(self, i: int):
-        self.i = i
-        super().__init__(f"node {i} has no positive self weight")
-
-
 def validate_column_stochastic(w: np.ndarray) -> None:
-    """Raise unless the (n, n) matrix is column-stochastic with positive self weights.
+    """Raise ``MixingMatrixError`` unless the (n, n) matrix is column-stochastic with
+    positive self weights.
 
     Checks run in a fixed order: finite entries, entry signs, column sums within
     ``COLUMN_SUM_TOL``, then the diagonal.  Positive diagonals are required
     because a node that forgets its own value breaks push-sum weight recovery.
     """
-    for error, bad in ((NonFiniteWeight, ~np.isfinite(w)), (NegativeWeight, w < 0)):
+    for what, bad in (("non-finite", ~np.isfinite(w)), ("negative", w < 0)):
         entries = np.argwhere(bad)
         if entries.size:
             i, j = (int(v) for v in entries[0])
-            raise error(i, j, float(w[i, j]))
+            raise MixingMatrixError(f"{what} weight {float(w[i, j])!r} at entry ({i}, {j})")
     sums = w.sum(axis=0)
     bad = np.argwhere(np.abs(sums - 1.0) > COLUMN_SUM_TOL)
     if bad.size:
         j = int(bad[0][0])
-        raise ColumnSumViolation(j, float(sums[j]))
+        raise MixingMatrixError(f"column {j} sums to {float(sums[j])!r}, expected 1 within {COLUMN_SUM_TOL}")
     diag = np.diagonal(w)
     off = np.argwhere(diag <= 0)
     if off.size:
-        raise MissingSelfLoop(int(off[0][0]))
-
-
-def exponential_period(n: int) -> int:
-    """Number of rounds before the exponential hop pattern repeats."""
-    if n <= 2:
-        return 1
-    return int(math.floor(math.log2(n - 1))) + 1
+        raise MixingMatrixError(f"node {int(off[0][0])} has no positive self weight")
 
 
 @dataclass(frozen=True)
@@ -139,12 +109,6 @@ class GraphSchedule:
         half = np.multiply(x, 0.5, out=out)  # its gathered copy is taken before the add writes
         return np.add(half, half.take(self.peers[k % len(self.peers)], axis=0), out=half)
 
-    def matrix_at(self, k: int) -> np.ndarray:
-        """The dense, read-only P_k (for ``peers``, built on each call as P_k @ I)."""
-        P = self.weights[k % self.period] if self.peers is None else self.mix(k, np.eye(self.n))
-        P.setflags(write=False)
-        return P
-
 
 def graph_schedule(kind: str, n: int, matrices=None) -> GraphSchedule:
     """Build a schedule from a generator name or an explicit matrix list.
@@ -167,7 +131,8 @@ def graph_schedule(kind: str, n: int, matrices=None) -> GraphSchedule:
         raise ValueError("need at least one node")
     if kind == "complete":
         return GraphSchedule(kind, np.full((1, n, n), 1.0 / n))
-    hops = 2 ** np.arange(exponential_period(n)) if kind == "exponential" else np.ones(1, int)
+    # exponential hops: the powers of two up to n - 1 (hop 1 alone below three nodes)
+    hops = 2 ** np.arange(max(1, (n - 1).bit_length())) if kind == "exponential" else np.ones(1, int)
     # node i receives from (i - hop) mod n; hop % n == 0 sends to self
     return GraphSchedule(kind, peers=(np.arange(n) - hops[:, None]) % n)
 

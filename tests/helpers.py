@@ -299,7 +299,7 @@ def reference_run(config, details: list | None = None):
                 halves[i] = X[i] - config.gamma * g
             clipped_grads[i] = g
         max_grad_norm = max(max_grad_norm, max(norms))
-        P = config.graph.matrix_at(k) if stack is None else stack[k % len(stack)]
+        P = dense_matrix(config.graph, k) if stack is None else stack[k % len(stack)]
         X_next, w_next = P @ halves, P @ w
         Z_next = X_next / w_next[:, None]
         max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))
@@ -345,9 +345,15 @@ def one_peer_matrices(kind: str, n: int) -> np.ndarray:
     return stack
 
 
+def dense_matrix(graph, k: int) -> np.ndarray:
+    """The dense P_k of a schedule, as P_k @ I; for a dense schedule the values of its
+    slice ``weights[k % period]``."""
+    return graph.mix(k, np.eye(graph.n))
+
+
 def validate_each_slice(weights) -> None:
     """``validate_column_stochastic`` on each slice of a ``(period, n, n)`` stack in
-    turn; the oracle for ``GraphSchedule``'s one-pass check."""
+    turn, as ``GraphSchedule`` checks its stack slice by slice on construction."""
     for matrix in np.asarray(weights, dtype=float):
         validate_column_stochastic(matrix)
 

@@ -300,6 +300,7 @@ MODEL_OUT_OF_RANGE = [
     (["task.d_in=1"], "task.d_in"),
     (["task.model=mlp", "task.classes=1"], "task.classes"),
     (["task.model=mlp", "task.classes=7"], "task.d_in"),
+    (["task.classes=3"], "task.classes"),  # the base config's logistic model is binary
 ]
 # explicit matrices that are valid JSON but not a list of matrices, and matrices
 # given to a generated graph kind

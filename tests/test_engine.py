@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    dense_matrix,
     equal_but_nan_payloads,
     full_objective,
     logistic_task,
@@ -278,7 +279,7 @@ def test_mix_round_degenerate_weight():
 ])
 def test_weight_underflow_mid_block_raises_like_a_per_round_check(a, first, diverging):
     cfg = _starving_config(a, gamma=0.1)
-    P, w = cfg.graph.matrix_at(0), np.ones(2)
+    P, w = dense_matrix(cfg.graph, 0), np.ones(2)
     for k in range(cfg.K):  # the check each round made when it mixed its own weights
         w = P @ w
         if (w <= WEIGHT_FLOOR).any():
@@ -367,7 +368,7 @@ def test_consensus_decay_is_geometric_and_within_theory_rate():
     # consensus error is mean-squared, so take the square root before
     # comparing the per-round ratio with the second-largest eigenvalue modulus
     ratio = (err[100] / err[50]) ** (1.0 / (2 * 50))
-    lambda_2 = np.sort(np.abs(np.linalg.eigvals(cfg.graph.matrix_at(0))))[-2]
+    lambda_2 = np.sort(np.abs(np.linalg.eigvals(dense_matrix(cfg.graph, 0))))[-2]
     assert lambda_2 == pytest.approx(np.cos(np.pi / 8), abs=1e-12)
     assert ratio == pytest.approx(lambda_2, abs=1e-6)
 
