@@ -16,17 +16,17 @@ directed graph would otherwise inject into z.
 
 ``run`` is the only round path, run in blocks of ROUND_BLOCK rounds.  Before its first
 round a block gathers its (B, n) samples in one ``take``, scales its noise by sigma_k in
-place, and mixes the push-sum weights of all its rounds, which never read the iterates.
-A round then computes only the step: every node's gradient at its z_i in one batched
-kernel, its norm, clip, noise and half-step in place in buffers each block reuses, and
-``_mix_arrays``, which writes the graph's ``mix`` (a gather of each node's one peer on
-ring and exponential graphs) straight into row b + 1 of a (B + 1, n, d) iterate buffer
-and divides it by the weights into the block's z_i.  The rounds stop before the first
-whose weights reach WEIGHT_FLOOR.  Only then does the block observe: one ``isfinite``
-over the rounds it ran raises ``NonFiniteParameter`` at the first non-finite one, else a
-starved round raises ``DegenerateWeight``, so the earlier of the two raises, as a
-per-round check would.  One ``einsum`` then takes the B average iterates, ``evaluate``
-runs at each in round order, and the diagnostics follow from what the rounds kept.
+place and, on a dense schedule, mixes the push-sum weights of all its rounds (they never
+read the iterates).  Under one-peer push every weight stays 1.0 (``unit_weights``): no
+weight pass, and z_i = x_i / 1.0 is the iterate.  A round computes only the step: each
+node's gradient at its z_i in one batched kernel, its norm, clip, noise and half-step in
+reused buffers, and ``_mix_arrays``, which writes ``graph.mix`` straight into row b + 1 of
+a (B + 1, n, d) iterate buffer, on a dense schedule divided by the weights into a second
+such buffer of z_i.  The rounds stop before the first whose weights reach WEIGHT_FLOOR.
+Then the block observes: one ``isfinite`` over its rounds raises ``NonFiniteParameter`` at
+the first non-finite one, else a starved round raises ``DegenerateWeight`` (the earlier
+raises, as a per-round check would).  One ``einsum`` takes the B average iterates,
+``evaluate`` runs at each in round order, and the diagnostics follow from the rounds.
 Every dot product and sum reproduces its single-node, single-round counterpart bit for
 bit, so the result equals a per-node loop exactly.
 
@@ -43,8 +43,8 @@ What no leg at a seed changes, its keys, initial iterates and all K rounds of sa
 indices, is one ``SeedDraws``, drawn on first use inside ``run`` and then held read-only
 (the index table in K * n bytes up to J = 256).  A leg carries it as ``RunConfig.draws``,
 shared with the other legs at its seed; a config with none reads its indices block by
-block.  Every block reuses one buffer of noise, iterates, z_i and samples:
-n * B * (3d + d_in) floats.
+block.  Every block reuses one buffer of noise, iterates, z_i and samples: n * B *
+(3d + d_in) floats, or (2d + d_in) on unit weights, where z_i is the iterate buffer.
 """
 
 from __future__ import annotations
@@ -187,9 +187,10 @@ class _Streams:
 
 
 def _mix_arrays(halves: np.ndarray, weights: np.ndarray, graph: GraphSchedule, k: int,
-                out: np.ndarray, z: np.ndarray):
-    """Round k's half-steps mixed through P_k into ``out``, and de-biased by ``weights`` into ``z``."""
-    np.divide(graph.mix(k, halves, out=out), weights[:, None], out=z)
+                out: np.ndarray, z: np.ndarray | None):
+    """Round k's half-steps mixed through P_k into ``out``, de-biased by ``weights`` into ``z`` unless None."""
+    mixed = graph.mix(k, halves, out=out)
+    return mixed if z is None else np.divide(mixed, weights[:, None], out=z)
 
 
 @dataclass
@@ -325,11 +326,12 @@ def run(config: RunConfig) -> MetricsLog:
     else:
         index_blocks = (draws.indices[k0 : k0 + B] for k0, B, _ in _blocks(K))
 
-    graph, gamma, every_round = config.graph, config.gamma, config.every_round
+    graph, gamma, every_round, unit = config.graph, config.gamma, config.every_round, config.graph.unit_weights
     rows = min(K, ROUND_BLOCK) + 1  # every block reuses the buffers below; row b enters its round b
-    weights, iterates, Zs = np.ones((rows, n)), np.empty((rows, n, d)), np.empty((rows, n, d))
+    weights, iterates = np.ones((rows, n)), np.empty((rows, n, d))
+    Zs = iterates if unit else np.empty((rows, n, d))  # on unit weights z_i is the iterate
     samples = np.empty((rows - 1, n, data.d_in))  # mode "clip" takes into it unbuffered: in range
-    norms, halves, scale = np.empty((rows - 1, n)), np.empty((n, d)), np.empty(n)
+    norms, sample_grads, halves, scale = np.empty((rows - 1, n)), np.empty((n, d)), np.empty((n, d)), np.empty(n)
     iterates[0] = Zs[0] = draws.init
     features, labels = data.pooled_features, data.pooled_labels
     offsets = np.arange(n) * J  # node i's shard starts at row i * J of the pooled data
@@ -342,17 +344,20 @@ def run(config: RunConfig) -> MetricsLog:
             noise = None if noise_blocks is None else next(noise_blocks)
             at = idx + offsets  # the samples' rows in the pooled data
             Xs, ys = features.take(at, axis=0, out=samples[:B], mode="clip"), labels.take(at)
-            for b in range(B):  # the push-sum weights never read the iterates
-                graph.mix(k0 + b, weights[b], out=weights[b + 1])
-            starved = (weights[1 : B + 1] <= WEIGHT_FLOOR).any(axis=1).tolist()
-            ran = starved.index(True) if True in starved else B  # round `ran` raises DegenerateWeight
+            ran = B  # unit weights stay 1.0: no weight pass, no floor to reach, no drift
+            if not unit:  # the push-sum weights never read the iterates
+                for b in range(B):
+                    graph.mix(k0 + b, weights[b], out=weights[b + 1])
+                starved = (weights[1 : B + 1] <= WEIGHT_FLOOR).any(axis=1).tolist()
+                ran = starved.index(True) if True in starved else B  # round `ran` raises DegenerateWeight
+                max_weight_drift = max(max_weight_drift, float(np.abs(weights[1 : B + 1].sum(axis=1) - n).max()))
             for b, bound, norm in zip(range(ran), clip[k0 : k0 + ran].tolist(), norms):
-                G = batched_sample_gradients(model, Zs[b], Xs[b], ys[b])
+                G = batched_sample_gradients(model, Zs[b], Xs[b], ys[b], sample_grads)
                 np.sqrt(np.vecdot(G, G, out=norm), out=norm)  # == np.linalg.norm per row
                 G *= np.minimum(np.divide(bound, norm, out=scale), 1.0, out=scale)[:, None]  # x * 1.0 == x
                 step = G if noise is None else np.add(G, noise[:, b], out=halves)
                 np.subtract(iterates[b], np.multiply(step, gamma, out=halves), out=halves)
-                _mix_arrays(halves, weights[b + 1], graph, k0 + b, iterates[b + 1], Zs[b + 1])
+                _mix_arrays(halves, weights[b + 1], graph, k0 + b, iterates[b + 1], None if unit else Zs[b + 1])
             finite = np.isfinite(iterates[1 : ran + 1]).all(axis=(1, 2))  # before the starved round
             if not finite.all():
                 raise NonFiniteParameter(k0 + int(np.argmin(finite)))
@@ -366,10 +371,9 @@ def run(config: RunConfig) -> MetricsLog:
                 if every_round or k == K - 1:
                     measured[k, 0], grads[b], measured[k, 4] = evaluate(model, data, xbars[b])
             measured[k0 : k0 + B, 1] = np.vecdot(grads, grads)  # == grad @ grad
-            measured[k0 : k0 + B, 2] = mean_sq_consensus(Zs[:B], xbars, out=Zs[:B])
+            measured[k0 : k0 + B, 2] = mean_sq_consensus(Zs[:B], xbars, out=Zs[:B])  # may overwrite iterates[:B]: the carry reads row B
             measured[k0 : k0 + B, 3] = np.count_nonzero(norms[:B] > clip[k0 : k0 + B, None], axis=1) / n
             max_grad_norm = max(max_grad_norm, float(norms[:B].max()))
-            max_weight_drift = max(max_weight_drift, float(np.abs(weights[1 : B + 1].sum(axis=1) - n).max()))
             weights[0], iterates[0], Zs[0] = weights[B], iterates[B], Zs[B]  # what the next block enters with
 
     meta = {

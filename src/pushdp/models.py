@@ -147,9 +147,9 @@ class Model:
 
 
 def batched_sample_gradients(
-    model: Model, Z: np.ndarray, Xs: np.ndarray, ys: np.ndarray
+    model: Model, Z: np.ndarray, Xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Row i is the gradient at sample (Xs[i], ys[i]) and parameters Z[i].
+    """Row i is the gradient at sample (Xs[i], ys[i]) and parameters Z[i], into ``out`` if given.
 
     Equals a stack of single-sample two-pass loss-gradient calls bit for bit,
     signs of zero included: each product and sum keeps the single-sample shape
@@ -157,12 +157,15 @@ def batched_sample_gradients(
     reduction slice, so numpy runs it by the same routine (``einsum`` or a
     row-wise ``sum`` add in another order and differ by an ulp).
     """
-    grads = np.empty_like(Z)
+    grads = np.empty_like(Z) if out is None else out
     if model.kind == "logistic":
         w, b = model.unflatten(Z)
-        z = np.vecdot(Xs, w) + b  # the ddot a (1, d) @ (d, 1) matmul runs
-        e = np.exp(-np.abs(z))
-        coeff = np.maximum(e, z >= 0) / (1.0 + e) - ys  # sigmoid(z) - y, as in evaluate
+        z = np.vecdot(Xs, w)  # the ddot a (1, d) @ (d, 1) matmul runs
+        z += b
+        e = np.copysign(z, -1.0)  # -|z|
+        np.exp(e, out=e)
+        coeff = np.divide(np.maximum(e, z >= 0, out=z), np.add(e, 1.0, out=e), out=z)
+        coeff -= ys  # sigmoid(z) - y, as in evaluate
         # -0.0 + 0.0 is 0.0, as in the one-term matmul x * c; multiplied contiguously first
         np.add(Xs * coeff[:, None], 0.0, out=grads[:, : model.d_in])
         grads[:, model.d_in] = coeff

@@ -100,6 +100,11 @@ class GraphSchedule:
     def period(self) -> int:
         return len(self.weights if self.peers is None else self.peers)
 
+    @property
+    def unit_weights(self) -> bool:
+        """Whether every push-sum weight stays 1.0, as one-peer push sums 1 * 0.5 + 1 * 0.5 each round."""
+        return self.peers is not None
+
     def mix(self, k: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """P_k @ x for an x of n rows, written to ``out`` if given: under one-peer push, half of
         each row plus the gathered half of its peer's, which is the dense product bit for bit

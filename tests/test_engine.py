@@ -12,6 +12,7 @@ from helpers import (
     logistic_task,
     node_stream,
     nonprivate_config,
+    one_peer_matrices,
     per_sample_gradient,
     private_config,
     recorded_rounds,
@@ -40,7 +41,7 @@ from pushdp.engine import (
 from pushdp.metrics import COLUMNS
 from pushdp.models import Model, Task, synth_dataset
 from pushdp.schedule import NoiseSchedule, build_schedule
-from pushdp.topology import graph_schedule
+from pushdp.topology import GraphSchedule, graph_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +260,52 @@ def test_mix_round_conserves_sums():
         assert np.allclose(z_next * w_next[:, None], x_next, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 256])
+@pytest.mark.parametrize("kind", ["ring", "exponential"])
+def test_only_one_peer_schedules_keep_unit_weights(kind, n):
+    assert graph_schedule(kind, n).unit_weights
+    assert not graph_schedule("complete", n).unit_weights
+    assert not graph_schedule("explicit", n, list(one_peer_matrices(kind, n))).unit_weights
+
+
+@pytest.mark.parametrize("kind", ["ring", "exponential", "complete", "explicit"])
+def test_unit_weight_rounds_mix_only_the_iterates_into_one_buffer(kind):
+    """On unit weights a run calls ``mix`` once a round, for the iterates, and each round's
+    gradient reads z_i from the iterate buffer the mix writes; a dense schedule also mixes
+    the weights each round and divides into a buffer of its own."""
+    K, n = ROUND_BLOCK + 9, 6
+    cfg = nonprivate_config(n=n, J=10, K=K, gamma=0.05, seed=4, graph="exponential")
+    if kind != "exponential":
+        matrices = list(one_peer_matrices("exponential", n)) if kind == "explicit" else None
+        cfg = dataclasses.replace(cfg, graph=graph_schedule(kind, n, matrices))
+    calls, zs, mixed = [], [], []
+    mix, gradients, mix_arrays = GraphSchedule.mix, engine.batched_sample_gradients, engine._mix_arrays
+
+    def counted_mix(self, k, x, out=None):
+        calls.append(k)
+        return mix(self, k, x, out=out)
+
+    def record_gradients(model, Z, *args):
+        zs.append(Z.base)
+        return gradients(model, Z, *args)
+
+    def record_mix_arrays(halves, weights, graph, k, out, z):
+        mixed.append(out.base)
+        return mix_arrays(halves, weights, graph, k, out, z)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GraphSchedule, "mix", counted_mix)
+        patch.setattr(engine, "batched_sample_gradients", record_gradients)
+        patch.setattr(engine, "_mix_arrays", record_mix_arrays)
+        log = run(cfg)
+    unit, iterates = kind in ("ring", "exponential"), mixed[0]
+    assert len(calls) == (K if unit else 2 * K)
+    assert len(zs) == len(mixed) == K and all(buffer is iterates for buffer in mixed)
+    assert all((z is iterates) == unit for z in zs)
+    if unit:
+        assert log.meta["max_weight_sum_drift"] == 0.0
+
+
 def _starving_config(a, gamma, K=2 * ROUND_BLOCK):
     """Two nodes mixing by [[1, 1 - a], [0, a]], so node 1's weight is a^(k+1) after round k."""
     cfg = private_config(n=2, J=10, K=K, epsilon=1.0, variant="const", seed=3, gamma=gamma, clip0=1.0)
@@ -358,7 +405,7 @@ def test_pure_mixing_run_contracts_consensus():
         cfg = nonprivate_config(n=8, J=4, K=300, gamma=0.0, seed=2, graph=kind)
         log = run(cfg)
         assert log.rows[-1].consensus_err <= 1e-6, kind
-        assert float(log.meta["max_weight_sum_drift"]) <= 1e-10
+        assert log.meta["max_weight_sum_drift"] == 0.0, kind  # every weight stays exactly 1.0
 
 
 def test_consensus_decay_is_geometric_and_within_theory_rate():
@@ -395,7 +442,10 @@ def test_weight_sums_conserved_across_graphs():
     for kind in ("ring", "exponential", "complete"):
         cfg = nonprivate_config(n=6, J=10, K=50, gamma=0.02, seed=1, graph=kind)
         log = run(cfg)
-        assert float(log.meta["max_weight_sum_drift"]) <= 1e-10, kind
+        if kind == "complete":
+            assert float(log.meta["max_weight_sum_drift"]) <= 1e-10, kind
+        else:  # one-peer push: every weight stays exactly 1.0
+            assert log.meta["max_weight_sum_drift"] == 0.0, kind
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,9 @@ def test_batched_sample_gradients_equal_per_sample_bitwise(model, draw):
     got = batched_sample_gradients(model, Z, Xs, ys)
     want = np.stack([per_sample_gradient(model, Z[i], Xs[i], ys[i]) for i in range(n)])
     assert got.tobytes() == want.tobytes()
+    out = np.full_like(Z, np.nan)  # written in place: every entry, bit for bit
+    assert batched_sample_gradients(model, Z, Xs, ys, out=out) is out
+    assert out.tobytes() == want.tobytes()
 
 
 def test_full_objective_is_mean_of_per_sample(seed=9):
