@@ -86,6 +86,17 @@ def delta_from_mu_eps(mu: float, eps: float) -> float:
     return max(0.0, first - second)
 
 
+def _bisect(below, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0) -> float:
+    """Midpoint of the bracket [lo, hi] of a monotone predicate: halves it, keeping the half
+    where ``below`` turns false, until hi - lo <= atol + rtol * hi or 200 halvings."""
+    for _ in range(200):
+        if hi - lo <= atol + rtol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def mu_tot_from_eps_delta(eps: float, delta: float) -> float:
     """Invert the (eps, delta) transfer for the total GDP budget.
 
@@ -103,13 +114,7 @@ def mu_tot_from_eps_delta(eps: float, delta: float) -> float:
         raise NoBracket(
             f"delta = {delta:g} is not reachable for eps = {eps:g} with mu in {MU_BRACKET}"
         )
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if delta_from_mu_eps(mid, eps) < delta:
-            lo = mid
-        else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
+    mu = _bisect(lambda m: delta_from_mu_eps(m, eps) < delta, lo, hi, atol=1e-12)
     if mu > MU_BRACKET[1] - 1e-6:
         warnings.warn(
             f"mu_tot = {mu:g} sits at the upper bracket; the request is degenerate",
@@ -177,15 +182,7 @@ def solve_mu0(mu_tot: float, J: int, shape) -> float:
     lo, hi = 0.0, min(flat, cap)
     while residual(hi) < 0:
         hi = min(2.0 * hi, cap)
-    for _ in range(200):
-        if hi - lo <= 1e-15 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if residual(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    mu0 = 0.5 * (lo + hi)
+    mu0 = _bisect(lambda m: residual(m) < 0, lo, hi, rtol=1e-15)
     if abs(residual(mu0)) > 1e-10 * target:
         raise ArithmeticError("budget equation residual failed to converge")
     return mu0

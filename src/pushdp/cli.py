@@ -178,24 +178,17 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
 
 
 def _build_task(cfg: ExperimentConfig) -> Task:
-    mlp = cfg.model == "mlp"
-    if not mlp and cfg.model != "logistic":
-        raise ConfigError(f"task.model must be logistic or mlp, got {cfg.model!r}")
-    if not mlp and cfg.classes != 2:
-        raise ConfigError(f"task.classes must be 2 for the logistic model, got {cfg.classes}")
-    for key, value, low in (("classes", cfg.classes, 2), ("d_in", cfg.d_in, cfg.classes)):
-        if value < low:
-            raise ConfigError(f"task.{key} must be at least {low}, got {value}")
-    model = Model(kind=cfg.model, d_in=cfg.d_in, classes=cfg.classes, hidden=cfg.hidden if mlp else 0)
-    dataset = synth_dataset(
-        cfg.data_seed, cfg.n, cfg.J, d_in=cfg.d_in, classes=model.classes, separation=cfg.separation
-    )
+    try:  # Model and the class means check the [task] entries, naming their keys
+        model = Model(cfg.model, cfg.d_in, cfg.classes, cfg.hidden if cfg.model == "mlp" else 0)
+        dataset = synth_dataset(cfg.data_seed, cfg.n, cfg.J, cfg.d_in, cfg.classes, cfg.separation)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return Task(model=model, dataset=dataset)
 
 
 def _setting(cfg: ExperimentConfig) -> tuple:
-    """(task, graph, connectivity report or None for one node): what the legs of a
-    grid share while n and graph kind hold, as none of it depends on seed or variant."""
+    """(task, graph, (B, diameter) or None for one node): what the legs of a grid
+    share while n and graph kind hold, as none of it depends on seed or variant."""
     task = _build_task(cfg)
     if cfg.graph not in GRAPH_KINDS:
         raise ConfigError(f"graph.kind must be one of {GRAPH_KINDS}, got {cfg.graph!r}")
@@ -216,7 +209,7 @@ def _setting(cfg: ExperimentConfig) -> tuple:
     except (TypeError, ValueError) as exc:  # TypeError: a matrix entry is not a number
         raise ConfigError(f"graph.matrices: {exc}") from exc
     B = cfg.b_window or graph.period
-    return task, graph, check_b_strong_connectivity(graph, B) if cfg.n > 1 else None
+    return task, graph, (B, check_b_strong_connectivity(graph, B)) if cfg.n > 1 else None
 
 
 def _privacy(cfg: ExperimentConfig) -> PrivacySpec:
@@ -247,7 +240,7 @@ def _corollary(cfg: ExperimentConfig, mu_tot: float) -> tuple[float, int]:
 def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
     """A config as a RunConfig at seed ``cfg.seed`` in a ``_setting`` built for its n
     and graph: every check, the step size, K, the privacy solve and the schedule."""
-    task, graph, report = setting
+    task, graph, connectivity = setting
     extra_meta: dict = {"variant": cfg.variant}
 
     if cfg.gamma != "corollary" and cfg.K < 1:
@@ -276,12 +269,11 @@ def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
             c0=float(sched.clip[0]), rho_c=sched.rho_c, rho_mu=sched.rho_mu,
         )
 
-    if report:  # none for one node
-        if not report.is_b_connected:
-            raise ConfigError(
-                f"graph schedule is not strongly connected over windows of {report.window}"
-            )
-        extra_meta.update(graph_window=report.window, graph_diameter=report.diameter)
+    if connectivity:  # none for one node
+        B, diameter = connectivity
+        if diameter is None:
+            raise ConfigError(f"graph schedule is not strongly connected over windows of {B}")
+        extra_meta.update(graph_window=B, graph_diameter=diameter)
     return RunConfig(
         task=task, graph=graph, schedule=sched, gamma=gamma, K=K, seed=cfg.seed,
         extra_meta=extra_meta,

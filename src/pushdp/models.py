@@ -66,8 +66,8 @@ class Dataset:
 @functools.cache
 def _class_means(d_in: int, classes: int, separation: float) -> np.ndarray:
     """Orthonormal directions scaled to ``separation``, fixed for all seeds; made once, read-only."""
-    if classes > d_in:
-        raise ValueError("need at least as many feature dimensions as classes")
+    if d_in < classes:
+        raise ValueError(f"task.d_in must be at least {classes}, got {d_in}")
     q, _ = np.linalg.qr(np.random.default_rng(_MEANS_SEED).standard_normal((d_in, classes)))
     means = separation * q[:, :classes].T
     means.setflags(write=False)
@@ -118,9 +118,11 @@ class Model:
 
     def __post_init__(self):
         if self.kind not in ("logistic", "mlp"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ValueError(f"task.model must be logistic or mlp, got {self.kind!r}")
         if self.kind == "logistic" and self.classes != 2:
-            raise ValueError("logistic model is binary; use the mlp for more classes")
+            raise ValueError(f"task.classes must be 2 for the logistic model, got {self.classes}")
+        if self.classes < 2:
+            raise ValueError(f"task.classes must be at least 2, got {self.classes}")
         if self.kind == "mlp" and self.hidden < 1:
             raise ValueError("mlp needs a positive hidden width")
 

@@ -125,7 +125,7 @@ def graph_schedule(kind: str, n: int, matrices=None) -> GraphSchedule:
     if kind not in GRAPH_KINDS:
         raise ValueError(f"unknown graph kind {kind!r}")
     if kind == "explicit":
-        if not matrices:
+        if matrices is None or not len(matrices):
             raise ValueError("explicit schedule needs at least one matrix")
         mats = [np.asarray(m, dtype=float) for m in matrices]
         for m in mats:
@@ -140,13 +140,6 @@ def graph_schedule(kind: str, n: int, matrices=None) -> GraphSchedule:
     hops = 2 ** np.arange(max(1, (n - 1).bit_length())) if kind == "exponential" else np.ones(1, int)
     # node i receives from (i - hop) mod n; hop % n == 0 sends to self
     return GraphSchedule(kind, peers=(np.arange(n) - hops[:, None]) % n)
-
-
-@dataclass(frozen=True)
-class ConnectivityReport:
-    is_b_connected: bool
-    window: int
-    diameter: int | None  # max shortest-path length over windows; None if disconnected
 
 
 def _saturation(n: int, receivers: np.ndarray, senders: np.ndarray):
@@ -177,16 +170,17 @@ def _saturation(n: int, receivers: np.ndarray, senders: np.ndarray):
         reach = grown
 
 
-def check_b_strong_connectivity(schedule: GraphSchedule, B: int) -> ConnectivityReport:
-    """Check that every window of B consecutive rounds is strongly connected.
+def check_b_strong_connectivity(schedule: GraphSchedule, B: int) -> int | None:
+    """The diameter over windows of B consecutive rounds, or None unless every window
+    is strongly connected.
 
     The schedule is periodic, so examining lcm(period, B) / B consecutive
     windows covers every union graph that can ever occur.  A window of at least
     a period holds every matrix of the period, so it unites ``min(B, period)``
     rounds and all such windows are the one union: the cost is bounded by the
-    period, however large B is.  The reported diameter is the worst
-    shortest-path length over the windows, measured along the direction
-    messages travel (edge j -> i when ``P[i, j] > 0``).  A window's union is an
+    period, however large B is.  The diameter is the worst shortest-path
+    length over the windows, measured along the direction messages travel
+    (edge j -> i when ``P[i, j] > 0``).  A window's union is an
     edge list read from ``peers`` or the dense union's nonzeros, and one bitset
     BFS (``_saturation``) over it takes a handful of hops for the exponential
     graph, n for a ring; a union of all n^2 edges has diameter 1 with no search.
@@ -209,6 +203,6 @@ def check_b_strong_connectivity(schedule: GraphSchedule, B: int) -> Connectivity
             receivers = np.repeat(np.arange(n), len(rounds) + 1)
         reached, saturation = _saturation(n, receivers, senders)
         if not reached.all():
-            return ConnectivityReport(is_b_connected=False, window=B, diameter=None)
+            return None
         diameter = max(diameter, int(saturation.max()))
-    return ConnectivityReport(is_b_connected=True, window=B, diameter=diameter)
+    return diameter

@@ -361,7 +361,7 @@ def validate_each_slice(weights) -> None:
 @contextlib.contextmanager
 def cli_resolving_each_leg():
     """``pushdp.cli`` as if nothing were shared: every (point, seed) pair of a
-    command's grid builds its own dataset, graph, connectivity report and leg (privacy
+    command's grid builds its own dataset, graph, connectivity check and leg (privacy
     solve included), and its run makes its own draws.  The reference for the setting a
     grid builds once per n and graph kind, the leg it resolves once per point and the
     draws its legs at one seed share."""

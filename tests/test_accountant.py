@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pushdp import accountant
 from pushdp.accountant import (
     MU_BRACKET,
     MU_STEP_CAP,
@@ -279,3 +281,38 @@ def test_solve_mu0_composes_any_shape_to_the_target(shape, J, mu_tot):
 def test_privacy_spec_resolves_and_round_trips():
     spec = PrivacySpec.resolve(0.7, 1e-4, 250, 2000)
     assert abs(delta_from_mu_eps(spec.mu_tot, 0.7) - 1e-4) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "mu_tot,J,shape",
+    [(0.0, 10, [1.0]), (-1.0, 10, [1.0]), (0.3, 0, [1.0]), (0.3, 10, []), (0.3, 10, [[1.0, 2.0]])],
+)
+def test_solve_mu0_rejects_a_nonpositive_budget_or_no_step(mu_tot, J, shape):
+    message = "need positive budget and at least one node sample and step"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_mu0(mu_tot, J, shape)
+
+
+# No input reaches the three guards below: near mu = 64 delta(mu, eps) stays below 1
+# within float resolution (eps = 1540 solves to mu = 63.9968, eps = 1560 to 63.99921),
+# the bisection always converges and the transfer always round-trips.  Each is tripped
+# by swapping out the function that would have to fail.
+def test_mu_tot_at_the_upper_bracket_warns(monkeypatch):
+    monkeypatch.setattr(accountant, "delta_from_mu_eps", lambda mu, eps: mu / MU_BRACKET[1])
+    message = "mu_tot = 64 sits at the upper bracket; the request is degenerate"
+    with pytest.warns(RegimeWarning, match=f"^{re.escape(message)}$"):
+        mu = mu_tot_from_eps_delta(1.0, 1.0 - 1e-9)
+    assert MU_BRACKET[1] - 1e-6 < mu < MU_BRACKET[1]
+
+
+def test_solve_mu0_refuses_an_unconverged_bisection(monkeypatch):
+    monkeypatch.setattr(accountant, "_bisect", lambda below, lo, hi, **tolerance: lo)
+    with pytest.raises(ArithmeticError, match="^budget equation residual failed to converge$"):
+        solve_mu0(0.3, 10, [1.0, 2.0])
+
+
+def test_privacy_spec_refuses_a_transfer_that_does_not_round_trip(monkeypatch):
+    monkeypatch.setattr(accountant, "mu_tot_from_eps_delta", lambda eps, delta: 1.0)
+    message = f"budget transfer failed to round-trip: delta 0.0001 -> {delta_from_mu_eps(1.0, 0.7):g}"
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        PrivacySpec.resolve(0.7, 1e-4, 250, 2000)

@@ -312,6 +312,7 @@ BAD_MATRICES = [
     (["graph.matrices=[[[0.5, 0.5], [0.5, 0.5]]]"], "graph.matrices"),
     (["graph.kind=explicit", "run.n=2", "graph.matrices=[[[NaN, 0.5], [0.5, 0.5]]]"], "graph.matrices"),
     (["graph.kind=explicit"], "graph.matrices"),  # no matrices
+    (["graph.kind=explicit", "graph.matrices=[]"], "graph.matrices"),  # an empty list
     (["graph.kind=explicit", "graph.matrices=[["], "graph.matrices"),  # not JSON
 ]
 OUT_OF_RANGE = MODEL_OUT_OF_RANGE + BAD_MATRICES + [

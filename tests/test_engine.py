@@ -265,7 +265,7 @@ def test_mix_round_conserves_sums():
 def test_only_one_peer_schedules_keep_unit_weights(kind, n):
     assert graph_schedule(kind, n).unit_weights
     assert not graph_schedule("complete", n).unit_weights
-    assert not graph_schedule("explicit", n, list(one_peer_matrices(kind, n))).unit_weights
+    assert not graph_schedule("explicit", n, one_peer_matrices(kind, n)).unit_weights
 
 
 @pytest.mark.parametrize("kind", ["ring", "exponential", "complete", "explicit"])
@@ -276,7 +276,7 @@ def test_unit_weight_rounds_mix_only_the_iterates_into_one_buffer(kind):
     K, n = ROUND_BLOCK + 9, 6
     cfg = nonprivate_config(n=n, J=10, K=K, gamma=0.05, seed=4, graph="exponential")
     if kind != "exponential":
-        matrices = list(one_peer_matrices("exponential", n)) if kind == "explicit" else None
+        matrices = one_peer_matrices("exponential", n) if kind == "explicit" else None
         cfg = dataclasses.replace(cfg, graph=graph_schedule(kind, n, matrices))
     calls, zs, mixed = [], [], []
     mix, gradients, mix_arrays = GraphSchedule.mix, engine.batched_sample_gradients, engine._mix_arrays

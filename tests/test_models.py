@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -282,6 +284,43 @@ def test_task_checks_dimensions():
     data = synth_dataset(0, 2, 10, d_in=5)
     with pytest.raises(ValueError):
         Task(model=Model(kind="logistic", d_in=4), dataset=data)
+    with pytest.raises(ValueError, match="^model and dataset disagree on the class count$"):
+        Task(model=Model(kind="mlp", d_in=5, classes=3, hidden=2), dataset=data)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        # each rule fires before the next: kind, binary, class count
+        (dict(kind="cnn", d_in=1, classes=0), "task.model must be logistic or mlp, got 'cnn'"),
+        (dict(kind="logistic", d_in=1, classes=1), "task.classes must be 2 for the logistic model, got 1"),
+        (dict(kind="mlp", d_in=1, classes=1, hidden=0), "task.classes must be at least 2, got 1"),
+    ],
+)
+def test_model_rules_name_their_task_keys(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Model(**kwargs)
+
+
+def test_class_means_need_a_feature_dimension_per_class():
+    for _ in range(2):  # a failed build is not cached
+        with pytest.raises(ValueError, match="^task.d_in must be at least 12, got 10$"):
+            _class_means(10, 12, 3.0)
+    with pytest.raises(ValueError, match="^task.d_in must be at least 3, got 2$"):
+        synth_dataset(0, 2, 5, d_in=2, classes=3)
+
+
+@pytest.mark.parametrize("n,J", [(0, 5), (2, 0), (-1, -1)])
+def test_synth_dataset_needs_a_node_and_a_sample(n, J):
+    with pytest.raises(ValueError, match="^need at least one node and one sample per node$"):
+        synth_dataset(0, n, J)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 6), (1, 2, 5), (5, 1)])
+def test_unflatten_rejects_a_wrong_shape(shape):
+    model = Model(kind="logistic", d_in=4)
+    with pytest.raises(ValueError, match=re.escape(f"expected 5 parameters, got {shape}")):
+        model.unflatten(np.zeros(shape))
 
 
 def test_evaluate_reports_loss_grad_accuracy():

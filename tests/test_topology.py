@@ -23,7 +23,6 @@ import pushdp
 from pushdp.topology import (
     GraphSchedule,
     MixingMatrixError,
-    ConnectivityReport,
     GRAPH_KINDS,
     check_b_strong_connectivity,
     graph_schedule,
@@ -215,43 +214,55 @@ def test_explicit_schedule_rejects_wrong_shape():
         GraphSchedule("explicit", np.full((2, 3), 0.5))
 
 
+@pytest.mark.parametrize("kind", ["ring", "exponential", "complete"])
+def test_generated_schedule_needs_a_node(kind):
+    with pytest.raises(ValueError, match="^need at least one node$"):
+        graph_schedule(kind, 0)
+
+
+@pytest.mark.parametrize("matrices", [None, [], np.empty((0, 2, 2))])
+def test_explicit_schedule_needs_a_matrix(matrices):
+    with pytest.raises(ValueError, match="^explicit schedule needs at least one matrix$"):
+        graph_schedule("explicit", 2, matrices)
+
+
+@pytest.mark.parametrize("B", [0, -1])
+def test_connectivity_window_must_be_a_round(B):
+    with pytest.raises(ValueError, match="^window must be at least one round$"):
+        check_b_strong_connectivity(graph_schedule("ring", 3), B)
+
+
 def test_ring_diameter_n4():
     # hand BFS on edges i -> i+1: longest path 0 -> 3 takes 3 hops
-    report = check_b_strong_connectivity(graph_schedule("ring", 4), B=1)
-    assert report.is_b_connected
-    assert report.diameter == 3
+    assert check_b_strong_connectivity(graph_schedule("ring", 4), B=1) == 3
 
 
 def test_exponential_union_connected_n4():
     # period 2; a window of B=2 unions hop-1 and hop-2 edges
-    report = check_b_strong_connectivity(graph_schedule("exponential", 4), B=2)
-    assert report.is_b_connected
+    assert check_b_strong_connectivity(graph_schedule("exponential", 4), B=2) is not None
 
 
 def test_exponential_single_round_disconnected_n4():
     # the hop-2 round alone splits {0, 2} from {1, 3}
-    report = check_b_strong_connectivity(graph_schedule("exponential", 4), B=1)
-    assert not report.is_b_connected
-    assert report.diameter is None
+    assert check_b_strong_connectivity(graph_schedule("exponential", 4), B=1) is None
 
 
 def test_exponential_diameter_n8():
     # union of hops {1, 2, 4} mod 8: offset 7 needs three hops (1 + 2 + 4)
-    report = check_b_strong_connectivity(graph_schedule("exponential", 8), B=3)
-    assert report.is_b_connected
-    assert report.diameter == 3
+    assert check_b_strong_connectivity(graph_schedule("exponential", 8), B=3) == 3
 
 
 def test_disconnected_explicit_schedule():
     identity = np.eye(3)
     sched = graph_schedule("explicit", 3, [identity])
     for B in (1, 2, 5):
-        assert not check_b_strong_connectivity(sched, B).is_b_connected
+        assert check_b_strong_connectivity(sched, B) is None
 
 
-def per_round_report(schedule, B):
-    """The connectivity report with each window's union taken one round at a time,
-    over all lcm(period, B) / B windows; the oracle for the bounded window."""
+def per_round_diameter(schedule, B):
+    """The diameter, or None if a window is not strongly connected, with each window's
+    union taken one round at a time, over all lcm(period, B) / B windows; the oracle for
+    the bounded window."""
     diameter = 0
     for window in range(math.lcm(schedule.period, B) // B):
         union = np.zeros((schedule.n, schedule.n), dtype=bool)
@@ -259,9 +270,9 @@ def per_round_report(schedule, B):
             union |= dense_matrix(schedule, k) > 0
         dist = reference_window_distances(schedule.n, union)
         if (dist < 0).any():
-            return ConnectivityReport(is_b_connected=False, window=B, diameter=None)
+            return None
         diameter = max(diameter, int(dist.max()))
-    return ConnectivityReport(is_b_connected=True, window=B, diameter=diameter)
+    return diameter
 
 
 # a period-3 explicit schedule whose rounds each link one pair of 3 nodes
@@ -290,10 +301,9 @@ _PAIRS = [
 def test_window_of_a_period_or_more_costs_one_period(schedule):
     period = schedule.period
     at_period = check_b_strong_connectivity(schedule, period)
-    huge = check_b_strong_connectivity(schedule, 10**9)
-    assert huge == ConnectivityReport(at_period.is_b_connected, 10**9, at_period.diameter)
+    assert check_b_strong_connectivity(schedule, 10**9) == at_period
     for B in (period + 1, 2 * period):
-        assert check_b_strong_connectivity(schedule, B) == per_round_report(schedule, B)
+        assert check_b_strong_connectivity(schedule, B) == per_round_diameter(schedule, B)
 
 
 def _second_eigenvalue_modulus(schedule):
@@ -482,20 +492,20 @@ def test_exponential_n1024_schedule_and_check_allocate_no_dense_matrix():
     tracemalloc.start()
     try:
         schedule = graph_schedule("exponential", 1024)
-        report = check_b_strong_connectivity(schedule, schedule.period)
+        diameter = check_b_strong_connectivity(schedule, schedule.period)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report == ConnectivityReport(True, 10, 10)
+    assert (schedule.period, diameter) == (10, 10)
     assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_complete_schedule_report_matches_the_search(n):
-    # a union of all n^2 edges skips the search; its report is the one the search gives
+    # a union of all n^2 edges skips the search; its diameter is the one the search gives
     reached, saturation = _saturation(n, *np.nonzero(np.ones((n, n), dtype=bool)))
-    searched = ConnectivityReport(bool(reached.all()), 1, int(saturation.max()))
-    assert check_b_strong_connectivity(graph_schedule("complete", n), 1) == searched
+    assert reached.all()
+    assert check_b_strong_connectivity(graph_schedule("complete", n), 1) == int(saturation.max())
 
 
 def test_complete_n1024_check_gathers_no_edge_list():
@@ -503,9 +513,9 @@ def test_complete_n1024_check_gathers_no_edge_list():
     schedule = graph_schedule("complete", 1024)
     tracemalloc.start()
     try:
-        report = check_b_strong_connectivity(schedule, 1)
+        diameter = check_b_strong_connectivity(schedule, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report == ConnectivityReport(True, 1, 1)
+    assert diameter == 1
     assert peak < 10 * 2**20
