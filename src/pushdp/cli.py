@@ -6,22 +6,22 @@ Subcommands:
                  and write one metrics CSV per replicate.
 * ``compare``    run several schedule variants plus the non-private baseline
                  on identical seeds and print a mean/std table.
-* ``sweep``      vary one axis (rho_c, rho_mu, epsilon, n, graph) over a list
-                 of values and write a summary grid CSV.
+* ``sweep``      vary one config entry, named as its ``ExperimentConfig`` field,
+                 over a list of values and write a summary grid CSV.
 * ``accountant`` resolve and audit a privacy schedule without training.
 
 Each is declared once, as an entry of ``_COMMANDS`` (handler, help and own flags);
 the parser is built from that table once per process, at import, and gives every
 subcommand ``--config`` and ``--set``, so ``main`` only parses.
 
-``run``, ``compare`` and ``sweep`` hand (label, config) points to ``_grid`` and
-call ``run`` on each leg it yields.  The grid builds the dataset and graph and
-checks connectivity once, and again only when a point's ``n`` or graph kind
-differs.  It resolves each point once in ``_leg``, which makes every check and
-derives K, the step size, the privacy budget and the schedule for all the point's
-seeds.  In a grid of more than one point the legs at one seed carry that seed's
-initial iterates and sample indices (``engine.SeedDraws``) while (n, K, J, d)
-holds, for one command.  ``accountant`` audits the same leg.
+``run``, ``compare`` and ``sweep`` hand configs, one a point, and a callback that
+calls ``run`` to ``_grid``, which first resolves every point in ``_leg`` (every
+check, K, the step size, the privacy budget and the schedule), building the dataset
+and graph and checking connectivity again only when an entry they read changes.
+It then runs the legs seed by seed: in a grid of more than one point the legs at
+one seed carry that seed's initial iterates and sample indices
+(``engine.SeedDraws``) while (n, K, J, d) holds, one seed's at a time.
+``accountant`` audits the same leg.
 
 Configuration lives in an INI-style file with sections [run], [privacy],
 [schedule], [graph], and [task]; ``--set section.key=value`` overrides any
@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -54,7 +53,6 @@ from .schedule import VARIANTS, build_schedule
 from .topology import GRAPH_KINDS, check_b_strong_connectivity, graph_schedule
 
 NONPRIVATE = "nonprivate"
-SWEEP_AXES = ("rho_c", "rho_mu", "epsilon", "n", "graph")  # named as config attributes
 
 
 class ConfigError(ValueError):
@@ -123,7 +121,7 @@ _FIELDS = [
 _BY_SECTION: dict[str, dict[str, tuple]] = {}
 for _sec, _key, _attr, _parse in _FIELDS:
     _BY_SECTION.setdefault(_sec, {})[_key] = (_attr, _parse)
-_AXIS_KEYS = {attr: (sec, key) for sec, key, attr, _ in _FIELDS if attr in SWEEP_AXES}
+_SETTING_ATTRS = [a for sec, _, a, _ in _FIELDS if sec in ("task", "graph") or a in ("n", "b_window")]
 
 
 def _parse_field(section: str, key: str, value: str):
@@ -188,7 +186,7 @@ def _build_task(cfg: ExperimentConfig) -> Task:
 
 def _setting(cfg: ExperimentConfig) -> tuple:
     """(task, graph, (B, diameter) or None for one node): what the legs of a grid
-    share while n and graph kind hold, as none of it depends on seed or variant."""
+    share while the ``_SETTING_ATTRS`` entries hold, as none of it reads seed or variant."""
     task = _build_task(cfg)
     if cfg.graph not in GRAPH_KINDS:
         raise ConfigError(f"graph.kind must be one of {GRAPH_KINDS}, got {cfg.graph!r}")
@@ -280,24 +278,28 @@ def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
     )
 
 
-def _grid(points: list):
-    """(label, leg) at each of the repeat seeds of each (label, config) point; a point's
-    leg is resolved once, in a setting rebuilt only when its n or graph differs.  With
-    more than one point, the legs at one seed carry one SeedDraws, held while points
-    keep (n, K, J, d); ``run`` draws inside, so the draws count as engine time."""
-    setting, held = None, {}  # SeedDraws by seed
-    for label, cfg in points:
-        if setting is None or (cfg.n, cfg.graph) != (setting[1].n, setting[1].kind):
-            setting = _setting(cfg)
-        leg = _leg(cfg, setting)
-        for seed in range(cfg.seed, cfg.seed + cfg.repeat):
-            leg_at_seed = dataclasses.replace(leg, seed=seed)
-            if len(points) > 1:  # a one-point grid's legs are all at distinct seeds
-                draws = SeedDraws.of(leg_at_seed)
-                if held.get(seed) != draws:  # a new seed or shape
-                    held[seed] = draws
-                leg_at_seed.draws = held[seed]
-            yield label, leg_at_seed
+def _grid(configs: list, each) -> list:
+    """``each(leg)`` at each of the repeat seeds of each config, as one list per config in
+    seed order.  Every config is resolved first, so a config error comes before engine time,
+    in a setting rebuilt only when an entry it reads differs from the previous config's.  The
+    legs then run seed by seed; with more than one config the legs at one seed carry one
+    SeedDraws while they keep (n, K, J, d), made inside ``run`` so they count as engine time."""
+    legs, setting, read = [], None, None
+    for cfg in configs:
+        if read != (entries := [getattr(cfg, a) for a in _SETTING_ATTRS]):
+            setting, read = _setting(cfg), entries
+        legs.append(_leg(cfg, setting))
+    results = [[] for _ in configs]
+    for seed in sorted({s for cfg in configs for s in range(cfg.seed, cfg.seed + cfg.repeat)}):
+        draws = None  # the last seed's, dropped
+        for cfg, leg, out in zip(configs, legs, results):
+            if cfg.seed <= seed < cfg.seed + cfg.repeat:
+                leg = dataclasses.replace(leg, seed=seed)
+                if len(configs) > 1 and SeedDraws.of(leg) != draws:  # one config's legs share no seed
+                    draws = SeedDraws.of(leg)
+                leg.draws = draws
+                out.append(each(leg))
+    return results
 
 
 def _write(path: str, text: str) -> None:
@@ -313,7 +315,8 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 def cmd_run(args, cfg: ExperimentConfig) -> int:
     stem, ext = os.path.splitext(args.output or "run.csv")  # the file name's extension only
-    for _, leg in _grid([(cfg.variant, cfg)]):
+
+    def write(leg: RunConfig) -> None:
         log = run(leg)
         if leg.seed == cfg.seed:
             for key in ("mu_tot", "mu0"):
@@ -322,6 +325,8 @@ def cmd_run(args, cfg: ExperimentConfig) -> int:
         path = f"{stem}{ext}" if cfg.repeat == 1 else f"{stem}_seed{leg.seed}{ext}"
         log.write_csv(path)
         print(f"wrote {path}")
+
+    _grid([cfg], write)
     return 0
 
 
@@ -332,17 +337,15 @@ def cmd_compare(args, cfg: ExperimentConfig) -> int:
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r} in --variants")
-    points = [(v, dataclasses.replace(cfg, variant=v)) for v in variants]
+    configs = [dataclasses.replace(cfg, variant=v) for v in variants]
     if cfg.gamma == "corollary":  # the baseline runs at the private legs' step size and K
         gamma, K = _corollary(cfg, _privacy(cfg).mu_tot)
         cfg = dataclasses.replace(cfg, gamma=gamma, K=K)
-    points.append((NONPRIVATE, dataclasses.replace(cfg, variant=NONPRIVATE)))
-    grid = _grid(points)
+    configs.append(dataclasses.replace(cfg, variant=NONPRIVATE))
+    grid = _grid(configs, lambda leg: summarize(run(dataclasses.replace(leg, every_round=False))))  # row K-1
     table = [("variant", "epsilon", "delta", "final_loss", "final_accuracy")]
     rows = []
-    for variant, _ in points:  # each point's cfg.repeat legs, in turn; the table reads row K-1
-        legs = itertools.islice(grid, cfg.repeat)
-        summaries = [summarize(run(dataclasses.replace(leg, every_round=False))) for _, leg in legs]
+    for variant, summaries in zip([*variants, NONPRIVATE], grid):
         stats = _mean_std([s.final_loss for s in summaries])
         stats += _mean_std([s.final_accuracy for s in summaries])
         private = variant != NONPRIVATE
@@ -357,20 +360,16 @@ def cmd_compare(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _apply_axis(cfg: ExperimentConfig, axis: str, value: str) -> ExperimentConfig:
-    """A copy of ``cfg`` with one SWEEP_AXES entry set, parsed as its config key."""
-    attr, parsed = _parse_field(*_AXIS_KEYS[axis], value)
-    return dataclasses.replace(cfg, **{attr: parsed})
-
-
 def cmd_sweep(args, cfg: ExperimentConfig) -> int:
-    if args.axis not in SWEEP_AXES:
-        raise ConfigError(f"--axis must be one of {SWEEP_AXES}")
+    keys = {attr: (sec, key) for sec, key, attr, _ in _FIELDS}  # by ExperimentConfig field name
+    if args.axis not in keys:
+        raise ConfigError(f"--axis must be one of {tuple(keys)}")
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
-    grid = _grid([(v, _apply_axis(cfg, args.axis, v)) for v in values])  # every value parsed first
-    rows = [(args.axis, v, leg.seed, *dataclasses.astuple(summarize(run(leg)))) for v, leg in grid]
+    configs = [dataclasses.replace(cfg, **dict([_parse_field(*keys[args.axis], v)])) for v in values]
+    grid = _grid(configs, lambda leg: (leg.seed, *dataclasses.astuple(summarize(run(leg)))))
+    rows = [(args.axis, v, *row) for v, legs in zip(values, grid) for row in legs]
     header = ",".join(["axis", "value", "seed", *(f.name for f in dataclasses.fields(RunSummary))])
     _write(args.output or "sweep.csv", csv_text(header, zip(*rows)))
     return 0
@@ -411,7 +410,7 @@ _COMMANDS = {
         "--output": ("", "optional table CSV path"),
     }),
     "sweep": (cmd_sweep, "vary one axis over a list of values", {
-        "--axis": (None, f"one of {SWEEP_AXES}"),
+        "--axis": (None, "a config entry by field name, such as epsilon, n or graph"),
         "--values": (None, "comma-separated values"),
         "--output": ("", "grid CSV path (default sweep.csv)"),
     }),

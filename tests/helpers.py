@@ -362,15 +362,19 @@ def validate_each_slice(weights) -> None:
 def cli_resolving_each_leg():
     """``pushdp.cli`` as if nothing were shared: every (point, seed) pair of a
     command's grid builds its own dataset, graph, connectivity check and leg (privacy
-    solve included), and its run makes its own draws.  The reference for the setting a
-    grid builds once per n and graph kind, the leg it resolves once per point and the
-    draws its legs at one seed share."""
+    solve included), and its run makes its own draws, point by point and each leg
+    resolved just before it runs.  The reference for the setting a grid rebuilds only
+    when an entry it reads changes, the leg it resolves once per point, the draws its
+    legs at one seed share and the seed-by-seed order it runs them in."""
 
-    def grid_alone(points):
-        for label, cfg in points:
+    def grid_alone(configs, each):
+        results = []
+        for cfg in configs:
+            results.append([])
             for seed in range(cfg.seed, cfg.seed + cfg.repeat):
                 alone = dataclasses.replace(cfg, seed=seed)
-                yield label, cli._leg(alone, cli._setting(alone))
+                results[-1].append(each(cli._leg(alone, cli._setting(alone))))
+        return results
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_grid", grid_alone)

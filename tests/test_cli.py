@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -687,7 +688,10 @@ def test_sweep_over_graph_kinds(tmp_path):
 
 def test_sweep_rejects_unknown_axis(tmp_path):
     config = write_config(tmp_path)
-    assert main(["sweep", "--config", config, "--axis", "flux", "--values", "1"]) == 1
+    for axis in ("flux", "kind"):  # graph.kind is swept by its field name, graph
+        code, err = _exit_code_and_stderr(["sweep", "--config", config, "--axis", axis, "--values", "1"])
+        assert code == 1 and err.startswith("config error: --axis must be one of ("), err
+        assert all(repr(f.name) in err for f in dataclasses.fields(cli.ExperimentConfig))
 
 
 def test_sweep_rejects_bad_value(tmp_path):
@@ -782,6 +786,15 @@ def _read_back(path):
     return meta, header, rows
 
 
+def _by_point(logs, key):
+    """The logs of each point of a grid, told apart by ``key(meta)``, each list in seed
+    order: the grid runs its points seed by seed."""
+    points = {}
+    for log in sorted(logs, key=lambda log: log.meta["seed"]):
+        points.setdefault(key(log.meta), []).append(log)
+    return points
+
+
 def _cells_equal(cells, values) -> bool:
     """Each cell reads back through ``float`` to its float value bit for bit (nan to nan)
     and is any other value's ``str``."""
@@ -812,7 +825,9 @@ def test_every_written_csv_reads_back_to_the_values_it_records(tmp_path, logs):
     assert main(_command_args("compare", config, ["run.repeat=2"], out)) == 0
     _, header, rows = _read_back(out)
     assert header[:3] == ["variant", "epsilon", "delta"] and len(logs) == 4
-    for row, pair, privacy in zip(rows, (logs[:2], logs[2:]), ([0.5, 1e-4], ["", ""]), strict=True):
+    pairs = _by_point(logs, lambda meta: meta["variant"])
+    assert list(pairs) == ["dyn", "nonprivate"] and all(len(pair) == 2 for pair in pairs.values())
+    for row, pair, privacy in zip(rows, pairs.values(), ([0.5, 1e-4], ["", ""]), strict=True):
         stats = []
         for name in ("final_loss", "final_accuracy"):
             values = np.array([getattr(summarize(log), name) for log in pair])
@@ -825,7 +840,10 @@ def test_every_written_csv_reads_back_to_the_values_it_records(tmp_path, logs):
     _, header, rows = _read_back(out)
     assert header == ["axis", "value", "seed", *dataclasses.asdict(summarize(logs[0]))]
     points = [("0.5", 0), ("0.5", 1), ("1", 0), ("1", 1)]
-    for row, (value, seed), log in zip(rows, points, logs, strict=True):
+    by_epsilon = _by_point(logs, lambda meta: meta["epsilon"])
+    assert [log.meta["seed"] for pair in by_epsilon.values() for log in pair] == [0, 1, 0, 1]
+    in_rows = [log for epsilon in (0.5, 1.0) for log in by_epsilon[epsilon]]
+    for row, (value, seed), log in zip(rows, points, in_rows, strict=True):
         assert _cells_equal(row, ["epsilon", value, seed, *dataclasses.astuple(summarize(log))])
 
     assert main(["accountant", "--config", config, "--table", str(out)]) == 0
@@ -836,12 +854,12 @@ def test_every_written_csv_reads_back_to_the_values_it_records(tmp_path, logs):
     assert len(rows) == 15 and all(_cells_equal(row, want) for row, want in zip(rows, columns))
 
 
-def test_apply_axis_does_not_mutate_base():
-    cfg = parse_config(BASE)
+def test_sweep_leaves_the_base_config_unchanged(tmp_path, monkeypatch):
+    cfg = parse_config(BASE.replace("K = 15", "K = 5"))
     snapshot = dataclasses.replace(cfg)
-    from pushdp.cli import _apply_axis
-
-    _apply_axis(cfg, "epsilon", "3.0")
+    monkeypatch.setattr(cli, "load_config", lambda *_: cfg)
+    args = ["sweep", "--config", "exp.ini", "--axis", "epsilon", "--values", "3.0,1"]
+    assert _exit_code_and_stderr([*args, "--output", str(tmp_path / "grid.csv")]) == (0, "")
     assert cfg == snapshot
 
 
@@ -896,6 +914,58 @@ def test_sweep_builds_a_setting_per_value_of_an_axis_that_shapes_it(
     assert builds == dict.fromkeys(SETTING_PARTS, count)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [[], ["task.model=mlp", "graph.kind=explicit", f"graph.matrices=[{np.full((4, 4), 0.25).tolist()}]"]],
+    ids=["logistic-exponential", "mlp-explicit"],
+)
+def test_the_setting_reads_only_the_entries_a_grid_compares(overrides):
+    # a grid keeps its setting while these entries hold, so it must read no other
+    cfg, read = parse_config(BASE, overrides), set()
+
+    class Recording:
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(cfg, name)
+
+    _setting(Recording())
+    assert "n" in read and read <= set(cli._SETTING_ATTRS)
+
+
+@pytest.mark.parametrize(
+    "command,overrides,error",
+    [
+        (["sweep", "--axis", "epsilon", "--values", "0.5,-1"], [], "privacy.epsilon must be positive"),
+        (["compare", "--variants", "const,dyn"], ["schedule.rho_c=0"], "schedule.rho_c is unset"),
+        (  # the ring holds every window of one round; the exponential graph does not
+            ["sweep", "--axis", "graph", "--values", "ring,exponential"], ["run.b_window=1"],
+            "graph schedule is not strongly connected over windows of 1",
+        ),
+        (  # a setting kept from b_window = 0 would check windows of the period, 2
+            ["sweep", "--axis", "b_window", "--values", "0,1"], [],
+            "graph schedule is not strongly connected over windows of 1",
+        ),
+    ],
+    ids=["sweep-epsilon", "compare-schedule", "sweep-connectivity", "sweep-b-window"],
+)
+def test_a_config_error_in_any_point_comes_before_engine_time(
+    tmp_path, monkeypatch, command, overrides, error
+):
+    calls, run = [], cli.run
+
+    def counted(config):
+        calls.append(config.seed)
+        return run(config)
+
+    monkeypatch.setattr(cli, "run", counted)
+    config = write_config(tmp_path, BASE.replace("K = 15", "K = 5"))
+    sets = [arg for item in ("run.repeat=2", *overrides) for arg in ("--set", item)]
+    out = tmp_path / "out.csv"
+    code, err = _exit_code_and_stderr([command[0], "--config", config, *sets, *command[1:], "--output", str(out)])
+    assert (code, calls) == (1, []) and err.startswith(f"config error: {error}"), err
+    assert not out.exists()
+
+
 def test_commands_share_no_setting_across_calls(tmp_path, builds):
     # nothing is cached beyond one command: a second call in the process builds again
     config = write_config(tmp_path, BASE.replace("K = 15", "K = 5"))
@@ -931,7 +1001,18 @@ def test_compare_with_a_shared_setting_equals_legs_built_alone(tmp_path, builds,
     assert builds["synth_dataset"] == 1 + 10
 
 
-@pytest.mark.parametrize("axis,values", [("n", "4,8,4"), ("graph", "ring,complete")])
+@pytest.mark.parametrize(
+    "axis,values",
+    [
+        ("n", "4,8,4"),
+        ("graph", "ring,complete"),
+        ("J", "20,40"),  # a setting kept for J = 20 would run J = 40's privacy solve on its data
+        ("data_seed", "0,5"),
+        ("model", "logistic,mlp"),
+        ("b_window", "0,3"),
+        ("seed", "0,1"),  # seeds 0-1 and 1-2: the points share seed 1's draws
+    ],
+)
 def test_sweep_with_a_shared_setting_equals_legs_built_alone(tmp_path, axis, values):
     config = write_config(tmp_path, BASE.replace("K = 15", "K = 10"))
     out = tmp_path / "grid.csv"
@@ -1087,11 +1168,32 @@ def test_grid_legs_sharing_draws_equal_runs_drawing_alone(tmp_path, legs, grid):
     # K spans a block boundary of the index table
     assert _exit_code_and_stderr(_grid_args(tmp_path, grid)) == (0, "")
     assert len(legs) == (10 if grid == "compare" else 4)
-    held = {id(config.draws) for config, _ in legs}
-    assert held == {id(legs[0][0].draws), id(legs[1][0].draws)}  # one a seed
+    held = collections.defaultdict(set)  # the ids of the draws the legs at each seed carry
+    for config, _ in legs:  # which holds them all, so no id is reused
+        held[config.seed].add(id(config.draws))
+    assert sorted(held) == [0, 1] and all(len(ids) == 1 for ids in held.values())  # one a seed
+    assert len(set.union(*held.values())) == 2
     for config, log in legs:
         assert config.draws.seed == config.seed
         assert log.csv_text() == engine.run(dataclasses.replace(config, draws=None)).csv_text()
+
+
+@pytest.mark.parametrize("grid", ["compare", "sweep-epsilon"])
+def test_a_grid_holds_one_seeds_draws_at_a_time(tmp_path, monkeypatch, grid):
+    # the legs run seed by seed, so a seed's (K, n) index table goes before the next seed's
+    alive, built, run = weakref.WeakValueDictionary(), [], cli.run  # alive: SeedDraws by id
+
+    def watched(config):
+        alive[id(config.draws)] = config.draws
+        built.append(sum("indices" in vars(draws) for draws in alive.values()))
+        return run(config)
+
+    monkeypatch.setattr(cli, "run", watched)
+    assert _exit_code_and_stderr(_grid_args(tmp_path, grid, "run.repeat=3")) == (0, "")
+    points = {"compare": 5, "sweep-epsilon": 2}[grid]  # 4 variants and the baseline; 2 values
+    assert len(built) == 3 * points and max(built) == 1
+    # a seed's first leg draws inside run; the seed's other legs find its table built
+    assert built == [0, *[1] * (points - 1)] * 3
 
 
 @pytest.mark.parametrize(
