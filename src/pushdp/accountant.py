@@ -103,16 +103,17 @@ def mu_tot_from_eps_delta(eps: float, delta: float) -> float:
     Bisects delta(mu, eps) = delta over the fixed bracket, relying on the
     transfer being monotone in mu.  Raises NoBracket when delta falls outside
     the achievable range on the bracket, and flags results that land within
-    rounding of the upper endpoint.
+    rounding of the upper endpoint.  Each error names the config keys it checks.
     """
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ValueError(f"privacy.epsilon must be positive, got {eps}")
     if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+        raise ValueError("privacy.delta must lie in (0, 1)")
     lo, hi = MU_BRACKET
     if not delta_from_mu_eps(lo, eps) <= delta <= delta_from_mu_eps(hi, eps):
         raise NoBracket(
-            f"delta = {delta:g} is not reachable for eps = {eps:g} with mu in {MU_BRACKET}"
+            f"privacy.epsilon and privacy.delta: delta = {delta:g} is not reachable for "
+            f"eps = {eps:g} with mu in {MU_BRACKET}"
         )
     mu = _bisect(lambda m: delta_from_mu_eps(m, eps) < delta, lo, hi, atol=1e-12)
     if mu > MU_BRACKET[1] - 1e-6:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import NoBracket, PrivacySpec, compose_general
+from .accountant import PrivacySpec, compose_general
 from .engine import RunConfig, SeedDraws, run
 from .metrics import RunSummary, csv_text, summarize
 from .models import Model, Task, synth_dataset
@@ -214,14 +214,10 @@ def _privacy(cfg: ExperimentConfig) -> PrivacySpec:
     """The (epsilon, delta) target of a private config, solved for mu_tot over run.K steps."""
     if cfg.epsilon == 0:
         raise ConfigError("privacy.epsilon is required for private variants")
-    if cfg.epsilon < 0:
-        raise ConfigError(f"privacy.epsilon must be positive, got {cfg.epsilon}")
-    if not 0 < cfg.delta < 1:
-        raise ConfigError("privacy.delta must lie in (0, 1)")
-    try:
+    try:  # the accountant checks the target, naming its keys
         return PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, cfg.K)
-    except NoBracket as exc:
-        raise ConfigError(f"privacy.epsilon and privacy.delta: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _corollary(cfg: ExperimentConfig, mu_tot: float) -> tuple[float, int]:

@@ -37,9 +37,9 @@ VARIANTS = tuple(_DYNAMIC)
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Read-only (C_k, mu_k, sigma_k) arrays for a K-step run, plus the rates that
-    shaped them, 1.0 on frozen axes.  ``clip[0]`` and ``budget[0]`` are the initial
-    (or flat) clip bound and step budget."""
+    """Read-only (C_k, mu_k, sigma_k) arrays for a K-step run, every C_k and sigma_k finite
+    and positive, plus the rates that shaped them, 1.0 on frozen axes.  ``clip[0]`` and
+    ``budget[0]`` are the initial (or flat) clip bound and step budget."""
 
     clip: np.ndarray
     budget: np.ndarray
@@ -55,6 +55,9 @@ class NoiseSchedule:
         shape = self.sigma.shape
         if len(shape) != 1 or not shape[0] or not self.clip.shape == self.budget.shape == shape:
             raise ValueError("clip, budget and sigma must be equal-length 1-D arrays")
+        for values, what in ((self.clip, "clip bounds"), (self.sigma, "noise levels")):
+            if not (np.isfinite(values) & (values > 0)).all():  # so privacy fails closed
+                raise ValueError(f"the schedule's {what} must be finite and positive")
 
     @property
     def K(self) -> int:
@@ -74,10 +77,10 @@ def build_schedule(
 ) -> NoiseSchedule:
     """Resolve a named variant against a privacy target.
 
-    The initial step budget scales the budget shape, growing or flat, to the
-    total budget.  A rate is required exactly when its axis is dynamic, and must then
-    exceed 1; rates on frozen axes are ignored.  The clip bound and any rate given must
-    be finite and positive.  Every error names its config key.
+    The initial step budget scales the budget shape, growing or flat, to the total budget.
+    A rate is required exactly when its axis is dynamic, and must then exceed 1; rates on
+    frozen axes are ignored.  The clip bound and any rate given must be finite and positive,
+    and together give finite, positive C_k and sigma_k.  Every error names its config key.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown schedule variant {variant!r}")
@@ -99,7 +102,10 @@ def build_schedule(
     clip = clip0 * clip_rate**-fractions
     shape = budget_rate**fractions
     budget = solve_mu0(privacy.mu_tot, privacy.J, shape) * shape
-    return NoiseSchedule(
-        clip=clip, budget=budget, sigma=clip / budget, rho_c=clip_rate, rho_mu=budget_rate
-    )
+    with np.errstate(over="ignore"):  # NoiseSchedule refuses an infinite sigma_k
+        sigma = clip / budget
+    try:
+        return NoiseSchedule(clip=clip, budget=budget, sigma=sigma, rho_c=clip_rate, rho_mu=budget_rate)
+    except ValueError as exc:  # C_k under- or sigma_k overflowed
+        raise ValueError(f"schedule.c0 and its rates: {exc}") from exc
 

@@ -100,8 +100,15 @@ def test_delta_rejects_bad_arguments():
     with pytest.raises(ValueError):
         delta_from_mu_eps(1.0, -0.5)
     # and so does the inverse transfer, before it looks for a bracket
-    for eps, delta in ((0.0, 1e-4), (-1.0, 1e-4), (1.0, 0.0), (1.0, 1.0), (1.0, 1.5)):
-        with pytest.raises(ValueError, match="eps must be positive|delta must lie in"):
+    # naming the config keys, in the text the CLI prints
+    for eps, delta, message in (
+        (0.0, 1e-4, "privacy.epsilon must be positive, got 0.0"),
+        (-1.0, 1e-4, "privacy.epsilon must be positive, got -1.0"),
+        (1.0, 0.0, "privacy.delta must lie in (0, 1)"),
+        (1.0, 1.0, "privacy.delta must lie in (0, 1)"),
+        (1.0, 1.5, "privacy.delta must lie in (0, 1)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             mu_tot_from_eps_delta(eps, delta)
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import pushdp
 from pushdp import accountant, cli, engine
-from pushdp.accountant import mu_tot_from_eps_delta
+from pushdp.accountant import PrivacySpec, mu_tot_from_eps_delta
 from pushdp.cli import (
     _FIELDS,
     ConfigError,
@@ -401,6 +401,34 @@ def test_config_fuzz_exits_1_naming_key(dyn_config, tmp_path_factory, case, comm
     assert code == 1, (command, overrides, err)
     assert key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "accountant"])
+@pytest.mark.parametrize(
+    "overrides,what",
+    [
+        (["schedule.c0=1e308"], "noise levels"),  # sigma_0 overflows
+        (["schedule.c0=1e-300", "schedule.rho_c=1e300"], "clip bounds"),  # C_k underflows to 0
+    ],
+    ids=["sigma-overflow", "clip-underflow"],
+)
+def test_a_schedule_without_finite_positive_noise_exits_1_naming_c0(tmp_path, command, overrides, what):
+    config = write_config(tmp_path, BASE.replace("variant = const", "variant = dyn"))
+    out = tmp_path / "out.csv"
+    code, err = _exit_code_and_stderr(_command_args(command, config, overrides, out))
+    message = f"config error: schedule.c0 and its rates: the schedule's {what} must be finite and positive\n"
+    assert (code, err) == (1, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon,delta", [(-1.0, 1e-4), (0.5, 0.0), (0.5, 1.5), (1e-12, 1e-300)])
+def test_the_cli_prints_the_accountants_privacy_error(tmp_path, epsilon, delta):
+    # the accountant owns the (epsilon, delta) checks; the CLI adds only its prefix
+    with pytest.raises(ValueError) as raised:
+        PrivacySpec.resolve(epsilon, delta, 20, 15)
+    config = write_config(tmp_path)
+    args = ["run", "--config", config, "--set", f"privacy.epsilon={epsilon!r}", "--set", f"privacy.delta={delta!r}"]
+    assert _exit_code_and_stderr(args) == (1, f"config error: {raised.value}\n")
 
 
 # an explicit two-node schedule with no edges between the nodes
@@ -937,6 +965,7 @@ def test_the_setting_reads_only_the_entries_a_grid_compares(overrides):
     [
         (["sweep", "--axis", "epsilon", "--values", "0.5,-1"], [], "privacy.epsilon must be positive"),
         (["compare", "--variants", "const,dyn"], ["schedule.rho_c=0"], "schedule.rho_c is unset"),
+        (["sweep", "--axis", "c0", "--values", "2,1e308"], ["schedule.variant=dyn"], "schedule.c0"),  # sigma_0 overflows
         (  # the ring holds every window of one round; the exponential graph does not
             ["sweep", "--axis", "graph", "--values", "ring,exponential"], ["run.b_window=1"],
             "graph schedule is not strongly connected over windows of 1",
@@ -946,7 +975,7 @@ def test_the_setting_reads_only_the_entries_a_grid_compares(overrides):
             "graph schedule is not strongly connected over windows of 1",
         ),
     ],
-    ids=["sweep-epsilon", "compare-schedule", "sweep-connectivity", "sweep-b-window"],
+    ids=["sweep-epsilon", "compare-schedule", "sweep-c0", "sweep-connectivity", "sweep-b-window"],
 )
 def test_a_config_error_in_any_point_comes_before_engine_time(
     tmp_path, monkeypatch, command, overrides, error

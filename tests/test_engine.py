@@ -898,12 +898,17 @@ def test_run_rejects_short_schedule():
 @pytest.mark.parametrize("field", ["clip", "sigma"], ids=["_clip", "_sigma"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
 def test_run_refuses_schedule_without_finite_positive_noise(field, bad):
-    cfg = private_config(n=2, J=10, K=20, epsilon=0.5, variant="dyn")
-    values = getattr(cfg.schedule, field).copy()
+    # the schedule refuses such a step when built, so no run can read it
+    sched = private_config(n=2, J=10, K=20, epsilon=0.5, variant="dyn").schedule
+    values = getattr(sched, field).copy()
     values[7] = bad
-    cfg.schedule = dataclasses.replace(cfg.schedule, **{field: values})
-    with pytest.raises(ValueError, match="finite and positive"):
-        run(cfg)
+    arrays = {"clip": sched.clip, "budget": sched.budget, "sigma": sched.sigma, field: values}
+    what = {"clip": "clip bounds", "sigma": "noise levels"}[field]
+    message = f"^the schedule's {what} must be finite and positive$"
+    with pytest.raises(ValueError, match=message):
+        NoiseSchedule(**arrays, rho_c=sched.rho_c, rho_mu=sched.rho_mu)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(sched, **{field: values})
 
 
 def test_divergent_step_size_raises():
