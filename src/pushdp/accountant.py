@@ -8,7 +8,8 @@ mu = C / sigma, and the guarantee converts to (eps, delta)-DP through
 
 which is monotone increasing in mu for fixed eps and therefore invertible by
 bisection.  K heterogeneous per-step budgets mu_k, each released on a random
-1-in-J sample of the local data, compose to
+1-in-J sample of the local data, compose under the CLT (central-limit)
+approximation, which under-reports delta, to
 
     mu_tot = (1/J) * sqrt(sum_k (exp(mu_k^2) - 1)).
 

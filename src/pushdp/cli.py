@@ -50,7 +50,7 @@ from .engine import RunConfig, SeedDraws, run
 from .metrics import RunSummary, csv_text, summarize
 from .models import Model, Task, synth_dataset
 from .schedule import VARIANTS, build_schedule
-from .topology import GRAPH_KINDS, check_b_strong_connectivity, graph_schedule
+from .topology import GRAPH_KINDS, check_strong_connectivity, graph_schedule
 
 NONPRIVATE = "nonprivate"
 
@@ -95,7 +95,6 @@ class ExperimentConfig:
     gamma: float | str = _entry("run", 0.05, _parse_gamma)
     seed: int = _entry("run", 0, _nonnegative_int)
     repeat: int = _entry("run", 1, _positive_int)
-    b_window: int = _entry("run", 0, _nonnegative_int)  # 0 means the graph period
     epsilon: float = _entry("privacy", 0.0)  # 0 means unset
     delta: float = _entry("privacy", 0.0)
     variant: str = _entry("schedule", "const")
@@ -121,7 +120,7 @@ _FIELDS = [
 _BY_SECTION: dict[str, dict[str, tuple]] = {}
 for _sec, _key, _attr, _parse in _FIELDS:
     _BY_SECTION.setdefault(_sec, {})[_key] = (_attr, _parse)
-_SETTING_ATTRS = [a for sec, _, a, _ in _FIELDS if sec in ("task", "graph") or a in ("n", "b_window")]
+_SETTING_ATTRS = [a for sec, _, a, _ in _FIELDS if sec in ("task", "graph") or a == "n"]
 
 
 def _parse_field(section: str, key: str, value: str):
@@ -185,7 +184,7 @@ def _build_task(cfg: ExperimentConfig) -> Task:
 
 
 def _setting(cfg: ExperimentConfig) -> tuple:
-    """(task, graph, (B, diameter) or None for one node): what the legs of a grid
+    """(task, graph, diameter of one period's union or None): what the legs of a grid
     share while the ``_SETTING_ATTRS`` entries hold, as none of it reads seed or variant."""
     task = _build_task(cfg)
     if cfg.graph not in GRAPH_KINDS:
@@ -202,12 +201,14 @@ def _setting(cfg: ExperimentConfig) -> tuple:
             raise ConfigError(f"graph.matrices is not valid JSON: {exc}") from exc
         if not isinstance(matrices, list):
             raise ConfigError("graph.matrices must be a JSON list of matrices")
+        rows = [row for m in matrices if isinstance(m, list) for row in m if isinstance(row, list)]
+        if bad := [v for row in rows for v in row if type(v) not in (int, float)]:  # bool is no number
+            raise ConfigError(f"graph.matrices: entry {json.dumps(bad[0])} is not a number")
     try:
         graph = graph_schedule(cfg.graph, cfg.n, matrices)
-    except (TypeError, ValueError) as exc:  # TypeError: a matrix entry is not a number
+    except (TypeError, ValueError) as exc:  # TypeError: a matrix is not a list
         raise ConfigError(f"graph.matrices: {exc}") from exc
-    B = cfg.b_window or graph.period
-    return task, graph, (B, check_b_strong_connectivity(graph, B)) if cfg.n > 1 else None
+    return task, graph, check_strong_connectivity(graph)
 
 
 def _privacy(cfg: ExperimentConfig) -> PrivacySpec:
@@ -234,25 +235,23 @@ def _corollary(cfg: ExperimentConfig, mu_tot: float) -> tuple[float, int]:
 def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
     """A config as a RunConfig at seed ``cfg.seed`` in a ``_setting`` built for its n
     and graph: every check, the step size, K, the privacy solve and the schedule."""
-    task, graph, connectivity = setting
+    task, graph, diameter = setting
     extra_meta: dict = {"variant": cfg.variant}
+    private = cfg.variant != NONPRIVATE
 
     if cfg.gamma != "corollary" and cfg.K < 1:
         raise ConfigError("run.K must be positive")
-    if cfg.variant == NONPRIVATE:
-        if cfg.gamma == "corollary":
-            raise ConfigError("run.gamma = corollary needs a privacy budget")
-        gamma, K, sched = float(cfg.gamma), cfg.K, None
+    if private and cfg.variant not in VARIANTS:
+        raise ConfigError(f"schedule.variant must be one of {VARIANTS + (NONPRIVATE,)}")
+    privacy = _privacy(cfg) if private or cfg.gamma == "corollary" else None
+    if cfg.gamma == "corollary":  # a non-private leg too runs at the preset's step size and K
+        gamma, K = _corollary(cfg, privacy.mu_tot)
+        privacy = dataclasses.replace(privacy, K=K)
+        extra_meta["gamma_preset"] = "corollary"
     else:
-        if cfg.variant not in VARIANTS:
-            raise ConfigError(f"schedule.variant must be one of {VARIANTS + (NONPRIVATE,)}")
-        privacy = _privacy(cfg)
-        if cfg.gamma == "corollary":
-            gamma, K = _corollary(cfg, privacy.mu_tot)
-            privacy = dataclasses.replace(privacy, K=K)
-            extra_meta["gamma_preset"] = "corollary"
-        else:
-            gamma, K = float(cfg.gamma), cfg.K
+        gamma, K = float(cfg.gamma), cfg.K
+    sched = None
+    if private:
         try:
             rates = dict(rho_c=cfg.rho_c or None, rho_mu=cfg.rho_mu or None)
             sched = build_schedule(cfg.variant, privacy, clip0=cfg.c0, **rates)
@@ -263,11 +262,10 @@ def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
             c0=float(sched.clip[0]), rho_c=sched.rho_c, rho_mu=sched.rho_mu,
         )
 
-    if connectivity:  # none for one node
-        B, diameter = connectivity
-        if diameter is None:
-            raise ConfigError(f"graph schedule is not strongly connected over windows of {B}")
-        extra_meta.update(graph_window=B, graph_diameter=diameter)
+    if diameter is None:
+        raise ConfigError(f"graph schedule is not strongly connected over windows of {graph.period}")
+    if diameter:  # 0 for one node
+        extra_meta.update(graph_window=graph.period, graph_diameter=diameter)
     return RunConfig(
         task=task, graph=graph, schedule=sched, gamma=gamma, K=K, seed=cfg.seed,
         extra_meta=extra_meta,
@@ -333,11 +331,7 @@ def cmd_compare(args, cfg: ExperimentConfig) -> int:
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r} in --variants")
-    configs = [dataclasses.replace(cfg, variant=v) for v in variants]
-    if cfg.gamma == "corollary":  # the baseline runs at the private legs' step size and K
-        gamma, K = _corollary(cfg, _privacy(cfg).mu_tot)
-        cfg = dataclasses.replace(cfg, gamma=gamma, K=K)
-    configs.append(dataclasses.replace(cfg, variant=NONPRIVATE))
+    configs = [dataclasses.replace(cfg, variant=v) for v in [*variants, NONPRIVATE]]
     grid = _grid(configs, lambda leg: summarize(run(dataclasses.replace(leg, every_round=False))))  # row K-1
     table = [("variant", "epsilon", "delta", "final_loss", "final_accuracy")]
     rows = []

@@ -15,8 +15,8 @@ frozen by setting its rate to 1.
 * ``const``    both flat (the classic fixed-noise baseline).
 
 For every variant mu0 comes from the accountant's one solver, ``solve_mu0``,
-applied to the budget shape rho_mu^(k/K), so each composes exactly to the
-requested total budget.
+applied to the budget shape rho_mu^(k/K), so each composes to the requested
+total budget under the accountant's CLT composition, which under-reports delta.
 """
 
 from __future__ import annotations

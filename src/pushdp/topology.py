@@ -16,13 +16,13 @@ from one of four kinds:
 
 Ring and exponential, the one-peer push of Stochastic Gradient Push, are kept as
 an O(n) source index per round and mixed by a gather, the others as dense matrices.
-The module also checks B-strong-connectivity of a schedule: every window of B
-consecutive rounds must have a strongly connected edge union.
+The module also checks that a schedule is B-strongly connected with B its period:
+the union of one period's rounds, which every longer window holds too, must be
+strongly connected.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,39 +170,25 @@ def _saturation(n: int, receivers: np.ndarray, senders: np.ndarray):
         reach = grown
 
 
-def check_b_strong_connectivity(schedule: GraphSchedule, B: int) -> int | None:
-    """The diameter over windows of B consecutive rounds, or None unless every window
-    is strongly connected.
+def check_strong_connectivity(schedule: GraphSchedule) -> int | None:
+    """The diameter of the union of one period's rounds (0 for one node), or None unless
+    that union is strongly connected.
 
-    The schedule is periodic, so examining lcm(period, B) / B consecutive
-    windows covers every union graph that can ever occur.  A window of at least
-    a period holds every matrix of the period, so it unites ``min(B, period)``
-    rounds and all such windows are the one union: the cost is bounded by the
-    period, however large B is.  The diameter is the worst shortest-path
-    length over the windows, measured along the direction messages travel
-    (edge j -> i when ``P[i, j] > 0``).  A window's union is an
-    edge list read from ``peers`` or the dense union's nonzeros, and one bitset
-    BFS (``_saturation``) over it takes a handful of hops for the exponential
-    graph, n for a ring; a union of all n^2 edges has diameter 1 with no search.
+    The schedule is periodic, so every window of a period or more rounds has this one
+    union.  The diameter is measured along the direction messages travel (edge j -> i
+    when ``P[i, j] > 0``).  The union is an edge list read from ``peers`` or the dense
+    union's nonzeros, and one bitset BFS (``_saturation``) over it takes a handful of
+    hops for the exponential graph, n for a ring; a union of all n^2 edges has
+    diameter 1 with no search.
     """
-    if B < 1:
-        raise ValueError("window must be at least one round")
-    n, period = schedule.n, schedule.period
-    num_windows = 1 if B >= period else math.lcm(period, B) // B
-    diameter = 0
-    for window in range(num_windows):
-        rounds = (window * B + np.arange(min(B, period))) % period
-        if schedule.peers is None:
-            union = (schedule.weights > 0)[rounds].any(axis=0)
-            if union.all():  # every edge, as on a complete graph: no search needed
-                diameter = max(diameter, int(n > 1))
-                continue
-            receivers, senders = np.nonzero(union)
-        else:  # each node's self edge, then its peer in each round
-            senders = np.vstack([np.arange(n), schedule.peers[rounds]]).T.ravel()
-            receivers = np.repeat(np.arange(n), len(rounds) + 1)
-        reached, saturation = _saturation(n, receivers, senders)
-        if not reached.all():
-            return None
-        diameter = max(diameter, int(saturation.max()))
-    return diameter
+    n = schedule.n
+    if schedule.peers is None:
+        union = (schedule.weights > 0).any(axis=0)
+        if union.all():  # every edge, as on a complete graph: no search needed
+            return int(n > 1)
+        receivers, senders = np.nonzero(union)
+    else:  # each node's self edge, then its peer in each round
+        senders = np.vstack([np.arange(n), schedule.peers]).T.ravel()
+        receivers = np.repeat(np.arange(n), schedule.period + 1)
+    reached, saturation = _saturation(n, receivers, senders)
+    return int(saturation.max()) if reached.all() else None

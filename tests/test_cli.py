@@ -123,6 +123,8 @@ def test_override_rejects_malformed_and_unknown():
         parse_config(BASE, ["run.bogus=3"])
     with pytest.raises(ConfigError, match="unknown key run.output"):  # --output names files
         parse_config(BASE, ["run.output=x.csv"])
+    with pytest.raises(ConfigError, match="^unknown key run.b_window$"):  # the period is the window
+        parse_config(BASE, ["run.b_window=1"])
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +188,15 @@ def test_resolve_records_graph_diagnostics():
     assert "contraction_rate" not in rc.extra_meta
 
 
-def test_resolve_respects_b_window_override():
-    cfg = parse_config(BASE, ["run.b_window=4"])
-    rc = _run_leg(cfg)
-    assert rc.extra_meta["graph_window"] == 4
+@pytest.mark.parametrize(
+    "overrides",
+    [["graph.kind=ring"], ["graph.kind=exponential"], ["graph.kind=complete"],
+     ["graph.kind=explicit", "graph.matrices=[[[1.0]]]"]],
+    ids=["ring", "exponential", "complete", "explicit"],
+)
+def test_a_single_node_leg_records_no_graph_diagnostics(overrides):
+    rc = _run_leg(parse_config(BASE, ["run.n=1", *overrides]))
+    assert "graph_window" not in rc.extra_meta and "graph_diameter" not in rc.extra_meta
 
 
 def test_resolve_explicit_graph_from_json():
@@ -315,6 +322,17 @@ BAD_MATRICES = [
     (["graph.kind=explicit"], "graph.matrices"),  # no matrices
     (["graph.kind=explicit", "graph.matrices=[]"], "graph.matrices"),  # an empty list
     (["graph.kind=explicit", "graph.matrices=[["], "graph.matrices"),  # not JSON
+] + [  # entries that are not JSON numbers, which numpy would read as weights or as nan
+    (
+        ["graph.kind=explicit", f"run.n={n}", f"graph.matrices={value}"],
+        f"graph.matrices: entry {entry} is not a number",
+    )
+    for n, value, entry in [
+        (1, "[[[true]]]", "true"),
+        (1, '[[["1.0"]]]', '"1.0"'),
+        (1, "[[[null]]]", "null"),
+        (2, "[[[0.5, 0.5], [0.5, 0.5]], [[1, 0], [0, true]]]", "true"),  # numpy reads [1, true] as ints
+    ]
 ]
 OUT_OF_RANGE = MODEL_OUT_OF_RANGE + BAD_MATRICES + [
     (["run.gamma=-1"], "run.gamma"),
@@ -326,7 +344,7 @@ OUT_OF_RANGE = MODEL_OUT_OF_RANGE + BAD_MATRICES + [
     (["privacy.epsilon=1e6"], "privacy.epsilon"),
     (["run.seed=-1"], "run.seed"),
     (["task.data_seed=-1"], "task.data_seed"),
-    (["run.b_window=-3"], "run.b_window"),
+    (["run.b_window=-3"], "run.b_window"),  # an unknown key: every check is over the period
     (["task.model=bogus"], "task.model"),
     (["graph.kind=bogus"], "graph.kind"),
     (["run.K=0"], "run.K"),  # with a numeric step size
@@ -608,9 +626,20 @@ def test_compare_runs_the_corollary_preset_with_the_private_step_size_and_k(tmp_
     capsys.readouterr()
     # the baseline runs at the derived step size and K, as the private legs do
     assert rows[0][2].startswith("nonprivate,,") and rows[0][2] == rows[1][2]
-    for command in ("run", "sweep"):  # a nonprivate leg of its own still needs the budget
-        args = _command_args(command, config, preset + ["schedule.variant=nonprivate"], out)
-        assert _exit_code_and_stderr(args) == (1, "config error: run.gamma = corollary needs a privacy budget\n")
+    # a nonprivate leg of its own runs at them too, and needs the budget they are solved from
+    nonprivate = preset + ["schedule.variant=nonprivate"]
+    for command in ("run", "sweep"):
+        args = _command_args(command, config, nonprivate, out)
+        assert _exit_code_and_stderr(args) == (0, "")
+        rows.append(out.read_text().splitlines())
+        no_budget = [*args, "--set", "privacy.epsilon=0"]
+        no_epsilon = "config error: privacy.epsilon is required for private variants\n"
+        assert _exit_code_and_stderr(no_budget) == (1, no_epsilon)
+    meta = {line for line in rows[2] if line.startswith("# ")}
+    assert {f"# gamma={leg.gamma!r}", f"# K={leg.K}", "# gamma_preset=corollary"} <= meta
+    assert not any(line.startswith("# epsilon=") for line in meta)
+    final_loss = rows[3][1].split(",")[3]  # axis,value,seed,final_loss,...
+    assert rows[0][2].split(",")[3] == final_loss  # the baseline's mean over its one seed
 
 
 def test_compare_under_the_corollary_preset_builds_each_schedule_once(tmp_path, monkeypatch):
@@ -894,7 +923,7 @@ def test_sweep_leaves_the_base_config_unchanged(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # the setting: dataset, graph and connectivity check, built once per command
 
-SETTING_PARTS = ("synth_dataset", "graph_schedule", "check_b_strong_connectivity")
+SETTING_PARTS = ("synth_dataset", "graph_schedule", "check_strong_connectivity")
 
 
 @pytest.fixture
@@ -966,16 +995,8 @@ def test_the_setting_reads_only_the_entries_a_grid_compares(overrides):
         (["sweep", "--axis", "epsilon", "--values", "0.5,-1"], [], "privacy.epsilon must be positive"),
         (["compare", "--variants", "const,dyn"], ["schedule.rho_c=0"], "schedule.rho_c is unset"),
         (["sweep", "--axis", "c0", "--values", "2,1e308"], ["schedule.variant=dyn"], "schedule.c0"),  # sigma_0 overflows
-        (  # the ring holds every window of one round; the exponential graph does not
-            ["sweep", "--axis", "graph", "--values", "ring,exponential"], ["run.b_window=1"],
-            "graph schedule is not strongly connected over windows of 1",
-        ),
-        (  # a setting kept from b_window = 0 would check windows of the period, 2
-            ["sweep", "--axis", "b_window", "--values", "0,1"], [],
-            "graph schedule is not strongly connected over windows of 1",
-        ),
     ],
-    ids=["sweep-epsilon", "compare-schedule", "sweep-c0", "sweep-connectivity", "sweep-b-window"],
+    ids=["sweep-epsilon", "compare-schedule", "sweep-c0"],
 )
 def test_a_config_error_in_any_point_comes_before_engine_time(
     tmp_path, monkeypatch, command, overrides, error
@@ -1038,7 +1059,6 @@ def test_compare_with_a_shared_setting_equals_legs_built_alone(tmp_path, builds,
         ("J", "20,40"),  # a setting kept for J = 20 would run J = 40's privacy solve on its data
         ("data_seed", "0,5"),
         ("model", "logistic,mlp"),
-        ("b_window", "0,3"),
         ("seed", "0,1"),  # seeds 0-1 and 1-2: the points share seed 1's draws
     ],
 )

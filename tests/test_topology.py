@@ -24,7 +24,7 @@ from pushdp.topology import (
     GraphSchedule,
     MixingMatrixError,
     GRAPH_KINDS,
-    check_b_strong_connectivity,
+    check_strong_connectivity,
     graph_schedule,
     _saturation,
     validate_column_stochastic,
@@ -226,43 +226,35 @@ def test_explicit_schedule_needs_a_matrix(matrices):
         graph_schedule("explicit", 2, matrices)
 
 
-@pytest.mark.parametrize("B", [0, -1])
-def test_connectivity_window_must_be_a_round(B):
-    with pytest.raises(ValueError, match="^window must be at least one round$"):
-        check_b_strong_connectivity(graph_schedule("ring", 3), B)
-
-
 def test_ring_diameter_n4():
     # hand BFS on edges i -> i+1: longest path 0 -> 3 takes 3 hops
-    assert check_b_strong_connectivity(graph_schedule("ring", 4), B=1) == 3
+    assert check_strong_connectivity(graph_schedule("ring", 4)) == 3
 
 
 def test_exponential_union_connected_n4():
-    # period 2; a window of B=2 unions hop-1 and hop-2 edges
-    assert check_b_strong_connectivity(graph_schedule("exponential", 4), B=2) is not None
+    # period 2: the union of hop-1 and hop-2 edges
+    assert check_strong_connectivity(graph_schedule("exponential", 4)) == 2
 
 
 def test_exponential_single_round_disconnected_n4():
-    # the hop-2 round alone splits {0, 2} from {1, 3}
-    assert check_b_strong_connectivity(graph_schedule("exponential", 4), B=1) is None
+    # the hop-2 round alone, as a schedule of its own, splits {0, 2} from {1, 3}
+    hop_two = GraphSchedule("explicit", one_peer_matrices("exponential", 4)[1:])
+    assert check_strong_connectivity(hop_two) is None
 
 
 def test_exponential_diameter_n8():
     # union of hops {1, 2, 4} mod 8: offset 7 needs three hops (1 + 2 + 4)
-    assert check_b_strong_connectivity(graph_schedule("exponential", 8), B=3) == 3
+    assert check_strong_connectivity(graph_schedule("exponential", 8)) == 3
 
 
 def test_disconnected_explicit_schedule():
-    identity = np.eye(3)
-    sched = graph_schedule("explicit", 3, [identity])
-    for B in (1, 2, 5):
-        assert check_b_strong_connectivity(sched, B) is None
+    assert check_strong_connectivity(graph_schedule("explicit", 3, [np.eye(3)])) is None
 
 
 def per_round_diameter(schedule, B):
     """The diameter, or None if a window is not strongly connected, with each window's
-    union taken one round at a time, over all lcm(period, B) / B windows; the oracle for
-    the bounded window."""
+    union taken one round at a time, over all lcm(period, B) / B windows of B rounds;
+    the oracle for the check over one period."""
     diameter = 0
     for window in range(math.lcm(schedule.period, B) // B):
         union = np.zeros((schedule.n, schedule.n), dtype=bool)
@@ -299,11 +291,39 @@ _PAIRS = [
     ids=["exponential-8", "exponential-5", "ring-4", "pairs-3", "pairs-2", "identity"],
 )
 def test_window_of_a_period_or_more_costs_one_period(schedule):
+    # every window of a period or more rounds has the one union the check reads
     period = schedule.period
-    at_period = check_b_strong_connectivity(schedule, period)
-    assert check_b_strong_connectivity(schedule, 10**9) == at_period
-    for B in (period + 1, 2 * period):
-        assert check_b_strong_connectivity(schedule, B) == per_round_diameter(schedule, B)
+    for B in (period, period + 1, 2 * period):
+        assert check_strong_connectivity(schedule) == per_round_diameter(schedule, B)
+
+
+@pytest.mark.parametrize("kind", ["ring", "exponential", "complete"])
+def test_generated_schedules_match_the_windowed_oracle_at_their_period(kind):
+    for n in range(1, 70):
+        schedule = graph_schedule(kind, n)
+        diameter = check_strong_connectivity(schedule)
+        assert diameter == per_round_diameter(schedule, schedule.period), n
+        assert (diameter == 0) == (n == 1)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(
+    n=st.integers(1, 8),
+    period=st.integers(1, 4),
+    density=st.floats(0.0, 0.6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_explicit_schedules_match_the_windowed_oracle_at_their_period(n, period, density, seed):
+    # sparse draws leave many unions disconnected, so None is covered
+    rng = np.random.default_rng(seed)
+    edges = rng.random((period, n, n)) < density
+    edges[:, np.arange(n), np.arange(n)] = True  # every node keeps a positive self weight
+    weights = edges * rng.uniform(0.1, 1.0, edges.shape)
+    schedule = graph_schedule("explicit", n, list(weights / weights.sum(axis=1, keepdims=True)))
+    diameter = check_strong_connectivity(schedule)
+    assert diameter == per_round_diameter(schedule, period)
+    if n == 1:
+        assert diameter == 0
 
 
 def _second_eigenvalue_modulus(schedule):
@@ -392,8 +412,7 @@ def test_connectivity_from_peers_matches_dense_oracle(kind, n):
     # the edge list read from peers against the nonzeros of the definition's dense stack
     schedule = graph_schedule(kind, n)
     dense = GraphSchedule("explicit", one_peer_matrices(kind, n))
-    for B in range(1, schedule.period + 2):
-        assert check_b_strong_connectivity(schedule, B) == check_b_strong_connectivity(dense, B)
+    assert check_strong_connectivity(schedule) == check_strong_connectivity(dense)
 
 
 def _bits(a: np.ndarray) -> bytes:
@@ -492,7 +511,7 @@ def test_exponential_n1024_schedule_and_check_allocate_no_dense_matrix():
     tracemalloc.start()
     try:
         schedule = graph_schedule("exponential", 1024)
-        diameter = check_b_strong_connectivity(schedule, schedule.period)
+        diameter = check_strong_connectivity(schedule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -505,7 +524,7 @@ def test_complete_schedule_report_matches_the_search(n):
     # a union of all n^2 edges skips the search; its diameter is the one the search gives
     reached, saturation = _saturation(n, *np.nonzero(np.ones((n, n), dtype=bool)))
     assert reached.all()
-    assert check_b_strong_connectivity(graph_schedule("complete", n), 1) == int(saturation.max())
+    assert check_strong_connectivity(graph_schedule("complete", n)) == int(saturation.max())
 
 
 def test_complete_n1024_check_gathers_no_edge_list():
@@ -513,7 +532,7 @@ def test_complete_n1024_check_gathers_no_edge_list():
     schedule = graph_schedule("complete", 1024)
     tracemalloc.start()
     try:
-        diameter = check_b_strong_connectivity(schedule, 1)
+        diameter = check_strong_connectivity(schedule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
