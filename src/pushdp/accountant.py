@@ -78,9 +78,9 @@ def delta_from_mu_eps(mu: float, eps: float) -> float:
     The exp(eps) * Phi(...) product is evaluated in log space so large eps
     cannot overflow before the tail probability pulls it back down.
     """
-    if mu <= 0:
+    if not mu > 0:  # so NaN fails too
         raise ValueError("mu must be positive")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     first = gaussian_cdf(-eps / mu + mu / 2.0)
     second = math.exp(eps + log_ndtr(-eps / mu - mu / 2.0))
@@ -106,7 +106,7 @@ def mu_tot_from_eps_delta(eps: float, delta: float) -> float:
     the achievable range on the bracket, and flags results that land within
     rounding of the upper endpoint.  Each error names the config keys it checks.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"privacy.epsilon must be positive, got {eps}")
     if not 0 < delta < 1:
         raise ValueError("privacy.delta must lie in (0, 1)")
@@ -136,7 +136,7 @@ def compose_general(step_budgets, sampling_prob: float) -> float:
     if not 0 < sampling_prob <= 1:
         raise ValueError("sampling probability must lie in (0, 1]")
     mus = np.asarray(step_budgets, dtype=float)
-    if (mus < 0).any():
+    if not (mus >= 0).all():
         raise ValueError("step budgets must be nonnegative")
     over = np.flatnonzero(mus > MU_STEP_CAP)
     if over.size:
@@ -163,7 +163,7 @@ def solve_mu0(mu_tot: float, J: int, shape) -> float:
     step budget would pass the representable cap.
     """
     s = np.asarray(shape, dtype=float)
-    if mu_tot <= 0 or J < 1 or s.ndim != 1 or not s.size:
+    if not (mu_tot > 0 and J >= 1) or s.ndim != 1 or not s.size:
         raise ValueError("need positive budget and at least one node sample and step")
     if not (np.isfinite(s) & (s > 0)).all():
         raise ValueError("budget shape entries must be finite and positive")

@@ -300,8 +300,8 @@ def run(config: RunConfig) -> MetricsLog:
     ``config.every_round`` False only row K-1 is: the loss, grad_norm_sq and
     accuracy of earlier rows are NaN, and as evaluation only observes, every
     other cell and the metadata are those of the every-round log.  The log's
-    metadata records the worst push-sum weight-sum drift and the largest
-    unclipped stochastic gradient norm seen, both useful sanity checks.
+    metadata records whether the run drew noise, and as sanity checks the worst
+    push-sum weight-sum drift and the largest unclipped stochastic gradient norm seen.
     ``config.draws`` must be made for the config's (seed, n, K, J, d).
     """
     model, data = config.task.model, config.task.dataset
@@ -371,7 +371,7 @@ def run(config: RunConfig) -> MetricsLog:
 
     meta = {
         "n": n, "d": d, "K": K, "J": J, "gamma": float(config.gamma), "seed": config.seed,
-        "graph": config.graph.kind, "noise_enabled": config.noise_enabled, **config.extra_meta,
+        "graph": config.graph.kind, "noise_enabled": noise_blocks is not None, **config.extra_meta,
         "max_weight_sum_drift": max_weight_drift, "max_stoch_grad_norm": max_grad_norm,
     }
     return MetricsLog(meta=meta, rows=round_records(measured, clip, budget, sigma))

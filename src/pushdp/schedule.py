@@ -21,7 +21,7 @@ total budget under the accountant's CLT composition, which under-reports delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,27 +37,28 @@ VARIANTS = tuple(_DYNAMIC)
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Read-only (C_k, mu_k, sigma_k) arrays for a K-step run, every C_k and sigma_k finite
-    and positive, plus the rates that shaped them, 1.0 on frozen axes.  ``clip[0]`` and
-    ``budget[0]`` are the initial (or flat) clip bound and step budget."""
+    """Read-only (C_k, mu_k, sigma_k) arrays for a K-step run, built from C_k and mu_k with
+    sigma_k = C_k / mu_k derived, all three finite and positive, plus the rates that shaped
+    them, 1.0 on frozen axes.  ``clip[0]`` and ``budget[0]`` are the initial (or flat) values."""
 
     clip: np.ndarray
     budget: np.ndarray
-    sigma: np.ndarray
+    sigma: np.ndarray = field(init=False)
     rho_c: float
     rho_mu: float
 
     def __post_init__(self):
-        for name in ("clip", "budget", "sigma"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        shape = self.sigma.shape
-        if len(shape) != 1 or not shape[0] or not self.clip.shape == self.budget.shape == shape:
-            raise ValueError("clip, budget and sigma must be equal-length 1-D arrays")
-        for values, what in ((self.clip, "clip bounds"), (self.sigma, "noise levels")):
+        clip, budget = np.array(self.clip, dtype=float), np.array(self.budget, dtype=float)
+        if clip.ndim != 1 or not clip.size or clip.shape != budget.shape:
+            raise ValueError("clip and budget must be equal-length 1-D arrays")
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+            sigma = clip / budget
+        for values, what in ((clip, "clip bounds"), (budget, "step budgets"), (sigma, "noise levels")):
             if not (np.isfinite(values) & (values > 0)).all():  # so privacy fails closed
                 raise ValueError(f"the schedule's {what} must be finite and positive")
+        for name, values in zip(("clip", "budget", "sigma"), (clip, budget, sigma)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @property
     def K(self) -> int:
@@ -102,10 +103,8 @@ def build_schedule(
     clip = clip0 * clip_rate**-fractions
     shape = budget_rate**fractions
     budget = solve_mu0(privacy.mu_tot, privacy.J, shape) * shape
-    with np.errstate(over="ignore"):  # NoiseSchedule refuses an infinite sigma_k
-        sigma = clip / budget
     try:
-        return NoiseSchedule(clip=clip, budget=budget, sigma=sigma, rho_c=clip_rate, rho_mu=budget_rate)
+        return NoiseSchedule(clip=clip, budget=budget, rho_c=clip_rate, rho_mu=budget_rate)
     except ValueError as exc:  # C_k under- or sigma_k overflowed
         raise ValueError(f"schedule.c0 and its rates: {exc}") from exc
 

@@ -313,7 +313,7 @@ def reference_run(config, details: list | None = None):
         X, w, Z = X_next, w_next, Z_next
     meta = {
         "n": n, "d": d, "K": K, "J": J, "gamma": float(config.gamma),
-        "seed": config.seed, "graph": config.graph.kind, "noise_enabled": config.noise_enabled,
+        "seed": config.seed, "graph": config.graph.kind, "noise_enabled": bool(schedule[2].any()),
         **config.extra_meta,
         "max_weight_sum_drift": max_weight_drift,
         "max_stoch_grad_norm": max_grad_norm,

@@ -95,15 +95,22 @@ def test_delta_bounds():
 
 
 def test_delta_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        delta_from_mu_eps(0.0, 1.0)
-    with pytest.raises(ValueError):
-        delta_from_mu_eps(1.0, -0.5)
+    # NaN fails each guard too: max(0.0, nan) would otherwise claim delta = 0
+    for mu, eps, message in (
+        (0.0, 1.0, "mu must be positive"),
+        (math.nan, 1.0, "mu must be positive"),
+        (1.0, -0.5, "eps must be nonnegative"),
+        (1.0, math.nan, "eps must be nonnegative"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            delta_from_mu_eps(mu, eps)
     # and so does the inverse transfer, before it looks for a bracket
     # naming the config keys, in the text the CLI prints
     for eps, delta, message in (
         (0.0, 1e-4, "privacy.epsilon must be positive, got 0.0"),
         (-1.0, 1e-4, "privacy.epsilon must be positive, got -1.0"),
+        (math.nan, 1e-4, "privacy.epsilon must be positive, got nan"),
+        (1.0, math.nan, "privacy.delta must lie in (0, 1)"),
         (1.0, 0.0, "privacy.delta must lie in (0, 1)"),
         (1.0, 1.0, "privacy.delta must lie in (0, 1)"),
         (1.0, 1.5, "privacy.delta must lie in (0, 1)"),
@@ -153,8 +160,9 @@ def test_compose_single_step_closed_form():
 def test_compose_zero_steps_contribute_nothing():
     with_zeros = compose_general(np.array([0.5, 0.0, 0.0, 0.5]), 0.25)
     assert with_zeros == compose_general(np.array([0.5, 0.5]), 0.25)
-    with pytest.raises(ValueError, match="step budgets must be nonnegative"):
-        compose_general(np.array([0.5, -1e-300]), 0.25)
+    for bad in (-1e-300, math.nan):
+        with pytest.raises(ValueError, match="step budgets must be nonnegative"):
+            compose_general(np.array([0.5, bad, 0.5]), 0.25)
 
 
 def test_compose_scales_with_sampling_probability():
@@ -292,7 +300,10 @@ def test_privacy_spec_resolves_and_round_trips():
 
 @pytest.mark.parametrize(
     "mu_tot,J,shape",
-    [(0.0, 10, [1.0]), (-1.0, 10, [1.0]), (0.3, 0, [1.0]), (0.3, 10, []), (0.3, 10, [[1.0, 2.0]])],
+    [
+        (0.0, 10, [1.0]), (-1.0, 10, [1.0]), (0.3, 0, [1.0]), (0.3, 10, []), (0.3, 10, [[1.0, 2.0]]),
+        (math.nan, 10, [1.0, 1.0]),
+    ],
 )
 def test_solve_mu0_rejects_a_nonpositive_budget_or_no_step(mu_tot, J, shape):
     message = "need positive budget and at least one node sample and step"

@@ -251,6 +251,14 @@ def test_run_respects_set_overrides(tmp_path):
     assert len(data_lines(out)) == 1 + 5
 
 
+@pytest.mark.parametrize("variant, drew", [("nonprivate", False), ("const", True)])
+def test_run_metadata_records_whether_the_run_drew_noise(tmp_path, variant, drew):
+    out = tmp_path / "metrics.csv"
+    args = ["run", "--config", write_config(tmp_path), "--set", f"schedule.variant={variant}"]
+    assert main([*args, "--output", str(out)]) == 0
+    assert f"# noise_enabled={drew}" in out.read_text().splitlines()
+
+
 def test_run_repeat_writes_one_file_per_seed(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "metrics.csv"

@@ -40,7 +40,7 @@ from pushdp.engine import (
 )
 from pushdp.metrics import COLUMNS
 from pushdp.models import Model, Task, synth_dataset
-from pushdp.schedule import NoiseSchedule, build_schedule
+from pushdp.schedule import VARIANTS, NoiseSchedule, build_schedule
 from pushdp.topology import GraphSchedule, graph_schedule
 
 
@@ -590,6 +590,12 @@ def _mlp_private_config():
     )
 
 
+# a 3-node explicit schedule whose columns sum to one but whose rows do not
+MOVING_WEIGHTS = [
+    [[0.5, 0.2, 0.0], [0.5, 0.8, 0.3], [0.0, 0.0, 0.7]],
+    [[0.6, 0.0, 0.1], [0.0, 0.9, 0.0], [0.4, 0.1, 0.9]],
+]
+
 REFERENCE_CASES = {
     "dyn": lambda: private_config(n=8, J=20, K=40, epsilon=0.5, variant="dyn", seed=9),
     "nonprivate": lambda: nonprivate_config(n=6, J=15, K=40, seed=2, graph="ring"),
@@ -605,10 +611,7 @@ REFERENCE_CASES = {
     # over a block boundary; FINAL_ONLY_CASES runs it evaluated at its last round only
     "explicit-moving-weights": lambda: dataclasses.replace(
         private_config(n=3, J=10, K=ROUND_BLOCK + 9, epsilon=0.5, variant="dyn", seed=4),
-        graph=graph_schedule("explicit", 3, [
-            [[0.5, 0.2, 0.0], [0.5, 0.8, 0.3], [0.0, 0.0, 0.7]],
-            [[0.6, 0.0, 0.1], [0.0, 0.9, 0.0], [0.4, 0.1, 0.9]],
-        ]),
+        graph=graph_schedule("explicit", 3, MOVING_WEIGHTS),
     ),
     # a seed of two 32-bit words keys the streams by multi-word entropy
     "seed-2^40+3": lambda: private_config(
@@ -628,6 +631,41 @@ def test_run_matches_per_node_reference(make):
     for got, want in zip(details, ref):
         for name in ("xbar", "grads", "clipped", "halves", "weights", "mixed"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@st.composite
+def _differential_configs(draw):
+    """A run config over every axis the round loop branches on: graph kind (the explicit
+    one moves the push-sum weights), n, K on both sides of the block boundary, J, model,
+    variant, noise on or off, and lone or shared draws."""
+    kind = draw(st.sampled_from(["ring", "exponential", "complete", "explicit"]))
+    n = 3 if kind == "explicit" else draw(st.integers(1, 9))
+    K = draw(st.sampled_from([1, 2, ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1, 2 * ROUND_BLOCK + 1, 131]))
+    J = draw(st.integers(1, 12))
+    classes = draw(st.sampled_from([None, 2, 3]))  # None: the logistic model
+    variant = draw(st.sampled_from(["nonprivate", *VARIANTS]))
+    seed = draw(st.sampled_from([0, 2**40 + 3, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    if classes is None:
+        model = Model(kind="logistic", d_in=4)
+    else:
+        model = Model(kind="mlp", d_in=4, classes=classes, hidden=3)
+    data = synth_dataset(draw(st.integers(0, 3)), n, J, d_in=4, classes=classes or 2)
+    sched = None
+    if variant != "nonprivate":
+        privacy = PrivacySpec.resolve(0.5, 1e-4, J, K)
+        sched = build_schedule(variant, privacy, clip0=1.0, rho_c=4.0, rho_mu=4.0)
+    cfg = RunConfig(
+        task=Task(model=model, dataset=data),
+        graph=graph_schedule(kind, n, MOVING_WEIGHTS if kind == "explicit" else None),
+        schedule=sched, gamma=0.05, K=K, seed=seed, noise_enabled=draw(st.booleans()),
+    )
+    return dataclasses.replace(cfg, draws=engine.SeedDraws.of(cfg)) if draw(st.booleans()) else cfg
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=80)
+@given(_differential_configs())
+def test_run_matches_per_node_reference_on_drawn_configs(cfg):
+    assert run(cfg).csv_text() == reference_run(cfg).csv_text()
 
 
 FINAL_ONLY_CASES = {
@@ -781,6 +819,19 @@ def test_noise_ablation_keeps_data_sequence():
     assert not np.array_equal(det_on.halves, det_off.halves)
 
 
+@pytest.mark.parametrize(
+    "make, drew",
+    [
+        (lambda: private_config(n=4, J=20, K=5, epsilon=0.5), True),
+        (lambda: private_config(n=4, J=20, K=5, epsilon=0.5, noise_enabled=False), False),
+        (lambda: nonprivate_config(n=4, J=20, K=5), False),
+    ],
+    ids=["private", "noise-disabled", "nonprivate"],
+)
+def test_metadata_records_whether_the_run_drew_noise(make, drew):
+    assert run(make()).meta["noise_enabled"] is drew
+
+
 def test_noise_hurts_optimization():
     noisy, clean = [], []
     for seed in range(4):
@@ -839,7 +890,7 @@ def test_general_schedule_drives_engine():
     K = 12
     clips = 1.5 * 2.0 ** (-np.arange(K) / K)
     sigma = 0.4 * (1.0 + np.arange(K) % 3)
-    sched = NoiseSchedule(clip=clips, budget=clips / sigma, sigma=sigma, rho_c=2.0, rho_mu=1.0)
+    sched = NoiseSchedule(clip=clips, budget=clips / sigma, rho_c=2.0, rho_mu=1.0)
     task = logistic_task(4, 20)
     cfg = RunConfig(
         task=task, graph=graph_schedule("exponential", 4), schedule=sched,
@@ -895,15 +946,15 @@ def test_run_rejects_short_schedule():
         run(cfg)
 
 
-@pytest.mark.parametrize("field", ["clip", "sigma"], ids=["_clip", "_sigma"])
+@pytest.mark.parametrize("field", ["clip", "budget"], ids=["_clip", "_budget"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
 def test_run_refuses_schedule_without_finite_positive_noise(field, bad):
     # the schedule refuses such a step when built, so no run can read it
     sched = private_config(n=2, J=10, K=20, epsilon=0.5, variant="dyn").schedule
     values = getattr(sched, field).copy()
     values[7] = bad
-    arrays = {"clip": sched.clip, "budget": sched.budget, "sigma": sched.sigma, field: values}
-    what = {"clip": "clip bounds", "sigma": "noise levels"}[field]
+    arrays = {"clip": sched.clip, "budget": sched.budget, field: values}
+    what = {"clip": "clip bounds", "budget": "step budgets"}[field]
     message = f"^the schedule's {what} must be finite and positive$"
     with pytest.raises(ValueError, match=message):
         NoiseSchedule(**arrays, rho_c=sched.rho_c, rho_mu=sched.rho_mu)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -146,15 +147,35 @@ def test_schedule_arrays_are_read_only(privacy):
 def test_schedule_copies_its_arrays_and_checks_their_shapes():
     clip = np.ones(4)
     provenance = dict(rho_c=1.0, rho_mu=1.0)
-    sched = NoiseSchedule(clip=clip, budget=np.ones(4), sigma=np.ones(4), **provenance)
+    sched = NoiseSchedule(clip=clip, budget=np.ones(4), **provenance)
     clip[0] = 5.0
     assert sched.clip[0] == 1.0 and sched.K == 4
     with pytest.raises(ValueError, match="equal-length"):
-        NoiseSchedule(clip=np.ones(4), budget=np.ones(3), sigma=np.ones(4), **provenance)
+        NoiseSchedule(clip=np.ones(4), budget=np.ones(3), **provenance)
     with pytest.raises(ValueError, match="equal-length"):
-        NoiseSchedule(clip=[], budget=[], sigma=[], **provenance)
+        NoiseSchedule(clip=[], budget=[], **provenance)
     with pytest.raises(ValueError, match="equal-length"):
-        NoiseSchedule(clip=1.0, budget=1.0, sigma=1.0, **provenance)
+        NoiseSchedule(clip=1.0, budget=1.0, **provenance)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_schedule_derives_each_noise_level_from_its_clip_bound_and_budget(privacy, variant):
+    sched = build_schedule(variant, privacy, clip0=2.0, rho_c=4.0, rho_mu=4.0)
+    assert sched.sigma.tobytes() == (sched.clip / sched.budget).tobytes()
+    # the noise level is no input, so no schedule carries one other than C_k / mu_k
+    with pytest.raises(TypeError):
+        NoiseSchedule(clip=sched.clip, budget=sched.budget, sigma=sched.sigma, rho_c=1.0, rho_mu=1.0)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(sched, sigma=2 * sched.sigma)
+
+
+@pytest.mark.parametrize(
+    "clip,budget", [(1e308, 1e-10), (1e-300, 1e300)], ids=["overflow", "underflow"]
+)
+def test_schedule_refuses_a_noise_level_out_of_range_of_finite_positive_inputs(clip, budget):
+    message = "^the schedule's noise levels must be finite and positive$"
+    with pytest.raises(ValueError, match=message):
+        NoiseSchedule(clip=[1.0, clip], budget=[1.0, budget], rho_c=1.0, rho_mu=1.0)
 
 
 def test_table_csv_shape(privacy):
