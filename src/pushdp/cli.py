@@ -14,21 +14,22 @@ Each is declared once, as an entry of ``_COMMANDS`` (handler, help and own flags
 the parser is built from that table once per process, at import, and gives every
 subcommand ``--config`` and ``--set``, so ``main`` only parses.
 
-``run``, ``compare`` and ``sweep`` hand configs, one a point, and a callback that
-calls ``run`` to ``_grid``, which first resolves every point in ``_leg`` (every
-check, K, the step size, the privacy budget and the schedule), building the dataset
-and graph and checking connectivity again only when an entry they read changes.
-It then runs the legs seed by seed: in a grid of more than one point the legs at
-one seed carry that seed's initial iterates and sample indices
-(``engine.SeedDraws``) while (n, K, J, d) holds, one seed's at a time.
-``accountant`` audits the same leg.
+Every subcommand hands configs, one a point, and a callback to ``_grid``, which
+first resolves every point in ``_leg`` (every check, K, the step size, the privacy
+budget and the schedule), building the dataset and graph and checking connectivity
+again only when an entry they read changes.  It then runs the legs seed by seed: in
+a grid of more than one point the legs at one seed carry that seed's initial iterates
+and sample indices (``engine.SeedDraws``) while (n, K, J, d) holds, one seed's at a
+time.  ``run``, ``compare`` and ``sweep`` run each leg; ``accountant`` audits its one.
 
 Configuration lives in an INI-style file with sections [run], [privacy],
 [schedule], [graph], and [task]; ``--set section.key=value`` overrides any
 entry from the command line.  Each entry is declared once, as a field of
 ``ExperimentConfig`` whose metadata holds its section and parser.  Unknown
-sections or keys, non-finite numbers and out-of-range values are rejected with
-the key named.  Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+sections ([DEFAULT] too) or keys, non-finite numbers and out-of-range values are
+rejected with the key named.  Exit codes: 0 success; 1 configuration error, a
+``ConfigError`` or any ``ValueError`` raised while ``_grid`` resolves (each library
+names the key it checks); 2 runtime failure, such as an error while a leg runs.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def _parse_field(section: str, key: str, value: str):
 
 def parse_config(text: str, overrides: list[str] | None = None) -> ExperimentConfig:
     """Parse config text plus ``section.key=value`` overrides, rejecting unknowns."""
-    cp = configparser.ConfigParser(interpolation=None)
+    cp = configparser.ConfigParser(interpolation=None, default_section="\n")  # no header spells "\n"
     cp.optionxform = str
     try:
         cp.read_string(text)
@@ -174,19 +175,11 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
     return parse_config(text, overrides)
 
 
-def _build_task(cfg: ExperimentConfig) -> Task:
-    try:  # Model and the class means check the [task] entries, naming their keys
-        model = Model(cfg.model, cfg.d_in, cfg.classes, cfg.hidden if cfg.model == "mlp" else 0)
-        dataset = synth_dataset(cfg.data_seed, cfg.n, cfg.J, cfg.d_in, cfg.classes, cfg.separation)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return Task(model=model, dataset=dataset)
-
-
 def _setting(cfg: ExperimentConfig) -> tuple:
     """(task, graph, diameter of one period's union or None): what the legs of a grid
     share while the ``_SETTING_ATTRS`` entries hold, as none of it reads seed or variant."""
-    task = _build_task(cfg)
+    model = Model(cfg.model, cfg.d_in, cfg.classes, cfg.hidden if cfg.model == "mlp" else 0)
+    dataset = synth_dataset(cfg.data_seed, cfg.n, cfg.J, cfg.d_in, cfg.classes, cfg.separation)
     if cfg.graph not in GRAPH_KINDS:
         raise ConfigError(f"graph.kind must be one of {GRAPH_KINDS}, got {cfg.graph!r}")
     matrices = None
@@ -208,17 +201,14 @@ def _setting(cfg: ExperimentConfig) -> tuple:
         graph = graph_schedule(cfg.graph, cfg.n, matrices)
     except (TypeError, ValueError) as exc:  # TypeError: a matrix is not a list
         raise ConfigError(f"graph.matrices: {exc}") from exc
-    return task, graph, check_strong_connectivity(graph)
+    return Task(model=model, dataset=dataset), graph, check_strong_connectivity(graph)
 
 
 def _privacy(cfg: ExperimentConfig) -> PrivacySpec:
     """The (epsilon, delta) target of a private config, solved for mu_tot over run.K steps."""
     if cfg.epsilon == 0:
         raise ConfigError("privacy.epsilon is required for private variants")
-    try:  # the accountant checks the target, naming its keys
-        return PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, cfg.K)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return PrivacySpec.resolve(cfg.epsilon, cfg.delta, cfg.J, cfg.K)
 
 
 def _corollary(cfg: ExperimentConfig, mu_tot: float) -> tuple[float, int]:
@@ -252,11 +242,8 @@ def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
         gamma, K = float(cfg.gamma), cfg.K
     sched = None
     if private:
-        try:
-            rates = dict(rho_c=cfg.rho_c or None, rho_mu=cfg.rho_mu or None)
-            sched = build_schedule(cfg.variant, privacy, clip0=cfg.c0, **rates)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        rates = dict(rho_c=cfg.rho_c or None, rho_mu=cfg.rho_mu or None)
+        sched = build_schedule(cfg.variant, privacy, clip0=cfg.c0, **rates)
         extra_meta.update(
             epsilon=cfg.epsilon, delta=cfg.delta, mu_tot=privacy.mu_tot, mu0=float(sched.budget[0]),
             c0=float(sched.clip[0]), rho_c=sched.rho_c, rho_mu=sched.rho_mu,
@@ -279,10 +266,13 @@ def _grid(configs: list, each) -> list:
     legs then run seed by seed; with more than one config the legs at one seed carry one
     SeedDraws while they keep (n, K, J, d), made inside ``run`` so they count as engine time."""
     legs, setting, read = [], None, None
-    for cfg in configs:
-        if read != (entries := [getattr(cfg, a) for a in _SETTING_ATTRS]):
-            setting, read = _setting(cfg), entries
-        legs.append(_leg(cfg, setting))
+    try:  # the libraries check the entries they read, naming the keys: a config error
+        for cfg in configs:
+            if read != (entries := [getattr(cfg, a) for a in _SETTING_ATTRS]):
+                setting, read = _setting(cfg), entries
+            legs.append(_leg(cfg, setting))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     results = [[] for _ in configs]
     for seed in sorted({s for cfg in configs for s in range(cfg.seed, cfg.seed + cfg.repeat)}):
         draws = None  # the last seed's, dropped
@@ -366,21 +356,21 @@ def cmd_sweep(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_accountant(args, cfg: ExperimentConfig) -> int:
-    setting = _setting(cfg)  # bad [task] and [graph] entries fail as for a run
-    if cfg.variant == NONPRIVATE:
-        raise ConfigError("the accountant needs a private schedule variant")
-    leg = _leg(cfg, setting)  # the K, step size and schedule a run executes
-    sched = leg.schedule
-    composed = compose_general(sched.budget, 1.0 / cfg.J)
-    print(f"epsilon = {cfg.epsilon:g}, delta = {cfg.delta:g}")
-    print(f"mu_tot = {leg.extra_meta['mu_tot']}")
-    print(f"variant = {cfg.variant}")
-    print(f"mu0 = {sched.budget[0]}")
-    print(f"sigma_first = {sched.sigma[0]}")
-    print(f"sigma_last = {sched.sigma[-1]}")
-    print(f"composed_mu_tot = {composed}")
-    if args.table:
-        _write(args.table, sched.table_csv())
+    def audit(leg: RunConfig) -> None:  # the leg a run executes, after every check it makes
+        if (sched := leg.schedule) is None:
+            raise ConfigError("the accountant needs a private schedule variant")
+        composed = compose_general(sched.budget, 1.0 / cfg.J)
+        print(f"epsilon = {cfg.epsilon:g}, delta = {cfg.delta:g}")
+        print(f"mu_tot = {leg.extra_meta['mu_tot']}")
+        print(f"variant = {cfg.variant}")
+        print(f"mu0 = {sched.budget[0]}")
+        print(f"sigma_first = {sched.sigma[0]}")
+        print(f"sigma_last = {sched.sigma[-1]}")
+        print(f"composed_mu_tot = {composed}")
+        if args.table:
+            _write(args.table, sched.table_csv())
+
+    _grid([dataclasses.replace(cfg, repeat=1)], audit)
     return 0
 
 

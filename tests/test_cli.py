@@ -88,6 +88,21 @@ def test_parse_rejects_unknown_section():
         parse_config(BASE + "\n[extra]\nfoo = 1\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[DEFAULT]\nfoo = 1\n", "[DEFAULT]\nepsilon = 5\n" + BASE, BASE + "\n[DEFAULT]\nepsilon = 5\n"],
+    ids=["alone", "before-run", "after-run"],
+)
+def test_a_default_section_is_an_unknown_section(tmp_path, text):
+    # configparser would read [DEFAULT] as entries of every section, not as a section
+    with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+        parse_config(text)
+    args = ["run", "--config", write_config(tmp_path, text), "--output", str(tmp_path / "out.csv")]
+    assert _exit_code_and_stderr(args) == (1, "config error: unknown section [DEFAULT]\n")
+    with pytest.raises(ConfigError, match=r"^unknown key DEFAULT\.n$"):
+        parse_config(BASE, ["DEFAULT.n=4"])
+
+
 def test_parse_rejects_unknown_key():
     with pytest.raises(ConfigError, match="task.steps"):
         parse_config(BASE + "steps = 3\n")
@@ -395,6 +410,20 @@ def test_run_rejects_bad_value_naming_key(tmp_path, overrides, key):
     code, err = _exit_code_and_stderr(_command_args("run", config, overrides, out))
     assert code == 1, err
     assert key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides,key",
+    NON_FINITE_CASES + OUT_OF_RANGE,
+    ids=lambda v: "+".join(v) if isinstance(v, list) else None,
+)
+def test_accountant_prints_what_run_prints_for_a_bad_value(tmp_path, overrides, key):
+    config = write_config(tmp_path, BASE.replace("variant = const", "variant = dyn"))
+    out = tmp_path / "out.csv"
+    code, err = _exit_code_and_stderr(_command_args("run", config, overrides, out))
+    assert code == 1 and key in err, err
+    assert _exit_code_and_stderr(_command_args("accountant", config, overrides, out)) == (code, err)
     assert not out.exists()
 
 
@@ -788,6 +817,53 @@ def test_accountant_rejects_nonprivate(tmp_path):
         tmp_path, BASE.replace("variant = const", "variant = nonprivate")
     )
     assert main(["accountant", "--config", config]) == 1
+
+
+@pytest.mark.filterwarnings("ignore::pushdp.accountant.RegimeWarning")
+def test_accountant_resolves_through_the_grid_alone(tmp_path, monkeypatch, capsys):
+    calls, grids, depth = [], [], []
+
+    def recording(name, function):
+        def recorded(*args):
+            calls.append(name if depth or name == "_grid" else f"{name} outside _grid")
+            grids.extend([args[0]] if name == "_grid" else [])
+            depth.append(name)
+            try:
+                return function(*args)
+            finally:
+                depth.pop()
+
+        return recorded
+
+    for name in ("_grid", "_setting", "_leg"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    config = write_config(tmp_path, BASE.replace("variant = const", "variant = dyn"))
+    assert main(["accountant", "--config", config, "--set", "run.repeat=3"]) == 0
+    assert calls == ["_grid", "_setting", "_leg"]
+    assert grids == [[parse_config(BASE, ["schedule.variant=dyn", "run.repeat=1"])]]
+    assert len(capsys.readouterr().out.splitlines()) == 7  # one audit, not one a seed
+
+
+@pytest.mark.parametrize(
+    "overrides,error",
+    [
+        ([], "the accountant needs a private schedule variant"),
+        (["run.K=0"], "run.K must be positive"),
+        (DISCONNECTED, "graph schedule is not strongly connected over windows of 1"),
+        (["run.gamma=corollary", "privacy.epsilon=0"], "privacy.epsilon is required for private variants"),
+    ],
+    ids=["nonprivate", "K-0", "disconnected", "corollary-without-epsilon"],
+)
+def test_accountant_refuses_a_leg_without_a_schedule_after_every_check_run_makes(
+    tmp_path, overrides, error
+):
+    config = write_config(tmp_path, BASE.replace("variant = const", "variant = nonprivate"))
+    out = tmp_path / "out.csv"
+    got = _exit_code_and_stderr(_command_args("accountant", config, overrides, out))
+    assert got == (1, f"config error: {error}\n")
+    if overrides:  # a leg run would refuse too, with the same line
+        assert _exit_code_and_stderr(_command_args("run", config, overrides, out)) == got
+    assert not out.exists()
 
 
 # a plain dyn config, and the corollary preset with K derived and with run.K also set

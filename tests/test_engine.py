@@ -408,6 +408,22 @@ def test_pure_mixing_run_contracts_consensus():
         assert log.meta["max_weight_sum_drift"] == 0.0, kind  # every weight stays exactly 1.0
 
 
+def test_push_sum_debiases_iterates_whose_weights_move():
+    # the directed-graph mechanism: rows that do not sum to one move the weights and
+    # bias the raw iterates, and only the de-biased z_i = x_i / w_i reach consensus
+    cfg = dataclasses.replace(
+        nonprivate_config(n=3, J=4, K=300, gamma=0.0, seed=2),
+        graph=graph_schedule("explicit", 3, MOVING_WEIGHTS),
+    )
+    with recorded_rounds() as details:
+        log = run(cfg)
+    assert log.rows[-1].consensus_err <= 1e-12
+    assert float(log.meta["max_weight_sum_drift"]) <= 1e-10
+    last = details[-1]
+    assert np.abs(last.mixed - last.xbar).max() > 0.1  # the raw iterates stay biased
+    assert np.abs(last.weights - 1.0).max() > 0.1
+
+
 def test_consensus_decay_is_geometric_and_within_theory_rate():
     cfg = nonprivate_config(n=8, J=4, K=101, gamma=0.0, seed=2, graph="ring")
     log = run(cfg)
