@@ -244,10 +244,7 @@ def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
     if private:
         rates = dict(rho_c=cfg.rho_c or None, rho_mu=cfg.rho_mu or None)
         sched = build_schedule(cfg.variant, privacy, clip0=cfg.c0, **rates)
-        extra_meta.update(
-            epsilon=cfg.epsilon, delta=cfg.delta, mu_tot=privacy.mu_tot, mu0=float(sched.budget[0]),
-            c0=float(sched.clip[0]), rho_c=sched.rho_c, rho_mu=sched.rho_mu,
-        )
+        extra_meta.update(sched.claim())
 
     if diameter is None:
         raise ConfigError(f"graph schedule is not strongly connected over windows of {graph.period}")
@@ -302,10 +299,8 @@ def cmd_run(args, cfg: ExperimentConfig) -> int:
 
     def write(leg: RunConfig) -> None:
         log = run(leg)
-        if leg.seed == cfg.seed:
-            for key in ("mu_tot", "mu0"):
-                if key in log.meta:
-                    print(f"{key} = {log.meta[key]}")
+        if leg.seed == cfg.seed and leg.schedule is not None:
+            print("mu_tot = {mu_tot}\nmu0 = {mu0}".format(**leg.schedule.claim()))
         path = f"{stem}{ext}" if cfg.repeat == 1 else f"{stem}_seed{leg.seed}{ext}"
         log.write_csv(path)
         print(f"wrote {path}")
@@ -315,6 +310,8 @@ def cmd_run(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_compare(args, cfg: ExperimentConfig) -> int:
+    if cfg.variant not in (*VARIANTS, NONPRIVATE):  # though every point replaces it
+        raise ConfigError(f"schedule.variant must be one of {VARIANTS + (NONPRIVATE,)}")
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigError("--variants must list at least one variant")
@@ -359,13 +356,10 @@ def cmd_accountant(args, cfg: ExperimentConfig) -> int:
     def audit(leg: RunConfig) -> None:  # the leg a run executes, after every check it makes
         if (sched := leg.schedule) is None:
             raise ConfigError("the accountant needs a private schedule variant")
-        composed = compose_general(sched.budget, 1.0 / cfg.J)
-        print(f"epsilon = {cfg.epsilon:g}, delta = {cfg.delta:g}")
-        print(f"mu_tot = {leg.extra_meta['mu_tot']}")
-        print(f"variant = {cfg.variant}")
-        print(f"mu0 = {sched.budget[0]}")
-        print(f"sigma_first = {sched.sigma[0]}")
-        print(f"sigma_last = {sched.sigma[-1]}")
+        claim, composed = sched.claim(), compose_general(sched.budget, 1.0 / sched.privacy.J)
+        print(f"epsilon = {claim['epsilon']:g}, delta = {claim['delta']:g}")
+        print(f"mu_tot = {claim['mu_tot']}\nvariant = {cfg.variant}\nmu0 = {claim['mu0']}")
+        print(f"sigma_first = {sched.sigma[0]}\nsigma_last = {sched.sigma[-1]}")
         print(f"composed_mu_tot = {composed}")
         if args.table:
             _write(args.table, sched.table_csv())

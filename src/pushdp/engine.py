@@ -197,12 +197,12 @@ def _mix_arrays(halves: np.ndarray, weights: np.ndarray, graph: GraphSchedule, k
 class RunConfig:
     """Everything one deterministic run needs.
 
-    ``schedule`` is a NoiseSchedule from ``build_schedule``; None selects the
-    non-private path (no clipping, no noise).  ``noise_enabled = False`` keeps
-    the clipping bound of the schedule but injects no noise, which isolates
-    the two privacy mechanisms in ablations.  ``every_round = False`` evaluates
-    only round K-1 (see ``run``).  ``draws`` are the config's own ``SeedDraws``,
-    shared with other legs at its seed; by default the run makes its own.
+    ``schedule`` is a NoiseSchedule from ``build_schedule`` solved for the dataset's ``task.J``
+    (``run`` refuses another J); None selects the non-private path (no clipping, no noise).
+    ``noise_enabled = False`` keeps the clipping bound of the schedule but injects no noise, which
+    isolates the two privacy mechanisms in ablations.  ``every_round = False`` evaluates only round
+    K-1 (see ``run``).  ``draws`` are the config's own ``SeedDraws``, shared with other legs at its
+    seed; by default the run makes its own.
     """
 
     task: Task
@@ -230,8 +230,10 @@ def _schedule_arrays(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     K, sched = config.K, config.schedule
     if sched is None:
         return np.full(K, math.inf), np.full(K, math.nan), np.zeros(K)
-    if sched.K < K:
+    if sched.privacy.K < K:
         raise ValueError("schedule is shorter than the run")
+    if sched.privacy.J != config.task.dataset.J:  # its sampling rate 1/J is the one it was audited for
+        raise ValueError(f"task.J is {config.task.dataset.J}, but the schedule was solved for J = {sched.privacy.J}")
     return sched.clip[:K], sched.budget[:K], sched.sigma[:K] if config.noise_enabled else np.zeros(K)
 
 
@@ -299,10 +301,10 @@ def run(config: RunConfig) -> MetricsLog:
     clip rate refers to the gradients sampled during round k.  With
     ``config.every_round`` False only row K-1 is: the loss, grad_norm_sq and
     accuracy of earlier rows are NaN, and as evaluation only observes, every
-    other cell and the metadata are those of the every-round log.  The log's
-    metadata records whether the run drew noise, and as sanity checks the worst
-    push-sum weight-sum drift and the largest unclipped stochastic gradient norm seen.
-    ``config.draws`` must be made for the config's (seed, n, K, J, d).
+    other cell and the metadata are those of the every-round log.  The log's metadata records
+    whether the run drew noise, and as sanity checks the worst push-sum weight-sum drift and the
+    largest unclipped stochastic gradient norm seen.  ``config.draws`` must be made for the
+    config's (seed, n, K, J, d), and a schedule solved for a J other than ``task.J`` raises.
     """
     model, data = config.task.model, config.task.dataset
     n, d, K, J = config.n, config.d, config.K, config.task.dataset.J

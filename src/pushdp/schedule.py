@@ -1,8 +1,8 @@
 """Per-iteration clipping bounds, step budgets, and noise levels.
 
-A schedule is the triple of per-step sequences (C_k, mu_k, sigma_k) with
-sigma_k = C_k / mu_k; the accountant composes the budgets and the round loop
-reads all three.  One type, ``NoiseSchedule``, holds them; one builder fills it.
+A schedule is the triple of per-step sequences (C_k, mu_k, sigma_k) with sigma_k = C_k / mu_k;
+the accountant composes the budgets and the round loop reads all three.  ``NoiseSchedule`` holds
+them and the target they were solved for, whose ``claim`` every output reads; one builder fills it.
 
 ``build_schedule`` resolves four named variants that share one
 parametrization: the clip bound decays as C_k = C0 * rho_c^(-k/K) and the
@@ -38,19 +38,22 @@ VARIANTS = tuple(_DYNAMIC)
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Read-only (C_k, mu_k, sigma_k) arrays for a K-step run, built from C_k and mu_k with
-    sigma_k = C_k / mu_k derived, all three finite and positive, plus the rates that shaped
-    them, 1.0 on frozen axes.  ``clip[0]`` and ``budget[0]`` are the initial (or flat) values."""
+    sigma_k = C_k / mu_k derived, all three finite and positive, the rates that shaped them,
+    1.0 on frozen axes, and the target ``privacy`` they were solved for, with K = privacy.K."""
 
     clip: np.ndarray
     budget: np.ndarray
     sigma: np.ndarray = field(init=False)
     rho_c: float
     rho_mu: float
+    privacy: PrivacySpec
 
     def __post_init__(self):
         clip, budget = np.array(self.clip, dtype=float), np.array(self.budget, dtype=float)
         if clip.ndim != 1 or not clip.size or clip.shape != budget.shape:
             raise ValueError("clip and budget must be equal-length 1-D arrays")
+        if clip.size != self.privacy.K:
+            raise ValueError(f"the schedule has {clip.size} steps, but its privacy target has K = {self.privacy.K}")
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
             sigma = clip / budget
         for values, what in ((clip, "clip bounds"), (budget, "step budgets"), (sigma, "noise levels")):
@@ -60,13 +63,14 @@ class NoiseSchedule:
             values.setflags(write=False)
             object.__setattr__(self, name, values)
 
-    @property
-    def K(self) -> int:
-        return len(self.sigma)
+    def claim(self) -> dict:
+        """The leg's claim in the metrics CSV's order: its target, the initial (or flat) mu_k and C_k, the rates."""
+        return dict(epsilon=self.privacy.epsilon, delta=self.privacy.delta, mu_tot=self.privacy.mu_tot,
+                    mu0=float(self.budget[0]), c0=float(self.clip[0]), rho_c=self.rho_c, rho_mu=self.rho_mu)
 
     def table_csv(self) -> str:
         """Audit dump of the full schedule, one row per step."""
-        return csv_text("k,C_k,mu_k,sigma_k", (range(self.K), self.clip, self.budget, self.sigma))
+        return csv_text("k,C_k,mu_k,sigma_k", (range(self.privacy.K), self.clip, self.budget, self.sigma))
 
 
 def build_schedule(
@@ -104,7 +108,7 @@ def build_schedule(
     shape = budget_rate**fractions
     budget = solve_mu0(privacy.mu_tot, privacy.J, shape) * shape
     try:
-        return NoiseSchedule(clip=clip, budget=budget, rho_c=clip_rate, rho_mu=budget_rate)
+        return NoiseSchedule(clip=clip, budget=budget, rho_c=clip_rate, rho_mu=budget_rate, privacy=privacy)
     except ValueError as exc:  # C_k under- or sigma_k overflowed
         raise ValueError(f"schedule.c0 and its rates: {exc}") from exc
 

@@ -174,7 +174,7 @@ def test_leg_solves_the_privacy_target_once(monkeypatch):
         lows.clear()
         leg = _run_leg(parse_config(BASE, preset))
         assert sum(lows) == 1
-        assert leg.schedule.K == leg.K
+        assert leg.schedule.privacy.K == leg.K
 
 
 def test_resolve_corollary_preset_needs_enough_budget():
@@ -796,20 +796,30 @@ def test_sweep_rejects_bad_value(tmp_path):
 @pytest.mark.filterwarnings("ignore::pushdp.accountant.RegimeWarning")
 def test_accountant_reports_consistent_budget(tmp_path, capsys):
     config = write_config(tmp_path, BASE.replace("variant = const", "variant = dyn"))
-    table = tmp_path / "table.csv"
-    code = main(["accountant", "--config", config, "--table", str(table)])
-    assert code == 0
-    stdout = capsys.readouterr().out
-    values = {}
-    for line in stdout.splitlines():
-        if " = " in line:
-            key, _, val = line.partition(" = ")
-            values[key.strip()] = val.strip()
-    mu_tot = float(values["mu_tot"])
-    composed = float(values["composed_mu_tot"])
-    assert composed == pytest.approx(mu_tot, rel=1e-8)
-    assert table.read_text().splitlines()[0] == "k,C_k,mu_k,sigma_k"
-    assert len(table.read_text().splitlines()) == 1 + 15
+    table, metrics = tmp_path / "table.csv", tmp_path / "run.csv"
+    for overrides, K in ((AUDITED["dyn"], "15"), (AUDITED["corollary"], None)):  # None: K derived
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        code = main(["accountant", "--config", config, *sets, "--table", str(table)])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        values = {}
+        for line in stdout.splitlines():
+            if " = " in line:
+                key, _, val = line.partition(" = ")
+                values[key.strip()] = val.strip()
+        mu_tot = float(values["mu_tot"])
+        composed = float(values["composed_mu_tot"])
+        assert composed == pytest.approx(mu_tot, rel=1e-8)
+        # one record feeds both outputs: run prints and writes what the accountant prints
+        assert main(["run", "--config", config, *sets, "--output", str(metrics)]) == 0
+        assert f"mu_tot = {values['mu_tot']}\nmu0 = {values['mu0']}\n" in capsys.readouterr().out
+        meta = dict(ln[2:].split("=", 1) for ln in metrics.read_text().splitlines() if ln.startswith("# "))
+        epsilon, _, delta = values["epsilon"].partition(", delta = ")
+        printed = dict(epsilon=epsilon, delta=delta, mu_tot=values["mu_tot"], mu0=values["mu0"])
+        assert {key: meta[key] for key in printed} == printed
+        assert meta["K"] == (K or meta["K"])
+        assert table.read_text().splitlines()[0] == "k,C_k,mu_k,sigma_k"
+        assert len(table.read_text().splitlines()) == 1 + int(meta["K"])
 
 
 def test_accountant_rejects_nonprivate(tmp_path):
@@ -891,7 +901,7 @@ def test_accountant_audits_the_schedule_run_executes(tmp_path, capsys, overrides
     assert (audit["mu_tot"], audit["mu0"]) == (meta["mu_tot"], meta["mu0"])
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "accountant"])
+@pytest.mark.parametrize("command", ["run", "compare", "sweep", "accountant"])
 def test_unknown_variant_names_its_key(tmp_path, command):
     out = tmp_path / "out.csv"
     args = _command_args(command, write_config(tmp_path), ["schedule.variant=bogus"], out)
@@ -991,7 +1001,7 @@ def test_every_written_csv_reads_back_to_the_values_it_records(tmp_path, logs):
     sched = _run_leg(parse_config(Path(config).read_text())).schedule
     _, header, rows = _read_back(out)
     assert header == ["k", "C_k", "mu_k", "sigma_k"]
-    columns = zip(range(sched.K), sched.clip.tolist(), sched.budget.tolist(), sched.sigma.tolist())
+    columns = zip(range(sched.privacy.K), sched.clip.tolist(), sched.budget.tolist(), sched.sigma.tolist())
     assert len(rows) == 15 and all(_cells_equal(row, want) for row, want in zip(rows, columns))
 
 

@@ -22,7 +22,7 @@ from helpers import (
 )
 
 from pushdp import engine
-from pushdp.accountant import PrivacySpec
+from pushdp.accountant import PrivacySpec, compose_general, delta_from_mu_eps
 from pushdp.engine import (
     INIT_SCALE,
     PURPOSE_INIT,
@@ -901,13 +901,16 @@ def test_tiny_bound_clips_everything():
     assert all(r.clip_rate == 1.0 for r in log.rows)
 
 
+@pytest.mark.filterwarnings("ignore::pushdp.accountant.RegimeWarning")
 def test_general_schedule_drives_engine():
     # a noise level that no named variant makes: it steps through three levels
-    K = 12
+    K, J = 12, 20
     clips = 1.5 * 2.0 ** (-np.arange(K) / K)
     sigma = 0.4 * (1.0 + np.arange(K) % 3)
-    sched = NoiseSchedule(clip=clips, budget=clips / sigma, rho_c=2.0, rho_mu=1.0)
-    task = logistic_task(4, 20)
+    mu_tot = compose_general(clips / sigma, 1 / J)  # the target these budgets meet
+    privacy = PrivacySpec(epsilon=1.0, delta=delta_from_mu_eps(mu_tot, 1.0), J=J, K=K, mu_tot=mu_tot)
+    sched = NoiseSchedule(clip=clips, budget=clips / sigma, rho_c=2.0, rho_mu=1.0, privacy=privacy)
+    task = logistic_task(4, J)
     cfg = RunConfig(
         task=task, graph=graph_schedule("exponential", 4), schedule=sched,
         gamma=0.05, K=K, seed=0,
@@ -962,6 +965,17 @@ def test_run_rejects_short_schedule():
         run(cfg)
 
 
+@pytest.mark.parametrize("other_J", [5, 20])
+def test_run_refuses_a_schedule_solved_for_another_J(other_J):
+    # its sampling rate 1/J is not the one the schedule's budgets were audited at
+    cfg = private_config(n=2, J=10, K=20, epsilon=0.5, variant="dyn")
+    cfg.schedule = build_schedule("dyn", PrivacySpec.resolve(0.5, 1e-4, other_J, 20), 2.0, 4.0, 4.0)
+    message = f"^task.J is 10, but the schedule was solved for J = {other_J}$"
+    for noise_enabled in (True, False):
+        with pytest.raises(ValueError, match=message):
+            run(dataclasses.replace(cfg, noise_enabled=noise_enabled))
+
+
 @pytest.mark.parametrize("field", ["clip", "budget"], ids=["_clip", "_budget"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
 def test_run_refuses_schedule_without_finite_positive_noise(field, bad):
@@ -973,7 +987,7 @@ def test_run_refuses_schedule_without_finite_positive_noise(field, bad):
     what = {"clip": "clip bounds", "budget": "step budgets"}[field]
     message = f"^the schedule's {what} must be finite and positive$"
     with pytest.raises(ValueError, match=message):
-        NoiseSchedule(**arrays, rho_c=sched.rho_c, rho_mu=sched.rho_mu)
+        NoiseSchedule(**arrays, rho_c=sched.rho_c, rho_mu=sched.rho_mu, privacy=sched.privacy)
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(sched, **{field: values})
 

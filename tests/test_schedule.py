@@ -144,18 +144,33 @@ def test_schedule_arrays_are_read_only(privacy):
             setattr(sched, name, np.zeros(privacy.K))
 
 
-def test_schedule_copies_its_arrays_and_checks_their_shapes():
+def test_schedule_copies_its_arrays_and_checks_their_shapes(privacy):
     clip = np.ones(4)
-    provenance = dict(rho_c=1.0, rho_mu=1.0)
+    provenance = dict(rho_c=1.0, rho_mu=1.0, privacy=dataclasses.replace(privacy, K=4))
     sched = NoiseSchedule(clip=clip, budget=np.ones(4), **provenance)
     clip[0] = 5.0
-    assert sched.clip[0] == 1.0 and sched.K == 4
+    assert sched.clip[0] == 1.0 and len(sched.sigma) == sched.privacy.K == 4
     with pytest.raises(ValueError, match="equal-length"):
         NoiseSchedule(clip=np.ones(4), budget=np.ones(3), **provenance)
     with pytest.raises(ValueError, match="equal-length"):
         NoiseSchedule(clip=[], budget=[], **provenance)
     with pytest.raises(ValueError, match="equal-length"):
         NoiseSchedule(clip=1.0, budget=1.0, **provenance)
+    # the arrays are as long as the run their privacy target was solved for
+    for steps in (3, 5):
+        with pytest.raises(ValueError, match=f"^the schedule has {steps} steps, but its privacy target has K = 4$"):
+            NoiseSchedule(clip=np.ones(steps), budget=np.ones(steps), **provenance)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_claim_is_the_target_and_the_schedule_it_was_solved_for(privacy, variant):
+    sched = build_schedule(variant, privacy, clip0=2.0, rho_c=4.0, rho_mu=4.0)
+    assert sched.privacy is privacy
+    assert list(sched.claim().items()) == [
+        ("epsilon", 0.3), ("delta", 1e-4), ("mu_tot", privacy.mu_tot), ("mu0", sched.budget[0]),
+        ("c0", 2.0), ("rho_c", sched.rho_c), ("rho_mu", sched.rho_mu),
+    ]
+    assert all(type(value) is float for value in sched.claim().values())
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -164,7 +179,9 @@ def test_schedule_derives_each_noise_level_from_its_clip_bound_and_budget(privac
     assert sched.sigma.tobytes() == (sched.clip / sched.budget).tobytes()
     # the noise level is no input, so no schedule carries one other than C_k / mu_k
     with pytest.raises(TypeError):
-        NoiseSchedule(clip=sched.clip, budget=sched.budget, sigma=sched.sigma, rho_c=1.0, rho_mu=1.0)
+        NoiseSchedule(
+            clip=sched.clip, budget=sched.budget, sigma=sched.sigma, rho_c=1.0, rho_mu=1.0, privacy=privacy
+        )
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(sched, sigma=2 * sched.sigma)
 
@@ -172,10 +189,13 @@ def test_schedule_derives_each_noise_level_from_its_clip_bound_and_budget(privac
 @pytest.mark.parametrize(
     "clip,budget", [(1e308, 1e-10), (1e-300, 1e300)], ids=["overflow", "underflow"]
 )
-def test_schedule_refuses_a_noise_level_out_of_range_of_finite_positive_inputs(clip, budget):
+def test_schedule_refuses_a_noise_level_out_of_range_of_finite_positive_inputs(privacy, clip, budget):
     message = "^the schedule's noise levels must be finite and positive$"
     with pytest.raises(ValueError, match=message):
-        NoiseSchedule(clip=[1.0, clip], budget=[1.0, budget], rho_c=1.0, rho_mu=1.0)
+        NoiseSchedule(
+            clip=[1.0, clip], budget=[1.0, budget], rho_c=1.0, rho_mu=1.0,
+            privacy=dataclasses.replace(privacy, K=2),
+        )
 
 
 def test_table_csv_shape(privacy):
