@@ -27,9 +27,11 @@ Configuration lives in an INI-style file with sections [run], [privacy],
 entry from the command line.  Each entry is declared once, as a field of
 ``ExperimentConfig`` whose metadata holds its section and parser.  Unknown
 sections ([DEFAULT] too) or keys, non-finite numbers and out-of-range values are
-rejected with the key named.  Exit codes: 0 success; 1 configuration error, a
-``ConfigError`` or any ``ValueError`` raised while ``_grid`` resolves (each library
-names the key it checks); 2 runtime failure, such as an error while a leg runs.
+rejected with the key named: ``_setting`` parses the INI's JSON, ``_leg`` checks the
+rules that span entries, and the library that reads an entry owns every other rule
+(``graph_schedule`` the [graph] ones, ``build_schedule`` the variant).  Exit codes: 0
+success; 1 configuration error, a ``ConfigError`` or any ``ValueError`` raised while
+``_grid`` resolves; 2 runtime failure, such as an error while a leg runs.
 """
 
 from __future__ import annotations
@@ -50,10 +52,8 @@ from .accountant import PrivacySpec, compose_general
 from .engine import RunConfig, SeedDraws, run
 from .metrics import RunSummary, csv_text, summarize
 from .models import Model, Task, synth_dataset
-from .schedule import VARIANTS, build_schedule
-from .topology import GRAPH_KINDS, check_strong_connectivity, graph_schedule
-
-NONPRIVATE = "nonprivate"
+from .schedule import NONPRIVATE, VARIANTS, build_schedule
+from .topology import check_strong_connectivity, graph_schedule
 
 
 class ConfigError(ValueError):
@@ -92,7 +92,7 @@ def _entry(section: str, default, parse=None, key: str | None = None):
 @dataclass
 class ExperimentConfig:
     n: int = _entry("run", 8, _positive_int)
-    K: int = _entry("run", 0)  # 0 means derived (only valid with gamma = corollary)
+    K: int = _entry("run", 0, _nonnegative_int)  # 0 means derived (only valid with gamma = corollary)
     gamma: float | str = _entry("run", 0.05, _parse_gamma)
     seed: int = _entry("run", 0, _nonnegative_int)
     repeat: int = _entry("run", 1, _positive_int)
@@ -180,27 +180,17 @@ def _setting(cfg: ExperimentConfig) -> tuple:
     share while the ``_SETTING_ATTRS`` entries hold, as none of it reads seed or variant."""
     model = Model(cfg.model, cfg.d_in, cfg.classes, cfg.hidden if cfg.model == "mlp" else 0)
     dataset = synth_dataset(cfg.data_seed, cfg.n, cfg.J, cfg.d_in, cfg.classes, cfg.separation)
-    if cfg.graph not in GRAPH_KINDS:
-        raise ConfigError(f"graph.kind must be one of {GRAPH_KINDS}, got {cfg.graph!r}")
-    matrices = None
-    if cfg.matrices and cfg.graph != "explicit":
-        raise ConfigError(f"graph.matrices is only read by an explicit schedule, not {cfg.graph!r}")
-    if cfg.graph == "explicit":
-        if not cfg.matrices:
-            raise ConfigError("graph.matrices is required for an explicit schedule")
+    matrices = None  # the entry's JSON, whose true, "1.0" or null numpy would read as a weight
+    if cfg.matrices:
         try:
             matrices = json.loads(cfg.matrices)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"graph.matrices is not valid JSON: {exc}") from exc
-        if not isinstance(matrices, list):
-            raise ConfigError("graph.matrices must be a JSON list of matrices")
-        rows = [row for m in matrices if isinstance(m, list) for row in m if isinstance(row, list)]
+        nested = matrices if isinstance(matrices, list) else []  # graph_schedule refuses the rest
+        rows = [row for m in nested if isinstance(m, list) for row in m if isinstance(row, list)]
         if bad := [v for row in rows for v in row if type(v) not in (int, float)]:  # bool is no number
             raise ConfigError(f"graph.matrices: entry {json.dumps(bad[0])} is not a number")
-    try:
-        graph = graph_schedule(cfg.graph, cfg.n, matrices)
-    except (TypeError, ValueError) as exc:  # TypeError: a matrix is not a list
-        raise ConfigError(f"graph.matrices: {exc}") from exc
+    graph = graph_schedule(cfg.graph, cfg.n, matrices)
     return Task(model=model, dataset=dataset), graph, check_strong_connectivity(graph)
 
 
@@ -224,26 +214,21 @@ def _corollary(cfg: ExperimentConfig, mu_tot: float) -> tuple[float, int]:
 
 def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
     """A config as a RunConfig at seed ``cfg.seed`` in a ``_setting`` built for its n
-    and graph: every check, the step size, K, the privacy solve and the schedule."""
+    and graph: the checks that span entries, the step size, K, the privacy solve and the schedule."""
     task, graph, diameter = setting
     extra_meta: dict = {"variant": cfg.variant}
-    private = cfg.variant != NONPRIVATE
 
     if cfg.gamma != "corollary" and cfg.K < 1:
         raise ConfigError("run.K must be positive")
-    if private and cfg.variant not in VARIANTS:
-        raise ConfigError(f"schedule.variant must be one of {VARIANTS + (NONPRIVATE,)}")
-    privacy = _privacy(cfg) if private or cfg.gamma == "corollary" else None
+    privacy = _privacy(cfg) if cfg.variant in VARIANTS or cfg.gamma == "corollary" else None
     if cfg.gamma == "corollary":  # a non-private leg too runs at the preset's step size and K
         gamma, K = _corollary(cfg, privacy.mu_tot)
         privacy = dataclasses.replace(privacy, K=K)
         extra_meta["gamma_preset"] = "corollary"
     else:
         gamma, K = float(cfg.gamma), cfg.K
-    sched = None
-    if private:
-        rates = dict(rho_c=cfg.rho_c or None, rho_mu=cfg.rho_mu or None)
-        sched = build_schedule(cfg.variant, privacy, clip0=cfg.c0, **rates)
+    sched = build_schedule(cfg.variant, privacy, cfg.c0, cfg.rho_c or None, cfg.rho_mu or None)
+    if sched is not None:
         extra_meta.update(sched.claim())
 
     if diameter is None:

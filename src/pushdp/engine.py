@@ -197,8 +197,9 @@ def _mix_arrays(halves: np.ndarray, weights: np.ndarray, graph: GraphSchedule, k
 class RunConfig:
     """Everything one deterministic run needs.
 
-    ``schedule`` is a NoiseSchedule from ``build_schedule`` solved for the dataset's ``task.J``
-    (``run`` refuses another J); None selects the non-private path (no clipping, no noise).
+    ``schedule`` is a NoiseSchedule from ``build_schedule`` solved for the dataset's ``task.J`` and
+    this run's K, which must equal its ``privacy.K``, as its claim is its spend over all its steps
+    (``run`` refuses another J or K); None selects the non-private path (no clipping, no noise).
     ``noise_enabled = False`` keeps the clipping bound of the schedule but injects no noise, which
     isolates the two privacy mechanisms in ablations.  ``every_round = False`` evaluates only round
     K-1 (see ``run``).  ``draws`` are the config's own ``SeedDraws``, shared with other legs at its
@@ -226,15 +227,15 @@ class RunConfig:
 
 
 def _schedule_arrays(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-round (C_k, mu_k, sigma_k), the first K steps of a checked NoiseSchedule; sigma_k = 0 with noise off."""
+    """Per-round (C_k, mu_k, sigma_k) of a NoiseSchedule checked against the run's K and J; sigma_k = 0 with noise off."""
     K, sched = config.K, config.schedule
     if sched is None:
         return np.full(K, math.inf), np.full(K, math.nan), np.zeros(K)
-    if sched.privacy.K < K:
-        raise ValueError("schedule is shorter than the run")
+    if sched.privacy.K != K:  # its claim is for K steps: a shorter run would print a spend it never made
+        raise ValueError(f"run.K is {K}, but the schedule was solved for K = {sched.privacy.K}")
     if sched.privacy.J != config.task.dataset.J:  # its sampling rate 1/J is the one it was audited for
         raise ValueError(f"task.J is {config.task.dataset.J}, but the schedule was solved for J = {sched.privacy.J}")
-    return sched.clip[:K], sched.budget[:K], sched.sigma[:K] if config.noise_enabled else np.zeros(K)
+    return sched.clip, sched.budget, sched.sigma if config.noise_enabled else np.zeros(K)
 
 
 @dataclass
@@ -304,7 +305,7 @@ def run(config: RunConfig) -> MetricsLog:
     other cell and the metadata are those of the every-round log.  The log's metadata records
     whether the run drew noise, and as sanity checks the worst push-sum weight-sum drift and the
     largest unclipped stochastic gradient norm seen.  ``config.draws`` must be made for the
-    config's (seed, n, K, J, d), and a schedule solved for a J other than ``task.J`` raises.
+    config's (seed, n, K, J, d), and a schedule solved for a K or J other than the run's raises.
     """
     model, data = config.task.model, config.task.dataset
     n, d, K, J = config.n, config.d, config.K, config.task.dataset.J

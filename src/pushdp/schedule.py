@@ -4,10 +4,10 @@ A schedule is the triple of per-step sequences (C_k, mu_k, sigma_k) with sigma_k
 the accountant composes the budgets and the round loop reads all three.  ``NoiseSchedule`` holds
 them and the target they were solved for, whose ``claim`` every output reads; one builder fills it.
 
-``build_schedule`` resolves four named variants that share one
-parametrization: the clip bound decays as C_k = C0 * rho_c^(-k/K) and the
-per-step GDP budget grows as mu_k = mu0 * rho_mu^(k/K), with either axis
-frozen by setting its rate to 1.
+``build_schedule`` resolves ``nonprivate``, the non-private counterpart, to no schedule
+(None), and four named variants that share one parametrization: the clip bound decays
+as C_k = C0 * rho_c^(-k/K) and the per-step GDP budget grows as mu_k = mu0 * rho_mu^(k/K),
+with either axis frozen by setting its rate to 1.
 
 * ``dyn``      both axes move.
 * ``dyn-clip`` only the clip bound decays; the budget is flat.
@@ -33,6 +33,7 @@ _DYNAMIC = {
     "dyn": (True, True), "dyn-clip": (True, False), "dyn-mu": (False, True), "const": (False, False)
 }
 VARIANTS = tuple(_DYNAMIC)
+NONPRIVATE = "nonprivate"  # the non-private counterpart: no clipping, no noise, no schedule
 
 
 @dataclass(frozen=True)
@@ -75,20 +76,22 @@ class NoiseSchedule:
 
 def build_schedule(
     variant: str,
-    privacy: PrivacySpec,
+    privacy: PrivacySpec | None,
     clip0: float,
     rho_c: float | None = None,
     rho_mu: float | None = None,
-) -> NoiseSchedule:
-    """Resolve a named variant against a privacy target.
+) -> NoiseSchedule | None:
+    """Resolve a named variant against a privacy target; ``NONPRIVATE`` has no schedule, None.
 
     The initial step budget scales the budget shape, growing or flat, to the total budget.
     A rate is required exactly when its axis is dynamic, and must then exceed 1; rates on
     frozen axes are ignored.  The clip bound and any rate given must be finite and positive,
     and together give finite, positive C_k and sigma_k.  Every error names its config key.
     """
+    if variant == NONPRIVATE:
+        return None
     if variant not in VARIANTS:
-        raise ValueError(f"unknown schedule variant {variant!r}")
+        raise ValueError(f"schedule.variant must be one of {VARIANTS + (NONPRIVATE,)}")
     for key, value in (("c0", clip0), ("rho_c", rho_c), ("rho_mu", rho_mu)):
         if value is not None and not (np.isfinite(value) and value > 0):
             raise ValueError(f"schedule.{key} must be finite and positive, got {value!r}")

@@ -118,20 +118,30 @@ class GraphSchedule:
 def graph_schedule(kind: str, n: int, matrices=None) -> GraphSchedule:
     """Build a schedule from a generator name or an explicit matrix list.
 
-    ``kind`` is one of ``GRAPH_KINDS``; ``explicit`` takes ``matrices`` (dense
-    ``(n, n)`` arrays or nested lists) and cycles through them.  Ring and exponential
-    are built as ``peers``, the others as a dense stack; the schedule holds that array.
+    ``kind`` is one of ``GRAPH_KINDS``; ``explicit`` alone takes ``matrices``, a list or
+    array of dense ``(n, n)`` arrays or nested lists, and cycles through them.  Ring and
+    exponential are built as ``peers``, the others as a dense stack; the schedule holds that
+    array.  Each error names its config key, a matrix's own as ``graph.matrices: ...``.
     """
     if kind not in GRAPH_KINDS:
-        raise ValueError(f"unknown graph kind {kind!r}")
+        raise ValueError(f"graph.kind must be one of {GRAPH_KINDS}, got {kind!r}")
+    if kind != "explicit" and matrices is not None:
+        raise ValueError(f"graph.matrices is only read by an explicit schedule, not {kind!r}")
     if kind == "explicit":
-        if matrices is None or not len(matrices):
-            raise ValueError("explicit schedule needs at least one matrix")
-        mats = [np.asarray(m, dtype=float) for m in matrices]
-        for m in mats:
-            if m.shape != (n, n):
-                raise ValueError(f"weights must be ({n}, {n}), got {m.shape}")
-        return GraphSchedule(kind, np.stack(mats))
+        if matrices is None:
+            raise ValueError("graph.matrices is required for an explicit schedule")
+        if not isinstance(matrices, (list, np.ndarray)):
+            raise ValueError("graph.matrices must be a JSON list of matrices")
+        try:  # every error of the matrices themselves names the key, as the except below adds it
+            if not len(matrices):
+                raise ValueError("explicit schedule needs at least one matrix")
+            mats = [np.asarray(m, dtype=float) for m in matrices]
+            if bad := [m.shape for m in mats if m.shape != (n, n)]:
+                raise ValueError(f"weights must be ({n}, {n}), got {bad[0]}")
+            return GraphSchedule(kind, np.stack(mats))
+        except (TypeError, ValueError) as exc:  # TypeError: a matrix numpy cannot read, such as a dict
+            error = MixingMatrixError if isinstance(exc, MixingMatrixError) else ValueError
+            raise error(f"graph.matrices: {exc}") from exc
     if n < 1:
         raise ValueError("need at least one node")
     if kind == "complete":

@@ -959,10 +959,11 @@ def test_run_rejects_negative_gamma():
 
 
 def test_run_rejects_short_schedule():
+    # a shorter run too: the schedule's claim is its spend over all K = 20 steps
     cfg = private_config(n=2, J=10, K=20, epsilon=0.5)
-    cfg.K = 21
-    with pytest.raises(ValueError, match="shorter"):
-        run(cfg)
+    for K in (21, 19, 1):
+        with pytest.raises(ValueError, match=f"^run.K is {K}, but the schedule was solved for K = 20$"):
+            run(dataclasses.replace(cfg, K=K))
 
 
 @pytest.mark.parametrize("other_J", [5, 20])

@@ -13,7 +13,7 @@ from pushdp.accountant import (
     compose_general,
     solve_mu0,
 )
-from pushdp.schedule import VARIANTS, NoiseSchedule, build_schedule
+from pushdp.schedule import NONPRIVATE, VARIANTS, NoiseSchedule, build_schedule
 
 
 def quiet_compose(step_budgets, sampling_prob):
@@ -124,8 +124,17 @@ def test_build_rejects_missing_rates(privacy):
         build_schedule("dyn-clip", privacy, clip0=2.0)  # no rho_c
     with pytest.raises(ValueError):
         build_schedule("dyn-mu", privacy, clip0=2.0, rho_mu=1.0)  # rate not above 1
-    with pytest.raises(ValueError):
-        build_schedule("sawtooth", privacy, clip0=2.0)
+    message = r"^schedule\.variant must be one of \('dyn', 'dyn-clip', 'dyn-mu', 'const', 'nonprivate'\)$"
+    for variant in ("sawtooth", "Dyn", ""):
+        with pytest.raises(ValueError, match=message):
+            build_schedule(variant, privacy, clip0=2.0)
+
+
+def test_the_nonprivate_variant_has_no_schedule(privacy):
+    # declared beside the private variants, it reads neither the target nor the clip bound and rates
+    assert build_schedule("nonprivate", None, clip0=2.0) is None
+    assert build_schedule(NONPRIVATE, privacy, clip0=-1.0, rho_c=0.5) is None
+    assert NONPRIVATE not in VARIANTS
 
 
 def test_const_ignores_rates(privacy):

@@ -111,7 +111,8 @@ def test_explicit_schedule_validated():
     good = [[[0.5, 0.5], [0.5, 0.5]]]
     sched = graph_schedule("explicit", 2, good)
     assert sched.period == 1
-    with pytest.raises(MixingMatrixError, match=_exactly("column 0 sums to 0.9, expected 1 within 1e-12")):
+    message = "graph.matrices: column 0 sums to 0.9, expected 1 within 1e-12"  # the type kept, the key named
+    with pytest.raises(MixingMatrixError, match=_exactly(message)):
         graph_schedule("explicit", 2, [[[0.5, 0.5], [0.4, 0.5]]])
 
 
@@ -200,15 +201,22 @@ def test_schedule_rejects_peers_that_are_not_permutations(peers):
 
 
 def test_graph_schedule_builds_exactly_the_graph_kinds():
+    identity = [[[1.0, 0.0], [0.0, 1.0]]]
     for kind in GRAPH_KINDS:
-        assert graph_schedule(kind, 2, [[[1.0, 0.0], [0.0, 1.0]]]).kind == kind
-    for kind in ("star", "Ring", ""):
-        with pytest.raises(ValueError, match=f"^unknown graph kind {kind!r}$"):
-            graph_schedule(kind, 2)
+        assert graph_schedule(kind, 2, identity if kind == "explicit" else None).kind == kind
+    for kind, n in (("star", 2), ("Ring", 2), ("", 2), ("bogus", 4)):
+        message = f"graph.kind must be one of {GRAPH_KINDS}, got {kind!r}"
+        with pytest.raises(ValueError, match=_exactly(message)):
+            graph_schedule(kind, n)
+    # matrices are read by an explicit schedule alone, so a generated kind refuses them
+    for kind, matrices in (("ring", [np.eye(4)]), ("exponential", []), ("complete", np.eye(4)[None])):
+        message = f"graph.matrices is only read by an explicit schedule, not {kind!r}"
+        with pytest.raises(ValueError, match=_exactly(message)):
+            graph_schedule(kind, 4, matrices)
 
 
 def test_explicit_schedule_rejects_wrong_shape():
-    with pytest.raises(ValueError, match=r"^weights must be \(2, 2\), got \(2, 3\)$"):
+    with pytest.raises(ValueError, match=r"^graph\.matrices: weights must be \(2, 2\), got \(2, 3\)$"):
         graph_schedule("explicit", 2, [[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]])
     with pytest.raises(ValueError, match=r"\(period, n, n\) stack"):
         GraphSchedule("explicit", np.full((2, 3), 0.5))
@@ -222,8 +230,28 @@ def test_generated_schedule_needs_a_node(kind):
 
 @pytest.mark.parametrize("matrices", [None, [], np.empty((0, 2, 2))])
 def test_explicit_schedule_needs_a_matrix(matrices):
-    with pytest.raises(ValueError, match="^explicit schedule needs at least one matrix$"):
+    message = "graph.matrices: explicit schedule needs at least one matrix"
+    if matrices is None:
+        message = "graph.matrices is required for an explicit schedule"
+    with pytest.raises(ValueError, match=_exactly(message)):
         graph_schedule("explicit", 2, matrices)
+
+
+@pytest.mark.parametrize(
+    "matrices,message",
+    [
+        (5, "graph.matrices must be a JSON list of matrices"),
+        ({"a": 1}, "graph.matrices must be a JSON list of matrices"),
+        ("x", "graph.matrices must be a JSON list of matrices"),
+        ([{"a": 1}], "graph.matrices: float() argument must be a string or a "),  # numpy's TypeError
+    ],
+    ids=["number", "dict", "string", "list-of-dict"],
+)
+def test_explicit_schedule_refuses_what_is_not_a_list_of_matrices(matrices, message):
+    # a ValueError even where numpy raises TypeError, so the CLI exits 1 naming the key
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}") as caught:
+        graph_schedule("explicit", 1, matrices)
+    assert type(caught.value) is ValueError
 
 
 def test_ring_diameter_n4():
