@@ -14,13 +14,13 @@ Each is declared once, as an entry of ``_COMMANDS`` (handler, help and own flags
 the parser is built from that table once per process, at import, and gives every
 subcommand ``--config`` and ``--set``, so ``main`` only parses.
 
-Every subcommand hands configs, one a point, and a callback to ``_grid``, which
-first resolves every point in ``_leg`` (every check, K, the step size, the privacy
-budget and the schedule), building the dataset and graph and checking connectivity
-again only when an entry they read changes.  It then runs the legs seed by seed: in
-a grid of more than one point the legs at one seed carry that seed's initial iterates
-and sample indices (``engine.SeedDraws``) while (n, K, J, d) holds, one seed's at a
-time.  ``run``, ``compare`` and ``sweep`` run each leg; ``accountant`` audits its one.
+Every subcommand hands configs, one a point, and a callback to ``_grid``, which first
+resolves every point in ``_leg`` (every check, K, the step size, the privacy budget and
+the schedule), building the dataset and graph, whose connectivity ``_leg`` reads, again
+only when an entry they read changes.  It then runs the legs seed by seed: in a grid of
+more than one point the legs at one seed carry that seed's initial iterates and sample
+indices (``engine.SeedDraws``) while (n, K, J, d) holds, one seed's at a time.  ``run``,
+``compare`` and ``sweep`` run each leg; ``accountant`` audits its one.
 
 Configuration lives in an INI-style file with sections [run], [privacy],
 [schedule], [graph], and [task]; ``--set section.key=value`` overrides any
@@ -53,7 +53,7 @@ from .engine import RunConfig, SeedDraws, run
 from .metrics import RunSummary, csv_text, summarize
 from .models import Model, Task, synth_dataset
 from .schedule import NONPRIVATE, VARIANTS, build_schedule
-from .topology import check_strong_connectivity, graph_schedule
+from .topology import graph_schedule
 
 
 class ConfigError(ValueError):
@@ -176,8 +176,8 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
 
 
 def _setting(cfg: ExperimentConfig) -> tuple:
-    """(task, graph, diameter of one period's union or None): what the legs of a grid
-    share while the ``_SETTING_ATTRS`` entries hold, as none of it reads seed or variant."""
+    """(task, graph): what the legs of a grid share while the ``_SETTING_ATTRS`` entries hold, as
+    neither reads seed or variant."""
     model = Model(cfg.model, cfg.d_in, cfg.classes, cfg.hidden if cfg.model == "mlp" else 0)
     dataset = synth_dataset(cfg.data_seed, cfg.n, cfg.J, cfg.d_in, cfg.classes, cfg.separation)
     matrices = None  # the entry's JSON, whose true, "1.0" or null numpy would read as a weight
@@ -191,7 +191,7 @@ def _setting(cfg: ExperimentConfig) -> tuple:
         if bad := [v for row in rows for v in row if type(v) not in (int, float)]:  # bool is no number
             raise ConfigError(f"graph.matrices: entry {json.dumps(bad[0])} is not a number")
     graph = graph_schedule(cfg.graph, cfg.n, matrices)
-    return Task(model=model, dataset=dataset), graph, check_strong_connectivity(graph)
+    return Task(model=model, dataset=dataset), graph
 
 
 def _privacy(cfg: ExperimentConfig) -> PrivacySpec:
@@ -215,30 +215,21 @@ def _corollary(cfg: ExperimentConfig, mu_tot: float) -> tuple[float, int]:
 def _leg(cfg: ExperimentConfig, setting: tuple) -> RunConfig:
     """A config as a RunConfig at seed ``cfg.seed`` in a ``_setting`` built for its n
     and graph: the checks that span entries, the step size, K, the privacy solve and the schedule."""
-    task, graph, diameter = setting
-    extra_meta: dict = {"variant": cfg.variant}
-
+    task, graph = setting
     if cfg.gamma != "corollary" and cfg.K < 1:
         raise ConfigError("run.K must be positive")
     privacy = _privacy(cfg) if cfg.variant in VARIANTS or cfg.gamma == "corollary" else None
     if cfg.gamma == "corollary":  # a non-private leg too runs at the preset's step size and K
         gamma, K = _corollary(cfg, privacy.mu_tot)
         privacy = dataclasses.replace(privacy, K=K)
-        extra_meta["gamma_preset"] = "corollary"
     else:
         gamma, K = float(cfg.gamma), cfg.K
     sched = build_schedule(cfg.variant, privacy, cfg.c0, cfg.rho_c or None, cfg.rho_mu or None)
-    if sched is not None:
-        extra_meta.update(sched.claim())
-
-    if diameter is None:
-        raise ConfigError(f"graph schedule is not strongly connected over windows of {graph.period}")
-    if diameter:  # 0 for one node
-        extra_meta.update(graph_window=graph.period, graph_diameter=diameter)
-    return RunConfig(
-        task=task, graph=graph, schedule=sched, gamma=gamma, K=K, seed=cfg.seed,
-        extra_meta=extra_meta,
-    )
+    if graph.diameter is None:  # the setting's one search; only explicit matrices can fail it
+        raise ConfigError(f"graph.matrices: the schedule is not strongly connected over its period of {graph.period} round(s)")
+    preset = {"gamma_preset": "corollary"} if cfg.gamma == "corollary" else {}
+    return RunConfig(task=task, graph=graph, schedule=sched, gamma=gamma, K=K, seed=cfg.seed,
+                     extra_meta={"variant": cfg.variant, **preset})
 
 
 def _grid(configs: list, each) -> list:
@@ -340,7 +331,7 @@ def cmd_sweep(args, cfg: ExperimentConfig) -> int:
 def cmd_accountant(args, cfg: ExperimentConfig) -> int:
     def audit(leg: RunConfig) -> None:  # the leg a run executes, after every check it makes
         if (sched := leg.schedule) is None:
-            raise ConfigError("the accountant needs a private schedule variant")
+            raise ConfigError(f"schedule.variant: the accountant needs a private variant, got {cfg.variant!r}")
         claim, composed = sched.claim(), compose_general(sched.budget, 1.0 / sched.privacy.J)
         print(f"epsilon = {claim['epsilon']:g}, delta = {claim['delta']:g}")
         print(f"mu_tot = {claim['mu_tot']}\nvariant = {cfg.variant}\nmu0 = {claim['mu0']}")

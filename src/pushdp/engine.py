@@ -203,7 +203,8 @@ class RunConfig:
     ``noise_enabled = False`` keeps the clipping bound of the schedule but injects no noise, which
     isolates the two privacy mechanisms in ablations.  ``every_round = False`` evaluates only round
     K-1 (see ``run``).  ``draws`` are the config's own ``SeedDraws``, shared with other legs at its
-    seed; by default the run makes its own.
+    seed; by default the run makes its own.  ``extra_meta`` holds only the caller's own metadata, such
+    as the CLI's ``variant`` and ``gamma_preset``: the claim and connectivity ``run`` writes itself.
     """
 
     task: Task
@@ -298,14 +299,15 @@ def _noise_blocks(keys: np.ndarray, sigma: np.ndarray, d: int):
 def run(config: RunConfig) -> MetricsLog:
     """Execute K rounds and return the full metrics log.
 
-    Row k is evaluated at the average iterate entering round k, while its
-    clip rate refers to the gradients sampled during round k.  With
-    ``config.every_round`` False only row K-1 is: the loss, grad_norm_sq and
-    accuracy of earlier rows are NaN, and as evaluation only observes, every
-    other cell and the metadata are those of the every-round log.  The log's metadata records
-    whether the run drew noise, and as sanity checks the worst push-sum weight-sum drift and the
-    largest unclipped stochastic gradient norm seen.  ``config.draws`` must be made for the
-    config's (seed, n, K, J, d), and a schedule solved for a K or J other than the run's raises.
+    Row k is evaluated at the average iterate entering round k, while its clip rate refers to
+    the gradients sampled during round k.  With ``config.every_round`` False only row K-1 is: the
+    loss, grad_norm_sq and accuracy of earlier rows are NaN, and as evaluation only observes, every
+    other cell and the metadata are those of the every-round log.  The metadata records whether
+    the run drew noise, ``config.extra_meta``, the schedule's ``claim()`` only if the run drew its
+    noise, the graph's ``graph_window`` (period) and ``graph_diameter`` unless that is 0 (one node),
+    and as sanity checks the worst push-sum weight-sum drift and the largest unclipped stochastic
+    gradient norm seen.  ``config.draws`` must be made for the config's (seed, n, K, J, d), and a
+    schedule solved for a K or J other than the run's raises.
     """
     model, data = config.task.model, config.task.dataset
     n, d, K, J = config.n, config.d, config.K, config.task.dataset.J
@@ -374,7 +376,9 @@ def run(config: RunConfig) -> MetricsLog:
 
     meta = {
         "n": n, "d": d, "K": K, "J": J, "gamma": float(config.gamma), "seed": config.seed,
-        "graph": config.graph.kind, "noise_enabled": noise_blocks is not None, **config.extra_meta,
+        "graph": graph.kind, "noise_enabled": noise_blocks is not None, **config.extra_meta,
+        **(config.schedule.claim() if noise_blocks is not None else {}),  # the claim of the noise drawn
+        **(dict(graph_window=graph.period, graph_diameter=graph.diameter) if graph.diameter else {}),
         "max_weight_sum_drift": max_weight_drift, "max_stoch_grad_norm": max_grad_norm,
     }
     return MetricsLog(meta=meta, rows=round_records(measured, clip, budget, sigma))

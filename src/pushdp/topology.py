@@ -18,11 +18,12 @@ Ring and exponential, the one-peer push of Stochastic Gradient Push, are kept as
 an O(n) source index per round and mixed by a gather, the others as dense matrices.
 The module also checks that a schedule is B-strongly connected with B its period:
 the union of one period's rounds, which every longer window holds too, must be
-strongly connected.
+strongly connected.  A schedule holds that check's result as its ``diameter``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,10 @@ class GraphSchedule:
     def unit_weights(self) -> bool:
         """Whether every push-sum weight stays 1.0, as one-peer push sums 1 * 0.5 + 1 * 0.5 each round."""
         return self.peers is not None
+
+    @functools.cached_property
+    def diameter(self) -> int | None:  # check_strong_connectivity's, searched on first read
+        return check_strong_connectivity(self)
 
     def mix(self, k: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """P_k @ x for an x of n rows, written to ``out`` if given: under one-peer push, half of

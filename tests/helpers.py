@@ -257,7 +257,10 @@ def reference_run(config, details: list | None = None):
     ``per_sample_gradient`` at its own de-biased estimate, clips by
     ``np.linalg.norm`` and draws its own noise vector; the schedule is read
     one step at a time, and every round mixes by a dense matrix product, through
-    ``one_peer_matrices`` for a ring or exponential graph.  ``engine.run`` must
+    ``one_peer_matrices`` for a ring or exponential graph.  Its metadata adds the
+    schedule's claim when noise was drawn, and the period and the diameter that
+    ``reference_window_distances`` gives the union of one period's matrices, unless
+    that is 0 or the union is not strongly connected.  ``engine.run`` must
     reproduce it byte for byte.  A ``details`` list gains one RoundDetail per round.
     """
     from pushdp.metrics import MetricsLog, mean_sq_consensus, round_records
@@ -272,8 +275,13 @@ def reference_run(config, details: list | None = None):
     Z = X.copy()
     measured, schedule = np.empty((K, 5)), np.empty((3, K))  # schedule: C_k, mu_k, sigma_k
     max_weight_drift = max_grad_norm = 0.0
-    kind = config.graph.kind
-    stack = one_peer_matrices(kind, n) if kind in ("ring", "exponential") else None
+    graph = config.graph
+    if graph.kind in ("ring", "exponential"):
+        stack = one_peer_matrices(graph.kind, n)
+    else:
+        stack = np.stack([dense_matrix(graph, k) for k in range(graph.period)])
+    dist = reference_window_distances(n, (stack > 0).any(axis=0))
+    diameter = int(dist.max()) if (dist >= 0).all() else None
     for k in range(K):
         if sched is None:
             C_k, mu_k, sigma = np.inf, np.nan, 0.0
@@ -299,7 +307,7 @@ def reference_run(config, details: list | None = None):
                 halves[i] = X[i] - config.gamma * g
             clipped_grads[i] = g
         max_grad_norm = max(max_grad_norm, max(norms))
-        P = dense_matrix(config.graph, k) if stack is None else stack[k % len(stack)]
+        P = stack[k % len(stack)]
         X_next, w_next = P @ halves, P @ w
         Z_next = X_next / w_next[:, None]
         max_weight_drift = max(max_weight_drift, abs(float(w_next.sum()) - n))
@@ -311,10 +319,13 @@ def reference_run(config, details: list | None = None):
                 mixed=X_next, noise=noises,
             ))
         X, w, Z = X_next, w_next, Z_next
+    drew = bool(schedule[2].any())
     meta = {
         "n": n, "d": d, "K": K, "J": J, "gamma": float(config.gamma),
-        "seed": config.seed, "graph": config.graph.kind, "noise_enabled": bool(schedule[2].any()),
+        "seed": config.seed, "graph": graph.kind, "noise_enabled": drew,
         **config.extra_meta,
+        **(sched.claim() if drew else {}),
+        **({"graph_window": graph.period, "graph_diameter": diameter} if diameter else {}),
         "max_weight_sum_drift": max_weight_drift,
         "max_stoch_grad_norm": max_grad_norm,
     }

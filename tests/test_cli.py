@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pushdp
-from pushdp import accountant, cli, engine
+from pushdp import accountant, cli, engine, topology
 from pushdp.accountant import PrivacySpec, mu_tot_from_eps_delta
 from pushdp.cli import (
     _FIELDS,
@@ -196,11 +196,26 @@ def test_resolve_nonprivate_ignores_privacy_section():
 
 
 def test_resolve_records_graph_diagnostics():
-    cfg = parse_config(BASE)
-    rc = _run_leg(cfg)
-    assert rc.extra_meta["graph_window"] == 2  # exponential n=4 has period 2
-    assert rc.extra_meta["graph_diameter"] == 2
-    assert "contraction_rate" not in rc.extra_meta
+    meta = engine.run(_run_leg(parse_config(BASE))).meta
+    assert meta["graph_window"] == 2  # exponential n=4 has period 2
+    assert meta["graph_diameter"] == 2
+    assert "contraction_rate" not in meta
+
+
+def test_a_leg_run_without_noise_writes_no_claim():
+    # a noise-free run, as an ablation of a CLI leg makes it, claims no spend
+    leg = _run_leg(parse_config(BASE))
+    noisy, quiet = (engine.run(dataclasses.replace(leg, noise_enabled=on)).meta for on in (True, False))
+    claim = leg.schedule.claim()
+    assert {key: noisy[key] for key in claim} == claim
+    assert not claim.keys() & quiet.keys() and not quiet["noise_enabled"]
+
+
+def test_a_leg_passes_only_the_clis_own_metadata():
+    # the engine writes the claim and the graph's connectivity from what it runs
+    assert _run_leg(parse_config(BASE)).extra_meta == {"variant": "const"}
+    preset = _run_leg(parse_config(BASE, ["run.gamma=corollary", "run.K=0"]))
+    assert preset.extra_meta == {"variant": "const", "gamma_preset": "corollary"}
 
 
 @pytest.mark.parametrize(
@@ -210,8 +225,8 @@ def test_resolve_records_graph_diagnostics():
     ids=["ring", "exponential", "complete", "explicit"],
 )
 def test_a_single_node_leg_records_no_graph_diagnostics(overrides):
-    rc = _run_leg(parse_config(BASE, ["run.n=1", *overrides]))
-    assert "graph_window" not in rc.extra_meta and "graph_diameter" not in rc.extra_meta
+    meta = engine.run(_run_leg(parse_config(BASE, ["run.n=1", *overrides]))).meta
+    assert "graph_window" not in meta and "graph_diameter" not in meta
 
 
 def test_resolve_explicit_graph_from_json():
@@ -498,7 +513,7 @@ def test_disconnected_schedule_fails_after_each_legs_own_checks(tmp_path, comman
     args = _command_args(command, config, DISCONNECTED, out)
     if command == "sweep":  # over an axis that keeps n = 2
         args[args.index("n")] = "rho_c"
-    disconnected = "config error: graph schedule is not strongly connected over windows of 1\n"
+    disconnected = "config error: graph.matrices: the schedule is not strongly connected over its period of 1 round(s)\n"
     assert _exit_code_and_stderr(args) == (1, disconnected)
     # a leg's own fault is named first, as when every leg built its setting itself
     no_epsilon = "config error: privacy.epsilon is required for private variants\n"
@@ -859,9 +874,9 @@ def test_accountant_resolves_through_the_grid_alone(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize(
     "overrides,error",
     [
-        ([], "the accountant needs a private schedule variant"),
+        ([], "schedule.variant: the accountant needs a private variant, got 'nonprivate'"),
         (["run.K=0"], "run.K must be positive"),
-        (DISCONNECTED, "graph schedule is not strongly connected over windows of 1"),
+        (DISCONNECTED, "graph.matrices: the schedule is not strongly connected over its period of 1 round(s)"),
         (["run.gamma=corollary", "privacy.epsilon=0"], "privacy.epsilon is required for private variants"),
     ],
     ids=["nonprivate", "K-0", "disconnected", "corollary-without-epsilon"],
@@ -1024,7 +1039,8 @@ SETTING_PARTS = ("synth_dataset", "graph_schedule", "check_strong_connectivity")
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Calls the CLI makes to each function that builds part of the setting, by name."""
+    """Calls each function that builds part of the setting gets, by name: the CLI's own
+    builders, and the search that ``GraphSchedule.diameter`` runs in ``pushdp.topology``."""
     counts = collections.Counter()
 
     def counting(name, build):
@@ -1035,7 +1051,8 @@ def builds(monkeypatch):
         return counted
 
     for name in SETTING_PARTS:
-        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        module = topology if name == "check_strong_connectivity" else cli
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return counts
 
 
@@ -1044,6 +1061,17 @@ def test_compare_builds_the_setting_once(tmp_path, builds):
     args = ["compare", "--config", config, "--set", "run.repeat=3", "--variants", "dyn,const"]
     assert _exit_code_and_stderr(args) == (0, "")
     assert builds == dict.fromkeys(SETTING_PARTS, 1)  # for 3 variants x 3 seeds
+
+
+def test_the_setting_searches_connectivity_before_engine_time(tmp_path, monkeypatch):
+    # the search is setup: _leg reads the graph's diameter as _grid resolves, and no run repeats it
+    events, search, run = [], topology.check_strong_connectivity, cli.run
+    monkeypatch.setattr(topology, "check_strong_connectivity", lambda s: events.append("search") or search(s))
+    monkeypatch.setattr(cli, "run", lambda leg: events.append("run") or run(leg))
+    config = write_config(tmp_path, BASE.replace("K = 15", "K = 5"))
+    args = ["compare", "--config", config, "--set", "run.repeat=2", "--variants", "dyn"]
+    assert _exit_code_and_stderr(args) == (0, "")
+    assert events == ["search"] + ["run"] * 4  # dyn and nonprivate at 2 seeds
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -467,8 +467,12 @@ def test_weight_sums_conserved_across_graphs():
 # ---------------------------------------------------------------------------
 # determinism
 
+# A failing derandomized example is reported as drawn, unshrunk: every example and assertion
+# runs, and a broken engine fails in seconds instead of minutes of shrinking.
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
-@settings(database=None, derandomize=True, deadline=None, max_examples=60)
+
+@settings(database=None, derandomize=True, deadline=None, phases=NO_SHRINK, max_examples=60)
 @given(seed=st.integers(0, 2**128 - 1), n=st.integers(1, 300))
 @example(seed=0, n=1)
 @example(seed=2**32 - 1, n=7)
@@ -526,7 +530,7 @@ def test_round_block_is_even():
 
 # 2**32 mod 3 * 2**30 = 2**30: a quarter of all draws are rejected; from
 # 2**32 + 1 numpy draws 64-bit words, and every raw block counts as rejected
-@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@settings(database=None, derandomize=True, deadline=None, phases=NO_SHRINK, max_examples=200)
 @given(
     keys=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), min_size=1, max_size=4),
     J=st.sampled_from([1, 2, 3, 250, 3 * 2**30, 2**32, 2**32 + 5]),
@@ -547,7 +551,7 @@ def test_sample_indices_equal_generator_integers(keys, J, halves, last_B):
                 assert _live_state(state) == _live_state(gen.bit_generator.state)
 
 
-@settings(database=None, derandomize=True, deadline=None, max_examples=100)
+@settings(database=None, derandomize=True, deadline=None, phases=NO_SHRINK, max_examples=100)
 @given(
     keys=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), min_size=1, max_size=4),
     d=st.integers(1, 12),
@@ -678,7 +682,7 @@ def _differential_configs(draw):
     return dataclasses.replace(cfg, draws=engine.SeedDraws.of(cfg)) if draw(st.booleans()) else cfg
 
 
-@settings(database=None, derandomize=True, deadline=None, max_examples=80)
+@settings(database=None, derandomize=True, deadline=None, phases=NO_SHRINK, max_examples=80)
 @given(_differential_configs())
 def test_run_matches_per_node_reference_on_drawn_configs(cfg):
     assert run(cfg).csv_text() == reference_run(cfg).csv_text()
@@ -846,6 +850,51 @@ def test_noise_ablation_keeps_data_sequence():
 )
 def test_metadata_records_whether_the_run_drew_noise(make, drew):
     assert run(make()).meta["noise_enabled"] is drew
+
+
+CLAIM_KEYS = ["epsilon", "delta", "mu_tot", "mu0", "c0", "rho_c", "rho_mu"]
+
+
+def _meta_lines(config):
+    return [line for line in run(config).csv_text().splitlines() if line.startswith("# ")]
+
+
+def test_a_private_run_writes_its_claim_then_its_graphs_connectivity():
+    # the engine writes the claim of the noise it drew, after the caller's own entries
+    config = private_config(n=4, J=20, K=5, epsilon=0.5, variant="dyn", extra_meta={"variant": "dyn"})
+    lines = _meta_lines(config)
+    keys = [line[2:].split("=", 1)[0] for line in lines]
+    assert keys == ["n", "d", "K", "J", "gamma", "seed", "graph", "noise_enabled", "variant", *CLAIM_KEYS,
+                    "graph_window", "graph_diameter", "max_weight_sum_drift", "max_stoch_grad_norm"]
+    claim = [f"# {key}={value}" for key, value in config.schedule.claim().items()]
+    at = keys.index("epsilon")
+    assert lines[at : at + 9] == [*claim, "# graph_window=2", "# graph_diameter=2"]  # exponential n=4
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: private_config(n=4, J=20, K=5, epsilon=0.5, variant="dyn", noise_enabled=False),
+        lambda: nonprivate_config(n=4, J=20, K=5),
+    ],
+    ids=["noise-disabled", "nonprivate"],
+)
+def test_a_run_that_drew_no_noise_writes_no_claim(make):
+    keys = [line[2:].split("=", 1)[0] for line in _meta_lines(make())]
+    assert not set(CLAIM_KEYS) & set(keys)
+    assert keys[keys.index("noise_enabled") :][:3] == ["noise_enabled", "graph_window", "graph_diameter"]
+
+
+@pytest.mark.parametrize(
+    "graph,window",
+    [(graph_schedule("ring", 1), None), (graph_schedule("explicit", 2, [np.eye(2)]), None),
+     (graph_schedule("ring", 4), (1, 3)), (graph_schedule("explicit", 3, MOVING_WEIGHTS), (2, 1))],
+    ids=["one-node", "disconnected", "ring-4", "moving-weights-3"],
+)
+def test_a_run_writes_the_graphs_window_and_diameter_unless_it_is_0_or_none(graph, window):
+    config = nonprivate_config(n=graph.n, J=20, K=3)
+    meta = run(dataclasses.replace(config, graph=graph)).meta
+    assert (meta.get("graph_window"), meta.get("graph_diameter")) == (window or (None, None))
 
 
 def test_noise_hurts_optimization():

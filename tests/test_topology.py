@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pushdp
+from pushdp import topology
 from pushdp.topology import (
     GraphSchedule,
     MixingMatrixError,
@@ -332,6 +333,22 @@ def test_generated_schedules_match_the_windowed_oracle_at_their_period(kind):
         diameter = check_strong_connectivity(schedule)
         assert diameter == per_round_diameter(schedule, schedule.period), n
         assert (diameter == 0) == (n == 1)
+
+
+@pytest.mark.parametrize("kind", ["ring", "exponential", "complete"])
+def test_generated_kinds_are_connected_at_every_n(kind):
+    # only graph.matrices can make a schedule the CLI refuses as disconnected
+    for n in range(1, 70):
+        assert graph_schedule(kind, n).diameter is not None, n
+
+
+def test_a_schedule_searches_its_diameter_once(monkeypatch):
+    calls, search = [], topology.check_strong_connectivity
+    monkeypatch.setattr(topology, "check_strong_connectivity", lambda s: calls.append(s) or search(s))
+    schedule = graph_schedule("exponential", 8)
+    assert not calls  # building searches nothing
+    assert (schedule.diameter, schedule.diameter) == (3, 3) and calls == [schedule]
+    assert graph_schedule("explicit", 3, [np.eye(3)]).diameter is None
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)
