@@ -29,7 +29,7 @@ entry from the command line.  Each entry is declared once, as a field of
 sections ([DEFAULT] too) or keys, non-finite numbers and out-of-range values are
 rejected with the key named: ``_setting`` parses the INI's JSON, ``_leg`` checks the
 rules that span entries, and the library that reads an entry owns every other rule
-(``graph_schedule`` the [graph] ones, ``build_schedule`` the variant).  Exit codes: 0
+(``graph_schedule`` the [graph] ones, ``check_variant`` the variant).  Exit codes: 0
 success; 1 configuration error, a ``ConfigError`` or any ``ValueError`` raised while
 ``_grid`` resolves; 2 runtime failure, such as an error while a leg runs.
 """
@@ -52,7 +52,7 @@ from .accountant import PrivacySpec, compose_general
 from .engine import RunConfig, SeedDraws, run
 from .metrics import RunSummary, csv_text, summarize
 from .models import Model, Task, synth_dataset
-from .schedule import NONPRIVATE, VARIANTS, build_schedule
+from .schedule import NONPRIVATE, VARIANTS, build_schedule, check_variant
 from .topology import graph_schedule
 
 
@@ -286,8 +286,7 @@ def cmd_run(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_compare(args, cfg: ExperimentConfig) -> int:
-    if cfg.variant not in (*VARIANTS, NONPRIVATE):  # though every point replaces it
-        raise ConfigError(f"schedule.variant must be one of {VARIANTS + (NONPRIVATE,)}")
+    check_variant(cfg.variant, ConfigError)  # though every point replaces it
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigError("--variants must list at least one variant")

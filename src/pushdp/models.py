@@ -29,10 +29,9 @@ _MEANS_SEED = 1799  # class means are fixed across dataset seeds
 
 @dataclass(frozen=True)
 class Dataset:
-    """Disjoint node shards: features (n, J, d_in) and integer labels (n, J), plus, derived
-    once, all samples pooled (``pooled_features`` (n*J, d_in), ``pooled_labels`` (n*J,)) and
-    the pooled labels as floats (``targets``) and booleans (``positive``) for the logistic
-    evaluation.  All six arrays are read-only."""
+    """Disjoint node shards: features (n, J, d_in) and integer labels (n, J), plus, derived once, all
+    samples pooled (``pooled_features`` (n*J, d_in), ``pooled_labels``) and, for the logistic evaluation,
+    those labels as floats (``targets``) and booleans (``positive``) and ``feature_major``; all read-only."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -49,6 +48,13 @@ class Dataset:
         object.__setattr__(self, "positive", self.pooled_labels.astype(bool))
         for name in ("features", "labels", "pooled_features", "pooled_labels", "targets", "positive"):
             getattr(self, name).setflags(write=False)  # one dataset serves every run of a CLI command
+
+    @functools.cached_property
+    def feature_major(self) -> np.ndarray:
+        """Made on first use: ``pooled_features.T`` as a C-contiguous (d_in, n*J) copy, read row-wise."""
+        copy = np.ascontiguousarray(self.pooled_features.T)
+        copy.setflags(write=False)
+        return copy
 
     @property
     def n(self) -> int:
@@ -191,16 +197,16 @@ def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float,
     """Loss, gradient, and accuracy over the pooled dataset in one forward pass;
     the accuracy reads the loss pass's scores instead of predicting again.
 
-    The logistic pass over z = X w + b takes e = exp(-|z|) once for both the loss
-    terms ``log1p(e) + (max(z, 0) - y z)`` and the sigmoid ``max(e, z >= 0) / (1 + e)``
-    of the gradient's ``sigmoid(z) - y``; each equals its two-pass formula bit for bit.
+    The logistic pass reads X^T, the dataset's ``feature_major``, in z = w X^T + b and in
+    X^T (sigmoid(z) - y); it takes e = exp(-|z|) once for the loss terms ``log1p(e) + (max(z, 0) - y z)``
+    and the sigmoid ``max(e, z >= 0) / (1 + e)``; each equals its two-pass formula bit for bit.
     """
     X, y = dataset.pooled_features, dataset.pooled_labels
     N = X.shape[0]
     grad = np.empty(model.dim)
     if model.kind == "logistic":
         w, b = model.unflatten(params)
-        z = X @ w
+        z = w @ dataset.feature_major
         z += b
         e, buf, mask = np.abs(z), np.empty(N), np.empty(N, dtype=bool)  # work in place
         np.exp(np.negative(e, out=e), out=e)  # exp(-|z|), shared by the loss and the sigmoid
@@ -211,7 +217,7 @@ def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float,
         e += 1.0
         coeff /= e
         coeff -= dataset.targets  # sigmoid(z) - y
-        grad[: model.d_in] = X.T @ coeff / N
+        grad[: model.d_in] = dataset.feature_major @ coeff / N
         grad[model.d_in] = np.add.reduce(coeff) / N  # == np.mean, as the loss below
         hits = np.count_nonzero(np.equal(np.greater(z, 0.0, out=mask), dataset.positive, out=mask))
         return float(np.add.reduce(terms) / N), grad, float(hits / N)  # exact: hits / N is np.mean's float

@@ -4,10 +4,10 @@ A schedule is the triple of per-step sequences (C_k, mu_k, sigma_k) with sigma_k
 the accountant composes the budgets and the round loop reads all three.  ``NoiseSchedule`` holds
 them and the target they were solved for, whose ``claim`` every output reads; one builder fills it.
 
-``build_schedule`` resolves ``nonprivate``, the non-private counterpart, to no schedule
-(None), and four named variants that share one parametrization: the clip bound decays
-as C_k = C0 * rho_c^(-k/K) and the per-step GDP budget grows as mu_k = mu0 * rho_mu^(k/K),
-with either axis frozen by setting its rate to 1.
+``build_schedule`` resolves ``nonprivate``, the non-private counterpart, to no schedule (None),
+and four named variants, ``check_variant`` refusing any other name, that share one parametrization:
+the clip bound decays as C_k = C0 * rho_c^(-k/K) and the per-step GDP budget grows as
+mu_k = mu0 * rho_mu^(k/K), with either axis frozen by setting its rate to 1.
 
 * ``dyn``      both axes move.
 * ``dyn-clip`` only the clip bound decays; the budget is flat.
@@ -74,6 +74,12 @@ class NoiseSchedule:
         return csv_text("k,C_k,mu_k,sigma_k", (range(self.privacy.K), self.clip, self.budget, self.sigma))
 
 
+def check_variant(variant: str, error: type[ValueError] = ValueError) -> None:
+    """Refuse, as ``error``, a ``variant`` that names neither one of ``VARIANTS`` nor ``NONPRIVATE``."""
+    if variant not in (*VARIANTS, NONPRIVATE):
+        raise error(f"schedule.variant must be one of {VARIANTS + (NONPRIVATE,)}")
+
+
 def build_schedule(
     variant: str,
     privacy: PrivacySpec | None,
@@ -90,8 +96,7 @@ def build_schedule(
     """
     if variant == NONPRIVATE:
         return None
-    if variant not in VARIANTS:
-        raise ValueError(f"schedule.variant must be one of {VARIANTS + (NONPRIVATE,)}")
+    check_variant(variant)
     for key, value in (("c0", clip0), ("rho_c", rho_c), ("rho_mu", rho_mu)):
         if value is not None and not (np.isfinite(value) and value > 0):
             raise ValueError(f"schedule.{key} must be finite and positive, got {value!r}")

@@ -59,12 +59,13 @@ def reference_loss_grad(
     N = X.shape[0]
     if model.kind == "logistic":
         w, b = model.unflatten(params)
-        z = X @ w + b
+        XT = np.ascontiguousarray(X.T)  # evaluate's feature-major layout, and its two GEMVs
+        z = w @ XT + b
         # log(1 + e^z) - y z, stable for either sign of z; the bracket is exact for y in {0, 1}
         loss = float(np.mean(np.log1p(np.exp(-np.abs(z))) + (np.maximum(z, 0.0) - y * z)))
         coeff = sigmoid(z) - y
         grad = np.empty(model.dim)
-        grad[: model.d_in] = X.T @ coeff / N
+        grad[: model.d_in] = XT @ coeff / N
         grad[model.d_in] = coeff.mean()
         return loss, grad, z
     W1, b1, W2, b2 = model.unflatten(params)

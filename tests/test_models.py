@@ -89,6 +89,30 @@ def test_dataset_built_by_hand_is_read_only():
     assert data.pooled_labels.shape == (6,) and np.shares_memory(data.pooled_labels, labels)
 
 
+def test_feature_major_is_a_read_only_contiguous_copy_of_the_pooled_features():
+    data = synth_dataset(5, 3, 7, d_in=4)
+    copy = data.feature_major
+    assert copy.shape == (4, 21) and copy.tobytes() == np.ascontiguousarray(data.pooled_features.T).tobytes()
+    assert copy.flags.c_contiguous and not copy.flags.writeable
+    assert not np.shares_memory(copy, data.features)
+    with pytest.raises(ValueError, match="read-only"):
+        copy[0, 0] = 1.0
+
+
+def test_logistic_evaluate_alone_makes_the_feature_major_copy_once():
+    data = synth_dataset(5, 3, 7, d_in=4)
+    mlp, logistic = Model(kind="mlp", d_in=4, hidden=5), Model(kind="logistic", d_in=4)
+    rng = np.random.default_rng(1)
+    evaluate(mlp, data, rng.standard_normal(mlp.dim))
+    assert "feature_major" not in data.__dict__  # an MLP run holds no copy
+    params = rng.standard_normal(logistic.dim)
+    first = evaluate(logistic, data, params)
+    copy = data.__dict__["feature_major"]
+    second = evaluate(logistic, data, params)
+    assert data.__dict__["feature_major"] is copy  # made once, by the first call
+    assert first[0] == second[0] and np.array_equal(first[1], second[1])
+
+
 def test_synth_dataset_deterministic_in_seed():
     a = synth_dataset(11, 4, 30, d_in=6)
     b = synth_dataset(11, 4, 30, d_in=6)
