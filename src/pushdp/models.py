@@ -12,8 +12,8 @@ Two model families cover the convex and non-convex regimes:
 * ``mlp``: one tanh hidden layer into a softmax output, parameters
   flattened as (W1, b1, W2, b2), trained with softmax cross-entropy.
 
-Gradients are hand-derived and vectorized.  ``evaluate``, which the engine logs at
-the average iterate, averages the loss and gradient over every sample in one pass;
+Gradients are hand-derived and vectorized.  ``evaluate`` averages the loss and gradient
+over every sample at a stack of average iterates, one GEMM per product for the stack;
 its logistic loss ``log1p(exp(-|z|)) + (max(z, 0) - y z)`` shares the sigmoid's exp.
 """
 
@@ -193,51 +193,61 @@ def batched_sample_gradients(
     return grads
 
 
-def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Loss, gradient, and accuracy over the pooled dataset in one forward pass;
-    the accuracy reads the loss pass's scores instead of predicting again.
+def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Losses (m,), gradients (m, dim) and accuracies (m,) over the pooled dataset at a stack of m
+    parameter vectors, each in one forward pass; the accuracy reads the loss pass's scores.
 
-    The logistic pass reads X^T, the dataset's ``feature_major``, in z = w X^T + b and in
-    X^T (sigmoid(z) - y); it takes e = exp(-|z|) once for the loss terms ``log1p(e) + (max(z, 0) - y z)``
-    and the sigmoid ``max(e, z >= 0) / (1 + e)``; each equals its two-pass formula bit for bit.
+    The logistic pass takes the stack at once.  It reads X^T, the dataset's ``feature_major``, in
+    Z = W X^T + b and in (sigmoid(Z) - y) X: GEMVs for one row, GEMMs for more, whose last bits may
+    depend on the stack's height but not on a row's place in it.  It takes e = exp(-|z|) once for the
+    loss terms ``log1p(e) + (max(z, 0) - y z)`` and the sigmoid ``max(e, z >= 0) / (1 + e)``; a row's
+    passes and sums equal its two-pass formulas bit for bit.  The MLP evaluates row by row.
     """
     X, y = dataset.pooled_features, dataset.pooled_labels
     N = X.shape[0]
-    grad = np.empty(model.dim)
     if model.kind == "logistic":
-        w, b = model.unflatten(params)
+        rows = params[0] if len(params) == 1 else params  # a lone row runs 1-D, where each pass costs less
+        w, b = model.unflatten(rows)
         z = w @ dataset.feature_major
-        z += b
-        e, buf, mask = np.abs(z), np.empty(N), np.empty(N, dtype=bool)  # work in place
-        np.exp(np.negative(e, out=e), out=e)  # exp(-|z|), shared by the loss and the sigmoid
-        terms = np.maximum(z, 0.0)
+        z += b[..., None]
+        (e, terms, buf), mask = np.empty((3, *z.shape)), np.empty(z.shape, dtype=bool)  # work in place
+        np.exp(np.negative(np.abs(z, out=e), out=e), out=e)  # exp(-|z|), shared by the loss and the sigmoid
+        np.maximum(z, 0.0, out=terms)
         terms -= np.multiply(dataset.targets, z, out=buf)  # exact for y in {0, 1}: no cancelling
         terms += np.log1p(e, out=buf)
         coeff = np.maximum(e, np.greater_equal(z, 0.0, out=mask), out=buf)
         e += 1.0
         coeff /= e
         coeff -= dataset.targets  # sigmoid(z) - y
-        grad[: model.d_in] = dataset.feature_major @ coeff / N
-        grad[model.d_in] = np.add.reduce(coeff) / N  # == np.mean, as the loss below
-        hits = np.count_nonzero(np.equal(np.greater(z, 0.0, out=mask), dataset.positive, out=mask))
-        return float(np.add.reduce(terms) / N), grad, float(hits / N)  # exact: hits / N is np.mean's float
-    W1, b1, W2, b2 = model.unflatten(params)
-    hidden = np.tanh(X @ W1.T + b1)
-    logits = hidden @ W2.T + b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    dlogits = np.exp(shifted)  # one exp and one row sum serve the loss and the softmax
-    norm = dlogits.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(norm[:, 0]) - shifted[np.arange(N), y]))
-    dlogits /= norm
-    dlogits[np.arange(N), y] -= 1.0
-    dlogits /= N
-    dpre = (dlogits @ W2) * (1.0 - hidden**2)
-    gW1, gb1, gW2, gb2 = model.unflatten(grad)
-    gW1[:] = dpre.T @ X
-    gb1[:] = dpre.sum(axis=0)
-    gW2[:] = dlogits.T @ hidden
-    gb2[:] = dlogits.sum(axis=0)
-    return loss, grad, float(np.mean(logits.argmax(axis=1) == y))
+        out = np.empty((len(params), model.dim + 2))  # a row's loss, hits and gradient, divided by N at once
+        cells = out.reshape(*rows.shape[:-1], -1)  # out, shaped as the rows
+        np.add.reduce(terms, axis=-1, out=cells[..., 0])  # each row's own sum, as np.mean takes it
+        np.matmul(coeff, dataset.feature_major.T, out=cells[..., 2 : 2 + model.d_in])
+        np.add.reduce(coeff, axis=-1, out=cells[..., -1])  # the bias's gradient
+        np.equal(np.greater(z, 0.0, out=mask), dataset.positive, out=mask)
+        out[:, 1] = [np.count_nonzero(row) for row in mask.reshape(len(params), N)]  # faster than axis=1
+        out /= N  # exact for the hits: hits / N is np.mean's float
+        return out[:, 0], out[:, 2:], out[:, 1]
+    grads, scores = np.empty(params.shape), np.empty((2, len(params)))  # the MLP, row by row
+    for row, grad, score in zip(params, grads, scores.T):  # score: the row's loss and accuracy
+        W1, b1, W2, b2 = model.unflatten(row)
+        hidden = np.tanh(X @ W1.T + b1)
+        logits = hidden @ W2.T + b2
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        dlogits = np.exp(shifted)  # one exp and one row sum serve the loss and the softmax
+        norm = dlogits.sum(axis=1, keepdims=True)
+        score[0] = np.mean(np.log(norm[:, 0]) - shifted[np.arange(N), y])
+        dlogits /= norm
+        dlogits[np.arange(N), y] -= 1.0
+        dlogits /= N
+        dpre = (dlogits @ W2) * (1.0 - hidden**2)
+        gW1, gb1, gW2, gb2 = model.unflatten(grad)
+        gW1[:] = dpre.T @ X
+        gb1[:] = dpre.sum(axis=0)
+        gW2[:] = dlogits.T @ hidden
+        gb2[:] = dlogits.sum(axis=0)
+        score[1] = np.mean(logits.argmax(axis=1) == y)
+    return scores[0], grads, scores[1]
 
 
 @dataclass(frozen=True)

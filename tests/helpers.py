@@ -9,7 +9,7 @@ import pytest
 
 from pushdp import cli, engine
 from pushdp.accountant import PrivacySpec
-from pushdp.engine import INIT_SCALE, PURPOSE_INIT, PURPOSE_NOISE, PURPOSE_SAMPLE, RunConfig
+from pushdp.engine import EVAL_ROUNDS, INIT_SCALE, PURPOSE_INIT, PURPOSE_NOISE, PURPOSE_SAMPLE, RunConfig
 from pushdp.models import Model, Task, synth_dataset
 from pushdp.schedule import build_schedule
 from pushdp.topology import graph_schedule, validate_column_stochastic
@@ -45,8 +45,16 @@ def run_from(config, x0):
     return engine.run(dataclasses.replace(config, draws=draws))
 
 
+def _group_row(row: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Row 0 of the EVAL_ROUNDS-row product of ``row`` over zero rows: the GEMM that
+    ``evaluate`` runs for a group of rounds."""
+    stack = np.zeros((EVAL_ROUNDS, len(row)))
+    stack[0] = row
+    return (stack @ matrix)[0]
+
+
 def reference_loss_grad(
-    model: Model, params: np.ndarray, X: np.ndarray, y: np.ndarray
+    model: Model, params: np.ndarray, X: np.ndarray, y: np.ndarray, grouped: bool = False
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy loss, flat gradient, and the scores over a batch: the
     logit z (logistic) or logits (mlp) whose sign or argmax is the prediction.
@@ -54,18 +62,19 @@ def reference_loss_grad(
     The two-pass formulas, kept as the oracle for ``evaluate``'s one pass: the
     logistic loss is the stable softplus ``log1p(exp(-|z|)) + (max(z, 0) - y z)`` and
     its gradient a second pass through ``sigmoid``, which takes exp(-|z|) again; the
-    mlp takes ``exp(shifted)`` once for the loss and again for the softmax.
+    mlp takes ``exp(shifted)`` once for the loss and again for the softmax.  A
+    ``grouped`` logistic row takes its two products as one row of a group's GEMMs.
     """
     N = X.shape[0]
     if model.kind == "logistic":
         w, b = model.unflatten(params)
-        XT = np.ascontiguousarray(X.T)  # evaluate's feature-major layout, and its two GEMVs
-        z = w @ XT + b
+        XT = np.ascontiguousarray(X.T)  # evaluate's feature-major layout
+        z = (_group_row(w, XT) if grouped else w @ XT) + b  # a GEMM or a GEMV
         # log(1 + e^z) - y z, stable for either sign of z; the bracket is exact for y in {0, 1}
         loss = float(np.mean(np.log1p(np.exp(-np.abs(z))) + (np.maximum(z, 0.0) - y * z)))
         coeff = sigmoid(z) - y
         grad = np.empty(model.dim)
-        grad[: model.d_in] = XT @ coeff / N
+        grad[: model.d_in] = (_group_row(coeff, XT.T) if grouped else XT @ coeff) / N
         grad[model.d_in] = coeff.mean()
         return loss, grad, z
     W1, b1, W2, b2 = model.unflatten(params)
@@ -90,12 +99,13 @@ def reference_loss_grad(
 
 
 def reference_evaluate(
-    model: Model, dataset, params: np.ndarray
+    model: Model, dataset, params: np.ndarray, grouped: bool = False
 ) -> tuple[float, np.ndarray, float]:
     """Loss, gradient and accuracy over the pooled dataset by the two-pass
-    formulas; ``models.evaluate`` must equal it bit for bit."""
+    formulas; ``models.evaluate`` must equal it bit for bit, on a one-row stack
+    alone and on an EVAL_ROUNDS-row stack ``grouped``."""
     X, y = dataset.pooled_features, dataset.pooled_labels
-    loss, grad, scores = reference_loss_grad(model, params, X, y)
+    loss, grad, scores = reference_loss_grad(model, params, X, y, grouped)
     hits = (scores > 0) == y if model.kind == "logistic" else scores.argmax(axis=1) == y
     return loss, grad, float(np.mean(hits))
 
@@ -262,7 +272,8 @@ def reference_run(config, details: list | None = None):
     schedule's claim when noise was drawn, and the period and the diameter that
     ``reference_window_distances`` gives the union of one period's matrices, unless
     that is 0 or the union is not strongly connected.  ``engine.run`` must
-    reproduce it byte for byte.  A ``details`` list gains one RoundDetail per round.
+    reproduce it byte for byte.  Round K-1 is evaluated alone, every earlier round
+    ``grouped``.  A ``details`` list gains one RoundDetail per round.
     """
     from pushdp.metrics import MetricsLog, mean_sq_consensus, round_records
 
@@ -290,7 +301,7 @@ def reference_run(config, details: list | None = None):
             C_k, mu_k = float(sched.clip[k]), float(sched.budget[k])
             sigma = float(sched.sigma[k]) if config.noise_enabled else 0.0
         xbar = X.mean(axis=0)
-        loss, grad, acc = reference_evaluate(model, data, xbar)
+        loss, grad, acc = reference_evaluate(model, data, xbar, grouped=k < K - 1)
         halves, grads, noises = np.empty((n, d)), np.empty((n, d)), np.zeros((n, d))
         norms, clipped, clipped_grads = [], [], np.empty((n, d))
         for i in range(n):

@@ -1208,20 +1208,25 @@ def test_sweep_with_a_shared_setting_equals_legs_built_alone(tmp_path, axis, val
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """The ``engine.evaluate`` calls of each engine run the CLI makes, one count per run."""
-    counts, run, evaluate = [], cli.run, engine.evaluate
+    """The ``engine.evaluate`` calls of each engine run the CLI makes, one list per run of
+    the heights of the stacks it evaluates."""
+    heights, run, evaluate = [], cli.run, engine.evaluate
 
     def counted_run(config):
-        counts.append(0)
+        heights.append([])
         return run(config)
 
-    def counted_evaluate(*args):
-        counts[-1] += 1
-        return evaluate(*args)
+    def counted_evaluate(model, data, params):
+        heights[-1].append(len(params))
+        return evaluate(model, data, params)
 
     monkeypatch.setattr(cli, "run", counted_run)
     monkeypatch.setattr(engine, "evaluate", counted_evaluate)
-    return counts
+    return heights
+
+
+# K = 10 evaluated every round: rounds 0-3, 4-7, 8 in a padded stack of 4, then 9 alone
+EVERY_ROUND_AT_K10 = [4, 4, 4, 1]
 
 
 @contextlib.contextmanager
@@ -1240,7 +1245,7 @@ def test_compare_evaluates_each_run_once_and_prints_what_every_round_evaluation_
     out = tmp_path / "table.csv"
     args = ["compare", "--config", config, "--set", "run.repeat=2", "--output", str(out)]
     results = []
-    for context, calls in ((contextlib.nullcontext(), 1), (runs_evaluating_every_round(), 10)):
+    for context, calls in ((contextlib.nullcontext(), [1]), (runs_evaluating_every_round(), EVERY_ROUND_AT_K10)):
         evaluations.clear()
         stdout = io.StringIO()
         with context, contextlib.redirect_stdout(stdout):
@@ -1257,7 +1262,7 @@ def test_run_and_sweep_evaluate_every_round(tmp_path, evaluations, command, runs
     if command == "sweep":
         args[args.index("--values") + 1] = "4,8"
     assert _exit_code_and_stderr(args) == (0, "")
-    assert evaluations == [10] * runs
+    assert evaluations == [EVERY_ROUND_AT_K10] * runs
 
 
 # ---------------------------------------------------------------------------

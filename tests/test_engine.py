@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from helpers import (
 from pushdp import engine
 from pushdp.accountant import PrivacySpec, compose_general, delta_from_mu_eps
 from pushdp.engine import (
+    EVAL_ROUNDS,
     INIT_SCALE,
     PURPOSE_INIT,
     PURPOSE_NOISE,
@@ -690,7 +692,11 @@ def test_run_matches_per_node_reference_on_drawn_configs(cfg):
 
 FINAL_ONLY_CASES = {
     **REFERENCE_CASES,
-    "K=1": lambda: private_config(n=4, J=10, K=1, epsilon=0.5, variant="dyn", seed=5),
+    # K - 1 at every residue mod EVAL_ROUNDS, and on both sides of a block edge
+    **{
+        f"K={K}": functools.partial(private_config, n=4, J=10, K=K, epsilon=0.5, variant="dyn", seed=5)
+        for K in (1, 2, 3, 4, 5, ROUND_BLOCK - 1, ROUND_BLOCK, *range(ROUND_BLOCK + 1, ROUND_BLOCK + 5), 131)
+    },
 }
 
 
@@ -713,6 +719,24 @@ def test_final_only_evaluation_keeps_every_other_cell(make, monkeypatch):
             assert np.isnan(final.rows[name][:-1]).all(), name
         else:
             assert final.rows[name].tobytes() == full.rows[name].tobytes(), name
+
+
+def test_a_block_evaluates_its_rounds_in_groups_and_the_last_round_alone(monkeypatch):
+    # K = 10 in 4 calls: rounds 0-3, 4-7, then 8 in a full stack over round 9 and zero rows,
+    # which only pad, and round 9 alone, as a final-only run evaluates it
+    stacks, evaluate = [], engine.evaluate
+
+    def recorded(model, data, params):
+        stacks.append(params.copy())
+        return evaluate(model, data, params)
+
+    monkeypatch.setattr(engine, "evaluate", recorded)
+    with recorded_rounds() as details:
+        run(private_config(n=4, J=10, K=10, epsilon=0.5, variant="dyn", seed=5))
+    xbars = np.stack([detail.xbar for detail in details])
+    assert EVAL_ROUNDS == 4
+    padded = np.concatenate([xbars[8:], np.zeros((2, xbars.shape[1]))])
+    assert [s.tobytes() for s in stacks] == [x.tobytes() for x in (xbars[:4], xbars[4:8], padded, xbars[9:])]
 
 
 # zeros of both signs, subnormals, values whose squares overflow, infinities and NaN
@@ -784,7 +808,7 @@ def test_divergence_mid_block_raises_at_the_first_non_finite_round():
 
 
 def _constant_evaluate(model, data, params):
-    return 7.0, np.full(model.dim, 0.5), 0.25
+    return np.full(len(params), 7.0), np.full(params.shape, 0.5), np.full(len(params), 0.25)
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from helpers import (
     sigmoid,
 )
 
+from pushdp.engine import EVAL_ROUNDS
 from pushdp.models import (
     Dataset,
     Model,
@@ -65,13 +66,12 @@ def test_derived_labels_are_read_only_and_belong_to_one_dataset():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     model = Model(kind="logistic", d_in=data.d_in)
-    params = np.random.default_rng(0).standard_normal(model.dim)
+    params = np.random.default_rng(0).standard_normal((1, model.dim))
     first = evaluate(model, data, params)
     second = evaluate(model, data, params)
     # derived once: every evaluation reads the same two arrays, unchanged
     assert data.targets is targets and data.positive is positive
-    assert first[0] == second[0] and first[2] == second[2]
-    assert np.array_equal(first[1], second[1])
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
     other = synth_dataset(0, 3, 4)
     assert np.array_equal(other.targets, targets)
     assert not np.shares_memory(other.targets, targets)
@@ -103,14 +103,14 @@ def test_logistic_evaluate_alone_makes_the_feature_major_copy_once():
     data = synth_dataset(5, 3, 7, d_in=4)
     mlp, logistic = Model(kind="mlp", d_in=4, hidden=5), Model(kind="logistic", d_in=4)
     rng = np.random.default_rng(1)
-    evaluate(mlp, data, rng.standard_normal(mlp.dim))
+    evaluate(mlp, data, rng.standard_normal((1, mlp.dim)))
     assert "feature_major" not in data.__dict__  # an MLP run holds no copy
-    params = rng.standard_normal(logistic.dim)
+    params = rng.standard_normal((1, logistic.dim))
     first = evaluate(logistic, data, params)
     copy = data.__dict__["feature_major"]
     second = evaluate(logistic, data, params)
     assert data.__dict__["feature_major"] is copy  # made once, by the first call
-    assert first[0] == second[0] and np.array_equal(first[1], second[1])
+    assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
 
 
 def test_synth_dataset_deterministic_in_seed():
@@ -352,7 +352,7 @@ def test_evaluate_reports_loss_grad_accuracy():
         data = synth_dataset(2, 3, 50, d_in=6, classes=model.classes)
         for scale in (0.0, 0.3):
             params = scale * np.random.default_rng(4).standard_normal(model.dim)
-            loss, grad, acc = evaluate(model, data, params)
+            (loss,), (grad,), (acc,) = evaluate(model, data, params[None])
             ref_loss, ref_grad = full_objective(model, data, params)
             assert loss == ref_loss
             assert np.array_equal(grad, ref_grad)
@@ -421,6 +421,39 @@ def _evaluate_draw(kind, d_in, n, J, shard_labels, scale, seed):
     return model, Dataset(features=features, labels=labels, classes=classes), params
 
 
+# What the oracle's grouped rows rely on, pinned here so that a BLAS that breaks it fails
+# a test that names it rather than the differential test: evaluate's two products,
+# ``W @ feature_major`` and ``C @ feature_major.T``, over stacks of the engine's heights.
+_PRODUCTS = {"z": lambda stack, F: stack @ F, "grad": lambda stack, F: stack @ F.T}
+
+
+@pytest.mark.parametrize("product", _PRODUCTS)
+@pytest.mark.parametrize("N", [7, 5000, 16384])
+@pytest.mark.parametrize("d_in", [2, 10])
+def test_a_group_products_row_depends_on_neither_its_place_nor_the_other_rows(product, N, d_in):
+    # row r of an EVAL_ROUNDS-row GEMM equals row 0 of the GEMM of that row over zero rows;
+    # the height itself may move the last bits (4 rows against 2 do on AVX-512 OpenBLAS)
+    rng = np.random.default_rng([N, d_in])
+    F = np.ascontiguousarray(rng.standard_normal((N, d_in)).T)
+    stack = rng.standard_normal((EVAL_ROUNDS, d_in if product == "z" else N))
+    rows = _PRODUCTS[product](stack, F)
+    for r in range(EVAL_ROUNDS):
+        alone = np.zeros_like(stack)
+        alone[0] = stack[r]
+        assert rows[r].tobytes() == _PRODUCTS[product](alone, F)[0].tobytes(), r
+
+
+@pytest.mark.parametrize("N", [7, 5000, 16384])
+@pytest.mark.parametrize("d_in", [2, 10])
+def test_a_one_row_stack_runs_the_gemv_of_its_vector(N, d_in):
+    # a lone row (round K-1, and every round of a final-only run) keeps the 1-D products
+    rng = np.random.default_rng([N, d_in, 1])
+    F = np.ascontiguousarray(rng.standard_normal((N, d_in)).T)
+    w, coeff = rng.standard_normal(d_in), rng.standard_normal(N)
+    assert (w[None] @ F)[0].tobytes() == (w @ F).tobytes()
+    assert (coeff[None] @ F.T)[0].tobytes() == (F @ coeff).tobytes()
+
+
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)
 @given(
     # numpy's row sum adds left to right below 8 columns and pairwise from 8 up
@@ -432,15 +465,23 @@ def _evaluate_draw(kind, d_in, n, J, shard_labels, scale, seed):
     # zero params give z = +-0; at 1e3 exp(-|z|) underflows to 0
     scale=st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 1e3]) | st.floats(0.0, 1e3),
     seed=st.integers(0, 2**32 - 1),
+    # the engine's two stack heights: a lone row, or a group's row at any place among others
+    grouped=st.booleans(),
+    place=st.integers(0, EVAL_ROUNDS - 1),
 )
-def test_evaluate_equals_two_pass_reference_bitwise(kind, d_in, n, J, shard_labels, scale, seed):
+def test_evaluate_equals_two_pass_reference_bitwise(kind, d_in, n, J, shard_labels, scale, seed, grouped, place):
     model, data, params = _evaluate_draw(kind, d_in, n, J, shard_labels, scale, seed)
-    loss, grad, acc = evaluate(model, data, params)
-    ref_loss, ref_grad, ref_acc = reference_evaluate(model, data, params)
-    assert _bits(loss) == _bits(ref_loss)
-    assert np.array_equal(_bits(grad), _bits(ref_grad))
-    assert _bits(acc) == _bits(ref_acc)
-    assert type(loss) is type(acc) is float
+    stack, row = params[None], 0
+    if grouped:
+        stack, row = scale * np.random.default_rng(seed).standard_normal((EVAL_ROUNDS, model.dim)), place
+        stack[place] = params
+    losses, grads, accuracies = evaluate(model, data, stack)
+    assert losses.shape == accuracies.shape == (len(stack),) and grads.shape == stack.shape
+    ref_loss, ref_grad, ref_acc = reference_evaluate(model, data, params, grouped)
+    assert _bits(losses[row]) == _bits(ref_loss)
+    assert np.array_equal(_bits(grads[row]), _bits(ref_grad))
+    assert _bits(accuracies[row]) == _bits(ref_acc)
+    assert losses.dtype == grads.dtype == accuracies.dtype == np.float64
 
 
 def _logaddexp_loss(z: np.ndarray, y: np.ndarray) -> float:
@@ -472,7 +513,7 @@ def _mpmath_loss(z: np.ndarray, y: np.ndarray) -> mpmath.mpf:
 def _evaluate_loss(z: np.ndarray, y: np.ndarray) -> float:
     """``evaluate``'s logistic loss at logits z: one feature equal to z, weight 1, bias 0."""
     data = Dataset(features=z.reshape(1, -1, 1), labels=y.reshape(1, -1), classes=2)
-    return evaluate(Model(kind="logistic", d_in=1), data, np.array([1.0, 0.0]))[0]
+    return float(evaluate(Model(kind="logistic", d_in=1), data, np.array([[1.0, 0.0]]))[0][0])
 
 
 @pytest.mark.parametrize("loss_of", [_evaluate_loss, _logaddexp_loss])
