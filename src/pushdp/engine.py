@@ -26,10 +26,10 @@ such buffer of z_i.  The rounds stop before the first whose weights reach WEIGHT
 Then the block observes: one ``isfinite`` over its rounds raises ``NonFiniteParameter`` at
 the first non-finite one, else a starved round raises ``DegenerateWeight`` (the earlier
 raises, as a per-round check would).  One ``einsum`` takes the B average iterates, and
-``evaluate`` takes those before round K-1 in stacks of EVAL_ROUNDS rows (zero rows pad a
-block's last) and round K-1 alone.  Every dot product and sum reproduces its single-node
-counterpart bit for bit, a stacked round's evaluation as row 0 of a stack over zero rows,
-so the result equals a per-node, per-round loop exactly.
+``evaluate`` takes those before round K-1 as one stack, whose layout it owns, and round
+K-1 alone.  Every dot product and sum reproduces its single-node counterpart bit for bit,
+a stacked round's evaluation as ``models.evaluate`` says, so the result equals a
+per-node, per-round loop exactly.
 
 Randomness comes from one counter-based Philox stream per node and purpose (init,
 sampling, noise), keyed by ``SeedSequence([seed, node, purpose])``; ``stream_keys``
@@ -71,9 +71,6 @@ WEIGHT_FLOOR = 1e-300
 # Rounds of sample indices and noise drawn per stream call; bounds the noise
 # held at once to n * ROUND_BLOCK * d floats.
 ROUND_BLOCK = 64
-
-# Rows of each stack evaluated before round K-1; at N = 5000 a round costs 0.65x a lone row's, no less at 8.
-EVAL_ROUNDS = 4
 
 # Standard deviation of the per-node Gaussian initialization.
 INIT_SCALE = 0.5
@@ -206,8 +203,8 @@ class RunConfig:
     (``run`` refuses another J or K); None selects the non-private path (no clipping, no noise).
     ``noise_enabled = False`` keeps the clipping bound of the schedule but injects no noise, which
     isolates the two privacy mechanisms in ablations.  ``every_round = False`` evaluates only round
-    K-1, alone as every run does (see ``run``).  ``draws`` are the config's own ``SeedDraws``, shared
-    with other legs at its seed; by default the run makes its own.  ``extra_meta`` holds only the
+    K-1, which every run evaluates alone (see ``run``).  ``draws`` are the config's own ``SeedDraws``,
+    shared with other legs at its seed; by default the run makes its own.  ``extra_meta`` holds only the
     caller's own metadata (the CLI's ``variant``, ``gamma_preset``), not the claim and connectivity ``run`` writes.
     """
 
@@ -303,22 +300,25 @@ def _noise_blocks(keys: np.ndarray, sigma: np.ndarray, d: int):
 def run(config: RunConfig) -> MetricsLog:
     """Execute K rounds and return the full metrics log.
 
-    Row k is evaluated at the average iterate entering round k (EVAL_ROUNDS rounds to a call, round
-    K-1 alone), while its clip rate refers to the gradients sampled during round k.  With
-    ``config.every_round`` False only row K-1 is: the loss, grad_norm_sq and accuracy of earlier rows
-    are NaN, and as evaluation only observes, every other cell and the metadata are those of the
-    every-round log.  The metadata records whether the run drew noise, ``config.extra_meta``, the
+    Row k is evaluated at the average iterate entering round k (a block's rounds before K-1 in one
+    ``evaluate`` call, round K-1 alone), while its clip rate refers to the gradients sampled during
+    round k.  With ``config.every_round`` False only row K-1 is: the loss, grad_norm_sq and accuracy
+    of earlier rows are NaN, and as evaluation only observes, every other cell and the metadata are
+    those of the every-round log.  The metadata records whether the run drew noise, ``config.extra_meta``, the
     schedule's ``claim()`` only if the run drew its noise, the graph's ``graph_window`` (period) and
     ``graph_diameter`` unless that is 0 (one node), and as sanity checks the worst push-sum weight-sum
     drift and the largest unclipped stochastic gradient norm seen.  ``config.draws`` must be made for
-    the config's (seed, n, K, J, d), and a schedule solved for a K or J other than the run's raises.
+    the config's (seed, n, K, J, d); a schedule solved for another K or J, K < 1 or a step size that is
+    negative or not finite raises.
     """
     model, data = config.task.model, config.task.dataset
     n, d, K, J = config.n, config.d, config.K, config.task.dataset.J
     if data.n != n:
         raise ValueError(f"dataset has {data.n} shards but the graph has {n} nodes")
-    if config.gamma < 0:
-        raise ValueError("step size must be nonnegative")
+    if not 0 <= config.gamma < math.inf:  # NaN too
+        raise ValueError(f"step size must be finite and nonnegative, got {config.gamma}")
+    if K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
     clip, budget, sigma = _schedule_arrays(config)
     own, draws = SeedDraws.of(config), config.draws
     if draws is None:  # a lone run holds no index table: it reads its indices block by block
@@ -366,15 +366,14 @@ def run(config: RunConfig) -> MetricsLog:
             if ran < B:
                 node = int(np.argmax(weights[ran + 1] <= WEIGHT_FLOOR))
                 raise DegenerateWeight(f"push-sum weight underflowed at node {node}")
-            xbars = np.zeros((B + EVAL_ROUNDS - 1, d))  # the zero rows past B fill out a last group
-            xbars[:B] = np.einsum("bij->bj", iterates[:B]) / n  # == each round's X.sum(axis=0) / n, as d >= 2
+            xbars = np.einsum("bij->bj", iterates[:B]) / n  # == each round's X.sum(axis=0) / n, as d >= 2
             grads, block, last = np.full((B, d), math.nan), measured[k0 : k0 + B], B - (k0 + B == K)
-            groups = [(lo, lo + EVAL_ROUNDS, min(lo + EVAL_ROUNDS, last)) for lo in range(0, last, EVAL_ROUNDS)]
-            for lo, end, hi in (groups if every_round else []) + [(last, B, B)] * (last < B):  # K-1 alone
-                loss, grad, accuracy = evaluate(model, data, xbars[lo:end])  # the rows past hi only pad
-                block[lo:hi, 0], grads[lo:hi], block[lo:hi, 4] = loss[: hi - lo], grad[: hi - lo], accuracy[: hi - lo]
+            if every_round and last:
+                block[:last, 0], grads[:last], block[:last, 4] = evaluate(config.task, xbars[:last])
+            if last < B:  # round K-1, alone
+                block[last, 0], grads[last], block[last, 4] = evaluate(config.task, xbars[last])
             measured[k0 : k0 + B, 1] = np.vecdot(grads, grads)  # == grad @ grad
-            measured[k0 : k0 + B, 2] = mean_sq_consensus(Zs[:B], xbars[:B], out=Zs[:B])  # may overwrite iterates[:B]: the carry reads row B
+            measured[k0 : k0 + B, 2] = mean_sq_consensus(Zs[:B], xbars, out=Zs[:B])  # may overwrite iterates[:B]: the carry reads row B
             measured[k0 : k0 + B, 3] = np.count_nonzero(norms[:B] > clip[k0 : k0 + B, None], axis=1) / n
             max_grad_norm = max(max_grad_norm, float(norms[:B].max()))
             weights[0], iterates[0], Zs[0] = weights[B], iterates[B], Zs[B]  # what the next block enters with

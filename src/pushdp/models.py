@@ -12,9 +12,9 @@ Two model families cover the convex and non-convex regimes:
 * ``mlp``: one tanh hidden layer into a softmax output, parameters
   flattened as (W1, b1, W2, b2), trained with softmax cross-entropy.
 
-Gradients are hand-derived and vectorized.  ``evaluate`` averages the loss and gradient
-over every sample at a stack of average iterates, one GEMM per product for the stack;
-its logistic loss ``log1p(exp(-|z|)) + (max(z, 0) - y z)`` shares the sigmoid's exp.
+Gradients are hand-derived and vectorized.  ``evaluate`` averages the loss and gradient over
+every sample at an average iterate or a block's stack of them, which it lays out itself; its
+logistic loss ``log1p(exp(-|z|)) + (max(z, 0) - y z)`` shares the sigmoid's exp.
 """
 
 from __future__ import annotations
@@ -25,36 +25,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _MEANS_SEED = 1799  # class means are fixed across dataset seeds
+EVAL_ROUNDS = 4  # rows of a logistic stack's groups: at N = 5000 a round costs 0.65x a lone row's, no less at 8
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Disjoint node shards: features (n, J, d_in) and integer labels (n, J), plus, derived once, all
-    samples pooled (``pooled_features`` (n*J, d_in), ``pooled_labels``) and, for the logistic evaluation,
-    those labels as floats (``targets``) and booleans (``positive``) and ``feature_major``; all read-only."""
+    """Disjoint node shards: features (n, J, d_in) and integer labels (n, J), plus all samples pooled,
+    ``pooled_features`` (n*J, d_in) and ``pooled_labels``, as views taken once; all read-only."""
 
     features: np.ndarray
     labels: np.ndarray
     classes: int
     pooled_features: np.ndarray = field(init=False, repr=False, compare=False)
     pooled_labels: np.ndarray = field(init=False, repr=False, compare=False)
-    targets: np.ndarray = field(init=False, repr=False, compare=False)
-    positive: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pooled_features", self.features.reshape(-1, self.features.shape[2]))
         object.__setattr__(self, "pooled_labels", self.labels.reshape(-1))
-        object.__setattr__(self, "targets", self.pooled_labels.astype(float))
-        object.__setattr__(self, "positive", self.pooled_labels.astype(bool))
-        for name in ("features", "labels", "pooled_features", "pooled_labels", "targets", "positive"):
+        for name in ("features", "labels", "pooled_features", "pooled_labels"):
             getattr(self, name).setflags(write=False)  # one dataset serves every run of a CLI command
-
-    @functools.cached_property
-    def feature_major(self) -> np.ndarray:
-        """Made on first use: ``pooled_features.T`` as a C-contiguous (d_in, n*J) copy, read row-wise."""
-        copy = np.ascontiguousarray(self.pooled_features.T)
-        copy.setflags(write=False)
-        return copy
 
     @property
     def n(self) -> int:
@@ -193,63 +182,6 @@ def batched_sample_gradients(
     return grads
 
 
-def evaluate(model: Model, dataset: Dataset, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Losses (m,), gradients (m, dim) and accuracies (m,) over the pooled dataset at a stack of m
-    parameter vectors, each in one forward pass; the accuracy reads the loss pass's scores.
-
-    The logistic pass takes the stack at once.  It reads X^T, the dataset's ``feature_major``, in
-    Z = W X^T + b and in (sigmoid(Z) - y) X: GEMVs for one row, GEMMs for more, whose last bits may
-    depend on the stack's height but not on a row's place in it.  It takes e = exp(-|z|) once for the
-    loss terms ``log1p(e) + (max(z, 0) - y z)`` and the sigmoid ``max(e, z >= 0) / (1 + e)``; a row's
-    passes and sums equal its two-pass formulas bit for bit.  The MLP evaluates row by row.
-    """
-    X, y = dataset.pooled_features, dataset.pooled_labels
-    N = X.shape[0]
-    if model.kind == "logistic":
-        rows = params[0] if len(params) == 1 else params  # a lone row runs 1-D, where each pass costs less
-        w, b = model.unflatten(rows)
-        z = w @ dataset.feature_major
-        z += b[..., None]
-        (e, terms, buf), mask = np.empty((3, *z.shape)), np.empty(z.shape, dtype=bool)  # work in place
-        np.exp(np.negative(np.abs(z, out=e), out=e), out=e)  # exp(-|z|), shared by the loss and the sigmoid
-        np.maximum(z, 0.0, out=terms)
-        terms -= np.multiply(dataset.targets, z, out=buf)  # exact for y in {0, 1}: no cancelling
-        terms += np.log1p(e, out=buf)
-        coeff = np.maximum(e, np.greater_equal(z, 0.0, out=mask), out=buf)
-        e += 1.0
-        coeff /= e
-        coeff -= dataset.targets  # sigmoid(z) - y
-        out = np.empty((len(params), model.dim + 2))  # a row's loss, hits and gradient, divided by N at once
-        cells = out.reshape(*rows.shape[:-1], -1)  # out, shaped as the rows
-        np.add.reduce(terms, axis=-1, out=cells[..., 0])  # each row's own sum, as np.mean takes it
-        np.matmul(coeff, dataset.feature_major.T, out=cells[..., 2 : 2 + model.d_in])
-        np.add.reduce(coeff, axis=-1, out=cells[..., -1])  # the bias's gradient
-        np.equal(np.greater(z, 0.0, out=mask), dataset.positive, out=mask)
-        out[:, 1] = [np.count_nonzero(row) for row in mask.reshape(len(params), N)]  # faster than axis=1
-        out /= N  # exact for the hits: hits / N is np.mean's float
-        return out[:, 0], out[:, 2:], out[:, 1]
-    grads, scores = np.empty(params.shape), np.empty((2, len(params)))  # the MLP, row by row
-    for row, grad, score in zip(params, grads, scores.T):  # score: the row's loss and accuracy
-        W1, b1, W2, b2 = model.unflatten(row)
-        hidden = np.tanh(X @ W1.T + b1)
-        logits = hidden @ W2.T + b2
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        dlogits = np.exp(shifted)  # one exp and one row sum serve the loss and the softmax
-        norm = dlogits.sum(axis=1, keepdims=True)
-        score[0] = np.mean(np.log(norm[:, 0]) - shifted[np.arange(N), y])
-        dlogits /= norm
-        dlogits[np.arange(N), y] -= 1.0
-        dlogits /= N
-        dpre = (dlogits @ W2) * (1.0 - hidden**2)
-        gW1, gb1, gW2, gb2 = model.unflatten(grad)
-        gW1[:] = dpre.T @ X
-        gb1[:] = dpre.sum(axis=0)
-        gW2[:] = dlogits.T @ hidden
-        gb2[:] = dlogits.sum(axis=0)
-        score[1] = np.mean(logits.argmax(axis=1) == y)
-    return scores[0], grads, scores[1]
-
-
 @dataclass(frozen=True)
 class Task:
     """A model bound to a sharded dataset; what one engine run optimizes."""
@@ -263,3 +195,72 @@ class Task:
         if self.model.classes != self.dataset.classes:
             raise ValueError("model and dataset disagree on the class count")
 
+    @functools.cached_property
+    def logistic_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Made by the first logistic evaluation, in engine time, then held for every run of the task: a
+        C-contiguous (d_in, n*J) copy of ``pooled_features.T``, and the labels as floats and booleans; read-only."""
+        labels = self.dataset.pooled_labels
+        arrays = np.ascontiguousarray(self.dataset.pooled_features.T), labels.astype(float), labels.astype(bool)
+        for array in arrays:
+            array.setflags(write=False)
+        return arrays
+
+
+def evaluate(task: Task, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Loss, gradient and accuracy over the pooled dataset at a (dim,) vector, or (m,), (m, dim) and (m,)
+    at an (m, dim) stack, each row in one forward pass whose scores give the accuracy.
+
+    A logistic vector runs through GEMVs; a stack runs in groups of exactly EVAL_ROUNDS rows, zero rows
+    padding the last, through one GEMM per product, where a row's bits depend neither on its place nor on
+    the other rows (at another height they may).  Both read X^T, the task's feature-major copy, and take
+    e = exp(-|z|) once for the loss terms ``log1p(e) + (max(z, 0) - y z)`` and the sigmoid
+    ``max(e, z >= 0) / (1 + e)``; a row equals its two-pass formulas bit for bit.  The MLP goes row by row.
+    """
+    model, dim, X, y = task.model, task.model.dim, task.dataset.pooled_features, task.dataset.pooled_labels
+    N = len(y)
+    groups = params.reshape(-1, dim)  # a vector, or an MLP stack row by row
+    if model.kind == "logistic" and params.ndim == 2:  # zero rows pad the last group
+        groups = np.pad(params, ((0, -len(params) % EVAL_ROUNDS), (0, 0))).reshape(-1, EVAL_ROUNDS, dim)
+    out = np.empty((*groups.shape[:-1], dim + 2))  # each row's loss, accuracy and gradient
+    if model.kind == "logistic":  # work in place, in arrays that every group reuses
+        features, targets, positive = task.logistic_arrays
+        z = np.empty((*groups.shape[1:-1], N))  # apart from the rest: one block of four raised the peak RSS
+        (e, terms, buf), mask = np.empty((3, *z.shape)), np.empty(z.shape, dtype=bool)
+        for rows, cells in zip(groups, out):
+            w, b = model.unflatten(rows)
+            np.matmul(w, features, out=z)
+            z += b[..., None]
+            np.exp(np.negative(np.abs(z, out=e), out=e), out=e)  # exp(-|z|), shared by the loss and the sigmoid
+            np.maximum(z, 0.0, out=terms)
+            terms -= np.multiply(targets, z, out=buf)  # exact for y in {0, 1}: no cancelling
+            terms += np.log1p(e, out=buf)
+            coeff = np.maximum(e, np.greater_equal(z, 0.0, out=mask), out=buf)
+            coeff /= np.add(e, 1.0, out=e)
+            coeff -= targets  # sigmoid(z) - y
+            np.add.reduce(terms, axis=-1, out=cells[..., 0])  # each row's own sum, as np.mean takes it
+            np.matmul(coeff, features.T, out=cells[..., 2:-1])
+            np.add.reduce(coeff, axis=-1, out=cells[..., -1])  # the bias's gradient
+            np.equal(np.greater(z, 0.0, out=mask), positive, out=mask)
+            cells.reshape(-1, dim + 2)[:, 1] = [np.count_nonzero(row) for row in mask.reshape(-1, N)]  # beats axis=1
+            cells /= N  # a row's loss, hits and gradient at once; hits / N is np.mean's float
+    else:  # the MLP, row by row
+        for rows, cells in zip(groups, out):
+            W1, b1, W2, b2 = model.unflatten(rows)
+            hidden = np.tanh(X @ W1.T + b1)
+            logits = hidden @ W2.T + b2
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            dlogits = np.exp(shifted)  # one exp and one row sum serve the loss and the softmax
+            norm = dlogits.sum(axis=1, keepdims=True)
+            cells[0] = np.mean(np.log(norm[:, 0]) - shifted[np.arange(N), y])
+            dlogits /= norm
+            dlogits[np.arange(N), y] -= 1.0
+            dlogits /= N
+            dpre = (dlogits @ W2) * (1.0 - hidden**2)
+            gW1, gb1, gW2, gb2 = model.unflatten(cells[2:])
+            gW1[:] = dpre.T @ X
+            gb1[:] = dpre.sum(axis=0)
+            gW2[:] = dlogits.T @ hidden
+            gb2[:] = dlogits.sum(axis=0)
+            cells[1] = np.mean(logits.argmax(axis=1) == y)
+    out = out.reshape(-1, dim + 2)[: len(params)] if params.ndim == 2 else out[0]
+    return out[..., 0], out[..., 2:], out[..., 1]

@@ -9,8 +9,8 @@ import pytest
 
 from pushdp import cli, engine
 from pushdp.accountant import PrivacySpec
-from pushdp.engine import EVAL_ROUNDS, INIT_SCALE, PURPOSE_INIT, PURPOSE_NOISE, PURPOSE_SAMPLE, RunConfig
-from pushdp.models import Model, Task, synth_dataset
+from pushdp.engine import INIT_SCALE, PURPOSE_INIT, PURPOSE_NOISE, PURPOSE_SAMPLE, RunConfig
+from pushdp.models import EVAL_ROUNDS, Model, Task, synth_dataset
 from pushdp.schedule import build_schedule
 from pushdp.topology import graph_schedule, validate_column_stochastic
 
@@ -102,8 +102,8 @@ def reference_evaluate(
     model: Model, dataset, params: np.ndarray, grouped: bool = False
 ) -> tuple[float, np.ndarray, float]:
     """Loss, gradient and accuracy over the pooled dataset by the two-pass
-    formulas; ``models.evaluate`` must equal it bit for bit, on a one-row stack
-    alone and on an EVAL_ROUNDS-row stack ``grouped``."""
+    formulas; ``models.evaluate`` must equal it bit for bit, on a vector alone and
+    on a row of a stack ``grouped``, which it evaluates in groups of EVAL_ROUNDS rows."""
     X, y = dataset.pooled_features, dataset.pooled_labels
     loss, grad, scores = reference_loss_grad(model, params, X, y, grouped)
     hits = (scores > 0) == y if model.kind == "logistic" else scores.argmax(axis=1) == y

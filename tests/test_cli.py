@@ -1209,24 +1209,24 @@ def test_sweep_with_a_shared_setting_equals_legs_built_alone(tmp_path, axis, val
 @pytest.fixture
 def evaluations(monkeypatch):
     """The ``engine.evaluate`` calls of each engine run the CLI makes, one list per run of
-    the heights of the stacks it evaluates."""
+    the rows each call evaluates: a stack's height, or 1 for a vector."""
     heights, run, evaluate = [], cli.run, engine.evaluate
 
     def counted_run(config):
         heights.append([])
         return run(config)
 
-    def counted_evaluate(model, data, params):
-        heights[-1].append(len(params))
-        return evaluate(model, data, params)
+    def counted_evaluate(task, params):
+        heights[-1].append(len(params) if params.ndim == 2 else 1)
+        return evaluate(task, params)
 
     monkeypatch.setattr(cli, "run", counted_run)
     monkeypatch.setattr(engine, "evaluate", counted_evaluate)
     return heights
 
 
-# K = 10 evaluated every round: rounds 0-3, 4-7, 8 in a padded stack of 4, then 9 alone
-EVERY_ROUND_AT_K10 = [4, 4, 4, 1]
+# K = 10 evaluated every round: rounds 0-8 in one stack, then 9 alone
+EVERY_ROUND_AT_K10 = [9, 1]
 
 
 @contextlib.contextmanager
@@ -1263,6 +1263,37 @@ def test_run_and_sweep_evaluate_every_round(tmp_path, evaluations, command, runs
         args[args.index("--values") + 1] = "4,8"
     assert _exit_code_and_stderr(args) == (0, "")
     assert evaluations == [EVERY_ROUND_AT_K10] * runs
+
+
+@pytest.mark.parametrize("model", ["logistic", "mlp"])
+def test_the_logistic_copy_is_made_in_engine_time_and_shared_by_the_legs(tmp_path, monkeypatch, model):
+    # _grid resolves compare's two legs, dyn and nonprivate, on one Task and makes no copy;
+    # the first leg's evaluation makes it, in engine time, and the second leg reads that
+    # one; an MLP task never makes it
+    legs, held, leg, run = [], [], cli._leg, cli.run
+
+    def resolved(cfg, setting):
+        legs.append(leg(cfg, setting))
+        return legs[-1]
+
+    def running(config):
+        held.append([vars(each.task).get("logistic_arrays") for each in legs])
+        log = run(config)
+        held.append([vars(each.task).get("logistic_arrays") for each in legs])
+        return log
+
+    monkeypatch.setattr(cli, "_leg", resolved)
+    monkeypatch.setattr(cli, "run", running)
+    config = write_config(tmp_path, BASE.replace("K = 15", "K = 5"))
+    sets = ["task.model=mlp", "task.classes=3"] if model == "mlp" else []
+    args = _command_args("compare", config, sets, tmp_path / "table.csv")
+    assert _exit_code_and_stderr(args) == (0, "")
+    assert len(legs) == 2 and legs[0].task is legs[1].task
+    before, made, entered, after = held
+    assert before == [None, None]  # resolution made no copy
+    copy = made[0]
+    assert (copy is None) == (model == "mlp")
+    assert all(each is copy for each in made + entered + after)
 
 
 # ---------------------------------------------------------------------------

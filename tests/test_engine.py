@@ -25,7 +25,6 @@ from helpers import (
 from pushdp import engine
 from pushdp.accountant import PrivacySpec, compose_general, delta_from_mu_eps
 from pushdp.engine import (
-    EVAL_ROUNDS,
     INIT_SCALE,
     PURPOSE_INIT,
     PURPOSE_NOISE,
@@ -41,7 +40,7 @@ from pushdp.engine import (
     stream_keys,
 )
 from pushdp.metrics import COLUMNS
-from pushdp.models import Model, Task, synth_dataset
+from pushdp.models import EVAL_ROUNDS, Model, Task, synth_dataset
 from pushdp.schedule import VARIANTS, NoiseSchedule, build_schedule
 from pushdp.topology import GraphSchedule, graph_schedule
 
@@ -722,21 +721,63 @@ def test_final_only_evaluation_keeps_every_other_cell(make, monkeypatch):
 
 
 def test_a_block_evaluates_its_rounds_in_groups_and_the_last_round_alone(monkeypatch):
-    # K = 10 in 4 calls: rounds 0-3, 4-7, then 8 in a full stack over round 9 and zero rows,
-    # which only pad, and round 9 alone, as a final-only run evaluates it
-    stacks, evaluate = [], engine.evaluate
+    # K = 10 in 2 calls: rounds 0-8 as one stack, then round 9 alone, as a final-only run
+    # evaluates it; evaluate takes the stack in groups, rounds 0-3, 4-7, then 8 over three
+    # zero rows, which only pad
+    stacks, groups, evaluate, unflatten = [], [], engine.evaluate, Model.unflatten
 
-    def recorded(model, data, params):
+    def grouped(model, rows):  # the rows evaluate's products read at once
+        groups.append(rows.copy())
+        return unflatten(model, rows)
+
+    def recorded(task, params):
         stacks.append(params.copy())
-        return evaluate(model, data, params)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Model, "unflatten", grouped)
+            return evaluate(task, params)
 
     monkeypatch.setattr(engine, "evaluate", recorded)
     with recorded_rounds() as details:
         run(private_config(n=4, J=10, K=10, epsilon=0.5, variant="dyn", seed=5))
     xbars = np.stack([detail.xbar for detail in details])
     assert EVAL_ROUNDS == 4
-    padded = np.concatenate([xbars[8:], np.zeros((2, xbars.shape[1]))])
-    assert [s.tobytes() for s in stacks] == [x.tobytes() for x in (xbars[:4], xbars[4:8], padded, xbars[9:])]
+    padded = np.concatenate([xbars[8:9], np.zeros((3, xbars.shape[1]))])
+    assert [(s.shape, s.tobytes()) for s in stacks] == [(x.shape, x.tobytes()) for x in (xbars[:9], xbars[9])]
+    assert [(g.shape, g.tobytes()) for g in groups] == [
+        (x.shape, x.tobytes()) for x in (xbars[:4], xbars[4:8], padded, xbars[9])
+    ]
+
+
+def test_an_mlp_run_evaluates_each_round_once(monkeypatch):
+    # the MLP evaluates a stack row by row, so no zero row pads it: a K = 10 run makes 10
+    # forward passes, at the iterates of rounds 0-8 in one stack and of round 9 alone
+    stacks, passes, evaluate, unflatten = [], [], engine.evaluate, Model.unflatten
+
+    def recorded(*args):
+        params = args[-1]
+        stacks.append(params.copy())
+
+        def read(model, flat):  # a row of params a forward pass reads, not a gradient it writes
+            if np.shares_memory(flat, params):
+                passes.append(flat.copy())
+            return unflatten(model, flat)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Model, "unflatten", read)
+            return evaluate(*args)
+
+    monkeypatch.setattr(engine, "evaluate", recorded)
+    model = Model(kind="mlp", d_in=5, classes=3, hidden=4)
+    cfg = RunConfig(
+        task=Task(model=model, dataset=synth_dataset(0, 4, 15, d_in=5, classes=3)),
+        graph=graph_schedule("exponential", 4), schedule=None, gamma=0.05, K=10, seed=6,
+    )
+    with recorded_rounds() as details:
+        run(cfg)
+    xbars = np.stack([detail.xbar for detail in details])
+    assert len(passes) == 10
+    assert np.stack(passes).tobytes() == xbars.tobytes()
+    assert [(s.shape, s.tobytes()) for s in stacks] == [(x.shape, x.tobytes()) for x in (xbars[:9], xbars[9])]
 
 
 # zeros of both signs, subnormals, values whose squares overflow, infinities and NaN
@@ -807,8 +848,8 @@ def test_divergence_mid_block_raises_at_the_first_non_finite_round():
     assert raised.value.k == first
 
 
-def _constant_evaluate(model, data, params):
-    return np.full(len(params), 7.0), np.full(params.shape, 0.5), np.full(len(params), 0.25)
+def _constant_evaluate(task, params):
+    return np.full(params.shape[:-1], 7.0), np.full(params.shape, 0.5), np.full(params.shape[:-1], 0.25)
 
 
 @pytest.mark.parametrize(
@@ -1029,6 +1070,23 @@ def test_run_rejects_negative_gamma():
     cfg.gamma = -0.1
     with pytest.raises(ValueError, match="step size"):
         run(cfg)
+
+
+@pytest.mark.parametrize(
+    "change, text",
+    [
+        ({"gamma": float("nan")}, "^step size must be finite and nonnegative, got nan$"),
+        ({"gamma": float("inf")}, "^step size must be finite and nonnegative, got inf$"),
+        ({"gamma": -0.1}, "^step size must be finite and nonnegative, got -0.1$"),
+        ({"K": 0}, "^K must be at least 1, got 0$"),
+        ({"K": -3}, "^K must be at least 1, got -3$"),
+    ],
+)
+def test_run_refuses_a_step_size_or_K_before_its_first_round(change, text):
+    # a NaN or infinite step size would fail only after round 0, as NonFiniteParameter, and
+    # K = 0 would run into an empty log
+    with pytest.raises(ValueError, match=text):
+        run(dataclasses.replace(nonprivate_config(n=3, J=5, K=3), **change))
 
 
 def test_run_rejects_short_schedule():

@@ -16,8 +16,8 @@ from helpers import (
     sigmoid,
 )
 
-from pushdp.engine import EVAL_ROUNDS
 from pushdp.models import (
+    EVAL_ROUNDS,
     Dataset,
     Model,
     Task,
@@ -56,61 +56,40 @@ def test_synth_dataset_is_read_only():
     assert not X.flags.writeable and not y.flags.writeable
 
 
-def test_derived_labels_are_read_only_and_belong_to_one_dataset():
-    data = synth_dataset(0, 3, 4)
-    targets, positive = data.targets, data.positive
-    labels = data.labels.reshape(-1)
-    assert targets.dtype == np.float64 and np.array_equal(targets, labels)
-    assert positive.dtype == np.bool_ and np.array_equal(positive, labels == 1)
-    for array in (targets, positive):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1
-    model = Model(kind="logistic", d_in=data.d_in)
-    params = np.random.default_rng(0).standard_normal((1, model.dim))
-    first = evaluate(model, data, params)
-    second = evaluate(model, data, params)
-    # derived once: every evaluation reads the same two arrays, unchanged
-    assert data.targets is targets and data.positive is positive
-    assert all(np.array_equal(a, b) for a, b in zip(first, second))
-    other = synth_dataset(0, 3, 4)
-    assert np.array_equal(other.targets, targets)
-    assert not np.shares_memory(other.targets, targets)
-    assert not np.shares_memory(other.positive, positive)
-
-
 def test_dataset_built_by_hand_is_read_only():
     features, labels = np.zeros((2, 3, 4)), np.ones((2, 3), dtype=int)
     data = Dataset(features=features, labels=labels, classes=2)
-    arrays = (data.features, data.labels, data.pooled_features, data.pooled_labels, data.targets, data.positive)
-    for array in arrays:
+    for array in (data.features, data.labels, data.pooled_features, data.pooled_labels):
         assert not array.flags.writeable
+    # the dataset is data: what only the logistic evaluation reads belongs to a Task
+    assert not any(hasattr(data, name) for name in ("targets", "positive", "feature_major"))
     # the pooled samples are views of the shards, taken once
     assert data.pooled_features.shape == (6, 4) and np.shares_memory(data.pooled_features, features)
     assert data.pooled_labels.shape == (6,) and np.shares_memory(data.pooled_labels, labels)
 
 
-def test_feature_major_is_a_read_only_contiguous_copy_of_the_pooled_features():
+def test_a_tasks_logistic_arrays_are_read_only_copies_of_its_pooled_data():
     data = synth_dataset(5, 3, 7, d_in=4)
-    copy = data.feature_major
-    assert copy.shape == (4, 21) and copy.tobytes() == np.ascontiguousarray(data.pooled_features.T).tobytes()
-    assert copy.flags.c_contiguous and not copy.flags.writeable
-    assert not np.shares_memory(copy, data.features)
-    with pytest.raises(ValueError, match="read-only"):
-        copy[0, 0] = 1.0
-
-
-def test_logistic_evaluate_alone_makes_the_feature_major_copy_once():
-    data = synth_dataset(5, 3, 7, d_in=4)
-    mlp, logistic = Model(kind="mlp", d_in=4, hidden=5), Model(kind="logistic", d_in=4)
-    rng = np.random.default_rng(1)
-    evaluate(mlp, data, rng.standard_normal((1, mlp.dim)))
-    assert "feature_major" not in data.__dict__  # an MLP run holds no copy
-    params = rng.standard_normal((1, logistic.dim))
-    first = evaluate(logistic, data, params)
-    copy = data.__dict__["feature_major"]
-    second = evaluate(logistic, data, params)
-    assert data.__dict__["feature_major"] is copy  # made once, by the first call
-    assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
+    task = Task(model=Model(kind="logistic", d_in=4), dataset=data)
+    features, targets, positive = task.logistic_arrays
+    assert features.shape == (4, 21) and features.flags.c_contiguous
+    assert features.tobytes() == np.ascontiguousarray(data.pooled_features.T).tobytes()
+    assert targets.dtype == np.float64 and np.array_equal(targets, data.pooled_labels)
+    assert positive.dtype == np.bool_ and np.array_equal(positive, data.pooled_labels == 1)
+    for array in (features, targets, positive):
+        assert not array.flags.writeable and not np.shares_memory(array, data.features)
+        assert not np.shares_memory(array, data.labels)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    # made once, then every evaluation reads the same arrays, unchanged
+    params = np.random.default_rng(0).standard_normal(task.model.dim)
+    first, second = evaluate(task, params), evaluate(task, params)
+    assert all(a is b for a, b in zip(task.logistic_arrays, (features, targets, positive)))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+    # a task of its own, on an equal dataset, holds arrays of its own
+    other = Task(model=task.model, dataset=synth_dataset(5, 3, 7, d_in=4))
+    for mine, theirs in zip(task.logistic_arrays, other.logistic_arrays):
+        assert mine.tobytes() == theirs.tobytes() and not np.shares_memory(mine, theirs)
 
 
 def test_synth_dataset_deterministic_in_seed():
@@ -352,7 +331,7 @@ def test_evaluate_reports_loss_grad_accuracy():
         data = synth_dataset(2, 3, 50, d_in=6, classes=model.classes)
         for scale in (0.0, 0.3):
             params = scale * np.random.default_rng(4).standard_normal(model.dim)
-            (loss,), (grad,), (acc,) = evaluate(model, data, params[None])
+            loss, grad, acc = evaluate(Task(model=model, dataset=data), params)
             ref_loss, ref_grad = full_objective(model, data, params)
             assert loss == ref_loss
             assert np.array_equal(grad, ref_grad)
@@ -423,7 +402,8 @@ def _evaluate_draw(kind, d_in, n, J, shard_labels, scale, seed):
 
 # What the oracle's grouped rows rely on, pinned here so that a BLAS that breaks it fails
 # a test that names it rather than the differential test: evaluate's two products,
-# ``W @ feature_major`` and ``C @ feature_major.T``, over stacks of the engine's heights.
+# ``W @ features`` and ``C @ features.T`` on the feature-major copy, over a vector and over
+# a group of EVAL_ROUNDS rows, the two heights evaluate runs a logistic product at.
 _PRODUCTS = {"z": lambda stack, F: stack @ F, "grad": lambda stack, F: stack @ F.T}
 
 
@@ -465,18 +445,20 @@ def test_a_one_row_stack_runs_the_gemv_of_its_vector(N, d_in):
     # zero params give z = +-0; at 1e3 exp(-|z|) underflows to 0
     scale=st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 1e3]) | st.floats(0.0, 1e3),
     seed=st.integers(0, 2**32 - 1),
-    # the engine's two stack heights: a lone row, or a group's row at any place among others
+    # what the engine passes: a vector alone, or a stack of any height, which evaluate takes
+    # in groups of EVAL_ROUNDS rows, zero rows padding the last, with the row at any place
     grouped=st.booleans(),
-    place=st.integers(0, EVAL_ROUNDS - 1),
+    height=st.integers(1, 2 * EVAL_ROUNDS + 1),
+    place=st.integers(0, 2 * EVAL_ROUNDS),
 )
-def test_evaluate_equals_two_pass_reference_bitwise(kind, d_in, n, J, shard_labels, scale, seed, grouped, place):
+def test_evaluate_equals_two_pass_reference_bitwise(kind, d_in, n, J, shard_labels, scale, seed, grouped, height, place):
     model, data, params = _evaluate_draw(kind, d_in, n, J, shard_labels, scale, seed)
-    stack, row = params[None], 0
+    stack, row = params, ()
     if grouped:
-        stack, row = scale * np.random.default_rng(seed).standard_normal((EVAL_ROUNDS, model.dim)), place
-        stack[place] = params
-    losses, grads, accuracies = evaluate(model, data, stack)
-    assert losses.shape == accuracies.shape == (len(stack),) and grads.shape == stack.shape
+        stack, row = scale * np.random.default_rng(seed).standard_normal((height, model.dim)), place % height
+        stack[row] = params
+    losses, grads, accuracies = evaluate(Task(model=model, dataset=data), stack)
+    assert losses.shape == accuracies.shape == stack.shape[:-1] and grads.shape == stack.shape
     ref_loss, ref_grad, ref_acc = reference_evaluate(model, data, params, grouped)
     assert _bits(losses[row]) == _bits(ref_loss)
     assert np.array_equal(_bits(grads[row]), _bits(ref_grad))
@@ -513,7 +495,7 @@ def _mpmath_loss(z: np.ndarray, y: np.ndarray) -> mpmath.mpf:
 def _evaluate_loss(z: np.ndarray, y: np.ndarray) -> float:
     """``evaluate``'s logistic loss at logits z: one feature equal to z, weight 1, bias 0."""
     data = Dataset(features=z.reshape(1, -1, 1), labels=y.reshape(1, -1), classes=2)
-    return float(evaluate(Model(kind="logistic", d_in=1), data, np.array([[1.0, 0.0]]))[0][0])
+    return float(evaluate(Task(model=Model(kind="logistic", d_in=1), dataset=data), np.array([1.0, 0.0]))[0])
 
 
 @pytest.mark.parametrize("loss_of", [_evaluate_loss, _logaddexp_loss])
