@@ -13,8 +13,8 @@ Two model families cover the convex and non-convex regimes:
   flattened as (W1, b1, W2, b2), trained with softmax cross-entropy.
 
 Gradients are hand-derived and vectorized.  ``evaluate`` averages the loss and gradient over
-every sample at an average iterate or a block's stack of them, which it lays out itself; its
-logistic loss ``log1p(exp(-|z|)) + (max(z, 0) - y z)`` shares the sigmoid's exp.
+every sample at an average iterate or a block's stack of them, which it lays out itself; it takes the
+logistic model at the signed margin u = (1 - 2y) z, where the loss is softplus(u) and no term cancels.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def batched_sample_gradients(
         e = np.copysign(z, -1.0)  # -|z|
         np.exp(e, out=e)
         coeff = np.divide(np.maximum(e, z >= 0, out=z), np.add(e, 1.0, out=e), out=z)
-        coeff -= ys  # sigmoid(z) - y, as in evaluate
+        coeff -= ys  # sigmoid(z) - y, kept: evaluate's sigmoid(u) here would move the bits of every trajectory
         # -0.0 + 0.0 is 0.0, as in the one-term matmul x * c; multiplied contiguously first
         np.add(Xs * coeff[:, None], 0.0, out=grads[:, : model.d_in])
         grads[:, model.d_in] = coeff
@@ -196,51 +196,50 @@ class Task:
             raise ValueError("model and dataset disagree on the class count")
 
     @functools.cached_property
-    def logistic_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Made by the first logistic evaluation, in engine time, then held for every run of the task: a
-        C-contiguous (d_in, n*J) copy of ``pooled_features.T``, and the labels as floats and booleans; read-only."""
-        labels = self.dataset.pooled_labels
-        arrays = np.ascontiguousarray(self.dataset.pooled_features.T), labels.astype(float), labels.astype(bool)
-        for array in arrays:
+    def logistic_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Made by the first logistic evaluation, in engine time, and held read-only for every run of the task:
+        the C-contiguous (d_in + 1, n*J) operand F = (1 - 2y) [X^T; 1], and ``below``, 5e-324 where y = 0, else 0."""
+        X, y = self.dataset.pooled_features, self.dataset.pooled_labels
+        F, below = np.empty((X.shape[1] + 1, len(y))), np.subtract(1, y, dtype=np.int64)  # 1 where y = 0
+        np.multiply(X.T, np.subtract(below, y, out=F[-1]), out=F[:-1])  # by the sign 1 - 2y: exact
+        for array in (F, below):
             array.setflags(write=False)
-        return arrays
+        return F, below.view(np.float64)  # the int 1's bits are the float 5e-324
 
 
 def evaluate(task: Task, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Loss, gradient and accuracy over the pooled dataset at a (dim,) vector, or (m,), (m, dim) and (m,)
     at an (m, dim) stack, each row in one forward pass whose scores give the accuracy.
 
-    A logistic vector runs through GEMVs; a stack runs in groups of exactly EVAL_ROUNDS rows, zero rows
+    The logistic model reads the task's F = (1 - 2y) [X^T; 1]: u = theta F is the signed margin (1 - 2y) z,
+    bias included.  A vector runs through GEMVs; a stack in groups of exactly EVAL_ROUNDS rows, zero rows
     padding the last, through one GEMM per product, where a row's bits depend neither on its place nor on
-    the other rows (at another height they may).  Both read X^T, the task's feature-major copy, and take
-    e = exp(-|z|) once for the loss terms ``log1p(e) + (max(z, 0) - y z)`` and the sigmoid
-    ``max(e, z >= 0) / (1 + e)``; a row equals its two-pass formulas bit for bit.  The MLP goes row by row.
-    """
+    the other rows (at another height they may).  e = exp(-|u|) serves the loss terms softplus(u) =
+    ``max(u, 0) + log1p(e)`` and sigmoid(u) = ``max(e, u >= 0) / (1 + e)``, whose product with F^T is the
+    gradient; a hit is u < ``below``, so z = 0 predicts class 0.  A row equals its two-pass formulas bit for
+    bit.  The MLP goes row by row."""
     model, dim, X, y = task.model, task.model.dim, task.dataset.pooled_features, task.dataset.pooled_labels
+    if params.shape[-1:] != (dim,) or params.ndim > 2:
+        raise ValueError(f"expected {dim} parameters, got {params.shape}")
     N = len(y)
     groups = params.reshape(-1, dim)  # a vector, or an MLP stack row by row
     if model.kind == "logistic" and params.ndim == 2:  # zero rows pad the last group
         groups = np.pad(params, ((0, -len(params) % EVAL_ROUNDS), (0, 0))).reshape(-1, EVAL_ROUNDS, dim)
     out = np.empty((*groups.shape[:-1], dim + 2))  # each row's loss, accuracy and gradient
     if model.kind == "logistic":  # work in place, in arrays that every group reuses
-        features, targets, positive = task.logistic_arrays
-        z = np.empty((*groups.shape[1:-1], N))  # apart from the rest: one block of four raised the peak RSS
-        (e, terms, buf), mask = np.empty((3, *z.shape)), np.empty(z.shape, dtype=bool)
+        F, below = task.logistic_arrays
+        u = np.empty((*groups.shape[1:-1], N))  # apart from the rest: one block of four raised the peak RSS
+        (e, terms, buf), mask = np.empty((3, *u.shape)), np.empty(u.shape, dtype=bool)
         for rows, cells in zip(groups, out):
-            w, b = model.unflatten(rows)
-            np.matmul(w, features, out=z)
-            z += b[..., None]
-            np.exp(np.negative(np.abs(z, out=e), out=e), out=e)  # exp(-|z|), shared by the loss and the sigmoid
-            np.maximum(z, 0.0, out=terms)
-            terms -= np.multiply(targets, z, out=buf)  # exact for y in {0, 1}: no cancelling
+            np.matmul(rows, F, out=u)
+            np.exp(np.negative(np.abs(u, out=e), out=e), out=e)  # exp(-|u|), shared by the loss and the sigmoid
+            np.maximum(u, 0.0, out=terms)
             terms += np.log1p(e, out=buf)
-            coeff = np.maximum(e, np.greater_equal(z, 0.0, out=mask), out=buf)
-            coeff /= np.add(e, 1.0, out=e)
-            coeff -= targets  # sigmoid(z) - y
+            coeff = np.maximum(e, np.greater_equal(u, 0.0, out=mask), out=buf)
+            coeff /= np.add(e, 1.0, out=e)  # sigmoid(u): no cancelling, unlike sigmoid(z) - 1 at y = 1
             np.add.reduce(terms, axis=-1, out=cells[..., 0])  # each row's own sum, as np.mean takes it
-            np.matmul(coeff, features.T, out=cells[..., 2:-1])
-            np.add.reduce(coeff, axis=-1, out=cells[..., -1])  # the bias's gradient
-            np.equal(np.greater(z, 0.0, out=mask), positive, out=mask)
+            np.matmul(coeff, F.T, out=cells[..., 2:])
+            np.less(u, below, out=mask)
             cells.reshape(-1, dim + 2)[:, 1] = [np.count_nonzero(row) for row in mask.reshape(-1, N)]  # beats axis=1
             cells /= N  # a row's loss, hits and gradient at once; hits / N is np.mean's float
     else:  # the MLP, row by row

@@ -54,27 +54,26 @@ def _group_row(row: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 
 def reference_loss_grad(
-    model: Model, params: np.ndarray, X: np.ndarray, y: np.ndarray, grouped: bool = False
+    model: Model, params: np.ndarray, X: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy loss, flat gradient, and the scores over a batch: the
     logit z (logistic) or logits (mlp) whose sign or argmax is the prediction.
 
-    The two-pass formulas, kept as the oracle for ``evaluate``'s one pass: the
+    The two-pass formulas, kept as the oracle for the per-sample gradient: the
     logistic loss is the stable softplus ``log1p(exp(-|z|)) + (max(z, 0) - y z)`` and
-    its gradient a second pass through ``sigmoid``, which takes exp(-|z|) again; the
-    mlp takes ``exp(shifted)`` once for the loss and again for the softmax.  A
-    ``grouped`` logistic row takes its two products as one row of a group's GEMMs.
+    its gradient a second pass through ``sigmoid(z) - y``, which takes exp(-|z|) again;
+    the mlp takes ``exp(shifted)`` once for the loss and again for the softmax.
     """
     N = X.shape[0]
     if model.kind == "logistic":
         w, b = model.unflatten(params)
-        XT = np.ascontiguousarray(X.T)  # evaluate's feature-major layout
-        z = (_group_row(w, XT) if grouped else w @ XT) + b  # a GEMM or a GEMV
+        XT = np.ascontiguousarray(X.T)  # feature-major, as the GEMVs of a batch run along rows
+        z = w @ XT + b
         # log(1 + e^z) - y z, stable for either sign of z; the bracket is exact for y in {0, 1}
         loss = float(np.mean(np.log1p(np.exp(-np.abs(z))) + (np.maximum(z, 0.0) - y * z)))
         coeff = sigmoid(z) - y
         grad = np.empty(model.dim)
-        grad[: model.d_in] = (_group_row(coeff, XT.T) if grouped else XT @ coeff) / N
+        grad[: model.d_in] = XT @ coeff / N
         grad[model.d_in] = coeff.mean()
         return loss, grad, z
     W1, b1, W2, b2 = model.unflatten(params)
@@ -101,13 +100,27 @@ def reference_loss_grad(
 def reference_evaluate(
     model: Model, dataset, params: np.ndarray, grouped: bool = False
 ) -> tuple[float, np.ndarray, float]:
-    """Loss, gradient and accuracy over the pooled dataset by the two-pass
-    formulas; ``models.evaluate`` must equal it bit for bit, on a vector alone and
-    on a row of a stack ``grouped``, which it evaluates in groups of EVAL_ROUNDS rows."""
+    """Loss, gradient and accuracy over the pooled dataset by two-pass formulas;
+    ``models.evaluate`` must equal it bit for bit, on a vector alone and on a row of a
+    stack ``grouped``, which it evaluates in groups of EVAL_ROUNDS rows.
+
+    The logistic model is taken at the signed margin u = theta F, where F stacks the
+    features over a row of ones and flips the sign of a y = 1 sample's column: u is
+    (1 - 2y) z, the loss the mean of ``max(u, 0) + log1p(exp(-|u|))``, the gradient
+    ``F sigmoid(u) / N`` in a second pass, and a sample a hit where u < 5e-324 (y = 0)
+    or u < 0 (y = 1), so that z = 0 predicts class 0.  A ``grouped`` row takes its two
+    products as one row of a group's GEMMs."""
     X, y = dataset.pooled_features, dataset.pooled_labels
-    loss, grad, scores = reference_loss_grad(model, params, X, y, grouped)
-    hits = (scores > 0) == y if model.kind == "logistic" else scores.argmax(axis=1) == y
-    return loss, grad, float(np.mean(hits))
+    if model.kind != "logistic":
+        loss, grad, logits = reference_loss_grad(model, params, X, y)
+        return loss, grad, float(np.mean(logits.argmax(axis=1) == y))
+    sign = 1.0 - 2.0 * y
+    F = np.ascontiguousarray(np.vstack([X.T * sign, sign]))  # evaluate's row-major layout
+    u = _group_row(params, F) if grouped else params @ F  # a GEMM or a GEMV
+    loss = float(np.mean(np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))))
+    s = sigmoid(u)
+    grad = (_group_row(s, F.T) if grouped else F @ s) / len(y)
+    return loss, grad, float(np.mean(u < np.where(y == 0, 5e-324, 0.0)))
 
 
 def per_sample_loss(model: Model, params: np.ndarray, x: np.ndarray, y: int) -> float:
@@ -122,9 +135,8 @@ def per_sample_gradient(model: Model, params: np.ndarray, x: np.ndarray, y: int)
 
 
 def full_objective(model: Model, dataset, params: np.ndarray) -> tuple[float, np.ndarray]:
-    """Loss and gradient averaged over every sample on every node."""
-    X, y = dataset.pooled_features, dataset.pooled_labels
-    loss, grad, _ = reference_loss_grad(model, params, X, y)
+    """Loss and gradient averaged over every sample on every node, by ``reference_evaluate``."""
+    loss, grad, _ = reference_evaluate(model, dataset, params)
     return loss, grad
 
 

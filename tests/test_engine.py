@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from helpers import (
     run_from,
 )
 
-from pushdp import engine
+from pushdp import engine, models
 from pushdp.accountant import PrivacySpec, compose_general, delta_from_mu_eps
 from pushdp.engine import (
     INIT_SCALE,
@@ -724,16 +725,19 @@ def test_a_block_evaluates_its_rounds_in_groups_and_the_last_round_alone(monkeyp
     # K = 10 in 2 calls: rounds 0-8 as one stack, then round 9 alone, as a final-only run
     # evaluates it; evaluate takes the stack in groups, rounds 0-3, 4-7, then 8 over three
     # zero rows, which only pad
-    stacks, groups, evaluate, unflatten = [], [], engine.evaluate, Model.unflatten
-
-    def grouped(model, rows):  # the rows evaluate's products read at once
-        groups.append(rows.copy())
-        return unflatten(model, rows)
+    stacks, groups, evaluate = [], [], engine.evaluate
 
     def recorded(task, params):
         stacks.append(params.copy())
+        F = task.logistic_arrays[0]
+
+        def product(rows, operand, **kwargs):  # the rows evaluate's margin product reads at once
+            if operand is F:
+                groups.append(rows.copy())
+            return np.matmul(rows, operand, **kwargs)
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Model, "unflatten", grouped)
+            patch.setattr(models, "np", types.SimpleNamespace(**{**vars(np), "matmul": product}))
             return evaluate(task, params)
 
     monkeypatch.setattr(engine, "evaluate", recorded)

@@ -71,12 +71,18 @@ def test_dataset_built_by_hand_is_read_only():
 def test_a_tasks_logistic_arrays_are_read_only_copies_of_its_pooled_data():
     data = synth_dataset(5, 3, 7, d_in=4)
     task = Task(model=Model(kind="logistic", d_in=4), dataset=data)
-    features, targets, positive = task.logistic_arrays
-    assert features.shape == (4, 21) and features.flags.c_contiguous
-    assert features.tobytes() == np.ascontiguousarray(data.pooled_features.T).tobytes()
-    assert targets.dtype == np.float64 and np.array_equal(targets, data.pooled_labels)
-    assert positive.dtype == np.bool_ and np.array_equal(positive, data.pooled_labels == 1)
-    for array in (features, targets, positive):
+    F, below = task.logistic_arrays
+    # F = (1 - 2y) [X^T; 1]: the feature-major features over a row of ones, a y = 1 column negated
+    X, y = data.pooled_features, data.pooled_labels
+    assert set(y) == {0, 1}
+    sign = np.array([-1.0 if label else 1.0 for label in y])
+    assert F.shape == (5, 21) and F.dtype == np.float64 and F.flags.c_contiguous
+    assert F.tobytes() == np.vstack([X.T * sign, sign]).tobytes()
+    # below is the least positive float where y = 0 and +0.0 where y = 1
+    assert below.shape == (21,) and below.dtype == np.float64
+    assert below.tobytes() == np.array([0.0 if label else np.nextafter(0.0, 1.0) for label in y]).tobytes()
+    assert np.nextafter(0.0, 1.0) == 5e-324
+    for array in (F, below):
         assert not array.flags.writeable and not np.shares_memory(array, data.features)
         assert not np.shares_memory(array, data.labels)
         with pytest.raises(ValueError, match="read-only"):
@@ -84,7 +90,7 @@ def test_a_tasks_logistic_arrays_are_read_only_copies_of_its_pooled_data():
     # made once, then every evaluation reads the same arrays, unchanged
     params = np.random.default_rng(0).standard_normal(task.model.dim)
     first, second = evaluate(task, params), evaluate(task, params)
-    assert all(a is b for a, b in zip(task.logistic_arrays, (features, targets, positive)))
+    assert all(a is b for a, b in zip(task.logistic_arrays, (F, below)))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
     # a task of its own, on an equal dataset, holds arrays of its own
     other = Task(model=task.model, dataset=synth_dataset(5, 3, 7, d_in=4))
@@ -326,6 +332,21 @@ def test_unflatten_rejects_a_wrong_shape(shape):
         model.unflatten(np.zeros(shape))
 
 
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+@pytest.mark.parametrize(
+    "shape",
+    [lambda dim: (2, 3, dim), lambda dim: (1, 1, dim), lambda dim: (), lambda dim: (4,), lambda dim: (2, dim + 1)],
+    ids=["2x3xdim", "1x1xdim", "scalar", "4", "2xdim+1"],
+)
+def test_evaluate_refuses_params_of_another_shape(kind, shape):
+    # only a (dim,) vector or an (m, dim) stack: a (2, 3, dim) stack is not read as one row
+    model = Model(kind=kind, d_in=4, hidden=3 if kind == "mlp" else 0)
+    task = Task(model=model, dataset=synth_dataset(0, 2, 5, d_in=4))
+    params = np.zeros(shape(model.dim))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'expected {model.dim} parameters, got {params.shape}')}$"):
+        evaluate(task, params)
+
+
 def test_evaluate_reports_loss_grad_accuracy():
     for model in (Model(kind="logistic", d_in=6), Model(kind="mlp", d_in=6, classes=3, hidden=5)):
         data = synth_dataset(2, 3, 50, d_in=6, classes=model.classes)
@@ -402,20 +423,21 @@ def _evaluate_draw(kind, d_in, n, J, shard_labels, scale, seed):
 
 # What the oracle's grouped rows rely on, pinned here so that a BLAS that breaks it fails
 # a test that names it rather than the differential test: evaluate's two products,
-# ``W @ features`` and ``C @ features.T`` on the feature-major copy, over a vector and over
-# a group of EVAL_ROUNDS rows, the two heights evaluate runs a logistic product at.
+# ``theta @ F`` and ``coeff @ F.T`` on the (d_in + 1, N) operand F, over a vector and over
+# a group of EVAL_ROUNDS rows, the two heights evaluate runs a logistic product at.  The
+# operand's own height is d_in + 1: 3 and 11 are those of d_in = 2 and the README's 10.
 _PRODUCTS = {"z": lambda stack, F: stack @ F, "grad": lambda stack, F: stack @ F.T}
 
 
 @pytest.mark.parametrize("product", _PRODUCTS)
 @pytest.mark.parametrize("N", [7, 5000, 16384])
-@pytest.mark.parametrize("d_in", [2, 10])
-def test_a_group_products_row_depends_on_neither_its_place_nor_the_other_rows(product, N, d_in):
+@pytest.mark.parametrize("height", [2, 3, 10, 11])
+def test_a_group_products_row_depends_on_neither_its_place_nor_the_other_rows(product, N, height):
     # row r of an EVAL_ROUNDS-row GEMM equals row 0 of the GEMM of that row over zero rows;
-    # the height itself may move the last bits (4 rows against 2 do on AVX-512 OpenBLAS)
-    rng = np.random.default_rng([N, d_in])
-    F = np.ascontiguousarray(rng.standard_normal((N, d_in)).T)
-    stack = rng.standard_normal((EVAL_ROUNDS, d_in if product == "z" else N))
+    # the stack's height itself may move the last bits (4 rows against 2 do on AVX-512 OpenBLAS)
+    rng = np.random.default_rng([N, height])
+    F = np.ascontiguousarray(rng.standard_normal((N, height)).T)
+    stack = rng.standard_normal((EVAL_ROUNDS, height if product == "z" else N))
     rows = _PRODUCTS[product](stack, F)
     for r in range(EVAL_ROUNDS):
         alone = np.zeros_like(stack)
@@ -424,12 +446,12 @@ def test_a_group_products_row_depends_on_neither_its_place_nor_the_other_rows(pr
 
 
 @pytest.mark.parametrize("N", [7, 5000, 16384])
-@pytest.mark.parametrize("d_in", [2, 10])
-def test_a_one_row_stack_runs_the_gemv_of_its_vector(N, d_in):
+@pytest.mark.parametrize("height", [2, 3, 10, 11])
+def test_a_one_row_stack_runs_the_gemv_of_its_vector(N, height):
     # a lone row (round K-1, and every round of a final-only run) keeps the 1-D products
-    rng = np.random.default_rng([N, d_in, 1])
-    F = np.ascontiguousarray(rng.standard_normal((N, d_in)).T)
-    w, coeff = rng.standard_normal(d_in), rng.standard_normal(N)
+    rng = np.random.default_rng([N, height, 1])
+    F = np.ascontiguousarray(rng.standard_normal((N, height)).T)
+    w, coeff = rng.standard_normal(height), rng.standard_normal(N)
     assert (w[None] @ F)[0].tobytes() == (w @ F).tobytes()
     assert (coeff[None] @ F.T)[0].tobytes() == (F @ coeff).tobytes()
 
@@ -492,10 +514,24 @@ def _mpmath_loss(z: np.ndarray, y: np.ndarray) -> mpmath.mpf:
         return mpmath.fsum(mpmath.log1p(mpmath.exp(zi)) - int(yi) * zi for zi, yi in zip(zs, y)) / len(z)
 
 
-def _evaluate_loss(z: np.ndarray, y: np.ndarray) -> float:
-    """``evaluate``'s logistic loss at logits z: one feature equal to z, weight 1, bias 0."""
+def _mpmath_gradient(z: np.ndarray, y: np.ndarray) -> list[mpmath.mpf]:
+    """That mean's gradient in a weight and a bias at z = 1 * feature + 0, the means of
+    (sigmoid(z) - y) z and sigmoid(z) - y, in 50 significant digits."""
+    with mpmath.workdps(50):
+        zs = [mpmath.mpf(zi) for zi in z]
+        coeffs = [1 / (1 + mpmath.exp(-zi)) - int(yi) for zi, yi in zip(zs, y)]
+        return [mpmath.fsum(c * zi for c, zi in zip(coeffs, zs)) / len(z), mpmath.fsum(coeffs) / len(z)]
+
+
+def _evaluate_at(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """``evaluate``'s logistic loss and gradient at logits z: one feature equal to z, weight 1, bias 0."""
     data = Dataset(features=z.reshape(1, -1, 1), labels=y.reshape(1, -1), classes=2)
-    return float(evaluate(Task(model=Model(kind="logistic", d_in=1), dataset=data), np.array([1.0, 0.0]))[0])
+    loss, grad, _ = evaluate(Task(model=Model(kind="logistic", d_in=1), dataset=data), np.array([1.0, 0.0]))
+    return float(loss), grad
+
+
+def _evaluate_loss(z: np.ndarray, y: np.ndarray) -> float:
+    return _evaluate_at(z, y)[0]
 
 
 @pytest.mark.parametrize("loss_of", [_evaluate_loss, _logaddexp_loss])
@@ -516,3 +552,13 @@ def test_logistic_loss_matches_mpmath(loss_of, seed):
     y = (z > 0).astype(int)
     exact = _mpmath_loss(z, y)
     assert abs(loss_of(z, y) - exact) <= 1e-15 * exact
+    if loss_of is _evaluate_loss:  # and evaluate's gradient, where every sigmoid(z) - y is below
+        # one ulp of 1 (|z| in [30, 40], labels all right): 1 / (1 + e) - 1 at y = 1 rounds to a
+        # multiple of 2^-53 there and misses by up to 1.3e-3 on these draws; sigmoid(u) does not
+        z = rng.choice([-1.0, 1.0], N) * rng.uniform(30.0, 40.0, N)
+        y = (z > 0).astype(int)
+        _, grad = _evaluate_at(z, y)
+        with mpmath.workdps(50):
+            exact = _mpmath_gradient(z, y)
+            error = mpmath.sqrt(mpmath.fsum((mpmath.mpf(g) - e) ** 2 for g, e in zip(grad, exact)))
+            assert error <= 1e-14 * mpmath.sqrt(mpmath.fsum(e**2 for e in exact))
