@@ -177,7 +177,7 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
 
 def _setting(cfg: ExperimentConfig) -> tuple:
     """(task, graph): what the legs of a grid share while the ``_SETTING_ATTRS`` entries hold, as
-    neither reads seed or variant; so too the task's logistic arrays, made when a leg first evaluates."""
+    neither reads seed or variant; so too the task's logistic arrays, made when a leg first evaluates a stack."""
     model = Model(cfg.model, cfg.d_in, cfg.classes, cfg.hidden if cfg.model == "mlp" else 0)
     dataset = synth_dataset(cfg.data_seed, cfg.n, cfg.J, cfg.d_in, cfg.classes, cfg.separation)
     matrices = None  # the entry's JSON, whose true, "1.0" or null numpy would read as a weight

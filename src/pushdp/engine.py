@@ -27,9 +27,9 @@ Then the block observes: one ``isfinite`` over its rounds raises ``NonFinitePara
 the first non-finite one, else a starved round raises ``DegenerateWeight`` (the earlier
 raises, as a per-round check would).  One ``einsum`` takes the B average iterates, and
 ``evaluate`` takes those before round K-1 as one stack, whose layout it owns, and round
-K-1 alone.  Every dot product and sum reproduces its single-node counterpart bit for bit,
-a stacked round's evaluation as ``models.evaluate`` says, so the result equals a
-per-node, per-round loop exactly.
+K-1 alone, on the pooled rows.  Every dot product and sum reproduces its single-node
+counterpart bit for bit, an evaluation as ``models.evaluate`` says, so the result equals
+a per-node, per-round loop exactly.
 
 Randomness comes from one counter-based Philox stream per node and purpose (init,
 sampling, noise), keyed by ``SeedSequence([seed, node, purpose])``; ``stream_keys``

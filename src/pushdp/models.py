@@ -197,8 +197,9 @@ class Task:
 
     @functools.cached_property
     def logistic_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Made by the first logistic evaluation, in engine time, and held read-only for every run of the task:
-        the C-contiguous (d_in + 1, n*J) operand F = (1 - 2y) [X^T; 1], and ``below``, 5e-324 where y = 0, else 0."""
+        """Made by the first evaluation of a logistic stack, in engine time, and held read-only for every run of
+        the task: the C-contiguous (d_in + 1, n*J) operand F = (1 - 2y) [X^T; 1], and ``below``, 5e-324 where
+        y = 0, else 0.  A lone vector reads the pooled rows instead."""
         X, y = self.dataset.pooled_features, self.dataset.pooled_labels
         F, below = np.empty((X.shape[1] + 1, len(y))), np.subtract(1, y, dtype=np.int64)  # 1 where y = 0
         np.multiply(X.T, np.subtract(below, y, out=F[-1]), out=F[:-1])  # by the sign 1 - 2y: exact
@@ -211,36 +212,47 @@ def evaluate(task: Task, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     """Loss, gradient and accuracy over the pooled dataset at a (dim,) vector, or (m,), (m, dim) and (m,)
     at an (m, dim) stack, each row in one forward pass whose scores give the accuracy.
 
-    The logistic model reads the task's F = (1 - 2y) [X^T; 1]: u = theta F is the signed margin (1 - 2y) z,
-    bias included.  A vector runs through GEMVs; a stack in groups of exactly EVAL_ROUNDS rows, zero rows
-    padding the last, through one GEMM per product, where a row's bits depend neither on its place nor on
-    the other rows (at another height they may).  e = exp(-|u|) serves the loss terms softplus(u) =
-    ``max(u, 0) + log1p(e)`` and sigmoid(u) = ``max(e, u >= 0) / (1 + e)``, whose product with F^T is the
-    gradient; a hit is u < ``below``, so z = 0 predicts class 0.  A row equals its two-pass formulas bit for
-    bit.  The MLP goes row by row."""
+    The logistic model works at the signed margin u = (1 - 2y) z.  A vector takes z = X w + b by a GEMV on the
+    pooled rows X and flips its sign; a stack reads the task's F = (1 - 2y) [X^T; 1], u = theta F, in groups
+    of exactly EVAL_ROUNDS rows, zero rows after the last, through one GEMM per product, where a row's bits
+    depend neither on its place nor on the other rows (at another height they may).  A hit is u < ``below``,
+    u < 0 or u = 0 at y = 0, so z = 0 predicts class 0.  e = exp(-|u|) serves the loss terms softplus(u) =
+    ``max(u, 0) + log1p(e)`` and sigmoid(u) = ``max(e, u >= 0) / (1 + e)``, whose product with F^T, or with
+    (1 - 2y) X, is the gradient.  A row equals its two-pass formulas bit for bit.  The MLP goes row by row."""
     model, dim, X, y = task.model, task.model.dim, task.dataset.pooled_features, task.dataset.pooled_labels
     if params.shape[-1:] != (dim,) or params.ndim > 2:
         raise ValueError(f"expected {dim} parameters, got {params.shape}")
-    N = len(y)
+    N, vector = len(y), params.ndim == 1
     groups = params.reshape(-1, dim)  # a vector, or an MLP stack row by row
-    if model.kind == "logistic" and params.ndim == 2:  # zero rows pad the last group
-        groups = np.pad(params, ((0, -len(params) % EVAL_ROUNDS), (0, 0))).reshape(-1, EVAL_ROUNDS, dim)
+    if model.kind == "logistic" and not vector:  # whole groups, zero rows after the stack
+        groups = np.zeros((-(-len(params) // EVAL_ROUNDS), EVAL_ROUNDS, dim))
+        groups.reshape(-1, dim)[: len(params)] = params
     out = np.empty((*groups.shape[:-1], dim + 2))  # each row's loss, accuracy and gradient
     if model.kind == "logistic":  # work in place, in arrays that every group reuses
-        F, below = task.logistic_arrays
-        u = np.empty((*groups.shape[1:-1], N))  # apart from the rest: one block of four raised the peak RSS
-        (e, terms, buf), mask = np.empty((3, *u.shape)), np.empty(u.shape, dtype=bool)
+        u = np.empty((*groups.shape[1:-1], N))  # apart from the rest: one block of all raised the peak RSS
+        (e, buf), mask = np.empty((2, *u.shape)), np.empty(u.shape, dtype=bool)
         for rows, cells in zip(groups, out):
-            np.matmul(rows, F, out=u)
+            if vector:  # u = (1 - 2y) (X w + b), a sign flip, exact; a hit where u < 0, or u = 0 at y = 0
+                at0 = np.equal(y, 0)
+                sign = np.subtract(np.multiply(at0, 2.0, out=e), 1.0)
+                np.multiply(np.add(np.matmul(X, rows[:-1], out=u), rows[-1], out=u), sign, out=u)
+                cells[1] = np.count_nonzero(u < 0.0) + np.count_nonzero((u == 0.0) & at0)
+            else:  # u = theta F, a hit where u < below
+                F, below = task.logistic_arrays
+                np.less(np.matmul(rows, F, out=u), below, out=mask)
+                cells[:, 1] = [np.count_nonzero(row) for row in mask]  # beats axis=1
             np.exp(np.negative(np.abs(u, out=e), out=e), out=e)  # exp(-|u|), shared by the loss and the sigmoid
-            np.maximum(u, 0.0, out=terms)
+            np.greater_equal(u, 0.0, out=mask)
+            terms = np.maximum(u, 0.0, out=u)  # the softplus terms, in u's place
             terms += np.log1p(e, out=buf)
-            coeff = np.maximum(e, np.greater_equal(u, 0.0, out=mask), out=buf)
-            coeff /= np.add(e, 1.0, out=e)  # sigmoid(u): no cancelling, unlike sigmoid(z) - 1 at y = 1
             np.add.reduce(terms, axis=-1, out=cells[..., 0])  # each row's own sum, as np.mean takes it
-            np.matmul(coeff, F.T, out=cells[..., 2:])
-            np.less(u, below, out=mask)
-            cells.reshape(-1, dim + 2)[:, 1] = [np.count_nonzero(row) for row in mask.reshape(-1, N)]  # beats axis=1
+            coeff = np.maximum(e, mask, out=buf)
+            coeff /= np.add(e, 1.0, out=e)  # sigmoid(u): no cancelling, unlike sigmoid(z) - 1 at y = 1
+            if vector:  # the weights' gradient (sigmoid(u) (1 - 2y)) X, the bias's that vector's sum
+                np.matmul(np.multiply(coeff, sign, out=coeff), X, out=cells[2:-1])
+                cells[-1] = np.add.reduce(coeff)
+            else:
+                np.matmul(coeff, F.T, out=cells[..., 2:])
             cells /= N  # a row's loss, hits and gradient at once; hits / N is np.mean's float
     else:  # the MLP, row by row
         for rows, cells in zip(groups, out):
@@ -261,5 +273,5 @@ def evaluate(task: Task, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
             gW2[:] = dlogits.T @ hidden
             gb2[:] = dlogits.sum(axis=0)
             cells[1] = np.mean(logits.argmax(axis=1) == y)
-    out = out.reshape(-1, dim + 2)[: len(params)] if params.ndim == 2 else out[0]
+    out = out[0] if vector else out.reshape(-1, dim + 2)[: len(params)]
     return out[..., 0], out[..., 2:], out[..., 1]

@@ -104,22 +104,32 @@ def reference_evaluate(
     ``models.evaluate`` must equal it bit for bit, on a vector alone and on a row of a
     stack ``grouped``, which it evaluates in groups of EVAL_ROUNDS rows.
 
-    The logistic model is taken at the signed margin u = theta F, where F stacks the
-    features over a row of ones and flips the sign of a y = 1 sample's column: u is
-    (1 - 2y) z, the loss the mean of ``max(u, 0) + log1p(exp(-|u|))``, the gradient
-    ``F sigmoid(u) / N`` in a second pass, and a sample a hit where u < 5e-324 (y = 0)
-    or u < 0 (y = 1), so that z = 0 predicts class 0.  A ``grouped`` row takes its two
-    products as one row of a group's GEMMs."""
+    The logistic model is taken at the signed margin u = (1 - 2y) z: the loss is the
+    mean of ``max(u, 0) + log1p(exp(-|u|))``, the gradient a second pass through
+    sigmoid(u) (1 - 2y), and a sample a hit where u < 5e-324 (y = 0) or u < 0 (y = 1),
+    so that z = 0 predicts class 0.  A vector takes z = X w + b and the gradient
+    (sigmoid(u) (1 - 2y)) X over the pooled rows, the bias's the sum of that vector.  A
+    ``grouped`` row takes u = theta F as one row of a group's GEMM, where F stacks the
+    features over a row of ones and flips the sign of a y = 1 sample's column, and the
+    gradient as one row of the GEMM of sigmoid(u) by F^T."""
     X, y = dataset.pooled_features, dataset.pooled_labels
     if model.kind != "logistic":
         loss, grad, logits = reference_loss_grad(model, params, X, y)
         return loss, grad, float(np.mean(logits.argmax(axis=1) == y))
     sign = 1.0 - 2.0 * y
-    F = np.ascontiguousarray(np.vstack([X.T * sign, sign]))  # evaluate's row-major layout
-    u = _group_row(params, F) if grouped else params @ F  # a GEMM or a GEMV
+    if grouped:
+        F = np.ascontiguousarray(np.vstack([X.T * sign, sign]))  # evaluate's row-major layout
+        u = _group_row(params, F)
+    else:
+        w, b = model.unflatten(params)
+        u = (X @ w + b) * sign  # a GEMV on the pooled rows
     loss = float(np.mean(np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))))
     s = sigmoid(u)
-    grad = (_group_row(s, F.T) if grouped else F @ s) / len(y)
+    if grouped:
+        grad = _group_row(s, F.T) / len(y)
+    else:
+        coeff = s * sign
+        grad = np.append(coeff @ X, coeff.sum()) / len(y)
     return loss, grad, float(np.mean(u < np.where(y == 0, 5e-324, 0.0)))
 
 

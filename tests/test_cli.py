@@ -1265,11 +1265,14 @@ def test_run_and_sweep_evaluate_every_round(tmp_path, evaluations, command, runs
     assert evaluations == [EVERY_ROUND_AT_K10] * runs
 
 
-@pytest.mark.parametrize("model", ["logistic", "mlp"])
-def test_the_logistic_copy_is_made_in_engine_time_and_shared_by_the_legs(tmp_path, monkeypatch, model):
-    # _grid resolves compare's two legs, dyn and nonprivate, on one Task and makes no copy;
-    # the first leg's evaluation makes it, in engine time, and the second leg reads that
-    # one; an MLP task never makes it
+@pytest.mark.parametrize("model,every_round", [("logistic", False), ("logistic", True), ("mlp", True)])
+def test_the_logistic_copy_is_made_by_a_stack_in_engine_time_and_shared_by_the_legs(
+    tmp_path, monkeypatch, model, every_round
+):
+    # _grid resolves compare's two legs, dyn and nonprivate, on one Task and makes no copy.
+    # Compare's legs evaluate their last round alone, on the pooled rows, and never make it;
+    # evaluated at every round, the first leg's stack makes it, in engine time, and the
+    # second leg reads that one; an MLP task never makes it
     legs, held, leg, run = [], [], cli._leg, cli.run
 
     def resolved(cfg, setting):
@@ -1287,12 +1290,13 @@ def test_the_logistic_copy_is_made_in_engine_time_and_shared_by_the_legs(tmp_pat
     config = write_config(tmp_path, BASE.replace("K = 15", "K = 5"))
     sets = ["task.model=mlp", "task.classes=3"] if model == "mlp" else []
     args = _command_args("compare", config, sets, tmp_path / "table.csv")
-    assert _exit_code_and_stderr(args) == (0, "")
+    with runs_evaluating_every_round() if every_round else contextlib.nullcontext():
+        assert _exit_code_and_stderr(args) == (0, "")
     assert len(legs) == 2 and legs[0].task is legs[1].task
     before, made, entered, after = held
     assert before == [None, None]  # resolution made no copy
     copy = made[0]
-    assert (copy is None) == (model == "mlp")
+    assert (copy is None) == (model == "mlp" or not every_round)
     assert all(each is copy for each in made + entered + after)
 
 

@@ -723,18 +723,19 @@ def test_final_only_evaluation_keeps_every_other_cell(make, monkeypatch):
 
 def test_a_block_evaluates_its_rounds_in_groups_and_the_last_round_alone(monkeypatch):
     # K = 10 in 2 calls: rounds 0-8 as one stack, then round 9 alone, as a final-only run
-    # evaluates it; evaluate takes the stack in groups, rounds 0-3, 4-7, then 8 over three
-    # zero rows, which only pad
-    stacks, groups, evaluate = [], [], engine.evaluate
+    # evaluates it; evaluate takes the stack in groups through F, rounds 0-3, 4-7, then 8
+    # over three zero rows, which only pad; round 9 reads the pooled rows X and never F
+    stacks, products, evaluate = [], [], engine.evaluate
 
     def recorded(task, params):
         stacks.append(params.copy())
-        F = task.logistic_arrays[0]
+        X = task.dataset.pooled_features
 
-        def product(rows, operand, **kwargs):  # the rows evaluate's margin product reads at once
-            if operand is F:
-                groups.append(rows.copy())
-            return np.matmul(rows, operand, **kwargs)
+        def product(*operands, **kwargs):  # each product's operands, X and F by name
+            F = vars(task).get("logistic_arrays", [None])[0]
+            named = ["X" if m is X else "F" if F is not None and np.shares_memory(m, F) else m.copy() for m in operands]
+            products.append((len(stacks) - 1, *named))
+            return np.matmul(*operands, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(models, "np", types.SimpleNamespace(**{**vars(np), "matmul": product}))
@@ -747,9 +748,15 @@ def test_a_block_evaluates_its_rounds_in_groups_and_the_last_round_alone(monkeyp
     assert EVAL_ROUNDS == 4
     padded = np.concatenate([xbars[8:9], np.zeros((3, xbars.shape[1]))])
     assert [(s.shape, s.tobytes()) for s in stacks] == [(x.shape, x.tobytes()) for x in (xbars[:9], xbars[9])]
-    assert [(g.shape, g.tobytes()) for g in groups] == [
-        (x.shape, x.tobytes()) for x in (xbars[:4], xbars[4:8], padded, xbars[9])
+    # each group: its margins theta F, then its gradient sigmoid(u) F^T
+    assert [(call, operand) for call, _, operand in products[:6]] == [(0, "F")] * 6
+    assert [(g.shape, g.tobytes()) for _, g, _ in products[:6:2]] == [
+        (x.shape, x.tobytes()) for x in (xbars[:4], xbars[4:8], padded)
     ]
+    # round 9: z = X w, then the gradient sigmoid(u) (1 - 2y) X
+    margin, gradient = products[6:]
+    assert margin[:2] == (1, "X") and margin[2].tobytes() == xbars[9][:-1].tobytes()
+    assert gradient[0] == 1 and gradient[2] == "X" and gradient[1].shape == (40,)
 
 
 def test_an_mlp_run_evaluates_each_round_once(monkeypatch):

@@ -87,9 +87,9 @@ def test_a_tasks_logistic_arrays_are_read_only_copies_of_its_pooled_data():
         assert not np.shares_memory(array, data.labels)
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
-    # made once, then every evaluation reads the same arrays, unchanged
-    params = np.random.default_rng(0).standard_normal(task.model.dim)
-    first, second = evaluate(task, params), evaluate(task, params)
+    # made once, then every evaluation of a stack reads the same arrays, unchanged
+    stack = np.random.default_rng(0).standard_normal((3, task.model.dim))
+    first, second = evaluate(task, stack), evaluate(task, stack)
     assert all(a is b for a, b in zip(task.logistic_arrays, (F, below)))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
     # a task of its own, on an equal dataset, holds arrays of its own
@@ -421,11 +421,11 @@ def _evaluate_draw(kind, d_in, n, J, shard_labels, scale, seed):
     return model, Dataset(features=features, labels=labels, classes=classes), params
 
 
-# What the oracle's grouped rows rely on, pinned here so that a BLAS that breaks it fails
-# a test that names it rather than the differential test: evaluate's two products,
-# ``theta @ F`` and ``coeff @ F.T`` on the (d_in + 1, N) operand F, over a vector and over
-# a group of EVAL_ROUNDS rows, the two heights evaluate runs a logistic product at.  The
-# operand's own height is d_in + 1: 3 and 11 are those of d_in = 2 and the README's 10.
+# What the oracle relies on, pinned here so that a BLAS that breaks it fails a test that
+# names it rather than the differential test: a stack's two products, ``theta @ F`` and
+# ``coeff @ F.T`` on the (d_in + 1, N) operand F, over a group of EVAL_ROUNDS rows, and a
+# vector's two GEMVs on the (N, d_in) pooled rows.  The operand's own height is d_in + 1:
+# 3 and 11 are those of d_in = 2 and the README's 10.
 _PRODUCTS = {"z": lambda stack, F: stack @ F, "grad": lambda stack, F: stack @ F.T}
 
 
@@ -446,14 +446,20 @@ def test_a_group_products_row_depends_on_neither_its_place_nor_the_other_rows(pr
 
 
 @pytest.mark.parametrize("N", [7, 5000, 16384])
-@pytest.mark.parametrize("height", [2, 3, 10, 11])
-def test_a_one_row_stack_runs_the_gemv_of_its_vector(N, height):
-    # a lone row (round K-1, and every round of a final-only run) keeps the 1-D products
-    rng = np.random.default_rng([N, height, 1])
-    F = np.ascontiguousarray(rng.standard_normal((N, height)).T)
-    w, coeff = rng.standard_normal(height), rng.standard_normal(N)
-    assert (w[None] @ F)[0].tobytes() == (w @ F).tobytes()
-    assert (coeff[None] @ F.T)[0].tobytes() == (F @ coeff).tobytes()
+@pytest.mark.parametrize("d_in", [1, 2, 6, 10])  # the pooled rows' own width; 6 is the tests' default
+def test_a_pooled_row_gemv_depends_on_neither_where_its_vector_lies_nor_where_it_writes(N, d_in):
+    # a lone vector's z = X w and coeff @ X, as the oracle takes them on arrays of their own
+    # and as evaluate does: w a slice of an engine row at any offset, each product written
+    # into a buffer of its own
+    rng = np.random.default_rng([N, d_in, 2])
+    X = rng.standard_normal((N, d_in))
+    w, coeff = rng.standard_normal(d_in), rng.standard_normal(N)
+    z, grad = X @ w, coeff @ X
+    for shift in range(8):  # each 8-byte place in a 64-byte line
+        held, out = np.empty((2, 2, shift + max(N, d_in)))
+        held[0, shift : shift + d_in], held[1, shift : shift + N] = w, coeff
+        assert np.matmul(X, held[0, shift : shift + d_in], out=out[0, shift : shift + N]).tobytes() == z.tobytes(), shift
+        assert np.matmul(held[1, shift : shift + N], X, out=out[1, shift : shift + d_in]).tobytes() == grad.tobytes(), shift
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)
@@ -486,6 +492,17 @@ def test_evaluate_equals_two_pass_reference_bitwise(kind, d_in, n, J, shard_labe
     assert np.array_equal(_bits(grads[row]), _bits(ref_grad))
     assert _bits(accuracies[row]) == _bits(ref_acc)
     assert losses.dtype == grads.dtype == accuracies.dtype == np.float64
+
+
+def test_a_lone_vector_scores_the_hits_of_its_row_in_a_stack_at_any_margin():
+    # z = 0 predicts class 0 and a NaN margin is a miss, alone through the pooled rows as in a group through F
+    data = Dataset(features=np.array([[[1.0], [0.0], [-1.0], [2.0]]]), labels=np.array([[1, 0, 1, 0]]), classes=2)
+    task = Task(model=Model(kind="logistic", d_in=1), dataset=data)
+    rows = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [np.nan, 0.0], [np.inf, 0.0], [0.0, -0.0]])
+    with np.errstate(invalid="ignore"):
+        stacked = evaluate(task, rows)[2]
+        alone = [evaluate(task, row)[2] for row in rows]
+    assert stacked.tolist() == alone == [0.5, 0.5, 0.75, 0.0, 0.25, 0.5]
 
 
 def _logaddexp_loss(z: np.ndarray, y: np.ndarray) -> float:
