@@ -14,22 +14,21 @@ Column stochasticity conserves the sums of x and w, so the average iterate
 follows the noisy mean gradient exactly and the weights w recover the bias a
 directed graph would otherwise inject into z.
 
-``run`` is the only round path, run in blocks of ROUND_BLOCK rounds.  Before its first
-round a block gathers its (B, n) samples in one ``take``, scales its noise by sigma_k in
-place and, on a dense schedule, mixes the push-sum weights of all its rounds (they never
-read the iterates).  Under one-peer push every weight stays 1.0 (``unit_weights``): no
-weight pass, and z_i = x_i / 1.0 is the iterate.  A round computes only the step: each
-node's gradient at its z_i in one batched kernel, its norm, clip, noise and half-step in
-reused buffers, and ``_mix_arrays``, which writes ``graph.mix`` straight into row b + 1 of
-a (B + 1, n, d) iterate buffer, on a dense schedule divided by the weights into a second
-such buffer of z_i.  The rounds stop before the first whose weights reach WEIGHT_FLOOR.
-Then the block observes: one ``isfinite`` over its rounds raises ``NonFiniteParameter`` at
-the first non-finite one, else a starved round raises ``DegenerateWeight`` (the earlier
-raises, as a per-round check would).  One ``einsum`` takes the B average iterates, and
-``evaluate`` takes those before round K-1 as one stack, whose layout it owns, and round
-K-1 alone, on the pooled rows.  Every dot product and sum reproduces its single-node
-counterpart bit for bit, an evaluation as ``models.evaluate`` says, so the result equals
-a per-node, per-round loop exactly.
+``run``, the only round path, runs blocks of ROUND_BLOCK rounds, each in four phases:
+
+- draw (``_block_draws``): its (B, n) samples in one ``take`` and its noise times sigma_k.
+- weights (``_block_weights``): the push-sum weights of all its rounds, which never read
+  the iterates, and how many rounds run before one reaches WEIGHT_FLOOR.  Under one-peer
+  push they stay 1.0 (``unit_weights``), and z_i is the iterate.
+- step, one loop in ``run``: per round, each node's gradient at its z_i in one batched
+  kernel, its norm, clip, noise and half-step, and ``_mix_arrays``, which writes
+  ``graph.mix`` into row b + 1 of the iterates, divided by the weights into z_i.
+- observe, in ``run``: one ``isfinite`` raises ``NonFiniteParameter`` at the first
+  non-finite round, else a starved round raises ``DegenerateWeight`` (the earlier, as a
+  per-round check would), and ``evaluate`` takes the average iterates (``models.evaluate``).
+
+Every dot product and sum reproduces its single-node counterpart bit for bit, so the
+result equals a per-node, per-round loop exactly.
 
 Randomness comes from one counter-based Philox stream per node and purpose (init,
 sampling, noise), keyed by ``SeedSequence([seed, node, purpose])``; ``stream_keys``
@@ -41,11 +40,9 @@ indices decoded from raw words by numpy's own rule).  A noise-free run builds no
 stream, and ablating noise never shifts the sampled data.
 
 What no leg at a seed changes, its keys, initial iterates and all K rounds of sample
-indices, is one ``SeedDraws``, drawn on first use inside ``run`` and then held read-only
-(the index table in K * n bytes up to J = 256).  A leg carries it as ``RunConfig.draws``,
-shared with the other legs at its seed; a config with none reads its indices block by
-block.  Every block reuses one buffer of noise, iterates, z_i and samples: n * B *
-(3d + d_in) floats, or (2d + d_in) on unit weights, where z_i is the iterate buffer.
+indices, is one ``SeedDraws``, drawn on first use and then held read-only (the index
+table in K * n bytes up to J = 256).  A leg carries it as ``RunConfig.draws``, shared
+with the other legs at its seed; a config with none reads its indices block by block.
 """
 
 from __future__ import annotations
@@ -68,8 +65,8 @@ PURPOSE_NOISE = 2
 # Push-sum weights this small mean the matrix schedule starves a node.
 WEIGHT_FLOOR = 1e-300
 
-# Rounds of sample indices and noise drawn per stream call; bounds the noise
-# held at once to n * ROUND_BLOCK * d floats.
+# Rounds drawn per stream call and run per block, whose buffers every block reuses:
+# n * ROUND_BLOCK * (3d + d_in) floats, (2d + d_in) on unit weights.
 ROUND_BLOCK = 64
 
 # Standard deviation of the per-node Gaussian initialization.
@@ -288,13 +285,33 @@ def _blocks(K: int):
     return [(k0, min(ROUND_BLOCK, K - k0), k0 + ROUND_BLOCK >= K) for k0 in range(0, K, ROUND_BLOCK)]
 
 
-def _noise_blocks(keys: np.ndarray, sigma: np.ndarray, d: int):
-    """Each block's noise, (n, B, d) with [i, b] node i's noise in the block's round b:
-    standard normals scaled by sigma_k in place, in one buffer that each block reuses."""
-    noisers, buffer = _Streams(keys), np.empty((len(keys), min(ROUND_BLOCK, len(sigma)), d))
-    for k0, B, last in _blocks(len(sigma)):
-        block = noisers.normals(buffer[:, :B], last)
-        yield np.multiply(block, sigma[k0 : k0 + B, None], out=block)  # round k0 + b's times its sigma_k
+def _block_draws(config: RunConfig, draws: SeedDraws, sigma: np.ndarray):
+    """Each block's samples (B, n, d_in), labels (B, n) and noise (n, B, d), [i, b] node i's in round b, or
+    None if sigma is 0 throughout.  A lone run (``config.draws`` None) builds no (K, n) index table."""
+    data, blocks, rows = config.task.dataset, _blocks(config.K), min(ROUND_BLOCK, config.K)
+    index_blocks = draws.index_blocks() if config.draws is None else (draws.indices[k0 : k0 + B] for k0, B, _ in blocks)
+    noisers = _Streams(draws.keys[PURPOSE_NOISE]) if sigma.any() else None
+    samples, noise = np.empty((rows, config.n, data.d_in)), None if noisers is None else np.empty((config.n, rows, config.d))
+    offsets = np.arange(config.n) * data.J  # node i's shard starts at row i * J of the pooled data
+    for (k0, B, last), idx in zip(blocks, index_blocks):
+        at = idx + offsets  # the samples' rows in the pooled data; mode "clip" takes unbuffered: in range
+        Xs, ys = data.pooled_features.take(at, axis=0, out=samples[:B], mode="clip"), data.pooled_labels.take(at)
+        block = None if noisers is None else noisers.normals(noise[:, :B], last)
+        yield Xs, ys, block if block is None else np.multiply(block, sigma[k0 : k0 + B, None], out=block)
+
+
+def _block_weights(graph: GraphSchedule, K: int):
+    """Each block's push-sum weights (B + 1, n), row b + 1 those its round b leaves, its rounds before the
+    first that reaches WEIGHT_FLOOR, and the worst weight-sum drift so far; on unit weights no mix at all."""
+    weights, drift, starved = np.ones((min(K, ROUND_BLOCK) + 1, graph.n)), 0.0, []
+    for k0, B, _ in _blocks(K):
+        if not graph.unit_weights:
+            for b in range(B):
+                graph.mix(k0 + b, weights[b], out=weights[b + 1])
+            starved = (weights[1 : B + 1] <= WEIGHT_FLOOR).any(axis=1).tolist()
+            drift = max(drift, float(np.abs(weights[1 : B + 1].sum(axis=1) - graph.n).max()))
+        yield weights, starved.index(True) if True in starved else B, drift  # that round raises DegenerateWeight
+        weights[0] = weights[B]  # what the next block enters with
 
 
 def run(config: RunConfig) -> MetricsLog:
@@ -320,39 +337,22 @@ def run(config: RunConfig) -> MetricsLog:
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     clip, budget, sigma = _schedule_arrays(config)
-    own, draws = SeedDraws.of(config), config.draws
-    if draws is None:  # a lone run holds no index table: it reads its indices block by block
-        draws, index_blocks = own, own.index_blocks()
-    elif draws != own:
-        raise ValueError(f"the run needs {own}, not {draws}")
-    else:
-        index_blocks = (draws.indices[k0 : k0 + B] for k0, B, _ in _blocks(K))
+    draws = config.draws or SeedDraws.of(config)
+    if draws != SeedDraws.of(config):  # made for another seed or shape
+        raise ValueError(f"the run needs {SeedDraws.of(config)}, not {draws}")
 
     graph, gamma, every_round, unit = config.graph, config.gamma, config.every_round, config.graph.unit_weights
     rows = min(K, ROUND_BLOCK) + 1  # every block reuses the buffers below; row b enters its round b
-    weights, iterates = np.ones((rows, n)), np.empty((rows, n, d))
+    iterates = np.empty((rows, n, d))
     Zs = iterates if unit else np.empty((rows, n, d))  # on unit weights z_i is the iterate
-    samples = np.empty((rows - 1, n, data.d_in))  # mode "clip" takes into it unbuffered: in range
     norms, sample_grads, halves, scale = np.empty((rows - 1, n)), np.empty((n, d)), np.empty((n, d)), np.empty(n)
     iterates[0] = Zs[0] = draws.init
-    features, labels = data.pooled_features, data.pooled_labels
-    offsets = np.arange(n) * J  # node i's shard starts at row i * J of the pooled data
     measured = np.full((K, 5), math.nan)  # loss, grad_norm_sq, consensus_err, clip_rate, accuracy
-    max_weight_drift = max_grad_norm = 0.0
+    max_grad_norm = 0.0
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # divergence fails by NonFiniteParameter
-        noise_blocks = _noise_blocks(draws.keys[PURPOSE_NOISE], sigma, d) if sigma.any() else None
-        for (k0, B, _), idx in zip(_blocks(K), index_blocks):
-            noise = None if noise_blocks is None else next(noise_blocks)
-            at = idx + offsets  # the samples' rows in the pooled data
-            Xs, ys = features.take(at, axis=0, out=samples[:B], mode="clip"), labels.take(at)
-            ran = B  # unit weights stay 1.0: no weight pass, no floor to reach, no drift
-            if not unit:  # the push-sum weights never read the iterates
-                for b in range(B):
-                    graph.mix(k0 + b, weights[b], out=weights[b + 1])
-                starved = (weights[1 : B + 1] <= WEIGHT_FLOOR).any(axis=1).tolist()
-                ran = starved.index(True) if True in starved else B  # round `ran` raises DegenerateWeight
-                max_weight_drift = max(max_weight_drift, float(np.abs(weights[1 : B + 1].sum(axis=1) - n).max()))
+        phases = zip(_blocks(K), _block_draws(config, draws, sigma), _block_weights(graph, K))
+        for (k0, B, _), (Xs, ys, noise), (weights, ran, max_weight_drift) in phases:
             for b, bound, norm in zip(range(ran), clip[k0 : k0 + ran].tolist(), norms):
                 G = batched_sample_gradients(model, Zs[b], Xs[b], ys[b], sample_grads)
                 np.sqrt(np.vecdot(G, G, out=norm), out=norm)  # == np.linalg.norm per row
@@ -376,12 +376,12 @@ def run(config: RunConfig) -> MetricsLog:
             measured[k0 : k0 + B, 2] = mean_sq_consensus(Zs[:B], xbars, out=Zs[:B])  # may overwrite iterates[:B]: the carry reads row B
             measured[k0 : k0 + B, 3] = np.count_nonzero(norms[:B] > clip[k0 : k0 + B, None], axis=1) / n
             max_grad_norm = max(max_grad_norm, float(norms[:B].max()))
-            weights[0], iterates[0], Zs[0] = weights[B], iterates[B], Zs[B]  # what the next block enters with
+            iterates[0], Zs[0] = iterates[B], Zs[B]  # what the next block enters with
 
     meta = {
         "n": n, "d": d, "K": K, "J": J, "gamma": float(config.gamma), "seed": config.seed,
-        "graph": graph.kind, "noise_enabled": noise_blocks is not None, **config.extra_meta,
-        **(config.schedule.claim() if noise_blocks is not None else {}),  # the claim of the noise drawn
+        "graph": graph.kind, "noise_enabled": noise is not None, **config.extra_meta,
+        **(config.schedule.claim() if noise is not None else {}),  # the claim of the noise drawn
         **(dict(graph_window=graph.period, graph_diameter=graph.diameter) if graph.diameter else {}),
         "max_weight_sum_drift": max_weight_drift, "max_stoch_grad_norm": max_grad_norm,
     }

@@ -176,7 +176,7 @@ def _saturation(n: int, receivers: np.ndarray, senders: np.ndarray):
     saturation = np.zeros(n, dtype=int)
     hops = 0
     while True:
-        grown = np.bitwise_or.reduceat(reach[senders], starts, axis=0)
+        grown = np.bitwise_or.reduceat(reach.take(senders, axis=0), starts, axis=0)
         fresh = (grown != reach).any(axis=1)
         if not fresh.any():
             return (reach == everyone).all(axis=1), saturation

@@ -219,6 +219,28 @@ def test_run_rejects_draws_made_for_another_seed_or_shape(field):
         engine.run(dataclasses.replace(cfg, draws=engine.SeedDraws(**shape)))
 
 
+def test_a_lone_run_builds_no_index_table(monkeypatch):
+    """A run handed no draws reads its indices block by block and never builds the (K, n)
+    index table, which bounds a lone run's memory; a run handed a seed's draws reads it."""
+    built, indices = [], engine.SeedDraws.indices
+
+    def recorded(draws):
+        built.append(draws)
+        return indices.func(draws)
+
+    wrapped = functools.cached_property(recorded)
+    wrapped.__set_name__(engine.SeedDraws, "indices")
+    monkeypatch.setattr(engine.SeedDraws, "indices", wrapped)
+    cfg = private_config(n=3, J=10, K=ROUND_BLOCK + 6, epsilon=0.5, variant="dyn", seed=2)
+    for leg in (cfg, dataclasses.replace(cfg, noise_enabled=False), dataclasses.replace(cfg, schedule=None)):
+        lone = run(leg)
+        assert built == []
+        draws = engine.SeedDraws.of(leg)
+        assert run(dataclasses.replace(leg, draws=draws)).csv_text() == lone.csv_text()
+        assert built == [draws]
+        built.clear()
+
+
 # ---------------------------------------------------------------------------
 # mixing: the push-sum weights, which ``run`` mixes once per block, and ``_mix_arrays``,
 # the exchange of the iterates it performs every round
